@@ -17,6 +17,7 @@ from .auxiliary import (
     contact_records,
 )
 from .c5 import (
+    Analysis,
     C5Cone,
     bound1,
     bound2,
@@ -94,7 +95,6 @@ from .oracle import (
 from .projection import (
     GenericityVerdict,
     LinearProjection,
-    NonNormalFormImage,
     apply_projection,
     find_generic_projection,
     is_c5_generic,

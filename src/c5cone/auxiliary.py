@@ -123,8 +123,8 @@ def contact_aux(
     )
 
 
-def _divisor_representatives(m: int):
-    """One exponent k per subgroup order d > 1: zeta_m^(m/d) has order d."""
+def representative_ks(m: int) -> list:
+    """One k per subgroup order d > 1, d ascending: zeta_m^(m/d) has order d."""
     return [m // d for d in range(2, m + 1) if m % d == 0]
 
 
@@ -133,9 +133,7 @@ def characteristic_records(b: Branch, representatives: bool = False) -> list:
     k = 1..m-1; with representatives=True only one k per divisor order of m
     (the multiplicity and plane depend only on the order of theta, so the
     record set is the same up to repetition)."""
-    if b.m == 1:
-        return []
-    ks = _divisor_representatives(b.m) if representatives else range(1, b.m)
+    ks = representative_ks(b.m) if representatives else range(1, b.m)
     out = []
     for k in ks:
         theta = root_of_unity(b.conductor, b.m, k)
@@ -158,20 +156,25 @@ def contact_records(bi: Branch, bj: Branch, common_special: Optional[int] = None
     return out
 
 
-def cham(b: Branch, representatives: bool = True) -> frozenset:
+def cham(b: Branch) -> frozenset:
     """Characteristic auxiliary multiplicities {m} with all m_theta.
 
     Smooth branches give {1}: the theta range is empty.
     """
     values = {b.m}
-    for record in characteristic_records(b, representatives=representatives):
+    for record in characteristic_records(b, representatives=True):
         values.add(record.m_theta)
     return frozenset(values)
 
 
 def coam(bi: Branch, bj: Branch, common_special: Optional[int] = None) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
-    m_theta over the full root group, one entry per theta."""
+    m_theta over the full root group, one entry per theta. A non-tangent
+    pair needs no enumeration: its rescaled branches start at order lcm and
+    their leading vectors, the two tangents, are not proportional."""
+    if tangent_direction(bi) != tangent_direction(bj):
+        lcm = math.lcm(bi.m, bj.m)
+        return (lcm,) * lcm
     return tuple(
         sorted(r.m_theta for r in contact_records(bi, bj, common_special))
     )

@@ -1,4 +1,4 @@
-"""Assembly of the cone of bi-secant limits and its plane-count bounds.
+"""One analysis per curve, the cone of bi-secant limits, plane-count bounds.
 
 For a singular curve the cone is a finite union of 2-planes, collected in
 three steps: characteristic planes of each singular branch, contact planes
@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
-from .auxiliary import characteristic_records, contact_records
+from .auxiliary import characteristic_aux, coam, contact_records, representative_ks
 from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
+    TangencyClassification,
     check_compatibility,
     classify,
     plane_equations,
     plane_from_vectors,
     tangent_direction,
 )
-from .scalar import CycloScalar
+from .scalar import CycloScalar, root_of_unity
 
 
 class C5Cone(NamedTuple):
@@ -36,50 +38,107 @@ class C5Cone(NamedTuple):
     provenance: tuple
 
 
-def c5_cone(c: Curve, representatives: bool = True) -> C5Cone:
-    """Run the three collection steps and deduplicate.
+class Analysis:
+    """Classification, auxiliary records, cone, ChAMs and CoAMs of one curve,
+    each computed once, when first read."""
 
-    representatives=True visits one theta per subgroup order in the
-    characteristic step (same plane set); the contact step always visits
-    the full root group.
-    """
-    cls = classify(c)
-    special = check_compatibility(c)
-    if len(c.branches) == 1 and c.branches[0].m == 1:
-        b = c.branches[0]
+    def __init__(self, c: Curve):
+        self.curve = c
+        self._characteristic = {}  # (branch index, k) -> record
+
+    @cached_property
+    def classification(self) -> TangencyClassification:
+        return classify(self.curve)
+
+    def characteristic_records(self, i: int) -> list:
+        """Characteristic records of branch i, theta = zeta_m^k, k = 1..m-1."""
+        return self._records(i, range(1, self.curve.branches[i].m))
+
+    def representative_records(self, i: int) -> list:
+        """One characteristic record of branch i per root order, in the order
+        of representative_ks: the records the cone and the ChAMs read."""
+        return self._records(i, representative_ks(self.curve.branches[i].m))
+
+    def _records(self, i: int, ks) -> list:
+        b = self.curve.branches[i]
+        for k in ks:
+            if (i, k) not in self._characteristic:
+                theta = root_of_unity(b.conductor, b.m, k)
+                self._characteristic[(i, k)] = characteristic_aux(b, theta, k=k)
+        return [self._characteristic[(i, k)] for k in ks]
+
+    @cached_property
+    def contacts(self) -> dict:
+        """Contact records of every tangent pair (i, j), full root group."""
+        c = self.curve
+        special = check_compatibility(c)
+        return {
+            (i, j): contact_records(c.branches[i], c.branches[j], special[(i, j)])
+            for i, j in sorted(self.classification.T)
+        }
+
+    @cached_property
+    def cone(self) -> C5Cone:
+        """Run the three collection steps and deduplicate."""
+        c, cls = self.curve, self.classification
+        if len(c.branches) == 1 and c.branches[0].m == 1:
+            b = c.branches[0]
+            return C5Cone(
+                dimension=1,
+                components=(tangent_direction(b),),
+                provenance=((("tangent", (b.label,), -1),),),
+            )
+        found = {}
+        ordered = []
+
+        def add(plane, descriptor):
+            key = plane.key()
+            if key not in found:
+                found[key] = [plane, []]
+                ordered.append(key)
+            found[key][1].append(descriptor)
+
+        for i in sorted(cls.S):
+            for rec in self.representative_records(i):
+                add(rec.plane, (rec.kind, rec.labels, rec.k))
+        for records in self.contacts.values():
+            for rec in records:
+                add(rec.plane, (rec.kind, rec.labels, rec.k))
+        for i, j in sorted(cls.NT):
+            bi, bj = c.branches[i], c.branches[j]
+            plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
+            add(plane, ("non-tangent", (bi.label, bj.label), -1))
+        keys = sorted(ordered)
         return C5Cone(
-            dimension=1,
-            components=(tangent_direction(b),),
-            provenance=((("tangent", (b.label,), -1),),),
+            dimension=2,
+            components=tuple(found[k][0] for k in keys),
+            provenance=tuple(tuple(found[k][1]) for k in keys),
         )
-    found = {}
-    ordered = []
 
-    def add(plane, descriptor):
-        key = plane.key()
-        if key not in found:
-            found[key] = [plane, []]
-            ordered.append(key)
-        found[key][1].append(descriptor)
+    @cached_property
+    def chams(self) -> tuple:
+        return tuple(
+            frozenset({b.m, *(r.m_theta for r in self.representative_records(i))})
+            for i, b in enumerate(self.curve.branches)
+        )
 
-    for i in sorted(cls.S):
-        b = c.branches[i]
-        for rec in characteristic_records(b, representatives=representatives):
-            add(rec.plane, (rec.kind, rec.labels, rec.k))
-    for i, j in sorted(cls.T):
-        bi, bj = c.branches[i], c.branches[j]
-        for rec in contact_records(bi, bj, special[(i, j)]):
-            add(rec.plane, (rec.kind, rec.labels, rec.k))
-    for i, j in sorted(cls.NT):
-        bi, bj = c.branches[i], c.branches[j]
-        plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
-        add(plane, ("non-tangent", (bi.label, bj.label), -1))
-    keys = sorted(ordered)
-    return C5Cone(
-        dimension=2,
-        components=tuple(found[k][0] for k in keys),
-        provenance=tuple(tuple(found[k][1]) for k in keys),
-    )
+    @cached_property
+    def coams(self) -> dict:
+        """CoAM of every pair (i, j), i < j: read off the contact records of
+        a tangent pair, in closed form for a non-tangent one."""
+        c = self.curve
+        out = {
+            pair: tuple(sorted(rec.m_theta for rec in records))
+            for pair, records in self.contacts.items()
+        }
+        for i, j in self.classification.NT:
+            out[(i, j)] = coam(c.branches[i], c.branches[j])
+        return dict(sorted(out.items()))
+
+
+def c5_cone(c: Curve) -> C5Cone:
+    """The cone of bi-secant limits of a curve; see Analysis.cone."""
+    return Analysis(c).cone
 
 
 def sigma(n: int) -> int:

@@ -23,8 +23,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .auxiliary import cham, characteristic_records, coam, contact_records
 from .c5 import (
+    Analysis,
     C5Cone,
     bound1,
     bound2,
@@ -38,12 +38,10 @@ from .errors import EngineError, InvalidDocument
 from .geometry import (
     Curve,
     Plane,
-    check_compatibility,
-    classify,
     null_space,
     tangent_direction,
 )
-from .invariants import bilipschitz_equivalent, profile
+from .invariants import bilipschitz_equivalent
 from .oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
@@ -69,12 +67,8 @@ def variable_names(n: int):
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def _coefficient_text(c: CycloScalar) -> str:
-    return c.text()
-
-
 def _row_texts(row):
-    return [_coefficient_text(e) for e in row]
+    return [e.text() for e in row]
 
 
 def form_text(form, names) -> str:
@@ -160,9 +154,9 @@ def _print(data, as_json: bool, render) -> None:
 
 def _analyze_report(c: Curve, representatives: bool) -> dict:
     names = variable_names(c.n)
-    cls = classify(c)
-    special = check_compatibility(c)
-    cone = c5_cone(c)
+    analysis = Analysis(c)
+    cls = analysis.classification
+    cone = analysis.cone
     labels = [b.label for b in c.branches]
     branches = []
     for b in c.branches:
@@ -175,20 +169,20 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
         })
     records = []
     for i in sorted(cls.S):
-        for rec in characteristic_records(
-            c.branches[i], representatives=representatives
-        ):
+        if representatives:
+            listed = analysis.representative_records(i)
+        else:
+            listed = analysis.characteristic_records(i)
+        for rec in listed:
             records.append(_record_json(rec, names))
-    for i, j in sorted(cls.T):
-        for rec in contact_records(c.branches[i], c.branches[j], special[(i, j)]):
+    for contacts in analysis.contacts.values():
+        for rec in contacts:
             records.append(_record_json(rec, names))
     chams = {
-        b.label: sorted(cham(b)) for b in c.branches
+        b.label: sorted(values) for b, values in zip(c.branches, analysis.chams)
     }
     coams = {
-        f"{labels[i]},{labels[j]}": list(
-            coam(c.branches[i], c.branches[j], special[(i, j)])
-        )
+        f"{labels[i]},{labels[j]}": list(analysis.coams[(i, j)])
         for i, j in sorted(cls.T)
     }
     components = []
@@ -372,14 +366,16 @@ def cmd_project(args) -> int:
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
     proj = find_generic_projection(c)
-    image = apply_projection(c, proj)
+    try:
+        image_document = to_document(apply_projection(c, proj))
+    except EngineError:
+        image_document = None
     invariant = verify_projection_invariance(c, proj)
-    wrapped = getattr(image, "non_normal_form", False)
     data = {
         "command": "project",
         "mode": "auto",
         "projection": _projection_json(proj),
-        "image_document": None if wrapped else to_document(image),
+        "image_document": image_document,
         "invariance": invariant,
     }
 

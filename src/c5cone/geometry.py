@@ -22,7 +22,6 @@ from .series import (
     CoordinateSeries,
     Parametrization,
     is_primitive,
-    order,
     puiseux_form_check,
 )
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .auxiliary import cham, coam
+from .c5 import Analysis
 from .errors import (
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
     TooManyBranches,
 )
-from .geometry import Branch, Curve, check_compatibility, classify
+from .geometry import Branch, Curve
 
 MAX_BRANCHES = 12
 
@@ -133,26 +133,14 @@ class InvariantProfile(NamedTuple):
     r: int
     chams: tuple  # frozenset per branch
     coams: dict  # (i, j) with i < j -> sorted tuple
-    tangent: dict  # (i, j) -> bool
 
 
-def profile(c) -> InvariantProfile:
+def profile(c: Curve) -> InvariantProfile:
     """All characteristic and contact auxiliary multiplicities of a curve."""
-    reason = getattr(c, "reason", None)
-    if reason is not None:
-        raise reason
-    special = check_compatibility(c)
-    cls = classify(c)
-    chams = tuple(cham(b) for b in c.branches)
-    coams = {}
-    tangent = {}
-    r = len(c.branches)
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair = (i, j)
-            coams[pair] = coam(c.branches[i], c.branches[j], special.get(pair))
-            tangent[pair] = pair in cls.T
-    return InvariantProfile(r=r, chams=chams, coams=coams, tangent=tangent)
+    analysis = Analysis(c)
+    return InvariantProfile(
+        r=len(c.branches), chams=analysis.chams, coams=analysis.coams
+    )
 
 
 class EquivalenceVerdict(NamedTuple):

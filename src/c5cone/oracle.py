@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
 from .auxiliary import characteristic_aux, contact_aux
 from .c5 import C5Cone, c5_cone
-from .errors import DegenerateSecant, DimensionMismatch, FloatingPointUnderflow
+from .errors import DegenerateSecant, FloatingPointUnderflow
 from .geometry import Branch, Curve, check_compatibility
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization, substitute_power
@@ -43,15 +41,6 @@ PRNG_NAME = "mt19937"
 _SKIP_U = 0.3
 _NOISE_EXPONENT = 7  # keep cancellation noise near 1e-9 at the smallest u
 _FLOOR_U = 1e-4
-
-
-def worker_count() -> int:
-    """Worker bound from C5CONE_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("C5CONE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +299,7 @@ def _draw_point(rng: random.Random, radius: float) -> complex:
     return r * cmath.exp(2j * math.pi * rng.random())
 
 
-def _sample_source(args):
-    cterms_i, cterms_j, same, radius, count, rng, bases = args
+def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
     max_distance = 0.0
     mins = [math.inf] * len(bases)
     degenerate = 0
@@ -372,29 +360,20 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     sources = [(i, i) for i in range(r)] + [
         (i, j) for i in range(r) for j in range(i + 1, r)
     ]
-    tasks = []
-    for radius_index, radius in enumerate(radii):
-        for source_index, (i, j) in enumerate(sources):
-            tasks.append((
-                cterms[i], cterms[j], i == j, radius, k,
-                _derived_rng(seed, source_index, radius_index), bases,
-            ))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sample_source, tasks))
-    else:
-        outcomes = [_sample_source(t) for t in tasks]
     per_radius = []
     degenerate_total = 0
-    component_min = [math.inf] * len(bases)
     for radius_index, radius in enumerate(radii):
-        chunk = outcomes[radius_index * len(sources):(radius_index + 1) * len(sources)]
-        per_radius.append((radius, max(o[0] for o in chunk)))
-        degenerate_total += sum(o[2] for o in chunk)
-        if radius_index == len(radii) - 1:
-            for _, mins, _ in chunk:
-                component_min = [min(a, b) for a, b in zip(component_min, mins)]
+        outcomes = [
+            _sample_source(
+                cterms[i], cterms[j], radius, k,
+                _derived_rng(seed, source_index, radius_index), bases,
+            )
+            for source_index, (i, j) in enumerate(sources)
+        ]
+        per_radius.append((radius, max(o[0] for o in outcomes)))
+        degenerate_total += sum(o[2] for o in outcomes)
+    # outcomes are those of the smallest radius here
+    component_min = [min(column) for column in zip(*(o[1] for o in outcomes))]
     return SampleReport(
         seed=seed,
         prng=PRNG_NAME,

@@ -88,6 +88,14 @@ class LinearProjection:
         return f"<projection {rows}>"
 
 
+def _check_dimension(c: Curve, proj: LinearProjection) -> None:
+    if proj.n != c.n:
+        raise DimensionMismatch(
+            f"projection acts on dimension {proj.n}, curve lives in {c.n}",
+            dims=[proj.n, c.n],
+        )
+
+
 class GenericityVerdict(NamedTuple):
     generic: bool
     violating_component: object  # Plane or Direction, None when generic
@@ -105,33 +113,13 @@ def _component_clears_kernel(component, kernel_rows) -> bool:
 def is_c5_generic(c: Curve, proj: LinearProjection, cone: Optional[C5Cone] = None) -> GenericityVerdict:
     """Generic iff the kernel meets every cone component only at 0, checked
     as a full-rank condition on the stacked kernel and component bases."""
-    if proj.n != c.n:
-        raise DimensionMismatch(
-            f"projection acts on dimension {proj.n}, curve lives in {c.n}",
-            dims=[proj.n, c.n],
-        )
+    _check_dimension(c, proj)
     if cone is None:
         cone = c5_cone(c)
     for component in cone.components:
         if not _component_clears_kernel(component, proj.kernel_basis):
             return GenericityVerdict(False, component)
     return GenericityVerdict(True, None)
-
-
-class NonNormalFormImage:
-    """Projected parametrizations that do not form a valid plane curve;
-    profile() refuses them by raising the recorded reason."""
-
-    __slots__ = ("params", "labels", "reason")
-    non_normal_form = True
-
-    def __init__(self, params, labels, reason: EngineError):
-        self.params = params
-        self.labels = labels
-        self.reason = reason
-
-    def __repr__(self):
-        return f"<non-normal-form image: {self.reason}>"
 
 
 def _project_param(p: Parametrization, matrix) -> Parametrization:
@@ -151,24 +139,14 @@ def _project_param(p: Parametrization, matrix) -> Parametrization:
     return Parametrization(coords)
 
 
-def apply_projection(c: Curve, proj: LinearProjection):
-    """Image curve under the projection. If some image branch is not a valid
-    primitive Puiseux-form parametrization, the raw parametrizations come
-    back wrapped as NonNormalFormImage instead; downstream invariant
-    computation rejects the wrapper."""
-    if proj.n != c.n:
-        raise DimensionMismatch(
-            f"projection acts on dimension {proj.n}, curve lives in {c.n}",
-            dims=[proj.n, c.n],
-        )
-    params = [_project_param(b.param, proj.matrix) for b in c.branches]
-    labels = [b.label for b in c.branches]
-    try:
-        return curve(
-            Branch(p, label) for p, label in zip(params, labels)
-        )
-    except EngineError as failure:
-        return NonNormalFormImage(params, labels, failure)
+def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
+    """Image curve under the projection. An image branch that is not a valid
+    primitive Puiseux-form parametrization raises its validation error
+    (NotPuiseuxForm, NonPrimitiveParametrization, ...)."""
+    _check_dimension(c, proj)
+    return curve(
+        Branch(_project_param(b.param, proj.matrix), b.label) for b in c.branches
+    )
 
 
 def find_generic_projection(c: Curve) -> LinearProjection:
@@ -200,8 +178,6 @@ def find_generic_projection(c: Curve) -> LinearProjection:
                 yield lam
 
     for lam in candidates():
-        if all(v == 0 for v in lam):
-            continue
         row2 = [zero] * n
         for idx, value in zip(others, lam):
             row2[idx] = CycloScalar.rational(value)
@@ -214,9 +190,12 @@ def find_generic_projection(c: Curve) -> LinearProjection:
 def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:
     """True iff the image is a valid plane curve and keeps, branch by branch
     under the identity pairing, every characteristic set and every pairwise
-    contact sequence."""
-    image = apply_projection(c, proj)
-    if getattr(image, "non_normal_form", False):
+    contact sequence. A projection of the wrong dimension still raises
+    DimensionMismatch."""
+    _check_dimension(c, proj)
+    try:
+        image = apply_projection(c, proj)
+    except EngineError:
         return False
     source = profile(c)
     try:

@@ -378,10 +378,6 @@ def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:
     return zeta(conductor, (conductor // order) * (k % order))
 
 
-ZERO = CycloScalar.rational(0)
-ONE = CycloScalar.rational(1)
-
-
 def to_complex(a: CycloScalar) -> complex:
     """Numeric value of a, correctly rounded to a double.
 

@@ -19,8 +19,6 @@ from .scalar import CycloScalar
 # Order of the zero series.
 INFINITE = math.inf
 
-MAX_EXPONENT = 10**6
-
 
 class CoordinateSeries:
     """Sparse exact polynomial in u; the empty term tuple is the zero series."""

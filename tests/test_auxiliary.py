@@ -11,6 +11,7 @@ from c5cone import (
     DuplicateBranch,
     cham,
     characteristic_records,
+    classify,
     coam,
     contact_records,
     curve_from_exponents,
@@ -162,7 +163,8 @@ def test_cham_is_representative_independent():
     for _ in range(20):
         c = random_curve(rng, max_r=1)
         b = c.branches[0]
-        assert cham(b, representatives=True) == cham(b, representatives=False)
+        every_theta = characteristic_records(b, representatives=False)
+        assert cham(b) == {b.m} | {r.m_theta for r in every_theta}
 
 
 def test_coam_length_is_the_common_group_order(load):
@@ -171,6 +173,21 @@ def test_coam_length_is_the_common_group_order(load):
     assert seq == (18,) * 12
     a, b = load("same_order_contact").branches
     assert coam(a, b, 0) == (4, 4, 4)
+
+
+def test_non_tangent_coam_matches_the_enumeration(fixture_names, load):
+    # prime_multiplicity has a single branch, so no pairs, and is slow to read.
+    curves = [load(name) for name in fixture_names if name != "prime_multiplicity"]
+    rng = random.Random(13)
+    curves += [random_curve(rng) for _ in range(40)]
+    checked = 0
+    for c in curves:
+        for i, j in sorted(classify(c).NT):
+            bi, bj = c.branches[i], c.branches[j]
+            reference = sorted(r.m_theta for r in contact_records(bi, bj))
+            assert coam(bi, bj) == tuple(reference)
+            checked += 1
+    assert checked >= 40
 
 
 def test_coam_is_symmetric(load):

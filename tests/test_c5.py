@@ -2,23 +2,31 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from c5cone import (
+    Analysis,
     CycloScalar,
     UnsupportedDimension,
+    auxiliary,
     bound1,
     bound2,
     c5_cone,
+    cham,
+    characteristic_records,
+    check_compatibility,
+    coam,
     integer_normalized_form,
     polynomial_text,
     product_equation,
+    profile,
     sigma,
     tangent_direction,
 )
-from c5cone.cli import component_equations, variable_names
+from c5cone.cli import component_equations, main, variable_names
 from c5cone.geometry import Plane
 from random_curves import random_curve_with_cone
 
@@ -206,3 +214,71 @@ def test_product_equation_needs_planes_in_three_space(load):
         product_equation(c5_cone(load("smooth_plane")))
     with pytest.raises(UnsupportedDimension):
         product_equation(c5_cone(load("same_order_contact")))
+
+
+# ---------------------------------------------------------------------------
+# one analysis per curve
+
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """Count characteristic and contact record builds, in every engine
+    module that holds a reference to the record builders."""
+    counts = {"characteristic_aux": 0, "contact_aux": 0}
+    for name in counts:
+        original = getattr(auxiliary, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            engine = module_name.split(".")[0] == "c5cone"
+            if engine and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name, characteristic, contact", [
+    ("contact_structure_pair", 18, 24),
+    ("four_branches", 10, 12),
+])
+def test_analyze_builds_each_record_once(
+    record_builds, capsys, fixtures_dir, name, characteristic, contact
+):
+    assert main(["analyze", "--json", str(fixtures_dir / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert record_builds == {
+        "characteristic_aux": characteristic, "contact_aux": contact,
+    }
+
+
+def test_profile_builds_contact_records_of_tangent_pairs_only(record_builds, load):
+    profile(load("four_branches"))
+    assert record_builds["contact_aux"] == 12
+
+
+def test_analysis_agrees_with_the_standalone_functions():
+    rng = random.Random(17)
+    for _ in range(15):
+        c, _ = random_curve_with_cone(rng)
+        analysis = Analysis(c)
+        assert analysis.chams == tuple(cham(b) for b in c.branches)
+        special = check_compatibility(c)
+        assert analysis.coams == {
+            (i, j): coam(c.branches[i], c.branches[j], special.get((i, j)))
+            for i in range(len(c.branches))
+            for j in range(i + 1, len(c.branches))
+        }
+        for i in sorted(analysis.classification.S):
+            b = c.branches[i]
+            for listed, reference in (
+                (analysis.characteristic_records(i), characteristic_records(b)),
+                (
+                    analysis.representative_records(i),
+                    characteristic_records(b, representatives=True),
+                ),
+            ):
+                assert [(r.k, r.m_theta, r.plane.key()) for r in listed] == [
+                    (r.k, r.m_theta, r.plane.key()) for r in reference
+                ]

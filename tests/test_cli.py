@@ -267,6 +267,28 @@ def test_missing_file_exits_two(capsys):
     assert "cannot read" in payload["detail"]
 
 
+def test_huge_root_order_exits_two(capsys, tmp_path):
+    summand = {"num": 1, "den": 1, "zeta_order": 10**9, "zeta_pow": 10**9 - 1}
+    doc = {
+        "version": 1,
+        "n": 2,
+        "branches": [{
+            "label": "b1",
+            "coords": [
+                [{"exp": 2, "coeff": [summand]}],
+                [{"exp": 3, "coeff": [summand]}],
+            ],
+        }],
+    }
+    path = tmp_path / "huge_root.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConductorLimitExceeded"
+
+
 def test_bad_kernel_matrix_exits_two(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

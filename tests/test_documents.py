@@ -2,11 +2,13 @@
 
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from c5cone import (
+    ConductorLimitExceeded,
     InvalidDocument,
     NotPuiseuxForm,
     curve_from_exponents,
@@ -159,6 +161,20 @@ def test_summands_are_validated():
     del doc["branches"][0]["coords"][1][0]["coeff"][0]["zeta_pow"]
     with pytest.raises(InvalidDocument, match="missing"):
         from_document(doc)
+
+
+def test_huge_root_order_is_refused_before_allocating():
+    doc = cusp_document()
+    summand = doc["branches"][0]["coords"][1][0]["coeff"][0]
+    summand.update(zeta_order=10**7, zeta_pow=10**7 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConductorLimitExceeded):
+            from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_content_errors_pass_through_unwrapped():

@@ -163,8 +163,6 @@ def test_profile_shape(load):
     assert set(p.coams) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
     assert p.coams[(0, 1)] == (18,) * 12
     assert p.coams[(2, 3)] == (3, 3, 3)
-    assert p.tangent[(0, 1)] is True
-    assert p.tangent[(2, 3)] is False
 
 
 def test_equivalence_of_matching_tangent_pairs(load):

@@ -9,7 +9,6 @@ from c5cone import (
     DimensionMismatch,
     LinearProjection,
     NoCommonSpecialCoordinate,
-    NonNormalFormImage,
     NonPrimitiveParametrization,
     apply_projection,
     c5_cone,
@@ -17,7 +16,6 @@ from c5cone import (
     curve_from_exponents,
     find_generic_projection,
     is_c5_generic,
-    profile,
     verify_projection_invariance,
 )
 from c5cone.geometry import Curve, Plane
@@ -115,21 +113,12 @@ def test_generic_image_is_a_plane_curve(load):
     assert characteristic_exponents(image.branches[0]) == (4, 6, 7)
 
 
-def test_image_outside_normal_form_is_wrapped(load):
+def test_image_outside_normal_form_raises(load):
     c = load("space_cusp")
-    image = apply_projection(c, LinearProjection.from_kernel([[0, 0, 1]]))
-    assert isinstance(image, NonNormalFormImage)
-    assert image.non_normal_form
-    assert isinstance(image.reason, NonPrimitiveParametrization)
-    assert list(image.labels) == ["b1"]
+    proj = LinearProjection.from_kernel([[0, 0, 1]])
     with pytest.raises(NonPrimitiveParametrization):
-        profile(image)
-
-
-def test_wrapped_image_repr_names_the_reason(load):
-    c = load("space_cusp")
-    image = apply_projection(c, LinearProjection.from_kernel([[0, 0, 1]]))
-    assert "non-normal-form image" in repr(image)
+        apply_projection(c, proj)
+    assert not verify_projection_invariance(c, proj)
 
 
 # ---------------------------------------------------------------------------
