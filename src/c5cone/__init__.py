@@ -11,9 +11,11 @@ from .auxiliary import (
     AuxRecord,
     cham,
     characteristic_aux,
+    characteristic_order,
     characteristic_records,
     coam,
     contact_aux,
+    contact_leading,
     contact_records,
 )
 from .c5 import (
@@ -52,6 +54,7 @@ from .errors import (
     NonPrimitiveParametrization,
     NotPlaneCurve,
     NotPuiseuxForm,
+    ProjectionSearchExhausted,
     StructureMismatch,
     TooManyBranches,
     UnsupportedDimension,

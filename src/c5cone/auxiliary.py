@@ -12,6 +12,12 @@ The order m_theta of such a difference and the direction v_theta of its
 lowest-order coefficients are the auxiliary multiplicities and directions;
 span{tangent(s), v_theta} is the plane the difference contributes to the
 cone of bi-secant limits.
+
+Both are read off the branch supports; no difference series is built. The
+u^e coefficient of phi(u) - phi(theta*u) is c_e*(1 - theta^e), which
+vanishes exactly when ord(theta) divides e. The u^E coefficient of a
+contact difference is c_i(E/a) - c_j(E/b)*theta^E, formed up the merged
+rescaled supports only until the first nonzero one.
 """
 
 from __future__ import annotations
@@ -28,11 +34,12 @@ from .geometry import (
     tangent_direction,
 )
 from .scalar import CycloScalar, common_conductor, root_of_unity
-from .series import Parametrization, order, substitute_power, substitute_scale, subtract
+
+_ZERO = CycloScalar.rational(0)
 
 
 class AuxRecord(NamedTuple):
-    """One auxiliary parametrization with its derived data.
+    """The derived data of one auxiliary parametrization.
 
     kind is "characteristic" or "contact"; labels holds the branch label(s);
     group_order is the order of the root-of-unity group theta lives in and
@@ -44,48 +51,89 @@ class AuxRecord(NamedTuple):
     group_order: int
     k: int
     theta: CycloScalar
-    diff: Parametrization
     m_theta: int
     v_theta: Direction
     plane: Plane
 
 
-def _lowest_coefficients(diff: Parametrization, m_theta: int) -> Direction:
-    return Direction(series.coefficient(m_theta) for series in diff.coords)
-
-
-def characteristic_aux(b: Branch, theta: CycloScalar, k: Optional[int] = None) -> AuxRecord:
-    """Auxiliary record of phi(u) - phi(theta*u) for theta in G_m, theta != 1."""
-    diff = subtract(b.param, substitute_scale(b.param, theta))
-    if diff.is_zero():
+def characteristic_order(b: Branch, k: int) -> int:
+    """m_theta of phi(u) - phi(theta*u) for theta = zeta_m^k: the least
+    support exponent that ord(theta) does not divide."""
+    d = b.m // math.gcd(b.m, k)
+    m_theta = min(
+        (e for series in b.param.coords for e, _ in series.terms if e % d),
+        default=None,
+    )
+    if m_theta is None:
         raise NonPrimitiveParametrization(
             f"branch {b.label} is invariant under u -> theta*u", label=b.label
         )
-    m_theta = order(diff)
-    v_theta = _lowest_coefficients(diff, m_theta)
-    plane = plane_from_vectors(tangent_direction(b), v_theta)
+    return m_theta
+
+
+def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> AuxRecord:
+    """Auxiliary record of phi(u) - phi(theta*u) for theta = zeta_m^k != 1.
+
+    v_theta is the direction of phi's coefficient vector at m_theta: the
+    difference's vector there is that one times the nonzero scalar
+    1 - theta^m_theta. So v_theta and the plane depend on m_theta alone;
+    leading, when given, holds them per m_theta across calls on one branch.
+    """
+    m_theta = characteristic_order(b, k)
+    if leading is None:
+        leading = {}
+    if m_theta not in leading:
+        v_theta = Direction(series.coefficient(m_theta) for series in b.param.coords)
+        leading[m_theta] = (v_theta, plane_from_vectors(tangent_direction(b), v_theta))
+    v_theta, plane = leading[m_theta]
     return AuxRecord(
         kind="characteristic",
         labels=(b.label,),
         group_order=b.m,
-        k=-1 if k is None else k,
-        theta=theta,
-        diff=diff,
+        k=k,
+        theta=root_of_unity(b.conductor, b.m, k),
         m_theta=m_theta,
         v_theta=v_theta,
         plane=plane,
     )
 
 
+def contact_leading(bi: Branch, bj: Branch, k: int) -> tuple:
+    """(m_theta, lowest-order coefficient vector) of
+    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k.
+
+    Raises DuplicateBranch when the difference vanishes: the two branches
+    have the same image.
+    """
+    lcm = math.lcm(bi.m, bj.m)
+    conductor = common_conductor(bi.conductor, bj.conductor)
+    left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
+    right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
+    for E in sorted(set().union(*left, *right)):
+        twist = root_of_unity(conductor, lcm, k * E)
+        vec = []
+        for lhs, rhs in zip(left, right):
+            if E in rhs:
+                term = rhs[E] * twist
+                vec.append(lhs[E] - term if E in lhs else -term)
+            else:
+                vec.append(lhs.get(E, _ZERO))
+        if any(not entry.is_zero() for entry in vec):
+            return E, vec
+    raise DuplicateBranch(
+        f"branches {bi.label} and {bj.label} have the same image",
+        labels=[bi.label, bj.label],
+    )
+
+
 def contact_aux(
     bi: Branch,
     bj: Branch,
-    theta: CycloScalar,
+    k: int,
     common_special: Optional[int] = None,
-    k: Optional[int] = None,
 ) -> AuxRecord:
-    """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta
-    in the lcm(m_i, m_j)-th roots of unity (theta = 1 allowed)."""
+    """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
+    theta = zeta_lcm^k, lcm = lcm(m_i, m_j) (theta = 1 allowed)."""
     lcm = math.lcm(bi.m, bj.m)
     ti = tangent_direction(bi)
     tj = tangent_direction(bj)
@@ -96,30 +144,17 @@ def contact_aux(
             bj.label,
             "contact of tangent branches needs a common special coordinate",
         )
-    scaled_i = substitute_power(bi.param, lcm // bi.m)
-    scaled_j = substitute_scale(substitute_power(bj.param, lcm // bj.m), theta)
-    diff = subtract(scaled_i, scaled_j)
-    if diff.is_zero():
-        raise DuplicateBranch(
-            f"branches {bi.label} and {bj.label} have the same image",
-            labels=[bi.label, bj.label],
-        )
-    m_theta = order(diff)
-    v_theta = _lowest_coefficients(diff, m_theta)
-    if tangent_pair:
-        plane = plane_from_vectors(ti, v_theta)
-    else:
-        plane = plane_from_vectors(ti, tj)
+    m_theta, lowest = contact_leading(bi, bj, k)
+    v_theta = Direction(lowest)
     return AuxRecord(
         kind="contact",
         labels=(bi.label, bj.label),
         group_order=lcm,
-        k=-1 if k is None else k,
-        theta=theta,
-        diff=diff,
+        k=k,
+        theta=root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k),
         m_theta=m_theta,
         v_theta=v_theta,
-        plane=plane,
+        plane=plane_from_vectors(ti, v_theta if tangent_pair else tj),
     )
 
 
@@ -134,11 +169,8 @@ def characteristic_records(b: Branch, representatives: bool = False) -> list:
     (the multiplicity and plane depend only on the order of theta, so the
     record set is the same up to repetition)."""
     ks = representative_ks(b.m) if representatives else range(1, b.m)
-    out = []
-    for k in ks:
-        theta = root_of_unity(b.conductor, b.m, k)
-        out.append(characteristic_aux(b, theta, k=k))
-    return out
+    leading = {}
+    return [characteristic_aux(b, k, leading) for k in ks]
 
 
 def contact_records(bi: Branch, bj: Branch, common_special: Optional[int] = None) -> list:
@@ -148,12 +180,7 @@ def contact_records(bi: Branch, bj: Branch, common_special: Optional[int] = None
     different planes.
     """
     lcm = math.lcm(bi.m, bj.m)
-    conductor = common_conductor(bi.conductor, bj.conductor)
-    out = []
-    for k in range(lcm):
-        theta = root_of_unity(conductor, lcm, k)
-        out.append(contact_aux(bi, bj, theta, common_special, k=k))
-    return out
+    return [contact_aux(bi, bj, k, common_special) for k in range(lcm)]
 
 
 def cham(b: Branch) -> frozenset:
@@ -161,10 +188,8 @@ def cham(b: Branch) -> frozenset:
 
     Smooth branches give {1}: the theta range is empty.
     """
-    values = {b.m}
-    for record in characteristic_records(b, representatives=True):
-        values.add(record.m_theta)
-    return frozenset(values)
+    orders = (characteristic_order(b, k) for k in representative_ks(b.m))
+    return frozenset({b.m, *orders})
 
 
 def coam(bi: Branch, bj: Branch, common_special: Optional[int] = None) -> tuple:

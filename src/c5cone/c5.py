@@ -14,7 +14,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .auxiliary import characteristic_aux, coam, contact_records, representative_ks
+from .auxiliary import (
+    AuxRecord,
+    characteristic_aux,
+    coam,
+    contact_records,
+    representative_ks,
+)
 from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
@@ -25,7 +31,7 @@ from .geometry import (
     plane_from_vectors,
     tangent_direction,
 )
-from .scalar import CycloScalar, root_of_unity
+from .scalar import CycloScalar
 
 
 class C5Cone(NamedTuple):
@@ -45,27 +51,34 @@ class Analysis:
     def __init__(self, c: Curve):
         self.curve = c
         self._characteristic = {}  # (branch index, k) -> record
+        # per branch: m_theta -> (v_theta, plane), shared by its records
+        self._leading = [{} for _ in c.branches]
 
     @cached_property
     def classification(self) -> TangencyClassification:
         return classify(self.curve)
 
+    def characteristic_record(self, i: int, k: int) -> AuxRecord:
+        """Characteristic record of branch i at theta = zeta_m^k. Records of
+        one branch with equal m_theta share one v_theta and one plane."""
+        if (i, k) not in self._characteristic:
+            self._characteristic[(i, k)] = characteristic_aux(
+                self.curve.branches[i], k, self._leading[i]
+            )
+        return self._characteristic[(i, k)]
+
     def characteristic_records(self, i: int) -> list:
         """Characteristic records of branch i, theta = zeta_m^k, k = 1..m-1."""
-        return self._records(i, range(1, self.curve.branches[i].m))
+        m = self.curve.branches[i].m
+        return [self.characteristic_record(i, k) for k in range(1, m)]
 
     def representative_records(self, i: int) -> list:
         """One characteristic record of branch i per root order, in the order
         of representative_ks: the records the cone and the ChAMs read."""
-        return self._records(i, representative_ks(self.curve.branches[i].m))
-
-    def _records(self, i: int, ks) -> list:
-        b = self.curve.branches[i]
-        for k in ks:
-            if (i, k) not in self._characteristic:
-                theta = root_of_unity(b.conductor, b.m, k)
-                self._characteristic[(i, k)] = characteristic_aux(b, theta, k=k)
-        return [self._characteristic[(i, k)] for k in ks]
+        return [
+            self.characteristic_record(i, k)
+            for k in representative_ks(self.curve.branches[i].m)
+        ]
 
     @cached_property
     def contacts(self) -> dict:

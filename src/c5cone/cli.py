@@ -28,7 +28,6 @@ from .c5 import (
     C5Cone,
     bound1,
     bound2,
-    c5_cone,
     integer_normalized_form,
     polynomial_text,
     product_equation,
@@ -111,15 +110,16 @@ def component_equations(component, names):
     ]
 
 
-def component_json(component, names):
+def component_json(component, names, equations=None):
+    """Basis and equation texts of a cone component; equations, when
+    given, are its already rendered equation texts."""
     if hasattr(component, "basis"):
         basis = [_row_texts(r) for r in component.basis]
     else:
         basis = [_row_texts(component.vec)]
-    return {
-        "basis": basis,
-        "equations": component_equations(component, names),
-    }
+    if equations is None:
+        equations = component_equations(component, names)
+    return {"basis": basis, "equations": equations}
 
 
 def _descriptor_json(descriptor):
@@ -127,7 +127,7 @@ def _descriptor_json(descriptor):
     return {"kind": kind, "labels": list(labels), "k": k}
 
 
-def _record_json(rec, names):
+def _record_json(rec, v_theta, plane_equations):
     return {
         "kind": rec.kind,
         "labels": list(rec.labels),
@@ -135,8 +135,8 @@ def _record_json(rec, names):
         "k": rec.k,
         "theta": rec.theta.text(),
         "m_theta": rec.m_theta,
-        "v_theta": _row_texts(rec.v_theta.vec),
-        "plane_equations": component_equations(rec.plane, names),
+        "v_theta": v_theta,
+        "plane_equations": plane_equations,
     }
 
 
@@ -167,17 +167,34 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
             "tangent": _row_texts(tangent_direction(b).vec),
             "parametrization": b.param.text(),
         })
-    records = []
+    listed = []
     for i in sorted(cls.S):
         if representatives:
-            listed = analysis.representative_records(i)
+            listed += analysis.representative_records(i)
         else:
-            listed = analysis.characteristic_records(i)
-        for rec in listed:
-            records.append(_record_json(rec, names))
+            listed += analysis.characteristic_records(i)
     for contacts in analysis.contacts.values():
-        for rec in contacts:
-            records.append(_record_json(rec, names))
+        listed += contacts
+    # Records of one branch with equal m_theta share their v_theta and
+    # plane objects, and a cone component is the plane object of its first
+    # record: render each object once. The analysis keeps every object
+    # alive, so no id is reused meanwhile.
+    texts = {}
+
+    def rendered(obj, render):
+        if id(obj) not in texts:
+            texts[id(obj)] = render(obj)
+        return texts[id(obj)]
+
+    def equations(component):
+        return rendered(component, lambda p: component_equations(p, names))
+
+    records = [
+        _record_json(
+            rec, rendered(rec.v_theta, lambda v: _row_texts(v.vec)), equations(rec.plane)
+        )
+        for rec in listed
+    ]
     chams = {
         b.label: sorted(values) for b, values in zip(c.branches, analysis.chams)
     }
@@ -187,7 +204,7 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
     }
     components = []
     for component, descriptors in zip(cone.components, cone.provenance):
-        entry = component_json(component, names)
+        entry = component_json(component, names, equations(component))
         entry["provenance"] = [_descriptor_json(d) for d in descriptors]
         components.append(entry)
     product = None
@@ -365,17 +382,18 @@ def cmd_project(args) -> int:
 
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
-    proj = find_generic_projection(c)
+    analysis = Analysis(c)
+    proj = find_generic_projection(c, analysis)
     try:
-        image_document = to_document(apply_projection(c, proj))
+        image = apply_projection(c, proj)
     except EngineError:
-        image_document = None
-    invariant = verify_projection_invariance(c, proj)
+        image = None
+    invariant = verify_projection_invariance(c, proj, analysis, image)
     data = {
         "command": "project",
         "mode": "auto",
         "projection": _projection_json(proj),
-        "image_document": image_document,
+        "image_document": None if image is None else to_document(image),
         "invariance": invariant,
     }
 
@@ -415,7 +433,8 @@ def _witness_json(w) -> dict:
 
 def cmd_verify(args) -> int:
     c = read_curve(args.file)
-    cone = c5_cone(c)
+    analysis = Analysis(c)
+    cone = analysis.cone
     override = None
     if args.override_planes is not None:
         raw = _parse_matrix(args.override_planes, "--override-planes")
@@ -433,7 +452,7 @@ def cmd_verify(args) -> int:
             provenance=tuple(() for _ in planes),
         )
         cone = override
-    witnesses = [] if override else cone_witness_results(c, cone)
+    witnesses = [] if override else cone_witness_results(c, cone, analysis=analysis)
     report = sample_secant_directions(
         c, radii=tuple(args.radii), k=args.samples, seed=args.seed, cone=cone
     )

@@ -27,10 +27,10 @@ import math
 import random
 from typing import NamedTuple, Optional
 
-from .auxiliary import characteristic_aux, contact_aux
-from .c5 import C5Cone, c5_cone
+from .auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
+from .c5 import Analysis, C5Cone, c5_cone
 from .errors import DegenerateSecant, FloatingPointUnderflow
-from .geometry import Branch, Curve, check_compatibility
+from .geometry import Branch, Curve, plane_from_vectors, tangent_direction
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization, substitute_power
 
@@ -190,38 +190,44 @@ def _as_scalar(lam) -> CycloScalar:
     return lam if isinstance(lam, CycloScalar) else CycloScalar.rational(lam)
 
 
-def witness_secant_family(b: Branch, k: int, lam=1, u_values=None) -> WitnessResult:
+def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
+                          record: Optional[AuxRecord] = None) -> WitnessResult:
     """Characteristic witness on one branch: secants between phi(u) and
-    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k."""
+    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k. record
+    is the branch's characteristic record at k, when already built."""
     lam = _as_scalar(lam)
-    theta = root_of_unity(b.conductor, b.m, k)
-    record = characteristic_aux(b, theta, k=k)
-    v_raw = [s.coefficient(record.m_theta) for s in record.diff.coords]
+    if record is None:
+        record = characteristic_aux(b, k)
+    e = record.m_theta
+    # the u^e coefficient of phi(u) - phi(theta*u)
+    scale = 1 - root_of_unity(b.conductor, b.m, k * e)
+    v_raw = [s.coefficient(e) * scale for s in b.param.coords]
     w_raw = [s.coefficient(b.m) for s in b.param.coords]
     target = [v + lam * w for v, w in zip(v_raw, w_raw)]
     return _run_family(
-        "characteristic", (b.label,), k, b.param, b.param, b.m, theta,
-        record.m_theta, lam, target, record.plane, u_values,
+        "characteristic", (b.label,), k, b.param, b.param, b.m, record.theta,
+        e, lam, target, record.plane, u_values,
     )
 
 
 def contact_witness_family(bi: Branch, bj: Branch, k: int,
                            common_special: Optional[int] = None, lam=1,
-                           u_values=None) -> WitnessResult:
+                           u_values=None,
+                           record: Optional[AuxRecord] = None) -> WitnessResult:
     """Contact witness on a tangent pair, working on the reparametrized
-    branches psi_i(u) = phi_i(u^(lcm/m_i))."""
+    branches psi_i(u) = phi_i(u^(lcm/m_i)). record is the pair's contact
+    record at k, when already built."""
     lam = _as_scalar(lam)
     lcm = math.lcm(bi.m, bj.m)
-    conductor = common_conductor(bi.conductor, bj.conductor)
-    theta = root_of_unity(conductor, lcm, k)
-    record = contact_aux(bi, bj, theta, common_special, k=k)
+    if record is None:
+        record = contact_aux(bi, bj, k, common_special)
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = substitute_power(bj.param, lcm // bj.m)
-    v_raw = [s.coefficient(record.m_theta) for s in record.diff.coords]
+    _, v_raw = contact_leading(bi, bj, k)
     w_raw = [s.coefficient(lcm) for s in psi1.coords]
     target = [v + lam * w for v, w in zip(v_raw, w_raw)]
     return _run_family(
-        "contact", (bi.label, bj.label), k, psi1, psi2, lcm, theta,
+        "contact", (bi.label, bj.label), k, psi1, psi2, lcm, record.theta,
         record.m_theta, lam, target, record.plane, u_values,
     )
 
@@ -233,39 +239,45 @@ def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessRes
     lcm = math.lcm(bi.m, bj.m)
     conductor = common_conductor(bi.conductor, bj.conductor)
     one = root_of_unity(conductor, 1, 0)
-    record = contact_aux(bi, bj, one, None, k=0)
+    m_theta, target = contact_leading(bi, bj, 0)
+    plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = substitute_power(bj.param, lcm // bj.m)
-    target = [s.coefficient(lcm) for s in record.diff.coords]
     return _run_family(
         "non-tangent", (bi.label, bj.label), 0, psi1, psi2, lcm, one,
-        record.m_theta, CycloScalar.rational(0), target, record.plane, u_values,
+        m_theta, CycloScalar.rational(0), target, plane, u_values,
     )
 
 
-def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1) -> list:
+def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1,
+                         analysis: Optional[Analysis] = None) -> list:
     """One witness family per cone component, built from the component's
-    first provenance record."""
+    first provenance record. The records are read from analysis, the
+    curve's Analysis (whose cone is the default), when given."""
+    if analysis is None:
+        analysis = Analysis(c)
     if cone is None:
-        cone = c5_cone(c)
+        cone = analysis.cone
     if cone.dimension != 2:
         return []
-    by_label = {b.label: (i, b) for i, b in enumerate(c.branches)}
-    special = check_compatibility(c)
+    index = {b.label: i for i, b in enumerate(c.branches)}
     results = []
     for descriptors in cone.provenance:
         kind, labels, k = descriptors[0]
+        i = index[labels[0]]
+        bi = c.branches[i]
         if kind == "characteristic":
-            results.append(witness_secant_family(by_label[labels[0]][1], k, lam))
-        elif kind == "contact":
-            i, bi = by_label[labels[0]]
-            j, bj = by_label[labels[1]]
-            results.append(
-                contact_witness_family(bi, bj, k, special.get((i, j)), lam)
-            )
+            results.append(witness_secant_family(
+                bi, k, lam, record=analysis.characteristic_record(i, k)
+            ))
+            continue
+        j = index[labels[1]]
+        bj = c.branches[j]
+        if kind == "contact":
+            results.append(contact_witness_family(
+                bi, bj, k, lam=lam, record=analysis.contacts[(i, j)][k]
+            ))
         else:
-            bi = by_label[labels[0]][1]
-            bj = by_label[labels[1]][1]
             results.append(diagonal_witness_family(bi, bj))
     return results
 

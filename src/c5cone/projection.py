@@ -12,15 +12,15 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .c5 import C5Cone, c5_cone
+from .c5 import Analysis, C5Cone, c5_cone
 from .errors import (
     DependentVectors,
     DimensionMismatch,
     EngineError,
     NoCommonSpecialCoordinate,
+    ProjectionSearchExhausted,
 )
 from .geometry import Branch, Curve, curve, matrix_rank, null_space, rref
-from .invariants import profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
 
@@ -149,10 +149,11 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     )
 
 
-def find_generic_projection(c: Curve) -> LinearProjection:
+def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> LinearProjection:
     """Deterministic search for a generic projection of the normal shape
     (x_s, sum of lambda_k x_k, k != s) with s special in every branch:
-    all-ones lambda first, then integer tuples by increasing max-norm."""
+    all-ones lambda first, then integer tuples by increasing max-norm, up
+    to max-norm _SEARCH_CAP. analysis is the curve's, when already built."""
     n = c.n
     if n == 2:
         return LinearProjection.identity()
@@ -163,7 +164,7 @@ def find_generic_projection(c: Curve) -> LinearProjection:
             special=[sorted(b.special_coords) for b in c.branches],
         )
     s = min(universal)
-    cone = c5_cone(c)
+    cone = (analysis or Analysis(c)).cone
     zero, one = CycloScalar.rational(0), CycloScalar.rational(1)
     row1 = tuple(one if idx == s else zero for idx in range(n))
     others = [idx for idx in range(n) if idx != s]
@@ -184,24 +185,33 @@ def find_generic_projection(c: Curve) -> LinearProjection:
         proj = LinearProjection([row1, tuple(row2)])
         if is_c5_generic(c, proj, cone).generic:
             return proj
-    raise RuntimeError("no generic projection found within the search cap")
+    raise ProjectionSearchExhausted(
+        f"no generic projection among the candidates of max-norm up to {_SEARCH_CAP}",
+        search_cap=_SEARCH_CAP,
+    )
 
 
-def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:
+def verify_projection_invariance(
+    c: Curve,
+    proj: LinearProjection,
+    analysis: Optional[Analysis] = None,
+    image: Optional[Curve] = None,
+) -> bool:
     """True iff the image is a valid plane curve and keeps, branch by branch
     under the identity pairing, every characteristic set and every pairwise
     contact sequence. A projection of the wrong dimension still raises
-    DimensionMismatch."""
+    DimensionMismatch. analysis (the curve's) and image (apply_projection's
+    result), when already computed, are read instead of rebuilt."""
     _check_dimension(c, proj)
+    if image is None:
+        try:
+            image = apply_projection(c, proj)
+        except EngineError:
+            return False
+    source = analysis or Analysis(c)
+    chams, coams = source.chams, source.coams
+    projected = Analysis(image)
     try:
-        image = apply_projection(c, proj)
+        return projected.chams == chams and projected.coams == coams
     except EngineError:
         return False
-    source = profile(c)
-    try:
-        projected = profile(image)
-    except EngineError:
-        return False
-    if source.chams != projected.chams:
-        return False
-    return source.coams == projected.coams

@@ -79,11 +79,13 @@ def _poly_divmod(a, b):
     a = _trim(list(a))
     db, lead = len(b) - 1, b[-1]
     q = [_F0] * max(len(a) - db, 0)
+    # Phi_N is sparse: subtract multiples of its nonzero terms only
+    terms = [(i, bi) for i, bi in enumerate(b) if bi] if q else ()
     while a and len(a) - 1 >= db:
         shift = len(a) - 1 - db
         factor = a[-1] / lead
         q[shift] = factor
-        for i, bi in enumerate(b):
+        for i, bi in terms:
             a[shift + i] -= factor * bi
         _trim(a)
     return _trim(q), a
@@ -367,8 +369,11 @@ def zeta(N: int, k: int = 1) -> CycloScalar:
         raise ValueError(f"conductor must be >= 1, got {N}")
     _check_conductor(N)
     k %= N
-    poly = [_F0] * k + [_F1]
-    return CycloScalar.from_poly(N, poly)
+    phi = euler_phi(N)
+    if k < phi:
+        # zeta^k is already a basis vector of the power basis
+        return CycloScalar(N, (_F0,) * k + (_F1,) + (_F0,) * (phi - k - 1))
+    return CycloScalar.from_poly(N, [_F0] * k + [_F1])
 
 
 def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:

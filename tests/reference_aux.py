@@ -1,0 +1,70 @@
+"""The generic construction of auxiliary records, kept as a test oracle.
+
+It expands the whole difference series, phi(u) - phi(theta*u) or
+phi_i(u^mt_i) - phi_j((theta*u)^mt_j), term by term over Q(zeta_N) and
+reads its order and lowest-order coefficients. The engine reads the same
+data off the branch supports instead; the tests compare the two.
+"""
+
+import math
+from typing import NamedTuple
+
+from c5cone import (
+    Direction,
+    DuplicateBranch,
+    IncompatibleSystem,
+    NonPrimitiveParametrization,
+    common_conductor,
+    order,
+    plane_from_vectors,
+    root_of_unity,
+    substitute_power,
+    substitute_scale,
+    subtract,
+    tangent_direction,
+)
+
+
+class Reference(NamedTuple):
+    m_theta: int
+    lowest: list  # raw lowest-order coefficient vector of the difference
+    v_theta: Direction
+    plane: object
+
+
+def _lowest(diff):
+    m_theta = order(diff)
+    lowest = [series.coefficient(m_theta) for series in diff.coords]
+    return m_theta, lowest, Direction(lowest)
+
+
+def characteristic_reference(b, k) -> Reference:
+    theta = root_of_unity(b.conductor, b.m, k)
+    diff = subtract(b.param, substitute_scale(b.param, theta))
+    if diff.is_zero():
+        raise NonPrimitiveParametrization(
+            f"branch {b.label} is invariant under u -> theta*u", label=b.label
+        )
+    m_theta, lowest, v_theta = _lowest(diff)
+    return Reference(
+        m_theta, lowest, v_theta, plane_from_vectors(tangent_direction(b), v_theta)
+    )
+
+
+def contact_reference(bi, bj, k, common_special=None) -> Reference:
+    lcm = math.lcm(bi.m, bj.m)
+    ti, tj = tangent_direction(bi), tangent_direction(bj)
+    if ti == tj and common_special is None:
+        raise IncompatibleSystem(bi.label, bj.label)
+    theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
+    scaled_i = substitute_power(bi.param, lcm // bi.m)
+    scaled_j = substitute_scale(substitute_power(bj.param, lcm // bj.m), theta)
+    diff = subtract(scaled_i, scaled_j)
+    if diff.is_zero():
+        raise DuplicateBranch(
+            f"branches {bi.label} and {bj.label} have the same image",
+            labels=[bi.label, bj.label],
+        )
+    m_theta, lowest, v_theta = _lowest(diff)
+    plane = plane_from_vectors(ti, v_theta if ti == tj else tj)
+    return Reference(m_theta, lowest, v_theta, plane)

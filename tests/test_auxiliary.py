@@ -6,18 +6,29 @@ import random
 import pytest
 
 from c5cone import (
+    Analysis,
+    AuxRecord,
+    Branch,
     CycloScalar,
     Direction,
     DuplicateBranch,
+    NonPrimitiveParametrization,
+    Parametrization,
     cham,
+    characteristic_aux,
+    characteristic_order,
     characteristic_records,
+    check_compatibility,
     classify,
     coam,
+    contact_aux,
+    contact_leading,
     contact_records,
     curve_from_exponents,
     zeta,
 )
-from random_curves import random_curve
+from random_curves import random_curve, random_curve_with_cone
+from reference_aux import characteristic_reference, contact_reference
 
 
 def direction(*entries):
@@ -195,3 +206,119 @@ def test_coam_is_symmetric(load):
     forward = coam(c.branches[0], c.branches[1], 0)
     backward = coam(c.branches[1], c.branches[0], 0)
     assert sorted(forward) == sorted(backward)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the expanded difference series
+
+
+def assert_records_match_the_difference_series(c):
+    """Every characteristic record (every k, read through the analysis that
+    shares planes across k) and every contact record of every pair equals
+    the one read off the expanded difference series."""
+    analysis = Analysis(c)
+    special = check_compatibility(c)
+    checked = 0
+    for i, b in enumerate(c.branches):
+        records = analysis.characteristic_records(i) if b.m > 1 else []
+        assert [r.k for r in records] == list(range(1, b.m))
+        for rec in records:
+            ref = characteristic_reference(b, rec.k)
+            assert rec.m_theta == characteristic_order(b, rec.k) == ref.m_theta
+            assert rec.v_theta == ref.v_theta
+            assert rec.plane == ref.plane
+            checked += 1
+    cls = classify(c)
+    for i, j in sorted(cls.T | cls.NT):
+        bi, bj = c.branches[i], c.branches[j]
+        for rec in contact_records(bi, bj, special.get((i, j))):
+            ref = contact_reference(bi, bj, rec.k, special.get((i, j)))
+            assert rec.m_theta == ref.m_theta
+            assert rec.v_theta == ref.v_theta
+            assert rec.plane == ref.plane
+            m_theta, lowest = contact_leading(bi, bj, rec.k)
+            assert m_theta == ref.m_theta
+            assert lowest == ref.lowest
+            checked += 1
+    return checked
+
+
+def test_records_match_the_difference_series_on_fixtures(fixture_names, load):
+    # prime_multiplicity's one branch has 2016 roots at conductor 2017: the
+    # expanded series takes seconds per root there.
+    for name in fixture_names:
+        if name != "prime_multiplicity":
+            assert_records_match_the_difference_series(load(name))
+
+
+def test_records_match_the_difference_series_on_random_curves():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(40):
+        c, _ = random_curve_with_cone(rng)
+        checked += assert_records_match_the_difference_series(c)
+    assert checked >= 200
+
+
+def test_records_match_the_difference_series_at_large_conductor():
+    z = lambda k: zeta(120, k)  # noqa: E731
+    one_branch = curve_from_exponents([
+        [12, [(13, z(7)), (17, z(100) + 2)], [(15, zeta(40, 3)), (18, z(59))]],
+    ])
+    tangent_pair = curve_from_exponents([
+        [4, [(4, 1), (6, z(11)), (9, z(97))], [(7, z(35))]],
+        [6, [(6, 1), (9, z(64))], [(10, z(3) - 1), (11, 1)]],
+    ])
+    assert one_branch.conductor == 120 and tangent_pair.conductor == 120
+    assert assert_records_match_the_difference_series(one_branch) == 11
+    assert classify(tangent_pair).T == {(0, 1)}
+    assert assert_records_match_the_difference_series(tangent_pair) == 3 + 5 + 12
+
+
+def test_records_carry_no_difference_series():
+    assert "diff" not in AuxRecord._fields
+
+
+def test_an_invariant_theta_is_rejected(load):
+    b = load("space_cusp").branches[0]
+    for k in (0, b.m):
+        with pytest.raises(NonPrimitiveParametrization):
+            characteristic_reference(b, k)
+        with pytest.raises(NonPrimitiveParametrization):
+            characteristic_aux(b, k)
+    # (u^4, u^6) bypasses branch validation; theta = -1 leaves it invariant
+    square = curve_from_exponents([[4, [(6, 1)], [(7, 1)]]]).branches[0]
+    covered = Branch.__new__(Branch)
+    for slot in Branch.__slots__:
+        setattr(covered, slot, getattr(square, slot))
+    covered.param = Parametrization(square.param.coords[:2])
+    with pytest.raises(NonPrimitiveParametrization):
+        characteristic_reference(covered, 2)
+    with pytest.raises(NonPrimitiveParametrization):
+        characteristic_aux(covered, 2)
+    assert characteristic_aux(covered, 1).m_theta == 6
+
+
+def _contact_outcomes(build, bi, bj):
+    out = []
+    for k in range(math.lcm(bi.m, bj.m)):
+        try:
+            out.append(build(bi, bj, k, 0).m_theta)
+        except DuplicateBranch:
+            out.append("duplicate")
+    return out
+
+
+def test_identical_images_are_rejected_at_the_matching_root(load):
+    b = load("same_order_contact").branches[0]
+    z = zeta(4)
+    # the second branch is the first reparametrized by u -> i*u, so the
+    # first is the second at theta*u for theta = i^3
+    pair = curve_from_exponents([
+        [4, [(6, 1)], [(9, 1)]],
+        [4, [(6, -1)], [(9, z)]],
+    ]).branches
+    for bi, bj, duplicate_k in ((b, b, 0), (*pair, 3)):
+        closed = _contact_outcomes(contact_aux, bi, bj)
+        assert closed == _contact_outcomes(contact_reference, bi, bj)
+        assert [k for k, v in enumerate(closed) if v == "duplicate"] == [duplicate_k]

@@ -253,6 +253,20 @@ def test_analyze_builds_each_record_once(
     }
 
 
+@pytest.mark.parametrize("command, flags, name, characteristic, contact", [
+    ("project", ["--auto"], "space_cusp", 4, 0),
+    ("verify", [], "four_branches", 6, 12),
+])
+def test_project_and_verify_read_one_analysis(
+    record_builds, capsys, fixtures_dir, command, flags, name, characteristic, contact
+):
+    assert main([command, str(fixtures_dir / f"{name}.json"), *flags]) == 0
+    capsys.readouterr()
+    assert record_builds == {
+        "characteristic_aux": characteristic, "contact_aux": contact,
+    }
+
+
 def test_profile_builds_contact_records_of_tangent_pairs_only(record_builds, load):
     profile(load("four_branches"))
     assert record_builds["contact_aux"] == 12

@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, error contract."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,22 @@ def test_analyze_reps_lists_one_record_per_root_order(capsys, fixtures_dir):
     assert len(reps["aux_records"]) == 4
     assert {r["m_theta"] for r in reps["aux_records"]} == {24, 36, 54, 55}
     assert full["cone"] == reps["cone"]
+
+
+def test_analyze_finishes_on_prime_multiplicity(capsys, fixtures_dir):
+    # m = 2017 in C^200: 2016 characteristic records sharing one plane.
+    # The budget is generous; the command used to run out of memory.
+    start = time.perf_counter()
+    code, data, _ = run_json(
+        capsys, "analyze", fixture(fixtures_dir, "prime_multiplicity"), "--json"
+    )
+    assert time.perf_counter() - start < 120
+    assert code == 0
+    records = data["aux_records"]
+    assert [r["k"] for r in records] == list(range(1, 2017))
+    assert {r["m_theta"] for r in records} == {2018}
+    assert data["cone"]["count"] == 1
+    assert all(r["plane_equations"] == records[0]["plane_equations"] for r in records)
 
 
 def test_analyze_smooth_curve(capsys, fixtures_dir):

@@ -1,5 +1,6 @@
 """Plane projections: genericity against the cone and profile invariance."""
 
+import json
 import random
 
 import pytest
@@ -10,14 +11,17 @@ from c5cone import (
     LinearProjection,
     NoCommonSpecialCoordinate,
     NonPrimitiveParametrization,
+    ProjectionSearchExhausted,
     apply_projection,
     c5_cone,
     characteristic_exponents,
     curve_from_exponents,
     find_generic_projection,
     is_c5_generic,
+    projection,
     verify_projection_invariance,
 )
+from c5cone.cli import main
 from c5cone.geometry import Curve, Plane
 from random_curves import engineered_nongeneric_projection, random_space_branch_curve
 
@@ -178,3 +182,23 @@ def test_disjoint_special_coordinates_are_rejected():
     )
     with pytest.raises(NoCommonSpecialCoordinate):
         find_generic_projection(c)
+
+
+def test_exhausted_search_exits_two_naming_its_cap(
+    load, monkeypatch, capsys, fixtures_dir
+):
+    # the all-ones candidate, tried before the capped ones, is not generic here
+    c = load("m16_four_planes")
+    ones = LinearProjection([[1, 0, 0], [0, 1, 1]])
+    assert not is_c5_generic(c, ones).generic
+    monkeypatch.setattr(projection, "_SEARCH_CAP", 0)
+    with pytest.raises(ProjectionSearchExhausted) as caught:
+        find_generic_projection(c)
+    assert caught.value.payload == {"search_cap": 0}
+    path = str(fixtures_dir / "m16_four_planes.json")
+    assert main(["project", path, "--auto", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err)
+    assert diagnostic["error"] == "ProjectionSearchExhausted"
+    assert diagnostic["search_cap"] == 0

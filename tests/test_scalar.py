@@ -119,6 +119,15 @@ def test_primitive_cube_roots_sum_to_minus_one():
     assert total.rational_value() == -1
 
 
+@pytest.mark.parametrize("N", [1, 2, 12, 60, 105])
+def test_zeta_equals_the_reduced_power_of_x(N):
+    phi = euler_phi(N)
+    for k in [*range(N), -1, N, 2 * N + 1]:
+        z = zeta(N, k)
+        assert z.conductor == N and len(z.coeffs) == phi
+        assert z.coeffs == CycloScalar.from_poly(N, [0] * (k % N) + [1]).coeffs
+
+
 def test_conductor_limit_guards_zeta():
     with pytest.raises(ConductorLimitExceeded):
         zeta(CONDUCTOR_LIMIT + 1)
