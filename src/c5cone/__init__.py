@@ -49,6 +49,7 @@ from .errors import (
     FloatingPointUnderflow,
     IncompatibleSystem,
     InvalidDocument,
+    InvalidSamplingParameter,
     NoCommonSpecialCoordinate,
     NonIntegralResult,
     NonPrimitiveParametrization,

@@ -126,24 +126,24 @@ def contact_leading(bi: Branch, bj: Branch, k: int) -> tuple:
     )
 
 
-def contact_aux(
-    bi: Branch,
-    bj: Branch,
-    k: int,
-    common_special: Optional[int] = None,
-) -> AuxRecord:
+def _check_common_special(bi: Branch, bj: Branch) -> None:
+    if not bi.special_coords & bj.special_coords:
+        raise IncompatibleSystem(
+            bi.label,
+            bj.label,
+            "contact of tangent branches needs a common special coordinate",
+        )
+
+
+def contact_aux(bi: Branch, bj: Branch, k: int) -> AuxRecord:
     """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
     theta = zeta_lcm^k, lcm = lcm(m_i, m_j) (theta = 1 allowed)."""
     lcm = math.lcm(bi.m, bj.m)
     ti = tangent_direction(bi)
     tj = tangent_direction(bj)
     tangent_pair = ti == tj
-    if tangent_pair and common_special is None:
-        raise IncompatibleSystem(
-            bi.label,
-            bj.label,
-            "contact of tangent branches needs a common special coordinate",
-        )
+    if tangent_pair:
+        _check_common_special(bi, bj)
     m_theta, lowest = contact_leading(bi, bj, k)
     v_theta = Direction(lowest)
     return AuxRecord(
@@ -163,24 +163,21 @@ def representative_ks(m: int) -> list:
     return [m // d for d in range(2, m + 1) if m % d == 0]
 
 
-def characteristic_records(b: Branch, representatives: bool = False) -> list:
+def characteristic_records(b: Branch) -> list:
     """All characteristic records of a branch, in theta order zeta_m^k,
-    k = 1..m-1; with representatives=True only one k per divisor order of m
-    (the multiplicity and plane depend only on the order of theta, so the
-    record set is the same up to repetition)."""
-    ks = representative_ks(b.m) if representatives else range(1, b.m)
+    k = 1..m-1."""
     leading = {}
-    return [characteristic_aux(b, k, leading) for k in ks]
+    return [characteristic_aux(b, k, leading) for k in range(1, b.m)]
 
 
-def contact_records(bi: Branch, bj: Branch, common_special: Optional[int] = None) -> list:
+def contact_records(bi: Branch, bj: Branch) -> list:
     """All contact records of a pair, theta = zeta_lcm^k for k = 0..lcm-1.
 
     No representative shortcut exists here: same-order thetas can yield
     different planes.
     """
     lcm = math.lcm(bi.m, bj.m)
-    return [contact_aux(bi, bj, k, common_special) for k in range(lcm)]
+    return [contact_aux(bi, bj, k) for k in range(lcm)]
 
 
 def cham(b: Branch) -> frozenset:
@@ -192,14 +189,14 @@ def cham(b: Branch) -> frozenset:
     return frozenset({b.m, *orders})
 
 
-def coam(bi: Branch, bj: Branch, common_special: Optional[int] = None) -> tuple:
+def coam(bi: Branch, bj: Branch) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
-    m_theta over the full root group, one entry per theta. A non-tangent
-    pair needs no enumeration: its rescaled branches start at order lcm and
-    their leading vectors, the two tangents, are not proportional."""
+    m_theta over the full root group, one entry per theta, read with
+    contact_leading and no record. A non-tangent pair needs no enumeration:
+    its rescaled branches start at order lcm and their leading vectors, the
+    two tangents, are not proportional."""
+    lcm = math.lcm(bi.m, bj.m)
     if tangent_direction(bi) != tangent_direction(bj):
-        lcm = math.lcm(bi.m, bj.m)
         return (lcm,) * lcm
-    return tuple(
-        sorted(r.m_theta for r in contact_records(bi, bj, common_special))
-    )
+    _check_common_special(bi, bj)
+    return tuple(sorted(contact_leading(bi, bj, k)[0] for k in range(lcm)))

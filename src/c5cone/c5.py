@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .auxiliary import (
     AuxRecord,
     characteristic_aux,
-    coam,
     contact_records,
     representative_ks,
 )
@@ -45,8 +44,8 @@ class C5Cone(NamedTuple):
 
 
 class Analysis:
-    """Classification, auxiliary records, cone, ChAMs and CoAMs of one curve,
-    each computed once, when first read."""
+    """Classification, auxiliary records and cone of one curve, each
+    computed once, when first read."""
 
     def __init__(self, c: Curve):
         self.curve = c
@@ -74,7 +73,7 @@ class Analysis:
 
     def representative_records(self, i: int) -> list:
         """One characteristic record of branch i per root order, in the order
-        of representative_ks: the records the cone and the ChAMs read."""
+        of representative_ks: the records the cone reads."""
         return [
             self.characteristic_record(i, k)
             for k in representative_ks(self.curve.branches[i].m)
@@ -84,9 +83,9 @@ class Analysis:
     def contacts(self) -> dict:
         """Contact records of every tangent pair (i, j), full root group."""
         c = self.curve
-        special = check_compatibility(c)
+        check_compatibility(c)  # IncompatibleSystem before DuplicateBranch
         return {
-            (i, j): contact_records(c.branches[i], c.branches[j], special[(i, j)])
+            (i, j): contact_records(c.branches[i], c.branches[j])
             for i, j in sorted(self.classification.T)
         }
 
@@ -127,26 +126,6 @@ class Analysis:
             components=tuple(found[k][0] for k in keys),
             provenance=tuple(tuple(found[k][1]) for k in keys),
         )
-
-    @cached_property
-    def chams(self) -> tuple:
-        return tuple(
-            frozenset({b.m, *(r.m_theta for r in self.representative_records(i))})
-            for i, b in enumerate(self.curve.branches)
-        )
-
-    @cached_property
-    def coams(self) -> dict:
-        """CoAM of every pair (i, j), i < j: read off the contact records of
-        a tangent pair, in closed form for a non-tangent one."""
-        c = self.curve
-        out = {
-            pair: tuple(sorted(rec.m_theta for rec in records))
-            for pair, records in self.contacts.items()
-        }
-        for i, j in self.classification.NT:
-            out[(i, j)] = coam(c.branches[i], c.branches[j])
-        return dict(sorted(out.items()))
 
 
 def c5_cone(c: Curve) -> C5Cone:

@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .auxiliary import cham
 from .c5 import (
     Analysis,
     C5Cone,
@@ -195,12 +196,10 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
         )
         for rec in listed
     ]
-    chams = {
-        b.label: sorted(values) for b, values in zip(c.branches, analysis.chams)
-    }
+    chams = {b.label: sorted(cham(b)) for b in c.branches}
     coams = {
-        f"{labels[i]},{labels[j]}": list(analysis.coams[(i, j)])
-        for i, j in sorted(cls.T)
+        f"{labels[i]},{labels[j]}": sorted(rec.m_theta for rec in contacts)
+        for (i, j), contacts in analysis.contacts.items()
     }
     components = []
     for component, descriptors in zip(cone.components, cone.provenance):
@@ -339,7 +338,7 @@ def _parse_matrix(text: str, what: str):
     normalized = text.replace("(", "[").replace(")", "]")
     try:
         raw = json.loads(normalized)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InvalidDocument(f"{what} is not a valid matrix: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise InvalidDocument(f"{what} must be a non-empty list")
@@ -382,13 +381,12 @@ def cmd_project(args) -> int:
 
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
-    analysis = Analysis(c)
-    proj = find_generic_projection(c, analysis)
+    proj = find_generic_projection(c)
     try:
         image = apply_projection(c, proj)
     except EngineError:
         image = None
-    invariant = verify_projection_invariance(c, proj, analysis, image)
+    invariant = verify_projection_invariance(c, proj)
     data = {
         "command": "project",
         "mode": "auto",

@@ -173,7 +173,7 @@ def dumps_document(doc) -> str:
 def loads_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InvalidDocument(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidDocument("document root must be a JSON object")

@@ -93,5 +93,9 @@ class DegenerateSecant(EngineError):
     """Two sampled points coincide numerically; the secant has no direction."""
 
 
+class InvalidSamplingParameter(EngineError, ValueError):
+    """A sampling radius or per-radius sample count is out of range."""
+
+
 class FloatingPointUnderflow(EngineError):
     """A branch's leading term is below IEEE double range at the requested scale."""

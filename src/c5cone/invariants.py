@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .c5 import Analysis
+from .auxiliary import cham, coam
 from .errors import (
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
     TooManyBranches,
 )
-from .geometry import Branch, Curve
+from .geometry import Branch, Curve, check_compatibility
 
 MAX_BRANCHES = 12
 
@@ -136,10 +136,19 @@ class InvariantProfile(NamedTuple):
 
 
 def profile(c: Curve) -> InvariantProfile:
-    """All characteristic and contact auxiliary multiplicities of a curve."""
-    analysis = Analysis(c)
+    """All characteristic and contact auxiliary multiplicities of a curve,
+    read off the branch supports: no auxiliary record or plane is built."""
+    check_compatibility(c)  # IncompatibleSystem before DuplicateBranch
+    branches = c.branches
+    r = len(branches)
     return InvariantProfile(
-        r=len(c.branches), chams=analysis.chams, coams=analysis.coams
+        r=r,
+        chams=tuple(cham(b) for b in branches),
+        coams={
+            (i, j): coam(branches[i], branches[j])
+            for i in range(r)
+            for j in range(i + 1, r)
+        },
     )
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from .auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
 from .c5 import Analysis, C5Cone, c5_cone
-from .errors import DegenerateSecant, FloatingPointUnderflow
+from .errors import DegenerateSecant, FloatingPointUnderflow, InvalidSamplingParameter
 from .geometry import Branch, Curve, plane_from_vectors, tangent_direction
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization, substitute_power
@@ -41,6 +41,10 @@ PRNG_NAME = "mt19937"
 _SKIP_U = 0.3
 _NOISE_EXPONENT = 7  # keep cancellation noise near 1e-9 at the smallest u
 _FLOOR_U = 1e-4
+# Exponents above this are evaluated as this: every evaluation point has
+# |u| < 1, where u**e is already 0.0 in doubles, and a larger int would
+# overflow its conversion to float.
+_MAX_FLOAT_EXPONENT = 10**300
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +53,8 @@ _FLOOR_U = 1e-4
 
 def _complex_terms(p: Parametrization):
     return [
-        [(e, to_complex(c)) for e, c in series.terms] for series in p.coords
+        [(min(e, _MAX_FLOAT_EXPONENT), to_complex(c)) for e, c in series.terms]
+        for series in p.coords
     ]
 
 
@@ -210,8 +215,7 @@ def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
     )
 
 
-def contact_witness_family(bi: Branch, bj: Branch, k: int,
-                           common_special: Optional[int] = None, lam=1,
+def contact_witness_family(bi: Branch, bj: Branch, k: int, lam=1,
                            u_values=None,
                            record: Optional[AuxRecord] = None) -> WitnessResult:
     """Contact witness on a tangent pair, working on the reparametrized
@@ -220,7 +224,7 @@ def contact_witness_family(bi: Branch, bj: Branch, k: int,
     lam = _as_scalar(lam)
     lcm = math.lcm(bi.m, bj.m)
     if record is None:
-        record = contact_aux(bi, bj, k, common_special)
+        record = contact_aux(bi, bj, k)
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = substitute_power(bj.param, lcm // bj.m)
     _, v_raw = contact_leading(bi, bj, k)
@@ -352,11 +356,11 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     directions sit from the nearest cone component."""
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0 < r <= 0.5 for r in radii):
-        raise ValueError(f"radii must lie in (0, 0.5], got {radii}")
+        raise InvalidSamplingParameter(f"radii must lie in (0, 0.5], got {radii}")
     if list(radii) != sorted(radii, reverse=True):
-        raise ValueError(f"radii must be decreasing, got {radii}")
+        raise InvalidSamplingParameter(f"radii must be decreasing, got {radii}")
     if k < 1:
-        raise ValueError(f"need at least one sample per radius, got {k}")
+        raise InvalidSamplingParameter(f"need at least one sample per radius, got {k}")
     for b in c.branches:
         if b.m * math.log10(radii[-1] / 2) < -300:
             raise FloatingPointUnderflow(

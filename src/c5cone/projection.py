@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .c5 import Analysis, C5Cone, c5_cone
+from .c5 import C5Cone, c5_cone
 from .errors import (
     DependentVectors,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from .errors import (
     ProjectionSearchExhausted,
 )
 from .geometry import Branch, Curve, curve, matrix_rank, null_space, rref
+from .invariants import profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
 
@@ -149,11 +150,11 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     )
 
 
-def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> LinearProjection:
+def find_generic_projection(c: Curve) -> LinearProjection:
     """Deterministic search for a generic projection of the normal shape
     (x_s, sum of lambda_k x_k, k != s) with s special in every branch:
     all-ones lambda first, then integer tuples by increasing max-norm, up
-    to max-norm _SEARCH_CAP. analysis is the curve's, when already built."""
+    to max-norm _SEARCH_CAP."""
     n = c.n
     if n == 2:
         return LinearProjection.identity()
@@ -164,7 +165,7 @@ def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> Li
             special=[sorted(b.special_coords) for b in c.branches],
         )
     s = min(universal)
-    cone = (analysis or Analysis(c)).cone
+    cone = c5_cone(c)
     zero, one = CycloScalar.rational(0), CycloScalar.rational(1)
     row1 = tuple(one if idx == s else zero for idx in range(n))
     others = [idx for idx in range(n) if idx != s]
@@ -191,27 +192,18 @@ def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> Li
     )
 
 
-def verify_projection_invariance(
-    c: Curve,
-    proj: LinearProjection,
-    analysis: Optional[Analysis] = None,
-    image: Optional[Curve] = None,
-) -> bool:
+def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:
     """True iff the image is a valid plane curve and keeps, branch by branch
     under the identity pairing, every characteristic set and every pairwise
     contact sequence. A projection of the wrong dimension still raises
-    DimensionMismatch. analysis (the curve's) and image (apply_projection's
-    result), when already computed, are read instead of rebuilt."""
+    DimensionMismatch."""
     _check_dimension(c, proj)
-    if image is None:
-        try:
-            image = apply_projection(c, proj)
-        except EngineError:
-            return False
-    source = analysis or Analysis(c)
-    chams, coams = source.chams, source.coams
-    projected = Analysis(image)
     try:
-        return projected.chams == chams and projected.coams == coams
+        image = apply_projection(c, proj)
+    except EngineError:
+        return False
+    source = profile(c)
+    try:
+        return profile(image) == source
     except EngineError:
         return False

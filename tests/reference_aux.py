@@ -51,10 +51,10 @@ def characteristic_reference(b, k) -> Reference:
     )
 
 
-def contact_reference(bi, bj, k, common_special=None) -> Reference:
+def contact_reference(bi, bj, k) -> Reference:
     lcm = math.lcm(bi.m, bj.m)
     ti, tj = tangent_direction(bi), tangent_direction(bj)
-    if ti == tj and common_special is None:
+    if ti == tj and not bi.special_coords & bj.special_coords:
         raise IncompatibleSystem(bi.label, bj.label)
     theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
     scaled_i = substitute_power(bi.param, lcm // bi.m)

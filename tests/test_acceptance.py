@@ -206,7 +206,7 @@ def test_criterion_05_intersection_numbers_separate_pairs(capsys, fixtures_dir):
     def pair_intersection(name):
         b1, b2 = read_curve(fixture(fixtures_dir, name)).branches
         n = math.lcm(b1.m, b2.m)
-        return intersection_multiplicity(coam(b1, b2, 0), n // b1.m, n // b2.m)
+        return intersection_multiplicity(coam(b1, b2), n // b1.m, n // b2.m)
 
     def body():
         i_a = pair_intersection("tangent_pair_i19")
@@ -230,7 +230,7 @@ def test_criterion_06_contact_structure(capsys, fixtures_dir):
     def body():
         c = read_curve(fixture(fixtures_dir, "contact_structure_pair"))
         b1, b2 = c.branches
-        seq = coam(b1, b2, 0)
+        seq = coam(b1, b2)
         cs = contact_structure(b1, b2, seq)
         got = (cs.tau, cs.betas, cs.E, cs.q, cs.delta, cs.counts)
         want = (2, (36, 66), (24, 12, 6), 1, 60, {36: 12, 60: 12})

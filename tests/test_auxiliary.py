@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,19 +13,21 @@ from c5cone import (
     CycloScalar,
     Direction,
     DuplicateBranch,
+    IncompatibleSystem,
     NonPrimitiveParametrization,
     Parametrization,
     cham,
     characteristic_aux,
     characteristic_order,
     characteristic_records,
-    check_compatibility,
     classify,
     coam,
     contact_aux,
     contact_leading,
     contact_records,
     curve_from_exponents,
+    profile,
+    tangent_direction,
     zeta,
 )
 from random_curves import random_curve, random_curve_with_cone
@@ -77,8 +80,9 @@ def test_characteristic_record_planes_contain_tangent(load):
 
 
 def test_representatives_pick_one_k_per_root_order(load):
-    b = load("m16_one_plane").branches[0]
-    reps = characteristic_records(b, representatives=True)
+    c = load("m16_one_plane")
+    b = c.branches[0]
+    reps = Analysis(c).representative_records(0)
     assert [(r.k, r.m_theta) for r in reps] == [
         (8, 55), (4, 54), (2, 36), (1, 24),
     ]
@@ -87,12 +91,13 @@ def test_representatives_pick_one_k_per_root_order(load):
 
 
 def test_representative_records_agree_with_their_class(load):
-    b = load("m16_one_plane").branches[0]
+    c = load("m16_one_plane")
+    b = c.branches[0]
     full = {
         math.gcd(r.k, b.m): (r.m_theta, r.plane.key())
         for r in characteristic_records(b)
     }
-    for rep in characteristic_records(b, representatives=True):
+    for rep in Analysis(c).representative_records(0):
         assert full[math.gcd(rep.k, b.m)] == (rep.m_theta, rep.plane.key())
 
 
@@ -117,7 +122,7 @@ def test_same_order_characteristic_vectors_are_cyclotomic(load):
 
 def test_contact_records_run_over_the_full_common_group(load):
     c = load("four_branches")
-    recs = contact_records(c.branches[0], c.branches[1], 0)
+    recs = contact_records(c.branches[0], c.branches[1])
     assert [r.k for r in recs] == list(range(12))
     assert all(r.group_order == 12 for r in recs)
     assert all(r.m_theta == 18 for r in recs)
@@ -130,7 +135,7 @@ def test_contact_records_run_over_the_full_common_group(load):
 
 def test_contact_records_include_the_identity_root(load):
     a, b = load("same_order_contact").branches
-    recs = contact_records(a, b, 0)
+    recs = contact_records(a, b)
     z = zeta(3)
     assert [(r.k, r.m_theta) for r in recs] == [(0, 4), (1, 4), (2, 4)]
     assert recs[0].v_theta == direction(0, 1, 1 + z, 0, 0)
@@ -147,7 +152,7 @@ def test_contact_rejects_reparametrized_equal_images():
         ]
     )
     with pytest.raises(DuplicateBranch):
-        contact_records(c.branches[0], c.branches[1], 0)
+        contact_records(c.branches[0], c.branches[1])
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +179,57 @@ def test_cham_is_representative_independent():
     for _ in range(20):
         c = random_curve(rng, max_r=1)
         b = c.branches[0]
-        every_theta = characteristic_records(b, representatives=False)
+        every_theta = characteristic_records(b)
         assert cham(b) == {b.m} | {r.m_theta for r in every_theta}
 
 
 def test_coam_length_is_the_common_group_order(load):
     c = load("four_branches")
-    seq = coam(c.branches[0], c.branches[1], 0)
+    seq = coam(c.branches[0], c.branches[1])
     assert seq == (18,) * 12
     a, b = load("same_order_contact").branches
-    assert coam(a, b, 0) == (4, 4, 4)
+    assert coam(a, b) == (4, 4, 4)
 
 
-def test_non_tangent_coam_matches_the_enumeration(fixture_names, load):
+def test_coam_matches_the_enumeration(fixture_names, load):
     # prime_multiplicity has a single branch, so no pairs, and is slow to read.
     curves = [load(name) for name in fixture_names if name != "prime_multiplicity"]
     rng = random.Random(13)
     curves += [random_curve(rng) for _ in range(40)]
-    checked = 0
+    checked = {"T": 0, "NT": 0}
     for c in curves:
-        for i, j in sorted(classify(c).NT):
-            bi, bj = c.branches[i], c.branches[j]
-            reference = sorted(r.m_theta for r in contact_records(bi, bj))
-            assert coam(bi, bj) == tuple(reference)
-            checked += 1
-    assert checked >= 40
+        cls = classify(c)
+        for kind, pairs in (("T", cls.T), ("NT", cls.NT)):
+            for i, j in sorted(pairs):
+                bi, bj = c.branches[i], c.branches[j]
+                reference = sorted(r.m_theta for r in contact_records(bi, bj))
+                assert coam(bi, bj) == tuple(reference)
+                checked[kind] += 1
+    assert checked["T"] >= 10 and checked["NT"] >= 40
+
+
+def test_tangent_pair_without_common_special_coordinate_is_rejected():
+    c = curve_from_exponents([
+        [[(2, 1)], [(2, 2), (3, 1)], [(5, 1)]],
+        [[(2, Fraction(1, 2)), (7, 1)], [(2, 1)], [(7, 1)]],
+    ])
+    bi, bj = c.branches
+    assert tangent_direction(bi) == tangent_direction(bj)
+    assert not bi.special_coords & bj.special_coords
+    for call in (
+        lambda: coam(bi, bj),
+        lambda: contact_aux(bi, bj, 0),
+        lambda: profile(c),
+    ):
+        with pytest.raises(IncompatibleSystem) as exc:
+            call()
+        assert exc.value.pair == ("b1", "b2")
 
 
 def test_coam_is_symmetric(load):
     c = load("contact_structure_pair")
-    forward = coam(c.branches[0], c.branches[1], 0)
-    backward = coam(c.branches[1], c.branches[0], 0)
+    forward = coam(c.branches[0], c.branches[1])
+    backward = coam(c.branches[1], c.branches[0])
     assert sorted(forward) == sorted(backward)
 
 
@@ -217,7 +242,6 @@ def assert_records_match_the_difference_series(c):
     shares planes across k) and every contact record of every pair equals
     the one read off the expanded difference series."""
     analysis = Analysis(c)
-    special = check_compatibility(c)
     checked = 0
     for i, b in enumerate(c.branches):
         records = analysis.characteristic_records(i) if b.m > 1 else []
@@ -231,8 +255,8 @@ def assert_records_match_the_difference_series(c):
     cls = classify(c)
     for i, j in sorted(cls.T | cls.NT):
         bi, bj = c.branches[i], c.branches[j]
-        for rec in contact_records(bi, bj, special.get((i, j))):
-            ref = contact_reference(bi, bj, rec.k, special.get((i, j)))
+        for rec in contact_records(bi, bj):
+            ref = contact_reference(bi, bj, rec.k)
             assert rec.m_theta == ref.m_theta
             assert rec.v_theta == ref.v_theta
             assert rec.plane == ref.plane
@@ -303,7 +327,7 @@ def _contact_outcomes(build, bi, bj):
     out = []
     for k in range(math.lcm(bi.m, bj.m)):
         try:
-            out.append(build(bi, bj, k, 0).m_theta)
+            out.append(build(bi, bj, k).m_theta)
         except DuplicateBranch:
             out.append("duplicate")
     return out

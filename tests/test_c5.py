@@ -15,10 +15,8 @@ from c5cone import (
     bound1,
     bound2,
     c5_cone,
-    cham,
+    characteristic_aux,
     characteristic_records,
-    check_compatibility,
-    coam,
     integer_normalized_form,
     polynomial_text,
     product_equation,
@@ -220,12 +218,11 @@ def test_product_equation_needs_planes_in_three_space(load):
 # one analysis per curve
 
 
-@pytest.fixture
-def record_builds(monkeypatch):
-    """Count characteristic and contact record builds, in every engine
-    module that holds a reference to the record builders."""
-    counts = {"characteristic_aux": 0, "contact_aux": 0}
-    for name in counts:
+def count_engine_calls(monkeypatch, names):
+    """Count calls of the named functions of the auxiliary module (its own
+    or imported), in every engine module that holds a reference to them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(auxiliary, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -237,6 +234,12 @@ def record_builds(monkeypatch):
             if engine and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """Count characteristic and contact record builds."""
+    return count_engine_calls(monkeypatch, ("characteristic_aux", "contact_aux"))
 
 
 @pytest.mark.parametrize("name, characteristic, contact", [
@@ -254,7 +257,7 @@ def test_analyze_builds_each_record_once(
 
 
 @pytest.mark.parametrize("command, flags, name, characteristic, contact", [
-    ("project", ["--auto"], "space_cusp", 4, 0),
+    ("project", ["--auto"], "space_cusp", 2, 0),
     ("verify", [], "four_branches", 6, 12),
 ])
 def test_project_and_verify_read_one_analysis(
@@ -267,9 +270,11 @@ def test_project_and_verify_read_one_analysis(
     }
 
 
-def test_profile_builds_contact_records_of_tangent_pairs_only(record_builds, load):
+def test_profile_builds_no_record_and_no_plane(monkeypatch, load):
+    names = ("characteristic_aux", "contact_aux", "plane_from_vectors")
+    counts = count_engine_calls(monkeypatch, names)
     profile(load("four_branches"))
-    assert record_builds["contact_aux"] == 12
+    assert counts == dict.fromkeys(names, 0)
 
 
 def test_analysis_agrees_with_the_standalone_functions():
@@ -277,20 +282,13 @@ def test_analysis_agrees_with_the_standalone_functions():
     for _ in range(15):
         c, _ = random_curve_with_cone(rng)
         analysis = Analysis(c)
-        assert analysis.chams == tuple(cham(b) for b in c.branches)
-        special = check_compatibility(c)
-        assert analysis.coams == {
-            (i, j): coam(c.branches[i], c.branches[j], special.get((i, j)))
-            for i in range(len(c.branches))
-            for j in range(i + 1, len(c.branches))
-        }
         for i in sorted(analysis.classification.S):
             b = c.branches[i]
             for listed, reference in (
                 (analysis.characteristic_records(i), characteristic_records(b)),
                 (
                     analysis.representative_records(i),
-                    characteristic_records(b, representatives=True),
+                    [characteristic_aux(b, k) for k in auxiliary.representative_ks(b.m)],
                 ),
             ):
                 assert [(r.k, r.m_theta, r.plane.key()) for r in listed] == [

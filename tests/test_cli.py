@@ -245,6 +245,41 @@ def test_verify_fails_on_unreachable_tolerance(capsys, fixtures_dir):
     assert data["pass"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ["--radii", "0.7"],
+    ["--radii", "0.001", "0.01"],
+    ["--samples", "0"],
+], ids=["radius-above-half", "radii-increasing", "no-samples"])
+def test_verify_rejects_out_of_range_sampling_flags(capsys, fixtures_dir, flags):
+    code, out, err = run(
+        capsys, "verify", fixture(fixtures_dir, "smooth_plane"), *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidSamplingParameter"
+
+
+def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):
+    one = [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
+    doc = {
+        "version": 1,
+        "n": 2,
+        "branches": [{
+            "label": "b1",
+            "coords": [
+                [{"exp": 2, "coeff": one}],
+                [{"exp": 10**400 + 1, "coeff": one}],
+            ],
+        }],
+    }
+    path = tmp_path / "huge_exponent.json"
+    path.write_text(json.dumps(doc))
+    code, data, _ = run_json(capsys, "verify", str(path), "--samples", "25")
+    assert code == 0
+    assert data["pass"] is True
+    assert [w["skipped"] for w in data["witness_families"]] == [True]
+
+
 def test_verify_rejects_wrong_override_planes(capsys, fixtures_dir):
     code, out, err = run(
         capsys,
@@ -304,6 +339,19 @@ def test_huge_root_order_exits_two(capsys, tmp_path):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "ConductorLimitExceeded"
+
+
+def test_integer_past_the_digit_limit_exits_two(capsys, fixtures_dir, tmp_path):
+    digits = "1" * 5000
+    path = tmp_path / "long_integer.json"
+    path.write_text('{"version": ' + digits + "}")
+    kernel = "[[0, 0, " + digits + "]]"
+    space_cusp = fixture(fixtures_dir, "space_cusp")
+    for argv in (["analyze", str(path)], ["project", space_cusp, "--kernel", kernel]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidDocument"
 
 
 def test_bad_kernel_matrix_exits_two(capsys, fixtures_dir):

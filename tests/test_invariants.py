@@ -61,7 +61,7 @@ def test_intersection_multiplicity_divides_the_sum():
 
 def test_intersection_multiplicity_scales_by_reduced_multiplicities(load):
     c = load("contact_structure_pair")
-    seq = coam(c.branches[0], c.branches[1], 0)
+    seq = coam(c.branches[0], c.branches[1])
     assert sum(seq) == 1152
     assert intersection_multiplicity(seq, 3, 2) == 192
 
@@ -109,7 +109,7 @@ def test_contact_structure_of_scaled_pair(load):
     b1, b2 = c.branches
     assert sorted(cham(b1)) == [8, 12, 22, 23]
     assert sorted(cham(b2)) == [12, 18, 33, 34]
-    seq = coam(b1, b2, 0)
+    seq = coam(b1, b2)
     assert len(seq) == math.lcm(b1.m, b2.m) == 24
     cs = contact_structure(b1, b2, seq)
     assert cs.tau == 2
@@ -137,7 +137,7 @@ def test_contact_structure_rejects_alien_values(load):
 def test_contact_structure_accepts_every_fixture_pair(load):
     c = load("contact_structure_pair")
     b1, b2 = c.branches
-    cs = contact_structure(b1, b2, coam(b1, b2, 0))
+    cs = contact_structure(b1, b2, coam(b1, b2))
     assert sum(cs.counts.values()) == 24
 
 
@@ -146,7 +146,7 @@ def test_contact_structure_accepts_every_fixture_pair(load):
 )
 def test_contact_structure_accepts_intersection_pairs(load, name, delta):
     b1, b2 = load(name).branches
-    seq = coam(b1, b2, 0)
+    seq = coam(b1, b2)
     assert seq == (5, 5, delta)
     cs = contact_structure(b1, b2, seq)
     assert (cs.betas, cs.counts) == ((5,), {5: 2, delta: 1})
