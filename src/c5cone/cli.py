@@ -46,6 +46,7 @@ from .oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
     DEFAULT_TOLERANCE,
+    check_sampling_parameters,
     cone_witness_results,
     sample_secant_directions,
 )
@@ -431,6 +432,8 @@ def _witness_json(w) -> dict:
 
 def cmd_verify(args) -> int:
     c = read_curve(args.file)
+    # bad flags exit before any cone or sampling work
+    check_sampling_parameters(args.radii, args.samples)
     analysis = Analysis(c)
     cone = analysis.cone
     override = None

@@ -147,8 +147,7 @@ def _scalar_summands(a: CycloScalar):
             "zeta_order": a.conductor,
             "zeta_pow": j,
         }
-        for j, c in enumerate(a.coeffs)
-        if c
+        for j, c in a.terms()
     ]
 
 

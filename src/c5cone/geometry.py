@@ -55,7 +55,7 @@ def rref(rows):
         for i in range(len(work)):
             if i != r and not work[i][col].is_zero():
                 f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == len(work):

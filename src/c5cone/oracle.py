@@ -36,6 +36,9 @@ from .series import Parametrization, substitute_power
 
 DEFAULT_RADII = (1e-2, 1e-3)
 DEFAULT_SAMPLES = 200
+# Largest sample count per radius. Sampling time grows linearly with it, so
+# a larger count could run for hours.
+MAX_SAMPLES = 10_000
 DEFAULT_TOLERANCE = 1e-2
 PRNG_NAME = "mt19937"
 _SKIP_U = 0.3
@@ -349,18 +352,29 @@ def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
     return max_distance, mins, degenerate
 
 
+def check_sampling_parameters(radii, k: int) -> tuple:
+    """The radii as floats, after checking that they lie in (0, 0.5] and
+    strictly decrease and that 1 <= k <= MAX_SAMPLES."""
+    radii = tuple(float(r) for r in radii)
+    if not radii or any(not 0 < r <= 0.5 for r in radii):
+        raise InvalidSamplingParameter(f"radii must lie in (0, 0.5], got {radii}")
+    if any(a <= b for a, b in zip(radii, radii[1:])):
+        raise InvalidSamplingParameter(f"radii must be strictly decreasing, got {radii}")
+    if k < 1:
+        raise InvalidSamplingParameter(f"need at least one sample per radius, got {k}")
+    if k > MAX_SAMPLES:
+        raise InvalidSamplingParameter(
+            f"at most {MAX_SAMPLES} samples per radius, got {k}"
+        )
+    return radii
+
+
 def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAMPLES,
                              seed: int = 0, cone: Optional[C5Cone] = None) -> SampleReport:
     """Draw k point pairs per radius on every branch combination (same
     branch and cross branch), and measure how far the normalized secant
     directions sit from the nearest cone component."""
-    radii = tuple(float(r) for r in radii)
-    if not radii or any(not 0 < r <= 0.5 for r in radii):
-        raise InvalidSamplingParameter(f"radii must lie in (0, 0.5], got {radii}")
-    if list(radii) != sorted(radii, reverse=True):
-        raise InvalidSamplingParameter(f"radii must be decreasing, got {radii}")
-    if k < 1:
-        raise InvalidSamplingParameter(f"need at least one sample per radius, got {k}")
+    radii = check_sampling_parameters(radii, k)
     for b in c.branches:
         if b.m * math.log10(radii[-1] / 2) < -300:
             raise FloatingPointUnderflow(

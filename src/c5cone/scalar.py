@@ -11,7 +11,17 @@ equality, and equality across conductors is checked after embedding both
 operands into the least common multiple conductor.
 
 Rationals are fractions.Fraction throughout: always reduced, denominators
-positive, arbitrary precision.
+positive, arbitrary precision. Every zero coefficient a scalar built here
+holds is the one shared Fraction(0), so zero tests compare tuples by
+identity at C speed; a zero that is a different object is still a zero,
+only slower to find.
+
+Reduction modulo the monic, integer Phi_N runs in Python ints: the
+polynomial is scaled by the lcm D of its denominators, Phi_N's nonzero
+terms are subtracted with no division, and a Fraction(v, D) is built only
+for each nonzero remainder. Products and inverses (extended Euclid by
+pseudo-division) run in ints too, and a product or a sum skips the work a
+rational or a zero operand never needed.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import is_not
 
 import mpmath
 
@@ -32,6 +44,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
@@ -51,91 +64,145 @@ def euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Fraction. A polynomial is a list of
-# coefficients indexed by degree; trailing zeros are trimmed by _trim.
+# Integer polynomials. A polynomial is a list of ints indexed by degree; one
+# with rational coefficients travels as (ints, den), standing for
+# sum(ints[k] * x^k) / den.
 
 
-def _trim(p):
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(N: int) -> tuple:
+    """Phi_N as an int tuple: the product over d | N of (x^d - 1)^mu(N/d),
+    multiplying every factor in before dividing any out, so each division
+    by x^d - 1 is exact."""
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(N // d) == 1:
+            # times x^d - 1
+            out = [-c for c in poly] + [0] * d
+            for k, c in enumerate(poly):
+                out[k + d] += c
+            poly = out
+    for d in divisors:
+        if _mobius(N // d) == -1:
+            # poly = q * (x^d - 1), so q[k - d] = poly[k] + q[k] from the top
+            q = [0] * len(poly)
+            for k in range(len(poly) - 1, d - 1, -1):
+                q[k - d] = poly[k] + q[k]
+            if any(c + q[k] for k, c in enumerate(poly[:d])):
+                raise AssertionError(f"cyclotomic division left a remainder for N={N}")
+            poly = q[: len(poly) - d]
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _fold(N: int):
+    """phi(N) and Phi_N's lower terms as (i - phi, -c_i) pairs: Phi_N is
+    monic, so x^k = sum(-c_i * x^(k - phi + i)) modulo Phi_N for k >= phi."""
+    cyc = _cyclotomic(N)
+    phi = len(cyc) - 1
+    return phi, tuple((i - phi, -c) for i, c in enumerate(cyc[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _zeros(length: int) -> tuple:
+    return (_F0,) * length
+
+
+def _scaled(coeffs):
+    """(ints, den) with coeffs[k] == ints[k] / den, den the lcm of the
+    denominators; coefficients are ints or Fractions."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduced(N: int, ints: list, den: int) -> "CycloScalar":
+    """The scalar sum(ints[k] * zeta_N^k) / den; ints is reduced in place."""
+    phi, terms = _fold(N)
+    if len(ints) > N:
+        # Phi_N divides x^N - 1, so exponents fold mod N first, one add each
+        for k in range(N, len(ints)):
+            ints[k % N] += ints[k]
+        del ints[N:]
+    for k in range(len(ints) - 1, phi - 1, -1):
+        v = ints[k]
+        if v:
+            for off, c in terms:
+                ints[k + off] += v * c
+    del ints[phi:]
+    if den == 1:
+        coeffs = [Fraction(v) if v else _F0 for v in ints]
+    else:
+        coeffs = [Fraction(v, den) if v else _F0 for v in ints]
+    return CycloScalar(N, coeffs + list(_zeros(phi - len(coeffs))))
+
+
+def _trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b (b nonzero, trimmed)."""
-    a = _trim(list(a))
-    db, lead = len(b) - 1, b[-1]
-    q = [_F0] * max(len(a) - db, 0)
-    # Phi_N is sparse: subtract multiples of its nonzero terms only
-    terms = [(i, bi) for i, bi in enumerate(b) if bi] if q else ()
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        factor = a[-1] / lead
-        q[shift] = factor
-        for i, bi in terms:
-            a[shift + i] -= factor * bi
-        _trim(a)
-    return _trim(q), a
-
-
-def _poly_mod(a, b):
-    return _poly_divmod(a, b)[1]
-
-
-def _poly_xgcd(a, b):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_F1], []
-    t0, t1 = [], [_F1]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([x - y for x, y in _pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _trim([x - y for x, y in _pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [_F0] * (n - len(a)), b + [_F0] * (n - len(b)))
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(N: int):
-    """Phi_N as a coefficient tuple, computed by dividing x^N - 1 by the
-    product of Phi_d over proper divisors d of N."""
-    if N == 1:
-        return (_F1 * -1, _F1)
-    num = [_F0] * (N + 1)
-    num[0], num[N] = Fraction(-1), _F1
-    den = [_F1]
-    for d in range(1, N):
-        if N % d == 0:
-            den = _poly_mul(den, list(_cyclotomic(d)))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise AssertionError(f"cyclotomic division left a remainder for N={N}")
-    return tuple(q)
+def _inverse_mod(a: list, m: list):
+    """(s, c) with s * a = c modulo m for a nonzero int c, where a and m are
+    coprime and deg a < deg m. Extended Euclid by pseudo-division in ints;
+    each remainder and its cofactor are divided by their common content,
+    which keeps the integers small."""
+    r0, r1 = m, _trim(list(a))
+    s0, s1 = [0], [1]  # r0 = s0 * a and r1 = s1 * a, modulo m
+    while len(r1) > 1:
+        # scale * r0 = q * r1 + r, with deg r < deg r1
+        lead, scale = r1[-1], 1
+        r, q = list(r0), [0] * (len(r0) - len(r1) + 1)
+        while len(r) >= len(r1):
+            shift = len(r) - len(r1)
+            g = math.gcd(r[-1], lead)
+            mult, f = lead // g, r[-1] // g
+            if mult != 1:
+                r = [mult * c for c in r]
+                q = [mult * c for c in q]
+                scale *= mult
+            for i, c in enumerate(r1):
+                r[shift + i] -= f * c
+            q[shift] += f
+            r.pop()
+            _trim(r)
+        s = [scale * c for c in s0] + [0] * max(len(q) + len(s1) - 1 - len(s0), 0)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] -= qi * sj
+        content = math.gcd(*r, *s)
+        if content > 1:
+            r = [c // content for c in r]
+            s = [c // content for c in s]
+        r0, r1, s0, s1 = r1, r, s1, s
+    if not r1:
+        raise AssertionError("cyclotomic polynomial must be coprime to a nonzero element")
+    return s1, r1[0]
 
 
 def cyclotomic_polynomial(N: int):
-    """Coefficients of Phi_N, lowest degree first; degree is phi(N)."""
+    """Coefficients of Phi_N as Fractions, lowest degree first; degree is
+    phi(N)."""
     if N < 1:
         raise ValueError(f"conductor must be >= 1, got {N}")
-    return _cyclotomic(N)
+    return tuple(Fraction(c) for c in _cyclotomic(N))
 
 
 def _check_conductor(N: int):
@@ -174,18 +241,16 @@ class CycloScalar:
 
     @classmethod
     def from_poly(cls, N: int, poly) -> "CycloScalar":
-        """Reduce an arbitrary-degree polynomial in zeta_N."""
+        """Reduce an arbitrary-degree polynomial in zeta_N whose
+        coefficients are ints or Fractions."""
         _check_conductor(N)
-        phi = euler_phi(N)
-        rem = _poly_mod([Fraction(c) for c in poly], list(_cyclotomic(N)))
-        rem += [_F0] * (phi - len(rem))
-        return cls(N, rem)
+        return _reduced(N, *_scaled(poly))
 
     @classmethod
     def rational(cls, q, conductor: int = 1) -> "CycloScalar":
-        q = Fraction(q)
-        phi = euler_phi(conductor)
-        return cls(conductor, (q,) + (_F0,) * (phi - 1))
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return cls(conductor, (q or _F0,) + _zeros(euler_phi(conductor) - 1))
 
     # -- embedding -----------------------------------------------------------
 
@@ -196,12 +261,12 @@ class CycloScalar:
             return self
         if M % N:
             raise ValueError(f"cannot embed conductor {N} into {M}")
+        _check_conductor(M)
         step = M // N
-        poly = [_F0] * (step * (len(self.coeffs) - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                poly[step * j] = c
-        return CycloScalar.from_poly(M, poly)
+        ints, den = _scaled(self.coeffs)
+        poly = [0] * (step * (len(ints) - 1) + 1)
+        poly[::step] = ints
+        return _reduced(M, poly, den)
 
     def _common(self, other: "CycloScalar"):
         if self.conductor == other.conductor:
@@ -220,13 +285,18 @@ class CycloScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        # the constant term answers first; the comparison with the shared
+        # zeros then runs on identity
+        c = self.coeffs
+        return (c[0] is _F0 or not c[0]) and (len(c) == 1 or c == _zeros(len(c)))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        c = self.coeffs
+        return (c[0] is not _F0 and bool(c[0])) or (len(c) > 1 and c != _zeros(len(c)))
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        c = self.coeffs
+        return len(c) == 1 or (not c[1] and c[1:] == _zeros(len(c) - 1))
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -240,44 +310,69 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CycloScalar(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloScalar(
+            a.conductor,
+            [
+                x if y is _F0 else y if x is _F0 else (x + y or _F0)
+                for x, y in zip(a.coeffs, b.coeffs)
+            ],
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.conductor, tuple(-c for c in self.coeffs))
+        return CycloScalar(self.conductor, [c if c is _F0 else -c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self._common(other)
+        return CycloScalar(
+            a.conductor,
+            [
+                x if y is _F0 else -y if x is _F0 else (x - y or _F0)
+                for x, y in zip(a.coeffs, b.coeffs)
+            ],
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return CycloScalar.from_poly(a.conductor, prod)
+        if b.is_rational():
+            a, b = b, a
+        if a.is_rational():
+            # a rational factor scales; zero and one need no work at all
+            q = a.coeffs[0]
+            if not q:
+                return a
+            if q == 1:
+                return b
+            return CycloScalar(a.conductor, [c if c is _F0 else c * q for c in b.coeffs])
+        ia, da = _scaled(a.coeffs)
+        ib, db = _scaled(b.coeffs)
+        nonzero_b = [(j, y) for j, y in enumerate(ib) if y]
+        prod = [0] * (len(ia) + len(ib) - 1)
+        for i, x in enumerate(ia):
+            if x:
+                for j, y in nonzero_b:
+                    prod[i + j] += x * y
+        return _reduced(a.conductor, prod, da * db)
 
     __rmul__ = __mul__
 
     def _monomial(self):
         """(j, c) when the reduced form is the single term c*zeta^j, else None."""
-        found = None
-        for j, c in enumerate(self.coeffs):
-            if c:
-                if found is not None:
-                    return None
-                found = (j, c)
-        return found
+        terms = self.terms()
+        return terms[0] if len(terms) == 1 else None
 
     def inverse(self) -> "CycloScalar":
         if self.is_zero():
@@ -287,13 +382,14 @@ class CycloScalar:
         mono = self._monomial()
         if mono is not None:
             j, c = mono
-            poly = [_F0] * (self.conductor - j) + [1 / c]
+            poly = [0] * (self.conductor - j) + [1 / c]
             return CycloScalar.from_poly(self.conductor, poly)
-        g, s, _ = _poly_xgcd(list(self.coeffs), list(_cyclotomic(self.conductor)))
-        if len(g) != 1:
-            raise AssertionError("cyclotomic polynomial must be coprime to a nonzero element")
-        inv = [c / g[0] for c in s]
-        return CycloScalar.from_poly(self.conductor, inv)
+        # self = ints / den and ints * s = c, so 1/self = den * s / c
+        ints, den = _scaled(self.coeffs)
+        s, c = _inverse_mod(ints, list(_cyclotomic(self.conductor)))
+        if c < 0:
+            s, c = [-v for v in s], -c
+        return _reduced(self.conductor, [den * v for v in s], c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -324,7 +420,7 @@ class CycloScalar:
             # keeping large-conductor powers linear instead of repeated
             # full polynomial squaring.
             j, c = mono
-            poly = [_F0] * ((j * k) % self.conductor) + [c**k]
+            poly = [0] * ((j * k) % self.conductor) + [c**k]
             return CycloScalar.from_poly(self.conductor, poly)
         result = CycloScalar.rational(1, self.conductor)
         base = self
@@ -346,13 +442,18 @@ class CycloScalar:
 
     # -- rendering -----------------------------------------------------------
 
+    def terms(self) -> list:
+        """(k, c) for every nonzero coefficient c of zeta^k, k ascending."""
+        c = self.coeffs
+        # the shared zeros are skipped by identity, at C speed
+        candidates = compress(range(len(c)), map(is_not, c, repeat(_F0)))
+        return [(k, c[k]) for k in candidates if c[k]]
+
     def text(self) -> str:
         """Canonical text form: '+'-joined terms q*z(N,k) ordered by k; the
         k=0 term prints as a bare rational; zero prints as '0'."""
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for k, c in self.terms():
             if k == 0:
                 parts.append(str(c))
             else:
@@ -372,8 +473,8 @@ def zeta(N: int, k: int = 1) -> CycloScalar:
     phi = euler_phi(N)
     if k < phi:
         # zeta^k is already a basis vector of the power basis
-        return CycloScalar(N, (_F0,) * k + (_F1,) + (_F0,) * (phi - k - 1))
-    return CycloScalar.from_poly(N, [_F0] * k + [_F1])
+        return CycloScalar(N, _zeros(k) + (_F1,) + _zeros(phi - k - 1))
+    return CycloScalar.from_poly(N, [0] * k + [1])
 
 
 def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:
@@ -393,8 +494,7 @@ def to_complex(a: CycloScalar) -> complex:
     with mpmath.workprec(200):
         total = mpmath.mpc(0)
         N = a.conductor
-        for j, c in enumerate(a.coeffs):
-            if c:
-                q = mpmath.mpf(c.numerator) / c.denominator
-                total += q * mpmath.expjpi(mpmath.mpf(2 * j) / N)
+        for j, c in a.terms():
+            q = mpmath.mpf(c.numerator) / c.denominator
+            total += q * mpmath.expjpi(mpmath.mpf(2 * j) / N)
         return complex(total)

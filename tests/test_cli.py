@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import c5cone.cli
 from c5cone.cli import main
+from c5cone.oracle import MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -202,6 +204,24 @@ def test_project_auto_emits_image_document(capsys, fixtures_dir):
     assert len(image["branches"]) == 1
 
 
+def test_project_auto_finishes_on_prime_multiplicity(capsys, fixtures_dir):
+    # n = 200 over Q(zeta_2017): the genericity rank runs on dense vectors
+    # of length 2016. It takes a few seconds; it used to run for minutes
+    # without finishing.
+    start = time.perf_counter()
+    code, data, _ = run_json(
+        capsys,
+        "project",
+        fixture(fixtures_dir, "prime_multiplicity"),
+        "--auto",
+        "--json",
+    )
+    assert time.perf_counter() - start < 120
+    assert code == 0
+    assert data["invariance"] is True
+    assert data["image_document"]["n"] == 2
+
+
 def test_project_auto_without_universal_special_coordinate(capsys, fixtures_dir):
     code, out, err = run(
         capsys, "project", fixture(fixtures_dir, "four_branches"), "--auto"
@@ -248,8 +268,9 @@ def test_verify_fails_on_unreachable_tolerance(capsys, fixtures_dir):
 @pytest.mark.parametrize("flags", [
     ["--radii", "0.7"],
     ["--radii", "0.001", "0.01"],
+    ["--radii", "0.01", "0.01"],
     ["--samples", "0"],
-], ids=["radius-above-half", "radii-increasing", "no-samples"])
+], ids=["radius-above-half", "radii-increasing", "radii-equal", "no-samples"])
 def test_verify_rejects_out_of_range_sampling_flags(capsys, fixtures_dir, flags):
     code, out, err = run(
         capsys, "verify", fixture(fixtures_dir, "smooth_plane"), *flags
@@ -257,6 +278,27 @@ def test_verify_rejects_out_of_range_sampling_flags(capsys, fixtures_dir, flags)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InvalidSamplingParameter"
+
+
+def test_verify_rejects_too_many_samples_before_any_work(
+    capsys, fixtures_dir, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started cone or sampling work")
+
+    monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
+    monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
+    code, out, err = run(
+        capsys,
+        "verify",
+        fixture(fixtures_dir, "space_cusp"),
+        "--samples", str(MAX_SAMPLES + 1),
+    )
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidSamplingParameter"
+    assert str(MAX_SAMPLES) in diagnostic["detail"]
 
 
 def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):

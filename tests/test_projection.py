@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 
 from c5cone import (
+    CycloScalar,
     DependentVectors,
     DimensionMismatch,
     LinearProjection,
@@ -37,6 +39,20 @@ def texts(rows):
 def test_projection_computes_kernel():
     p = LinearProjection([[1, 0, 0], [0, 1, 1]])
     assert texts(p.kernel_basis) == [["0", "1", "-1"]]
+
+
+def test_normal_shape_kernel_at_n_100_is_quick_and_exact():
+    # rref skips the zero entries of the pivot row, so the 98 x 100 kernel
+    # basis takes well under a second; it took about 14 s before the skip
+    n = 100
+    rows = [[1] + [0] * (n - 1), [0] + [1] * (n - 1)]
+    start = time.perf_counter()
+    p = LinearProjection(rows)
+    assert time.perf_counter() - start < 5
+    assert len(p.kernel_basis) == n - 2
+    for v in p.kernel_basis:
+        for row in p.matrix:
+            assert sum((a * b for a, b in zip(row, v)), CycloScalar.rational(0)).is_zero()
 
 
 def test_projection_rejects_rank_deficient_matrix():

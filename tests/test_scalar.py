@@ -187,3 +187,184 @@ def test_text_round_trip_readable():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         CycloScalar.rational(1) / CycloScalar.rational(0)
+
+
+# ---------------------------------------------------------------------------
+# integer reduction and the fast paths, against a Fraction reference: a
+# schoolbook product and long division by Phi_N, with Phi_N itself found as
+# (x^N - 1) / prod(Phi_d for proper divisors d of N)
+
+_FIELD_ORDERS = (1, 2, 3, 4, 12, 60, 105, 420)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _ref_divmod(a, b):
+    """Quotient and remainder of a by b over Fraction; b's top entry is
+    nonzero."""
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = a[shift + len(b) - 1] / b[-1]
+        q[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+    return q, a[: len(b) - 1]
+
+
+_REF_PHI = {}
+
+
+def _ref_phi(N):
+    if N not in _REF_PHI:
+        num = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]
+        den = [Fraction(1)]
+        for d in range(1, N):
+            if N % d == 0:
+                den = _ref_mul(den, _ref_phi(d))
+        q, r = _ref_divmod(num, den)
+        assert not any(r)
+        _REF_PHI[N] = q
+    return _REF_PHI[N]
+
+
+def _ref_reduce(N, poly):
+    """Coefficients of poly modulo Phi_N, padded to length phi(N)."""
+    phi = _ref_phi(N)
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * len(phi)
+    return tuple(_ref_divmod(poly, phi)[1])
+
+
+def _ref_embed(a, M):
+    step = M // a.conductor
+    poly = [Fraction(0)] * (step * (len(a.coeffs) - 1) + 1)
+    poly[::step] = a.coeffs
+    return _ref_reduce(M, poly)
+
+
+_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=1)
+_with_denominators = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def field_elements(draw, N=None):
+    """Zero, rational, monomial, dense, or dense with denominators, at one
+    of the conductors above."""
+    if N is None:
+        N = draw(st.sampled_from(_FIELD_ORDERS))
+    phi = euler_phi(N)
+    kind = draw(st.sampled_from(("zero", "rational", "monomial", "dense", "fractions")))
+    if kind == "zero":
+        poly = [0]
+    elif kind == "rational":
+        poly = [draw(_with_denominators.filter(bool))]
+    elif kind == "monomial":
+        poly = [0] * draw(st.integers(0, phi - 1)) + [draw(_with_denominators.filter(bool))]
+    else:
+        entries = _coefficients if kind == "dense" else _with_denominators
+        poly = draw(st.lists(entries, min_size=phi, max_size=phi))
+    return CycloScalar.from_poly(N, poly)
+
+
+def _canonical_zeros(a):
+    from c5cone.scalar import _F0
+
+    return all(c is _F0 for c in a.coeffs if not c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_fraction_reference(data):
+    N = data.draw(st.sampled_from(_FIELD_ORDERS))
+    a = data.draw(field_elements(N))
+    b = data.draw(field_elements(N))
+    assert (a * b).coeffs == _ref_reduce(N, _ref_mul(a.coeffs, b.coeffs))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    if b.is_zero():
+        with pytest.raises(DivisionByZero):
+            a / b
+    elif euler_phi(N) <= 48:
+        q = a / b
+        assert _ref_reduce(N, _ref_mul(q.coeffs, b.coeffs)) == a.coeffs
+        assert _ref_reduce(N, _ref_mul(b.inverse().coeffs, b.coeffs)) == (
+            _ref_reduce(N, [1])
+        )
+    else:
+        # quotients at phi = 96 carry thousand-digit coefficients, which the
+        # Fraction reference takes seconds to multiply
+        assert (a / b) * b == a
+    for result in (a * b, a + b, a - b, -a):
+        assert len(result.coeffs) == euler_phi(N)
+        assert _canonical_zeros(result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_elements(), field_elements())
+def test_mixed_conductors_match_the_fraction_reference(a, b):
+    M = math.lcm(a.conductor, b.conductor)
+    wa, wb = _ref_embed(a, M), _ref_embed(b, M)
+    assert a.embed(M).coeffs == wa
+    assert (a * b).conductor == M
+    assert (a * b).coeffs == _ref_reduce(M, _ref_mul(wa, wb))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(wa, wb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(wa, wb))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_FIELD_ORDERS), st.data())
+def test_from_poly_reduces_like_the_fraction_reference(N, data):
+    poly = data.draw(st.lists(
+        st.one_of(st.just(Fraction(0)), _with_denominators, st.integers(-9, 9)),
+        max_size=3 * N + 2,
+    ))
+    got = CycloScalar.from_poly(N, poly)
+    assert got.coeffs == _ref_reduce(N, poly)
+    assert _canonical_zeros(got)
+
+
+@pytest.mark.parametrize("N", _FIELD_ORDERS)
+def test_cyclotomic_polynomial_matches_the_fraction_reference(N):
+    assert cyclotomic_polynomial(N) == tuple(_ref_phi(N))
+
+
+def test_zeros_that_are_not_shared_still_count_as_zero():
+    fresh = CycloScalar(12, [Fraction(0), Fraction(0), Fraction(3, 2), Fraction(0)])
+    shared = CycloScalar.rational(Fraction(3, 2), 12) * zeta(12, 2)
+    assert fresh == shared
+    assert fresh.text() == shared.text() == "3/2*z(12,2)"
+    assert not fresh.is_rational()
+    assert CycloScalar(12, [Fraction(0)] * 4).is_zero()
+    assert not CycloScalar(12, [Fraction(0)] * 4)
+    assert CycloScalar(12, [Fraction(5)] + [Fraction(0)] * 3).is_rational()
+    assert (fresh * fresh.inverse()).rational_value() == 1
+
+
+@pytest.mark.parametrize("N", [1, 4, 12, 60, 105, 420])
+def test_reduction_matches_sympy_rem(N):
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    x = sympy.symbols("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(N, x), x, domain="QQ")
+    rng = random.Random(N)
+    for _ in range(3):
+        poly = [
+            Fraction(rng.randint(-20, 20), rng.randint(1, 9)) if rng.random() < 0.3 else 0
+            for _ in range(rng.randint(1, 2 * N + 3))
+        ]
+        p = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, reversed(poly))],
+            x, domain="QQ",
+        )
+        rem = [Fraction(str(c)) for c in reversed(p.rem(phi).all_coeffs())]
+        want = tuple(rem + [Fraction(0)] * (euler_phi(N) - len(rem)))
+        assert CycloScalar.from_poly(N, poly).coeffs == want
