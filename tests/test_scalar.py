@@ -1,7 +1,9 @@
 """Exact cyclotomic arithmetic."""
 
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from c5cone import (
     to_complex,
     zeta,
 )
-from c5cone.scalar import euler_phi
+from c5cone.scalar import _F0, euler_phi
 
 _ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -219,20 +221,16 @@ def _ref_divmod(a, b):
     return q, a[: len(b) - 1]
 
 
-_REF_PHI = {}
-
-
+@lru_cache(maxsize=None)
 def _ref_phi(N):
-    if N not in _REF_PHI:
-        num = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]
-        den = [Fraction(1)]
-        for d in range(1, N):
-            if N % d == 0:
-                den = _ref_mul(den, _ref_phi(d))
-        q, r = _ref_divmod(num, den)
-        assert not any(r)
-        _REF_PHI[N] = q
-    return _REF_PHI[N]
+    num = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, N):
+        if N % d == 0:
+            den = _ref_mul(den, _ref_phi(d))
+    q, r = _ref_divmod(num, den)
+    assert not any(r)
+    return tuple(q)
 
 
 def _ref_reduce(N, poly):
@@ -274,8 +272,6 @@ def field_elements(draw, N=None):
 
 
 def _canonical_zeros(a):
-    from c5cone.scalar import _F0
-
     return all(c is _F0 for c in a.coeffs if not c)
 
 
@@ -333,7 +329,7 @@ def test_from_poly_reduces_like_the_fraction_reference(N, data):
 
 @pytest.mark.parametrize("N", _FIELD_ORDERS)
 def test_cyclotomic_polynomial_matches_the_fraction_reference(N):
-    assert cyclotomic_polynomial(N) == tuple(_ref_phi(N))
+    assert cyclotomic_polynomial(N) == _ref_phi(N)
 
 
 def test_zeros_that_are_not_shared_still_count_as_zero():
@@ -351,8 +347,6 @@ def test_zeros_that_are_not_shared_still_count_as_zero():
 @pytest.mark.parametrize("N", [1, 4, 12, 60, 105, 420])
 def test_reduction_matches_sympy_rem(N):
     sympy = pytest.importorskip("sympy")
-    import random
-
     x = sympy.symbols("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(N, x), x, domain="QQ")
     rng = random.Random(N)
