@@ -10,9 +10,8 @@ degenerates to its tangent line.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .auxiliary import (
     AuxRecord,
@@ -171,21 +170,28 @@ def bound2(c: Curve) -> int:
 # Product equation in ambient dimension 3.
 
 
-def integer_normalized_form(form) -> tuple:
-    """Scale a covector with rational entries to coprime integers, first
-    nonzero entry positive. Entries outside Q are returned unchanged."""
+def integer_form(form) -> Optional[tuple]:
+    """A covector with rational entries scaled to coprime ints, first
+    nonzero entry positive; None when an entry lies outside Q."""
     values = []
     for e in form:
         if not e.is_rational():
-            return tuple(form)
+            return None
         values.append(e.rational_value())
-    den_lcm = math.lcm(*(v.denominator for v in values if v != 0))
-    ints = [v * den_lcm for v in values]
-    g = math.gcd(*(int(v) for v in ints if v != 0))
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
+    den_lcm = math.lcm(*(v.denominator for v in values if v))
+    ints = [v.numerator * (den_lcm // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(CycloScalar.rational(Fraction(int(v), g)) for v in ints)
+    return tuple(v // g for v in ints)
+
+
+def integer_normalized_form(form) -> tuple:
+    """integer_form as scalars. Entries outside Q are returned unchanged."""
+    ints = integer_form(form)
+    if ints is None:
+        return tuple(form)
+    return tuple(CycloScalar.rational(v) for v in ints)
 
 
 def _poly_mul_form(poly: dict, form: tuple) -> dict:

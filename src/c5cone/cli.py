@@ -18,6 +18,7 @@ JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .c5 import (
     C5Cone,
     bound1,
     bound2,
-    integer_normalized_form,
+    integer_form,
     polynomial_text,
     product_equation,
 )
@@ -73,21 +74,23 @@ def _row_texts(row):
 
 
 def form_text(form, names) -> str:
-    """Linear form as readable text, e.g. 'y - 2*z'."""
+    """Linear form as readable text, e.g. 'y - 2*z'. Entries are scalars
+    or rationals (int or Fraction)."""
     parts = []
     for c, name in zip(form, names):
-        if c.is_zero():
+        if isinstance(c, CycloScalar):
+            if not c.is_rational():
+                parts.append(f"({c.text()})*{name}")
+                continue
+            c = c.rational_value()
+        if c == 0:
             continue
-        if c.is_rational():
-            q = c.rational_value()
-            if q == 1:
-                text = name
-            elif q == -1:
-                text = f"-{name}"
-            else:
-                text = f"{q}*{name}"
+        if c == 1:
+            text = name
+        elif c == -1:
+            text = f"-{name}"
         else:
-            text = f"({c.text()})*{name}"
+            text = f"{c}*{name}"
         parts.append(text)
     if not parts:
         return "0"
@@ -107,8 +110,7 @@ def component_equations(component, names):
     else:
         rows = [list(component.vec)]
     return [
-        form_text(integer_normalized_form(eq), names)
-        for eq in null_space(rows)
+        form_text(integer_form(eq) or eq, names) for eq in null_space(rows)
     ]
 
 
@@ -498,7 +500,9 @@ def cmd_verify(args) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="c5cone",
         description="Exact bi-secant limit cones of complex curve germs.",
@@ -514,13 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list one characteristic record per root order instead of all",
     )
-    p_analyze.set_defaults(handler=cmd_analyze)
 
     p_compare = sub.add_parser("compare", help="bi-Lipschitz equivalence")
     p_compare.add_argument("file_a")
     p_compare.add_argument("file_b")
     p_compare.add_argument("--json", action="store_true")
-    p_compare.set_defaults(handler=cmd_compare)
 
     p_project = sub.add_parser("project", help="plane projection analysis")
     p_project.add_argument("file")
@@ -528,27 +530,26 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--kernel", help="kernel rows, e.g. '[[0,0,1]]'")
     group.add_argument("--auto", action="store_true")
     p_project.add_argument("--json", action="store_true")
-    p_project.set_defaults(handler=cmd_project)
 
     p_verify = sub.add_parser("verify", help="numeric cross-check of the cone")
     p_verify.add_argument("file")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
-        "--radii", type=float, nargs="+", default=list(DEFAULT_RADII)
+        "--radii", type=float, nargs="+", default=DEFAULT_RADII
     )
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_verify.add_argument("--override-planes", help=argparse.SUPPRESS)
-    p_verify.set_defaults(handler=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler replaced on the module still runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except EngineError as exc:
         print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
         return 2

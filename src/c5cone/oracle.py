@@ -25,6 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
@@ -44,6 +47,10 @@ PRNG_NAME = "mt19937"
 _SKIP_U = 0.3
 _NOISE_EXPONENT = 7  # keep cancellation noise near 1e-9 at the smallest u
 _FLOOR_U = 1e-4
+# Noise floor of a residual distance sqrt(1 - |projection|^2): rounding in
+# the projection leaves 1 - |projection|^2 a few ulps of 1 off, which reads
+# as distances sqrt(j*eps/2), j = 1..8 (1.1e-8 to 3.0e-8).
+_CONVERGED = 2 * math.sqrt(sys.float_info.epsilon)
 # Exponents above this are evaluated as this: every evaluation point has
 # |u| < 1, where u**e is already 0.0 in doubles, and a larger int would
 # overflow its conversion to float.
@@ -184,10 +191,9 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
         direction = [z / scale for z in alpha]
         target_distances.append(_residual(direction, target))
         plane_distances.append(_residual(direction, plane_basis))
-    monotone = (
-        len(target_distances) >= 3
-        and target_distances[-3] >= target_distances[-2] >= target_distances[-1]
-    )
+    # a distance at the noise floor has converged: no later one must fall
+    last = [max(d, _CONVERGED) for d in target_distances[-3:]]
+    monotone = len(last) == 3 and last[0] >= last[1] >= last[2]
     return WitnessResult(
         kind, labels, k, group_order, k_theta, u_values,
         tuple(target_distances), tuple(plane_distances), monotone, False, None,
@@ -313,23 +319,51 @@ def _derived_rng(seed: int, source_index: int, radius_index: int) -> random.Rand
     return random.Random(mixed)
 
 
-def _draw_point(rng: random.Random, radius: float) -> complex:
-    r = radius * (0.5 + 0.5 * rng.random())
-    return r * cmath.exp(2j * math.pi * rng.random())
+def _coordinate_terms(p: Parametrization):
+    """Per coordinate, the complex coefficients and the exponents of its
+    terms, as two tuples."""
+    return [
+        (tuple(c for _, c in series), tuple(e for e, _ in series))
+        for series in _complex_terms(p)
+    ]
 
 
-def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
+def _sample_source(pairs, radius, count, rng, rows, track):
+    """Max over count samples of the distance to the nearest component.
+
+    pairs holds the two branches' _coordinate_terms, zipped per coordinate;
+    rows holds each component's orthonormal basis rows, conjugated. With
+    track, also the per-component minimum distances; without, a sample stops
+    scanning at the first component within the running maximum, which it
+    can no longer raise.
+
+    The loop runs the float operations of _eval_param, _norm and _residual
+    inline, on the same operands in the same order, so the report does not
+    depend on how it is organized.
+    """
+    draw = rng.random
+    exp = cmath.exp
+    hypot = math.hypot
+    sqrt = math.sqrt
+    turn = 2j * math.pi
     max_distance = 0.0
-    mins = [math.inf] * len(bases)
+    mins = [math.inf] * len(rows)
     degenerate = 0
     produced = 0
     while produced < count:
-        u = _draw_point(rng, radius)
-        v = _draw_point(rng, radius)
-        p = _eval_param(cterms_i, u)
-        q = _eval_param(cterms_j, v)
-        delta = [a - b for a, b in zip(p, q)]
-        scale = _norm(delta)
+        u = radius * (0.5 + 0.5 * draw()) * exp(turn * draw())
+        v = radius * (0.5 + 0.5 * draw()) * exp(turn * draw())
+        us = repeat(u)  # u over and over, to raise to each exponent
+        vs = repeat(v)
+        delta = []
+        parts = []  # hypot scales internally: no square underflows
+        for (ci, ei), (cj, ej) in pairs:
+            z = (sum(map(mul, ci, map(pow, us, ei)))
+                 - sum(map(mul, cj, map(pow, vs, ej))))
+            delta.append(z)
+            parts.append(z.real)
+            parts.append(z.imag)
+        scale = hypot(*parts)
         if scale < 1e-280:
             degenerate += 1
             if degenerate > 100 * count:
@@ -338,17 +372,24 @@ def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
                     radius=radius,
                 )
             continue
+        produced += 1
         direction = [z / scale for z in delta]
         best = math.inf
-        for idx, basis in enumerate(bases):
-            d = _residual(direction, basis)
-            if d < mins[idx]:
-                mins[idx] = d
+        for idx, basis in enumerate(rows):
+            total = 0.0
+            for row in basis:
+                total += abs(sum(map(mul, row, direction))) ** 2
+            d = sqrt(max(0.0, 1.0 - total))
+            if track:
+                if d < mins[idx]:
+                    mins[idx] = d
+            elif d <= max_distance:
+                best = d  # so the sample cannot raise the maximum
+                break
             if d < best:
                 best = d
         if best > max_distance:
             max_distance = best
-        produced += 1
     return max_distance, mins, degenerate
 
 
@@ -384,21 +425,27 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
             )
     if cone is None:
         cone = c5_cone(c)
-    bases = [component_basis(comp) for comp in cone.components]
-    cterms = [_complex_terms(b.param) for b in c.branches]
+    rows = [
+        [[z.conjugate() for z in row] for row in component_basis(comp)]
+        for comp in cone.components
+    ]
+    terms = [_coordinate_terms(b.param) for b in c.branches]
     r = len(c.branches)
     sources = [(i, i) for i in range(r)] + [
         (i, j) for i in range(r) for j in range(i + 1, r)
     ]
+    pairs = [list(zip(terms[i], terms[j])) for i, j in sources]
     per_radius = []
     degenerate_total = 0
+    smallest = len(radii) - 1
     for radius_index, radius in enumerate(radii):
         outcomes = [
             _sample_source(
-                cterms[i], cterms[j], radius, k,
-                _derived_rng(seed, source_index, radius_index), bases,
+                source_pairs, radius, k,
+                _derived_rng(seed, source_index, radius_index), rows,
+                radius_index == smallest,
             )
-            for source_index, (i, j) in enumerate(sources)
+            for source_index, source_pairs in enumerate(pairs)
         ]
         per_radius.append((radius, max(o[0] for o in outcomes)))
         degenerate_total += sum(o[2] for o in outcomes)

@@ -413,3 +413,28 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out == "0.1.0"
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def test_parser_is_built_once_and_handlers_looked_up_per_call(
+    capsys, fixtures_dir, monkeypatch
+):
+    space_cusp = fixture(fixtures_dir, "space_cusp")
+    first, _, _ = run_json(capsys, "compare", space_cusp, space_cusp, "--json")
+    parser = c5cone.cli._parser()
+    seen = []
+
+    def handler(args):
+        seen.append(args.file_a)
+        return 7
+
+    monkeypatch.setattr(c5cone.cli, "cmd_compare", handler)
+    assert main(["compare", space_cusp, space_cusp]) == 7
+    assert seen == [space_cusp]
+    monkeypatch.undo()
+    again, data, _ = run_json(capsys, "compare", space_cusp, space_cusp, "--json")
+    assert c5cone.cli._parser() is parser
+    assert (first, again, data["equivalent"]) == (0, 0, True)

@@ -1,6 +1,7 @@
 """Floating-point cross-check: witness families and secant sampling."""
 
 import math
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from c5cone.oracle import (
     DEFAULT_TOLERANCE,
     PRNG_NAME,
 )
+from random_curves import random_curve_with_cone
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +211,32 @@ def test_wider_radii_avoid_the_underflow():
     c = curve_from_exponents([[150, [(151, 1)]]])
     report = sample_secant_directions(c, radii=(0.5, 0.25), k=10)
     assert report.samples_per_radius == 10
+
+
+# ---------------------------------------------------------------------------
+# witness convergence at the noise floor
+
+
+def _seed7_curves(count):
+    rng = random.Random(7)
+    return [random_curve_with_cone(rng) for _ in range(count)]
+
+
+def test_noise_floor_distances_count_as_converged():
+    # curve 15 of seed 7: a non-tangent family already at the target to
+    # double precision, whose last distances read 0, 0, 2.1e-8
+    c, cone = _seed7_curves(16)[15]
+    (w,) = [w for w in cone_witness_results(c, cone) if w.kind == "non-tangent"]
+    tail = w.target_distances[-3:]
+    assert not tail[0] >= tail[1] >= tail[2]  # the strict test fails on noise
+    assert max(tail) < 3e-8
+    assert w.monotone
+    assert w.final_plane_distance <= DEFAULT_TOLERANCE
+
+
+def test_non_tangent_families_converge_on_random_curves():
+    for index, (c, cone) in enumerate(_seed7_curves(200)):
+        for w in cone_witness_results(c, cone):
+            if w.kind == "non-tangent":
+                assert w.monotone, (index, w.target_distances)
+                assert w.final_plane_distance <= DEFAULT_TOLERANCE, index
