@@ -26,13 +26,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DuplicateBranch, IncompatibleSystem, NonPrimitiveParametrization
-from .geometry import (
-    Branch,
-    Direction,
-    Plane,
-    plane_from_vectors,
-    tangent_direction,
-)
+from .geometry import Branch, Direction, Plane, plane_from_vectors
 from .scalar import CycloScalar, common_conductor, root_of_unity
 
 _ZERO = CycloScalar.rational(0)
@@ -74,18 +68,22 @@ def characteristic_order(b: Branch, k: int) -> int:
 def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> AuxRecord:
     """Auxiliary record of phi(u) - phi(theta*u) for theta = zeta_m^k != 1.
 
-    v_theta is the direction of phi's coefficient vector at m_theta: the
-    difference's vector there is that one times the nonzero scalar
-    1 - theta^m_theta. So v_theta and the plane depend on m_theta alone;
-    leading, when given, holds them per m_theta across calls on one branch.
+    m_theta depends on k only through d = ord(theta); v_theta is the
+    direction of phi's coefficient vector at m_theta (the difference's is
+    that one times 1 - theta^m_theta != 0). leading, when given, holds
+    (m_theta, v_theta, plane) per d across calls on one branch, one v_theta
+    and one plane per m_theta.
     """
-    m_theta = characteristic_order(b, k)
-    if leading is None:
-        leading = {}
-    if m_theta not in leading:
-        v_theta = Direction(series.coefficient(m_theta) for series in b.param.coords)
-        leading[m_theta] = (v_theta, plane_from_vectors(tangent_direction(b), v_theta))
-    v_theta, plane = leading[m_theta]
+    leading = {} if leading is None else leading
+    d = b.m // math.gcd(b.m, k)
+    if d not in leading:
+        m_theta = characteristic_order(b, k)
+        shared = next((v for v in leading.values() if v[0] == m_theta), None)
+        if shared is None:
+            v_theta = Direction(series.coefficient(m_theta) for series in b.param.coords)
+            shared = (m_theta, v_theta, plane_from_vectors(b.tangent, v_theta))
+        leading[d] = shared
+    m_theta, v_theta, plane = leading[d]
     return AuxRecord(
         kind="characteristic",
         labels=(b.label,),
@@ -98,19 +96,29 @@ def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> Aux
     )
 
 
-def contact_leading(bi: Branch, bj: Branch, k: int) -> tuple:
+def _rescaled(bi: Branch, bj: Branch) -> tuple:
+    """What every theta of a pair shares: lcm, conductor, both supports
+    rescaled to order lcm, merged exponents, tangency, roots as read."""
+    lcm = math.lcm(bi.m, bj.m)
+    left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
+    right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
+    conductor = common_conductor(bi.conductor, bj.conductor)
+    exponents = sorted(set().union(*left, *right))
+    return lcm, conductor, left, right, exponents, bi.tangent == bj.tangent, {}
+
+
+def contact_leading(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None) -> tuple:
     """(m_theta, lowest-order coefficient vector) of
-    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k.
+    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k. pair,
+    when given, is _rescaled(bi, bj), built once for all k.
 
     Raises DuplicateBranch when the difference vanishes: the two branches
     have the same image.
     """
-    lcm = math.lcm(bi.m, bj.m)
-    conductor = common_conductor(bi.conductor, bj.conductor)
-    left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
-    right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
-    for E in sorted(set().union(*left, *right)):
-        twist = root_of_unity(conductor, lcm, k * E)
+    lcm, conductor, left, right, exponents, _, roots = pair or _rescaled(bi, bj)
+    for E in exponents:
+        j = k * E % lcm
+        twist = roots.get(j) or roots.setdefault(j, root_of_unity(conductor, lcm, j))
         vec = []
         for lhs, rhs in zip(left, right):
             if E in rhs:
@@ -135,26 +143,23 @@ def _check_common_special(bi: Branch, bj: Branch) -> None:
         )
 
 
-def contact_aux(bi: Branch, bj: Branch, k: int) -> AuxRecord:
+def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None) -> AuxRecord:
     """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
-    theta = zeta_lcm^k, lcm = lcm(m_i, m_j) (theta = 1 allowed)."""
-    lcm = math.lcm(bi.m, bj.m)
-    ti = tangent_direction(bi)
-    tj = tangent_direction(bj)
-    tangent_pair = ti == tj
+    theta = zeta_lcm^k (theta = 1 allowed); pair as for contact_leading."""
+    lcm, conductor, *_, tangent_pair, _ = pair = pair or _rescaled(bi, bj)
     if tangent_pair:
         _check_common_special(bi, bj)
-    m_theta, lowest = contact_leading(bi, bj, k)
+    m_theta, lowest = contact_leading(bi, bj, k, pair)
     v_theta = Direction(lowest)
     return AuxRecord(
         kind="contact",
         labels=(bi.label, bj.label),
         group_order=lcm,
         k=k,
-        theta=root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k),
+        theta=root_of_unity(conductor, lcm, k),
         m_theta=m_theta,
         v_theta=v_theta,
-        plane=plane_from_vectors(ti, v_theta if tangent_pair else tj),
+        plane=plane_from_vectors(bi.tangent, v_theta if tangent_pair else bj.tangent),
     )
 
 
@@ -176,8 +181,8 @@ def contact_records(bi: Branch, bj: Branch) -> list:
     No representative shortcut exists here: same-order thetas can yield
     different planes.
     """
-    lcm = math.lcm(bi.m, bj.m)
-    return [contact_aux(bi, bj, k) for k in range(lcm)]
+    pair = _rescaled(bi, bj)
+    return [contact_aux(bi, bj, k, pair) for k in range(pair[0])]
 
 
 def cham(b: Branch) -> frozenset:
@@ -196,7 +201,8 @@ def coam(bi: Branch, bj: Branch) -> tuple:
     its rescaled branches start at order lcm and their leading vectors, the
     two tangents, are not proportional."""
     lcm = math.lcm(bi.m, bj.m)
-    if tangent_direction(bi) != tangent_direction(bj):
+    if bi.tangent != bj.tangent:
         return (lcm,) * lcm
     _check_common_special(bi, bj)
-    return tuple(sorted(contact_leading(bi, bj, k)[0] for k in range(lcm)))
+    pair = _rescaled(bi, bj)
+    return tuple(sorted(contact_leading(bi, bj, k, pair)[0] for k in range(lcm)))

@@ -49,7 +49,7 @@ class Analysis:
     def __init__(self, c: Curve):
         self.curve = c
         self._characteristic = {}  # (branch index, k) -> record
-        # per branch: m_theta -> (v_theta, plane), shared by its records
+        # per branch: order d -> (m_theta, v_theta, plane), shared by its records
         self._leading = [{} for _ in c.branches]
 
     @cached_property

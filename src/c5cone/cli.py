@@ -36,12 +36,7 @@ from .c5 import (
 )
 from .documents import dumps_document, read_curve, to_document
 from .errors import EngineError, InvalidDocument
-from .geometry import (
-    Curve,
-    Plane,
-    null_space,
-    tangent_direction,
-)
+from .geometry import Curve, Plane, component_rows, null_space, tangent_direction
 from .invariants import bilipschitz_equivalent
 from .oracle import (
     DEFAULT_RADII,
@@ -105,22 +100,14 @@ def form_text(form, names) -> str:
 
 def component_equations(component, names):
     """Equation texts of a cone component (plane or line)."""
-    if hasattr(component, "basis"):
-        rows = [list(r) for r in component.basis]
-    else:
-        rows = [list(component.vec)]
-    return [
-        form_text(integer_form(eq) or eq, names) for eq in null_space(rows)
-    ]
+    rows = component_rows(component)
+    return [form_text(integer_form(eq) or eq, names) for eq in null_space(rows)]
 
 
 def component_json(component, names, equations=None):
     """Basis and equation texts of a cone component; equations, when
     given, are its already rendered equation texts."""
-    if hasattr(component, "basis"):
-        basis = [_row_texts(r) for r in component.basis]
-    else:
-        basis = [_row_texts(component.vec)]
+    basis = [_row_texts(r) for r in component_rows(component)]
     if equations is None:
         equations = component_equations(component, names)
     return {"basis": basis, "equations": equations}

@@ -173,6 +173,11 @@ def plane_from_vectors(w: Direction, v: Direction) -> Plane:
     return Plane([list(w.vec), list(v.vec)])
 
 
+def component_rows(component) -> tuple:
+    """Basis rows of a cone component: a plane's two, a line's direction."""
+    return component.basis if isinstance(component, Plane) else (component.vec,)
+
+
 def plane_equations(p: Plane):
     """n-2 independent linear forms (covectors) vanishing exactly on p,
     in canonical order."""
@@ -185,9 +190,9 @@ def plane_equations(p: Plane):
 
 class Branch:
     """A validated irreducible germ: primitive Puiseux-form parametrization
-    with its multiplicity and special coordinate set."""
+    with its multiplicity, special coordinate set and tangent direction."""
 
-    __slots__ = ("param", "m", "special_coords", "label", "conductor")
+    __slots__ = ("param", "m", "special_coords", "label", "conductor", "tangent")
 
     def __init__(self, param: Parametrization, label: str = "b", conductor: int | None = None):
         if not is_primitive(param):
@@ -217,6 +222,8 @@ class Branch:
         self.special_coords = special
         self.label = label
         self.conductor = target
+        # the coefficients of u^m; nonzero, since a special coordinate is u^m
+        self.tangent = Direction(series.coefficient(m) for series in param.coords)
 
     @property
     def n(self) -> int:
@@ -260,8 +267,8 @@ def curve(branches: Iterable[Branch]) -> Curve:
 
 def tangent_direction(b: Branch) -> Direction:
     """Direction of lowest-order coefficients: entry j is the coefficient of
-    u^m in coordinate j."""
-    return Direction(series.coefficient(b.m) for series in b.param.coords)
+    u^m in coordinate j. Built once, with the branch."""
+    return b.tangent
 
 
 class TangencyClassification(NamedTuple):

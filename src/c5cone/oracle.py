@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 from .auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
 from .c5 import Analysis, C5Cone, c5_cone
 from .errors import DegenerateSecant, FloatingPointUnderflow, InvalidSamplingParameter
-from .geometry import Branch, Curve, plane_from_vectors, tangent_direction
+from .geometry import Branch, Curve, component_rows, plane_from_vectors, tangent_direction
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization, substitute_power
 
@@ -100,11 +100,9 @@ def _residual(unit_vec, basis) -> float:
 
 def component_basis(component):
     """Orthonormal complex basis of a cone component (plane or line)."""
-    if hasattr(component, "basis"):
-        rows = [[to_complex(e) for e in row] for row in component.basis]
-    else:
-        rows = [[to_complex(e) for e in component.vec]]
-    return _orthonormalize(rows)
+    return _orthonormalize(
+        [[to_complex(e) for e in row] for row in component_rows(component)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ computable and tested against each other.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from typing import NamedTuple, Optional
 
 from .c5 import C5Cone, c5_cone
@@ -20,23 +21,20 @@ from .errors import (
     NoCommonSpecialCoordinate,
     ProjectionSearchExhausted,
 )
-from .geometry import Branch, Curve, curve, matrix_rank, null_space, rref
+from .geometry import Branch, Curve, Plane, curve, matrix_rank, null_space, rref
 from .invariants import profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
 
 _SEARCH_CAP = 50
+_ZERO = CycloScalar.rational(0)
 
 
 def _coerce_rows(rows):
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                e if isinstance(e, CycloScalar) else CycloScalar.rational(e)
-                for e in row
-            )
-        )
+    out = [
+        tuple(e if isinstance(e, CycloScalar) else CycloScalar.rational(e) for e in row)
+        for row in rows
+    ]
     widths = {len(r) for r in out}
     if len(widths) != 1:
         raise DimensionMismatch(f"ragged matrix rows of widths {sorted(widths)}")
@@ -44,10 +42,8 @@ def _coerce_rows(rows):
 
 
 class LinearProjection:
-    """Surjective linear map C^n -> C^2 as a 2 x n matrix, with its kernel
-    basis (RREF, cached) alongside."""
-
-    __slots__ = ("matrix", "kernel_basis")
+    """Surjective linear map C^n -> C^2 as a 2 x n matrix. Its kernel basis
+    (RREF) is built when first read; only output needs it."""
 
     def __init__(self, rows):
         rows = _coerce_rows(rows)
@@ -56,9 +52,10 @@ class LinearProjection:
         if matrix_rank([list(r) for r in rows]) != 2:
             raise DependentVectors("projection matrix has rank < 2")
         self.matrix = tuple(rows)
-        self.kernel_basis = tuple(
-            tuple(r) for r in null_space([list(r) for r in rows])
-        )
+
+    @cached_property
+    def kernel_basis(self) -> tuple:
+        return tuple(tuple(r) for r in null_space([list(r) for r in self.matrix]))
 
     @property
     def n(self) -> int:
@@ -79,8 +76,7 @@ class LinearProjection:
 
     @classmethod
     def identity(cls) -> "LinearProjection":
-        one, zero = CycloScalar.rational(1), CycloScalar.rational(0)
-        return cls([(one, zero), (zero, one)])
+        return cls([(1, 0), (0, 1)])
 
     def __repr__(self):
         rows = "; ".join(
@@ -102,23 +98,25 @@ class GenericityVerdict(NamedTuple):
     violating_component: object  # Plane or Direction, None when generic
 
 
-def _component_clears_kernel(component, kernel_rows) -> bool:
-    if hasattr(component, "basis"):
-        rows = [list(r) for r in component.basis]
-    else:
-        rows = [list(component.vec)]
-    stacked = [list(r) for r in kernel_rows] + rows
-    return matrix_rank(stacked) == len(kernel_rows) + len(rows)
+def _dot(row, vec) -> CycloScalar:
+    return sum((a * b for a, b in zip(row, vec) if a and b), _ZERO)
 
 
 def is_c5_generic(c: Curve, proj: LinearProjection, cone: Optional[C5Cone] = None) -> GenericityVerdict:
-    """Generic iff the kernel meets every cone component only at 0, checked
-    as a full-rank condition on the stacked kernel and component bases."""
+    """Generic iff the kernel meets every cone component only at 0, that is
+    iff the projection is injective on each: det(pi*p1, pi*p2) != 0 for a
+    plane with basis rows p1, p2, and pi*v != 0 for a line along v."""
     _check_dimension(c, proj)
     if cone is None:
         cone = c5_cone(c)
+    r1, r2 = proj.matrix
     for component in cone.components:
-        if not _component_clears_kernel(component, proj.kernel_basis):
+        if isinstance(component, Plane):
+            p1, p2 = component.basis
+            injective = _dot(r1, p1) * _dot(r2, p2) != _dot(r1, p2) * _dot(r2, p1)
+        else:
+            injective = bool(_dot(r1, component.vec) or _dot(r2, component.vec))
+        if not injective:
             return GenericityVerdict(False, component)
     return GenericityVerdict(True, None)
 
@@ -150,11 +148,22 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     )
 
 
+def _transverse(component, s: int):
+    """w with pi = (x_s, lambda*x) injective on the component iff lambda*w
+    != 0: p1[s]*p2 - p2[s]*p1 for a plane (det(pi*p1, pi*p2) = lambda*w),
+    v for a line along v with v[s] = 0; None when v[s] != 0 (always kept)."""
+    if isinstance(component, Plane):
+        p1, p2 = component.basis
+        return [p1[s] * b - p2[s] * a for a, b in zip(p1, p2)]
+    return None if component.vec[s] else component.vec
+
+
 def find_generic_projection(c: Curve) -> LinearProjection:
     """Deterministic search for a generic projection of the normal shape
     (x_s, sum of lambda_k x_k, k != s) with s special in every branch:
     all-ones lambda first, then integer tuples by increasing max-norm, up
-    to max-norm _SEARCH_CAP."""
+    to max-norm _SEARCH_CAP. lambda is generic iff lambda*w != 0 for the
+    vector w of every cone component (see _transverse)."""
     n = c.n
     if n == 2:
         return LinearProjection.identity()
@@ -165,27 +174,18 @@ def find_generic_projection(c: Curve) -> LinearProjection:
             special=[sorted(b.special_coords) for b in c.branches],
         )
     s = min(universal)
-    cone = c5_cone(c)
-    zero, one = CycloScalar.rational(0), CycloScalar.rational(1)
-    row1 = tuple(one if idx == s else zero for idx in range(n))
-    others = [idx for idx in range(n) if idx != s]
-
-    def candidates():
-        all_ones = (1,) * len(others)
-        yield all_ones
-        for norm in range(1, _SEARCH_CAP + 1):
-            for lam in product(range(-norm, norm + 1), repeat=len(others)):
-                if max(abs(v) for v in lam) != norm or lam == all_ones:
-                    continue
-                yield lam
-
-    for lam in candidates():
-        row2 = [zero] * n
-        for idx, value in zip(others, lam):
-            row2[idx] = CycloScalar.rational(value)
-        proj = LinearProjection([row1, tuple(row2)])
-        if is_c5_generic(c, proj, cone).generic:
-            return proj
+    transverse = [w for p in c5_cone(c).components if (w := _transverse(p, s)) is not None]
+    all_ones = (1,) * (n - 1)
+    shells = (
+        lam
+        for norm in range(1, _SEARCH_CAP + 1)
+        for lam in product(range(-norm, norm + 1), repeat=n - 1)
+        if max(map(abs, lam)) == norm and lam != all_ones
+    )
+    for lam in chain([all_ones], shells):
+        row2 = lam[:s] + (0,) + lam[s:]  # lambda, with 0 at s
+        if all(_dot(row2, w) for w in transverse):
+            return LinearProjection([[int(idx == s) for idx in range(n)], row2])
     raise ProjectionSearchExhausted(
         f"no generic projection among the candidates of max-norm up to {_SEARCH_CAP}",
         search_cap=_SEARCH_CAP,

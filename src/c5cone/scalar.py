@@ -262,6 +262,8 @@ class CycloScalar:
         if M % N:
             raise ValueError(f"cannot embed conductor {N} into {M}")
         _check_conductor(M)
+        if self.is_rational():  # the same constant term in every field
+            return CycloScalar.rational(self.coeffs[0], M)
         step = M // N
         ints, den = _scaled(self.coeffs)
         poly = [0] * (step * (len(ints) - 1) + 1)

@@ -316,6 +316,7 @@ def test_an_invariant_theta_is_rejected(load):
     for slot in Branch.__slots__:
         setattr(covered, slot, getattr(square, slot))
     covered.param = Parametrization(square.param.coords[:2])
+    covered.tangent = Direction(s.coefficient(covered.m) for s in covered.param.coords)
     with pytest.raises(NonPrimitiveParametrization):
         characteristic_reference(covered, 2)
     with pytest.raises(NonPrimitiveParametrization):

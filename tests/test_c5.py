@@ -294,3 +294,29 @@ def test_analysis_agrees_with_the_standalone_functions():
                 assert [(r.k, r.m_theta, r.plane.key()) for r in listed] == [
                     (r.k, r.m_theta, r.plane.key()) for r in reference
                 ]
+
+
+@pytest.mark.parametrize("name", ["m16_four_planes", "four_branches", "contact_structure_pair"])
+def test_characteristic_orders_are_read_once_per_root_order(monkeypatch, load, name):
+    c = load(name)
+    counts = count_engine_calls(monkeypatch, ("characteristic_order",))
+    analysis = Analysis(c)
+    for i in sorted(analysis.classification.S):
+        analysis.characteristic_records(i)
+        analysis.representative_records(i)
+    # one scan of the supports per order d > 1 of a root, not one per k
+    orders = sum(len(auxiliary.representative_ks(b.m)) for b in c.branches)
+    assert orders < sum(b.m - 1 for b in c.branches)
+    assert counts == {"characteristic_order": orders}
+
+
+def test_analyze_reads_the_one_root_order_of_a_prime_multiplicity_twice(
+    monkeypatch, capsys, fixtures_dir
+):
+    # m = 2017 is prime, so its 2016 characteristic records share one root
+    # order: the records read it once and ChAM once more
+    counts = count_engine_calls(monkeypatch, ("characteristic_order",))
+    path = str(fixtures_dir / "prime_multiplicity.json")
+    assert main(["analyze", "--json", path]) == 0
+    capsys.readouterr()
+    assert counts == {"characteristic_order": 2}

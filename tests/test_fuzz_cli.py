@@ -1,0 +1,143 @@
+"""Fuzzed documents and flags: every CLI run ends in exit 0, 1 or 2, no
+exception escapes cli.main, and exit 2 leaves one JSON object with an
+"error" key on standard error.
+
+Documents are valid fixtures with up to three mutations: a key removed
+or renamed, a value of the wrong type, a bad zeta_order (0, negative, past
+the conductor cap), a bad exponent, an empty list, a duplicated branch
+label. Flags are drawn well-typed, so argparse accepts them and the engine
+must judge them: --kernel matrices of any shape, --radii in and out of
+(0, 0.5], --samples up to 200 plus 0 and MAX_SAMPLES + 1. The n = 200
+fixture is left out to keep each example within its deadline.
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from c5cone.cli import main
+from c5cone.oracle import MAX_SAMPLES
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+NAMES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "prime_multiplicity")
+DOCUMENTS = {name: json.loads((FIXTURES / f"{name}.json").read_text()) for name in NAMES}
+
+JUNK = st.sampled_from([None, True, "x", "", 1.5, -1, 0, [], {}, [1], {"a": 1}, 10**50])
+BAD_ORDERS = st.sampled_from([0, -1, -12, 10081, 10**9, 10**30])
+BAD_EXPONENTS = st.sampled_from([0, -1, -7, 1, 2, 10**6])
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) below node; a path is a tuple of keys/indices."""
+    out = [(prefix, node)]
+    if isinstance(node, dict):
+        for key, value in node.items():
+            out += _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            out += _paths(value, prefix + (idx,))
+    return out
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _mutate(doc, data):
+    paths = [p for p, _ in _paths(doc) if p]
+    kind = data.draw(st.sampled_from(
+        ["drop", "rename", "junk", "order", "exponent", "empty", "duplicate", "n"]
+    ))
+    if kind in ("drop", "rename"):
+        keyed = [p for p in paths if isinstance(p[-1], str)]
+        path = data.draw(st.sampled_from(keyed))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent.pop(path[-1])
+        if kind == "rename":
+            parent[path[-1] + "_"] = value
+    elif kind == "junk":
+        _set(doc, data.draw(st.sampled_from(paths)), data.draw(JUNK))
+    elif kind in ("order", "exponent"):
+        field = "zeta_order" if kind == "order" else "exp"
+        hits = [p for p in paths if p[-1] == field]
+        if hits:
+            bad = BAD_ORDERS if kind == "order" else BAD_EXPONENTS
+            _set(doc, data.draw(st.sampled_from(hits)), data.draw(bad))
+    elif kind == "empty":
+        lists = [p for p, v in _paths(doc) if p and isinstance(v, list)]
+        _set(doc, data.draw(st.sampled_from(lists)), [])
+    elif kind == "duplicate":
+        branches = doc.get("branches")
+        if isinstance(branches, list) and branches:
+            branches.append(copy.deepcopy(branches[0]))
+    else:
+        doc["n"] = data.draw(st.sampled_from([0, 1, 2, 3, 4, -3, 10**6]))
+
+
+def _flags(data, doc):
+    command = data.draw(st.sampled_from(["analyze", "project", "verify", "compare"]))
+    if command == "analyze":
+        return ["analyze", data.draw(st.sampled_from([[], ["--json"], ["--reps"]]))]
+    if command == "compare":
+        other = str(FIXTURES / f"{data.draw(st.sampled_from(NAMES))}.json")
+        return ["compare", [other, "--json"]]
+    if command == "project":
+        if data.draw(st.booleans()):
+            return ["project", ["--auto", "--json"]]
+        n = doc.get("n") if isinstance(doc.get("n"), int) and 0 < doc.get("n") < 8 else 3
+        entry = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "x", "1/0"]))
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=n - 1, max_size=n + 1), min_size=0, max_size=n
+        ))
+        return ["project", ["--kernel", json.dumps(rows), "--json"]]
+    good = st.lists(st.sampled_from([0.5, 0.1, 0.01, 0.001]), min_size=1, max_size=3, unique=True)
+    radius = st.sampled_from([0.5, 0.1, 0.01, 0.0, -0.1, 0.7, float("nan")])
+    radii = data.draw(st.one_of(
+        good.map(lambda r: sorted(r, reverse=True)), st.lists(radius, min_size=1, max_size=3)
+    ))
+    samples = data.draw(st.one_of(st.integers(1, 200), st.sampled_from([0, MAX_SAMPLES + 1])))
+    seed = data.draw(st.integers(0, 5))
+    return ["verify", ["--radii", *map(str, radii), "--samples", str(samples),
+                       "--seed", str(seed)]]
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+@settings(
+    max_examples=150,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzzed_documents_and_flags_end_in_a_verdict_or_a_diagnostic(data, workdir, capsys):
+    name = data.draw(st.sampled_from(NAMES))
+    doc = copy.deepcopy(DOCUMENTS[name])
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        _mutate(doc, data)
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(doc))
+    command, flags = _flags(data, doc)
+    capsys.readouterr()
+    code = main([command, str(path), *flags])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    event(f"{command} exit {code}")
+    if code == 2:
+        diagnostic = json.loads(err)
+        assert isinstance(diagnostic, dict) and "error" in diagnostic
+        assert out == ""

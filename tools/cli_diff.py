@@ -1,0 +1,128 @@
+"""Run a fixed list of CLI invocations against two source trees and print
+every difference in stdout, stderr or exit code.
+
+    python3 tools/cli_diff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout root holding src/c5cone. The invocations read the
+fixtures of the new tree, so both sides see the same files:
+
+* analyze with and without --json and --reps;
+* project --auto, with and without --json, and --kernel with two kernels
+  (the last n-2 unit vectors, and e_2 - e_k for k = 3..n);
+* verify with default flags, with --json, and with --seed 3 --radii 0.1
+  0.01 0.001 --samples 57 --json;
+* compare over every ordered pair of fixtures.
+
+Each tree runs all invocations in one process of its own, through
+c5cone.cli.main with stdout and stderr captured. The exit status is 1 when
+any invocation differs, else 0. No engine code imports this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import subprocess
+import sys
+import time
+
+
+def invocations(fixtures: pathlib.Path) -> list:
+    paths = sorted(fixtures.glob("*.json"))
+    out = []
+    for path in paths:
+        f = str(path)
+        n = json.loads(path.read_text())["n"]
+        units = [[int(col == row) for col in range(n)] for row in range(2, n)]
+        diffs = [[int(col == 1) - int(col == k) for col in range(n)] for k in range(2, n)]
+        out += [
+            ["analyze", f],
+            ["analyze", f, "--json"],
+            ["analyze", f, "--reps"],
+            ["analyze", f, "--json", "--reps"],
+            ["project", f, "--auto"],
+            ["project", f, "--auto", "--json"],
+            ["project", f, "--kernel", json.dumps(units), "--json"],
+            ["project", f, "--kernel", json.dumps(diffs)],
+            ["verify", f],
+            ["verify", f, "--json"],
+            ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
+             "--samples", "57", "--json"],
+        ]
+    out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
+    return out
+
+
+def _worker(src: str) -> None:
+    """Run the invocations read from stdin with the engine under src and
+    write [exit code, stdout, stderr] for each to stdout as JSON."""
+    sys.path.insert(0, src)
+    from c5cone.cli import main
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an escape is a result to compare too
+                code = f"uncaught {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def _run(tree: pathlib.Path, calls: list) -> tuple:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree / "src")],
+        input=json.dumps(calls),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout), time.perf_counter() - start
+
+
+def _first_difference(a: str, b: str) -> str:
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}: {x[:100]!r} != {y[:100]!r}"
+    return f"{len(la)} lines != {len(lb)} lines"
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--worker":
+        _worker(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (pathlib.Path(p).resolve() for p in argv)
+    calls = invocations(new / "fixtures")
+    old_results, old_s = _run(old, calls)
+    new_results, new_s = _run(new, calls)
+    differences = 0
+    for argv_, a, b in zip(calls, old_results, new_results):
+        if a == b:
+            continue
+        differences += 1
+        shown = " ".join(pathlib.Path(x).name if x.endswith(".json") else x for x in argv_)
+        print(f"DIFF {shown}")
+        for name, x, y in zip(("exit", "stdout", "stderr"), a, b):
+            if x != y:
+                detail = f"{x} != {y}" if name == "exit" else _first_difference(x, y)
+                print(f"  {name}: {detail}")
+    print(
+        f"{len(calls)} invocations, {differences} differ "
+        f"(old {old_s:.1f} s, new {new_s:.1f} s)"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
