@@ -48,6 +48,7 @@ from .errors import (
     EngineError,
     FloatingPointUnderflow,
     IncompatibleSystem,
+    InvalidArgument,
     InvalidDocument,
     InvalidSamplingParameter,
     NoCommonSpecialCoordinate,
@@ -120,8 +121,6 @@ from .series import (
     order,
     puiseux_form_check,
     substitute_power,
-    substitute_scale,
-    subtract,
 )
 
 __version__ = "0.1.0"

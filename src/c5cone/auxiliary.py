@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DuplicateBranch, IncompatibleSystem, NonPrimitiveParametrization
-from .geometry import Branch, Direction, Plane, plane_from_vectors
+from .errors import DuplicateBranch, NonPrimitiveParametrization
+from .geometry import Branch, Direction, Plane, check_tangent_pair, plane_from_vectors
 from .scalar import CycloScalar, common_conductor, root_of_unity
 
 _ZERO = CycloScalar.rational(0)
@@ -134,21 +134,12 @@ def contact_leading(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None
     )
 
 
-def _check_common_special(bi: Branch, bj: Branch) -> None:
-    if not bi.special_coords & bj.special_coords:
-        raise IncompatibleSystem(
-            bi.label,
-            bj.label,
-            "contact of tangent branches needs a common special coordinate",
-        )
-
-
 def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None) -> AuxRecord:
     """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
     theta = zeta_lcm^k (theta = 1 allowed); pair as for contact_leading."""
     lcm, conductor, *_, tangent_pair, _ = pair = pair or _rescaled(bi, bj)
     if tangent_pair:
-        _check_common_special(bi, bj)
+        check_tangent_pair(bi, bj)
     m_theta, lowest = contact_leading(bi, bj, k, pair)
     v_theta = Direction(lowest)
     return AuxRecord(
@@ -203,6 +194,6 @@ def coam(bi: Branch, bj: Branch) -> tuple:
     lcm = math.lcm(bi.m, bj.m)
     if bi.tangent != bj.tangent:
         return (lcm,) * lcm
-    _check_common_special(bi, bj)
+    check_tangent_pair(bi, bj)
     pair = _rescaled(bi, bj)
     return tuple(sorted(contact_leading(bi, bj, k, pair)[0] for k in range(lcm)))

@@ -30,12 +30,13 @@ from .c5 import (
     C5Cone,
     bound1,
     bound2,
+    c5_cone,
     integer_form,
     polynomial_text,
     product_equation,
 )
 from .documents import dumps_document, read_curve, to_document
-from .errors import EngineError, InvalidDocument
+from .errors import EngineError, InvalidArgument, InvalidDocument
 from .geometry import Curve, Plane, component_rows, null_space, tangent_direction
 from .invariants import bilipschitz_equivalent
 from .oracle import (
@@ -423,8 +424,7 @@ def cmd_verify(args) -> int:
     c = read_curve(args.file)
     # bad flags exit before any cone or sampling work
     check_sampling_parameters(args.radii, args.samples)
-    analysis = Analysis(c)
-    cone = analysis.cone
+    cone = c5_cone(c)
     override = None
     if args.override_planes is not None:
         raw = _parse_matrix(args.override_planes, "--override-planes")
@@ -442,7 +442,7 @@ def cmd_verify(args) -> int:
             provenance=tuple(() for _ in planes),
         )
         cone = override
-    witnesses = [] if override else cone_witness_results(c, cone, analysis=analysis)
+    witnesses = [] if override else cone_witness_results(c, cone)
     report = sample_secant_directions(
         c, radii=tuple(args.radii), k=args.samples, seed=args.seed, cone=cone
     )
@@ -487,10 +487,19 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with InvalidArgument, so it ends like every
+    other input error: exit 2 and a JSON diagnostic. Subcommand parsers
+    are built from this class too."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="c5cone",
         description="Exact bi-secant limit cones of complex curve germs.",
     )
@@ -532,11 +541,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, so a handler replaced on the module still runs
-    handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a handler replaced on the module still runs
+        return globals()[f"cmd_{args.command}"](args)
     except EngineError as exc:
         print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
         return 2

@@ -93,6 +93,11 @@ class DegenerateSecant(EngineError):
     """Two sampled points coincide numerically; the secant has no direction."""
 
 
+class InvalidArgument(EngineError):
+    """A command line argparse rejects: an unknown command or flag, a missing
+    argument, or a value of the wrong type."""
+
+
 class InvalidSamplingParameter(EngineError, ValueError):
     """A sampling radius or per-radius sample count is out of range."""
 

@@ -25,6 +25,7 @@ from .series import (
     puiseux_form_check,
 )
 
+_ZERO = CycloScalar.rational(0)
 _ONE = CycloScalar.rational(1)
 
 
@@ -68,22 +69,29 @@ def matrix_rank(rows) -> int:
 
 
 def null_space(rows):
-    """Canonical (RREF) basis of {v : M v = 0} for the row matrix M."""
+    """Canonical (RREF) basis of {v : M v = 0} for the row matrix M.
+
+    One rref, of M with its columns reversed: for each non-pivot column f
+    of that reduction the basis row is e_f minus, at every pivot q, entry f
+    of the row whose pivot is q. Every such q lies left of f, so once the
+    columns are put back in M's order each row leads with its 1 at f, and
+    the rows, taken by decreasing f, are already in RREF.
+    """
     if not rows:
         return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    last = len(rows[0]) - 1
+    reduced, pivots = rref([row[::-1] for row in rows])
+    pivot_set = set(pivots)
     basis = []
-    zero = CycloScalar.rational(0)
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = _ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][f]
+    for f in range(last, -1, -1):
+        if f in pivot_set:
+            continue
+        vec = [_ZERO] * (last + 1)
+        vec[last - f] = _ONE
+        for row, q in zip(reduced, pivots):
+            vec[last - q] = -row[f]
         basis.append(vec)
-    reduced_basis, _ = rref(basis)
-    return reduced_basis
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +296,15 @@ def classify(c: Curve) -> TangencyClassification:
     return TangencyClassification(S, frozenset(T), frozenset(NT))
 
 
-def check_compatibility(c: Curve) -> dict:
-    """For every tangent pair pick the smallest shared special coordinate.
+def check_tangent_pair(bi: Branch, bj: Branch) -> None:
+    """Raise IncompatibleSystem when the tangent branches bi and bj share
+    no special coordinate: their contact is read in a shared one."""
+    if not bi.special_coords & bj.special_coords:
+        raise IncompatibleSystem(bi.label, bj.label)
 
-    Returns {(i, j): coordinate index}; raises IncompatibleSystem naming the
-    first tangent pair with no shared special coordinate.
-    """
-    cls = classify(c)
-    chosen = {}
-    for i, j in sorted(cls.T):
-        shared = c.branches[i].special_coords & c.branches[j].special_coords
-        if not shared:
-            raise IncompatibleSystem(c.branches[i].label, c.branches[j].label)
-        chosen[(i, j)] = min(shared)
-    return chosen
+
+def check_compatibility(c: Curve) -> None:
+    """Raise IncompatibleSystem naming the first tangent pair with no
+    shared special coordinate."""
+    for i, j in sorted(classify(c).T):
+        check_tangent_pair(c.branches[i], c.branches[j])

@@ -5,9 +5,10 @@ Two instruments, both in ordinary double precision:
 * random bi-secant sampling: pairs of points near the origin on all branch
   combinations; each normalized secant direction must approach some cone
   component as the radius shrinks;
-* witness families: explicit point pairs built from an auxiliary record so
+* witness families: explicit point pairs on a contact difference
+  psi_i(u) - psi_j(theta*u) (the characteristic difference when i = j) so
   the secant limit is exactly v_theta + lambda*w; their directions must
-  converge to that target (and hence to the record's plane).
+  converge to that target (and hence to the difference's plane).
 
 Double precision imposes two limits, both made explicit rather than left
 to produce noise. Cancellation: the signal of a record of order k on a
@@ -30,10 +31,22 @@ from itertools import repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
-from .c5 import Analysis, C5Cone, c5_cone
-from .errors import DegenerateSecant, FloatingPointUnderflow, InvalidSamplingParameter
-from .geometry import Branch, Curve, component_rows, plane_from_vectors, tangent_direction
+from .auxiliary import contact_leading
+from .c5 import C5Cone, c5_cone
+from .errors import (
+    DegenerateSecant,
+    FloatingPointUnderflow,
+    InvalidSamplingParameter,
+    NonPrimitiveParametrization,
+)
+from .geometry import (
+    Branch,
+    Curve,
+    Direction,
+    check_tangent_pair,
+    component_rows,
+    plane_from_vectors,
+)
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization, substitute_power
 
@@ -165,7 +178,7 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
             )
     u_values = tuple(float(u) for u in u_values)
     theta_c = to_complex(theta)
-    lam_c = to_complex(lam)
+    lam_c = to_complex(lam) if isinstance(lam, CycloScalar) else complex(lam)
     c1 = _complex_terms(psi1)
     c2 = _complex_terms(psi2)
     # h(u) = theta*u + c*u^(k-N+1) with c = -lam*theta/N makes the secant
@@ -198,98 +211,74 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
     )
 
 
-def _as_scalar(lam) -> CycloScalar:
-    return lam if isinstance(lam, CycloScalar) else CycloScalar.rational(lam)
-
-
-def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
-                          record: Optional[AuxRecord] = None) -> WitnessResult:
-    """Characteristic witness on one branch: secants between phi(u) and
-    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k. record
-    is the branch's characteristic record at k, when already built."""
-    lam = _as_scalar(lam)
-    if record is None:
-        record = characteristic_aux(b, k)
-    e = record.m_theta
-    # the u^e coefficient of phi(u) - phi(theta*u)
-    scale = 1 - root_of_unity(b.conductor, b.m, k * e)
-    v_raw = [s.coefficient(e) * scale for s in b.param.coords]
-    w_raw = [s.coefficient(b.m) for s in b.param.coords]
-    target = [v + lam * w for v, w in zip(v_raw, w_raw)]
+def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values,
+                 plane=None) -> WitnessResult:
+    """Secants of the contact difference psi_i(u) - psi_j(theta*u),
+    theta = zeta_lcm^k, on the branches rescaled to order lcm; the pair
+    (b, b) is the characteristic difference phi(u) - phi(theta*u). The
+    target is the leading vector plus lam times psi_i's tangent
+    coefficients. plane defaults to the span of tangent_i and the leading
+    vector; the non-tangent family spans the two tangents."""
+    lcm = math.lcm(bi.m, bj.m)
+    m_theta, leading = contact_leading(bi, bj, k)
+    target = [v + lam * s.coefficient(bi.m) for v, s in zip(leading, bi.param.coords)]
+    if plane is None:
+        second = bj.tangent if kind == "non-tangent" else Direction(leading)
+        plane = plane_from_vectors(bi.tangent, second)
+    psi1 = substitute_power(bi.param, lcm // bi.m)
+    psi2 = psi1 if bj is bi else substitute_power(bj.param, lcm // bj.m)
+    theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
+    labels = (bi.label,) if bj is bi else (bi.label, bj.label)
     return _run_family(
-        "characteristic", (b.label,), k, b.param, b.param, b.m, record.theta,
-        e, lam, target, record.plane, u_values,
+        kind, labels, k, psi1, psi2, lcm, theta, m_theta, lam, target, plane,
+        u_values,
     )
+
+
+def witness_secant_family(b: Branch, k: int, lam=1, u_values=None) -> WitnessResult:
+    """Characteristic witness on one branch: secants between phi(u) and
+    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k != 1."""
+    if k % b.m == 0:
+        raise NonPrimitiveParametrization(
+            f"branch {b.label} is invariant under u -> theta*u", label=b.label
+        )
+    return _pair_family("characteristic", b, b, k, lam, u_values)
 
 
 def contact_witness_family(bi: Branch, bj: Branch, k: int, lam=1,
-                           u_values=None,
-                           record: Optional[AuxRecord] = None) -> WitnessResult:
-    """Contact witness on a tangent pair, working on the reparametrized
-    branches psi_i(u) = phi_i(u^(lcm/m_i)). record is the pair's contact
-    record at k, when already built."""
-    lam = _as_scalar(lam)
-    lcm = math.lcm(bi.m, bj.m)
-    if record is None:
-        record = contact_aux(bi, bj, k)
-    psi1 = substitute_power(bi.param, lcm // bi.m)
-    psi2 = substitute_power(bj.param, lcm // bj.m)
-    _, v_raw = contact_leading(bi, bj, k)
-    w_raw = [s.coefficient(lcm) for s in psi1.coords]
-    target = [v + lam * w for v, w in zip(v_raw, w_raw)]
-    return _run_family(
-        "contact", (bi.label, bj.label), k, psi1, psi2, lcm, record.theta,
-        record.m_theta, lam, target, record.plane, u_values,
-    )
+                           u_values=None) -> WitnessResult:
+    """Contact witness on a pair, working on the reparametrized branches
+    psi_i(u) = phi_i(u^(lcm/m_i))."""
+    if bi.tangent == bj.tangent:
+        check_tangent_pair(bi, bj)
+    return _pair_family("contact", bi, bj, k, lam, u_values)
 
 
 def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessResult:
     """Non-tangent pair witness: secants between psi_i(u) and psi_j(u)
     converge to the difference of the two tangent coefficient vectors,
     which lies in the span of the tangents."""
-    lcm = math.lcm(bi.m, bj.m)
-    conductor = common_conductor(bi.conductor, bj.conductor)
-    one = root_of_unity(conductor, 1, 0)
-    m_theta, target = contact_leading(bi, bj, 0)
-    plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
-    psi1 = substitute_power(bi.param, lcm // bi.m)
-    psi2 = substitute_power(bj.param, lcm // bj.m)
-    return _run_family(
-        "non-tangent", (bi.label, bj.label), 0, psi1, psi2, lcm, one,
-        m_theta, CycloScalar.rational(0), target, plane, u_values,
-    )
+    return _pair_family("non-tangent", bi, bj, 0, 0, u_values)
 
 
-def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1,
-                         analysis: Optional[Analysis] = None) -> list:
-    """One witness family per cone component, built from the component's
-    first provenance record. The records are read from analysis, the
-    curve's Analysis (whose cone is the default), when given."""
-    if analysis is None:
-        analysis = Analysis(c)
+def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None) -> list:
+    """One witness family per cone component, read off the component's
+    first provenance descriptor, with the component as its plane."""
     if cone is None:
-        cone = analysis.cone
+        cone = c5_cone(c)
     if cone.dimension != 2:
         return []
-    index = {b.label: i for i, b in enumerate(c.branches)}
+    by_label = {b.label: b for b in c.branches}
     results = []
-    for descriptors in cone.provenance:
+    for plane, descriptors in zip(cone.components, cone.provenance):
         kind, labels, k = descriptors[0]
-        i = index[labels[0]]
-        bi = c.branches[i]
-        if kind == "characteristic":
-            results.append(witness_secant_family(
-                bi, k, lam, record=analysis.characteristic_record(i, k)
-            ))
-            continue
-        j = index[labels[1]]
-        bj = c.branches[j]
-        if kind == "contact":
-            results.append(contact_witness_family(
-                bi, bj, k, lam=lam, record=analysis.contacts[(i, j)][k]
-            ))
+        bi = by_label[labels[0]]
+        bj = by_label[labels[-1]]
+        if kind == "non-tangent":  # provenance k is -1
+            k, lam = 0, 0
         else:
-            results.append(diagonal_witness_family(bi, bj))
+            lam = 1
+        results.append(_pair_family(kind, bi, bj, k, lam, None, plane))
     return results
 
 

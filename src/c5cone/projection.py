@@ -21,7 +21,7 @@ from .errors import (
     NoCommonSpecialCoordinate,
     ProjectionSearchExhausted,
 )
-from .geometry import Branch, Curve, Plane, curve, matrix_rank, null_space, rref
+from .geometry import Branch, Curve, Plane, curve, matrix_rank, null_space
 from .invariants import profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
@@ -66,13 +66,15 @@ class LinearProjection:
         """Projection whose kernel is the span of the given (n-2) rows."""
         rows = _coerce_rows(rows)
         n = len(rows[0])
-        reduced, pivots = rref([list(r) for r in rows])
-        if len(pivots) != n - 2:
+        matrix = null_space(rows)
+        rank = n - len(matrix)
+        if rank != n - 2:
             raise DependentVectors(
-                f"kernel basis must have rank {n - 2}, got {len(pivots)}",
-                rank=len(pivots),
+                f"kernel basis must have rank {n - 2}, got {rank}", rank=rank
             )
-        return cls(null_space(reduced))
+        proj = cls.__new__(cls)  # RREF rows are independent: no rank test
+        proj.matrix = tuple(tuple(r) for r in matrix)
+        return proj
 
     @classmethod
     def identity(cls) -> "LinearProjection":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Tuple
 
-from .errors import DimensionMismatch, NotPuiseuxForm
+from .errors import NotPuiseuxForm
 from .scalar import CycloScalar
 
 # Order of the zero series.
@@ -112,23 +112,6 @@ def order(p: Parametrization):
     return min(c.order() for c in p.coords)
 
 
-def substitute_scale(p: Parametrization, theta: CycloScalar) -> Parametrization:
-    """u -> theta*u: each term (e, c) becomes (e, c*theta^e)."""
-    if theta.is_zero():
-        raise ValueError("scale substitution needs theta != 0")
-    new_coords = []
-    for series in p.coords:
-        power_cache = {}
-
-        def theta_pow(e):
-            if e not in power_cache:
-                power_cache[e] = theta**e
-            return power_cache[e]
-
-        new_coords.append(CoordinateSeries((e, c * theta_pow(e)) for e, c in series.terms))
-    return Parametrization(new_coords)
-
-
 def substitute_power(p: Parametrization, k: int) -> Parametrization:
     """u -> u^k: every exponent is multiplied by k, coefficients unchanged."""
     if k < 1:
@@ -136,22 +119,6 @@ def substitute_power(p: Parametrization, k: int) -> Parametrization:
     return Parametrization(
         CoordinateSeries((e * k, c) for e, c in series.terms) for series in p.coords
     )
-
-
-def subtract(p: Parametrization, q: Parametrization) -> Parametrization:
-    """Coordinate-wise exact difference; may be identically zero."""
-    if p.n != q.n:
-        raise DimensionMismatch(
-            f"cannot subtract parametrizations of dimensions {p.n} and {q.n}",
-            dims=[p.n, q.n],
-        )
-    new_coords = []
-    for a, b in zip(p.coords, q.coords):
-        acc = {e: c for e, c in a.terms}
-        for e, c in b.terms:
-            acc[e] = acc[e] - c if e in acc else -c
-        new_coords.append(CoordinateSeries(acc.items()))
-    return Parametrization(new_coords)
 
 
 def is_primitive(p: Parametrization) -> bool:

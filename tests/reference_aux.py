@@ -3,13 +3,16 @@
 It expands the whole difference series, phi(u) - phi(theta*u) or
 phi_i(u^mt_i) - phi_j((theta*u)^mt_j), term by term over Q(zeta_N) and
 reads its order and lowest-order coefficients. The engine reads the same
-data off the branch supports instead; the tests compare the two.
+data off the branch supports instead; the tests compare the two. The two
+series operations it needs, u -> theta*u and the difference, live here
+too: no engine code needs them.
 """
 
 import math
 from typing import NamedTuple
 
 from c5cone import (
+    DimensionMismatch,
     Direction,
     DuplicateBranch,
     IncompatibleSystem,
@@ -19,10 +22,43 @@ from c5cone import (
     plane_from_vectors,
     root_of_unity,
     substitute_power,
-    substitute_scale,
-    subtract,
     tangent_direction,
 )
+from c5cone.scalar import CycloScalar
+from c5cone.series import CoordinateSeries, Parametrization
+
+
+def substitute_scale(p: Parametrization, theta: CycloScalar) -> Parametrization:
+    """u -> theta*u: each term (e, c) becomes (e, c*theta^e)."""
+    if theta.is_zero():
+        raise ValueError("scale substitution needs theta != 0")
+    new_coords = []
+    for series in p.coords:
+        power_cache = {}
+
+        def theta_pow(e):
+            if e not in power_cache:
+                power_cache[e] = theta**e
+            return power_cache[e]
+
+        new_coords.append(CoordinateSeries((e, c * theta_pow(e)) for e, c in series.terms))
+    return Parametrization(new_coords)
+
+
+def subtract(p: Parametrization, q: Parametrization) -> Parametrization:
+    """Coordinate-wise exact difference; may be identically zero."""
+    if p.n != q.n:
+        raise DimensionMismatch(
+            f"cannot subtract parametrizations of dimensions {p.n} and {q.n}",
+            dims=[p.n, q.n],
+        )
+    new_coords = []
+    for a, b in zip(p.coords, q.coords):
+        acc = {e: c for e, c in a.terms}
+        for e, c in b.terms:
+            acc[e] = acc[e] - c if e in acc else -c
+        new_coords.append(CoordinateSeries(acc.items()))
+    return Parametrization(new_coords)
 
 
 class Reference(NamedTuple):

@@ -1,0 +1,115 @@
+"""The witness-family builders as they were before the engine read every
+family as one contact difference, kept as a test oracle.
+
+Each builder derives its leading vector its own way: the characteristic
+family scales phi's coefficient at m_theta by 1 - theta^m_theta, the
+contact family reads contact_leading, and the non-tangent family spans the
+two tangents. Records are built with characteristic_aux and contact_aux,
+or read from an Analysis. The tests assert that the engine's builders
+return equal WitnessResults and raise the same errors.
+"""
+
+import math
+from typing import Optional
+
+from c5cone.auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
+from c5cone.c5 import Analysis, C5Cone
+from c5cone.geometry import Branch, Curve, plane_from_vectors, tangent_direction
+from c5cone.oracle import WitnessResult, _run_family
+from c5cone.scalar import CycloScalar, common_conductor, root_of_unity
+from c5cone.series import substitute_power
+
+
+def _as_scalar(lam) -> CycloScalar:
+    return lam if isinstance(lam, CycloScalar) else CycloScalar.rational(lam)
+
+
+def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
+                          record: Optional[AuxRecord] = None) -> WitnessResult:
+    """Characteristic witness on one branch: secants between phi(u) and
+    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k. record
+    is the branch's characteristic record at k, when already built."""
+    lam = _as_scalar(lam)
+    if record is None:
+        record = characteristic_aux(b, k)
+    e = record.m_theta
+    # the u^e coefficient of phi(u) - phi(theta*u)
+    scale = 1 - root_of_unity(b.conductor, b.m, k * e)
+    v_raw = [s.coefficient(e) * scale for s in b.param.coords]
+    w_raw = [s.coefficient(b.m) for s in b.param.coords]
+    target = [v + lam * w for v, w in zip(v_raw, w_raw)]
+    return _run_family(
+        "characteristic", (b.label,), k, b.param, b.param, b.m, record.theta,
+        e, lam, target, record.plane, u_values,
+    )
+
+
+def contact_witness_family(bi: Branch, bj: Branch, k: int, lam=1,
+                           u_values=None,
+                           record: Optional[AuxRecord] = None) -> WitnessResult:
+    """Contact witness on a tangent pair, working on the reparametrized
+    branches psi_i(u) = phi_i(u^(lcm/m_i)). record is the pair's contact
+    record at k, when already built."""
+    lam = _as_scalar(lam)
+    lcm = math.lcm(bi.m, bj.m)
+    if record is None:
+        record = contact_aux(bi, bj, k)
+    psi1 = substitute_power(bi.param, lcm // bi.m)
+    psi2 = substitute_power(bj.param, lcm // bj.m)
+    _, v_raw = contact_leading(bi, bj, k)
+    w_raw = [s.coefficient(lcm) for s in psi1.coords]
+    target = [v + lam * w for v, w in zip(v_raw, w_raw)]
+    return _run_family(
+        "contact", (bi.label, bj.label), k, psi1, psi2, lcm, record.theta,
+        record.m_theta, lam, target, record.plane, u_values,
+    )
+
+
+def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessResult:
+    """Non-tangent pair witness: secants between psi_i(u) and psi_j(u)
+    converge to the difference of the two tangent coefficient vectors,
+    which lies in the span of the tangents."""
+    lcm = math.lcm(bi.m, bj.m)
+    conductor = common_conductor(bi.conductor, bj.conductor)
+    one = root_of_unity(conductor, 1, 0)
+    m_theta, target = contact_leading(bi, bj, 0)
+    plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
+    psi1 = substitute_power(bi.param, lcm // bi.m)
+    psi2 = substitute_power(bj.param, lcm // bj.m)
+    return _run_family(
+        "non-tangent", (bi.label, bj.label), 0, psi1, psi2, lcm, one,
+        m_theta, CycloScalar.rational(0), target, plane, u_values,
+    )
+
+
+def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1,
+                         analysis: Optional[Analysis] = None) -> list:
+    """One witness family per cone component, built from the component's
+    first provenance record. The records are read from analysis, the
+    curve's Analysis (whose cone is the default), when given."""
+    if analysis is None:
+        analysis = Analysis(c)
+    if cone is None:
+        cone = analysis.cone
+    if cone.dimension != 2:
+        return []
+    index = {b.label: i for i, b in enumerate(c.branches)}
+    results = []
+    for descriptors in cone.provenance:
+        kind, labels, k = descriptors[0]
+        i = index[labels[0]]
+        bi = c.branches[i]
+        if kind == "characteristic":
+            results.append(witness_secant_family(
+                bi, k, lam, record=analysis.characteristic_record(i, k)
+            ))
+            continue
+        j = index[labels[1]]
+        bj = c.branches[j]
+        if kind == "contact":
+            results.append(contact_witness_family(
+                bi, bj, k, lam=lam, record=analysis.contacts[(i, j)][k]
+            ))
+        else:
+            results.append(diagonal_witness_family(bi, bj))
+    return results

@@ -415,6 +415,33 @@ def test_version_flag(capsys):
     assert out == "0.1.0"
 
 
+def test_help_flag_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: c5cone")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["verify", "SPACE_CUSP", "--samples", "abc"], "invalid int value: 'abc'"),
+    (["verify", "SPACE_CUSP", "--radii", "x"], "invalid float value: 'x'"),
+    (["verify", "SPACE_CUSP", "--json"], "unrecognized arguments: --json"),
+    ([], "the following arguments are required: command"),
+    (["analyze"], "the following arguments are required: file"),
+    (["project", "SPACE_CUSP"], "one of the arguments --kernel --auto is required"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_flags_argparse_rejects_exit_two_with_a_diagnostic(capsys, fixtures_dir, argv, detail):
+    space_cusp = fixture(fixtures_dir, "space_cusp")
+    code, out, err = run(capsys, *(space_cusp if a == "SPACE_CUSP" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgument"
+    assert detail in diagnostic["detail"]
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

@@ -9,6 +9,10 @@ label. Flags are drawn well-typed, so argparse accepts them and the engine
 must judge them: --kernel matrices of any shape, --radii in and out of
 (0, 0.5], --samples up to 200 plus 0 and MAX_SAMPLES + 1. The n = 200
 fixture is left out to keep each example within its deadline.
+
+A second test draws command lines argparse itself rejects: ill-typed
+values, unknown flags and commands, missing files, and --kernel together
+with --auto. Each must exit 2 with an InvalidArgument diagnostic.
 """
 
 import copy
@@ -141,3 +145,37 @@ def test_fuzzed_documents_and_flags_end_in_a_verdict_or_a_diagnostic(data, workd
         diagnostic = json.loads(err)
         assert isinstance(diagnostic, dict) and "error" in diagnostic
         assert out == ""
+
+
+# no int and no float parses these
+ILL_TYPED = st.sampled_from(["abc", "", "1/2", "1e400x", "--", "0x10", "nan?"])
+COMMANDS = ["analyze", "compare", "project", "verify"]
+
+
+@settings(
+    max_examples=60,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_flags_argparse_rejects_end_in_a_diagnostic(data, capsys):
+    command = data.draw(st.sampled_from(COMMANDS + ["frobnicate", None]))
+    argv = [] if command is None else [command]
+    if command in COMMANDS and data.draw(st.booleans()):
+        argv.append(str(FIXTURES / f"{data.draw(st.sampled_from(NAMES))}.json"))
+    rejected = data.draw(st.sampled_from(
+        ["--seed", "--samples", "--radii", "--tolerance", "--frobnicate", "-q",
+         "--kernel --auto", "--json=yes"]
+    ))
+    argv += rejected.split()
+    if rejected in ("--seed", "--samples", "--radii", "--tolerance"):
+        argv.append(data.draw(ILL_TYPED))
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    event(f"{command} {rejected}")
+    assert code == 2, argv
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgument", argv

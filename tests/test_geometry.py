@@ -211,7 +211,7 @@ def test_smooth_single_branch_classification(load):
 
 
 def test_compatibility_picks_common_special_coordinate(load):
-    assert check_compatibility(load("four_branches")) == {(0, 1): 0}
+    assert check_compatibility(load("four_branches")) is None
 
 
 def test_incompatible_tangent_pair_is_rejected():

@@ -14,11 +14,10 @@ from c5cone import (
     order,
     puiseux_form_check,
     substitute_power,
-    substitute_scale,
-    subtract,
     zeta,
 )
 from c5cone.series import INFINITE
+from reference_aux import substitute_scale, subtract
 
 
 def series(terms):

@@ -9,8 +9,9 @@ fixtures of the new tree, so both sides see the same files:
 * analyze with and without --json and --reps;
 * project --auto, with and without --json, and --kernel with two kernels
   (the last n-2 unit vectors, and e_2 - e_k for k = 3..n);
-* verify with default flags, with --json, and with --seed 3 --radii 0.1
-  0.01 0.001 --samples 57 --json;
+* verify with default flags, and with --seed 3 --radii 0.1 0.01 0.001
+  --samples 57; verify prints JSON without --json and rejects the flag,
+  so the two runs with --json compare that rejection;
 * compare over every ordered pair of fixtures.
 
 Each tree runs all invocations in one process of its own, through
@@ -50,6 +51,8 @@ def invocations(fixtures: pathlib.Path) -> list:
             ["verify", f, "--json"],
             ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
              "--samples", "57", "--json"],
+            ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
+             "--samples", "57"],
         ]
     out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
     return out
