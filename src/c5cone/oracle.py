@@ -31,13 +31,12 @@ from itertools import repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .auxiliary import contact_leading
+from .auxiliary import characteristic_order, contact_leading
 from .c5 import C5Cone, c5_cone
 from .errors import (
     DegenerateSecant,
     FloatingPointUnderflow,
     InvalidSamplingParameter,
-    NonPrimitiveParametrization,
 )
 from .geometry import (
     Branch,
@@ -178,7 +177,7 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
             )
     u_values = tuple(float(u) for u in u_values)
     theta_c = to_complex(theta)
-    lam_c = to_complex(lam) if isinstance(lam, CycloScalar) else complex(lam)
+    lam_c = to_complex(lam)
     c1 = _complex_terms(psi1)
     c2 = _complex_terms(psi2)
     # h(u) = theta*u + c*u^(k-N+1) with c = -lam*theta/N makes the secant
@@ -219,6 +218,8 @@ def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values,
     target is the leading vector plus lam times psi_i's tangent
     coefficients. plane defaults to the span of tangent_i and the leading
     vector; the non-tangent family spans the two tangents."""
+    if not isinstance(lam, CycloScalar):
+        lam = CycloScalar.rational(lam)
     lcm = math.lcm(bi.m, bj.m)
     m_theta, leading = contact_leading(bi, bj, k)
     target = [v + lam * s.coefficient(bi.m) for v, s in zip(leading, bi.param.coords)]
@@ -228,7 +229,7 @@ def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values,
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = psi1 if bj is bi else substitute_power(bj.param, lcm // bj.m)
     theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
-    labels = (bi.label,) if bj is bi else (bi.label, bj.label)
+    labels = (bi.label,) if kind == "characteristic" else (bi.label, bj.label)
     return _run_family(
         kind, labels, k, psi1, psi2, lcm, theta, m_theta, lam, target, plane,
         u_values,
@@ -238,10 +239,7 @@ def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values,
 def witness_secant_family(b: Branch, k: int, lam=1, u_values=None) -> WitnessResult:
     """Characteristic witness on one branch: secants between phi(u) and
     phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k != 1."""
-    if k % b.m == 0:
-        raise NonPrimitiveParametrization(
-            f"branch {b.label} is invariant under u -> theta*u", label=b.label
-        )
+    characteristic_order(b, k)  # raises when theta leaves b invariant
     return _pair_family("characteristic", b, b, k, lam, u_values)
 
 

@@ -287,6 +287,7 @@ def test_verify_rejects_too_many_samples_before_any_work(
         raise AssertionError("verify started cone or sampling work")
 
     monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
+    monkeypatch.setattr(c5cone.cli, "c5_cone", no_work)
     monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
     code, out, err = run(
         capsys,

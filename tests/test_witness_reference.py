@@ -15,10 +15,13 @@ import pytest
 
 import reference_witness as ref
 from c5cone import (
+    Branch,
     DependentVectors,
+    Direction,
     EngineError,
     IncompatibleSystem,
     NonPrimitiveParametrization,
+    Parametrization,
     c5_cone,
     contact_witness_family,
     cone_witness_results,
@@ -30,7 +33,7 @@ from c5cone import (
 from c5cone.auxiliary import representative_ks
 from random_curves import random_curve, random_curve_with_cone
 
-LAMS = (1, 2, zeta(12))
+LAMS = (1, 2, zeta(12), 0.5)
 WINDOWS = (None, (0.2, 0.05, 0.01, 0.002))
 # tangent branches b1, b2 whose special coordinates are 0 and 1
 INCOMPATIBLE = (
@@ -48,16 +51,18 @@ def _outcome(build, *args):
 
 def _calls(c, lam, window, ks=None, both_orders=True):
     """(engine builder, reference builder, arguments) for every family of
-    c: each branch at each k (k = 0 included) or at ks(m), and each branch
-    pair, in both orders or in curve order, at every k of its root group."""
+    c: each branch at each k (k = 0 included) or at ks(m), each branch with
+    itself at the same k, and each pair of two branches, in both orders or
+    in curve order, at every k of its root group."""
     for b in c.branches:
         for k in range(b.m) if ks is None else ks(b.m):
             yield witness_secant_family, ref.witness_secant_family, (b, k, lam, window)
     for i, bi in enumerate(c.branches):
         for j, bj in enumerate(c.branches):
-            if i == j or (j < i and not both_orders):
+            if j < i and not both_orders:
                 continue
-            for k in range(math.lcm(bi.m, bj.m)):
+            lcm = math.lcm(bi.m, bj.m)
+            for k in range(lcm) if ks is None or i != j else ks(lcm):
                 yield (contact_witness_family, ref.contact_witness_family,
                        (bi, bj, k, lam, window))
             yield diagonal_witness_family, ref.diagonal_witness_family, (bi, bj, window)
@@ -89,7 +94,7 @@ def test_random_curves_match_the_reference():
     for index in range(200):
         c, cone = random_curve_with_cone(rng)
         assert cone_witness_results(c, cone) == ref.cone_witness_results(c, cone), index
-        _assert_same(c, LAMS[index % 3], WINDOWS[index % 2], both_orders=False)
+        _assert_same(c, LAMS[index % len(LAMS)], WINDOWS[index % 2], both_orders=False)
 
 
 def test_misuse_raises_like_the_reference():
@@ -126,3 +131,16 @@ def test_characteristic_family_rejects_the_identity_root(load):
     b = load("space_cusp").branches[0]
     with pytest.raises(NonPrimitiveParametrization):
         witness_secant_family(b, b.m)
+
+
+def test_characteristic_family_rejects_a_theta_fixing_an_unchecked_branch():
+    # (u^4, u^6) bypasses branch validation; theta = -1 leaves it invariant
+    square = curve_from_exponents([[4, [(6, 1)], [(7, 1)]]]).branches[0]
+    covered = Branch.__new__(Branch)
+    for slot in Branch.__slots__:
+        setattr(covered, slot, getattr(square, slot))
+    covered.param = Parametrization(square.param.coords[:2])
+    covered.tangent = Direction(s.coefficient(covered.m) for s in covered.param.coords)
+    got = _outcome(witness_secant_family, covered, 2)
+    assert got == _outcome(ref.witness_secant_family, covered, 2)
+    assert got[0] == "NonPrimitiveParametrization"
