@@ -36,7 +36,7 @@ from .c5 import (
     product_equation,
 )
 from .documents import dumps_document, read_curve, to_document
-from .errors import EngineError, InvalidArgument, InvalidDocument
+from .errors import EngineError, InvalidArgument, InvalidDocument, InvalidSamplingParameter
 from .geometry import Curve, Plane, component_rows, null_space, tangent_direction
 from .invariants import bilipschitz_equivalent
 from .oracle import (
@@ -51,8 +51,8 @@ from .projection import (
     LinearProjection,
     apply_projection,
     find_generic_projection,
+    image_keeps_profile,
     is_c5_generic,
-    verify_projection_invariance,
 )
 from .scalar import CycloScalar
 
@@ -377,7 +377,7 @@ def cmd_project(args) -> int:
         image = apply_projection(c, proj)
     except EngineError:
         image = None
-    invariant = verify_projection_invariance(c, proj)
+    invariant = image is not None and image_keeps_profile(c, image)
     data = {
         "command": "project",
         "mode": "auto",
@@ -424,6 +424,9 @@ def cmd_verify(args) -> int:
     c = read_curve(args.file)
     # bad flags exit before any cone or sampling work
     check_sampling_parameters(args.radii, args.samples)
+    tol = args.tolerance
+    if not 0 < tol < 1:  # a plane distance never exceeds 1; NaN fails too
+        raise InvalidSamplingParameter(f"tolerance must lie in (0, 1), got {tol}")
     cone = c5_cone(c)
     override = None
     if args.override_planes is not None:
@@ -446,7 +449,6 @@ def cmd_verify(args) -> int:
     report = sample_secant_directions(
         c, radii=tuple(args.radii), k=args.samples, seed=args.seed, cone=cone
     )
-    tol = args.tolerance
     witness_ok = [
         (not w.skipped) and w.monotone and w.final_plane_distance <= tol
         for w in witnesses

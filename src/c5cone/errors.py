@@ -99,7 +99,7 @@ class InvalidArgument(EngineError):
 
 
 class InvalidSamplingParameter(EngineError, ValueError):
-    """A sampling radius or per-radius sample count is out of range."""
+    """A sampling radius, per-radius sample count or tolerance is out of range."""
 
 
 class FloatingPointUnderflow(EngineError):

@@ -204,6 +204,13 @@ def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:
         image = apply_projection(c, proj)
     except EngineError:
         return False
+    return image_keeps_profile(c, image)
+
+
+def image_keeps_profile(c: Curve, image: Curve) -> bool:
+    """True iff the image curve keeps every characteristic set and pairwise
+    contact sequence of c, branch by branch; an image profile cannot read
+    keeps nothing."""
     source = profile(c)
     try:
         return profile(image) == source

@@ -1,27 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element of Q(zeta_N) is stored as a coefficient vector of length phi(N)
-over the power basis 1, zeta, ..., zeta^{phi(N)-1} of Q[x]/(Phi_N), where
-zeta is the class of x and plays the role of exp(2*pi*i/N). The quotient is
-taken by the N-th cyclotomic polynomial Phi_N, not by x^N - 1: Phi_N is
-irreducible over Q, so the quotient is a field and every nonzero element is
-invertible, which the rank computations downstream rely on. Representations
-are always fully reduced, so equality at a fixed conductor is coefficient
-equality, and equality across conductors is checked after embedding both
-operands into the least common multiple conductor.
+An element of Q(zeta_N) is the tuple of its nonzero terms (k, c), k
+ascending, standing for the sum of c*zeta^k over the power basis 1, zeta,
+..., zeta^{phi(N)-1} of Q[x]/(Phi_N). zeta is the class of x and plays the
+role of exp(2*pi*i/N). The quotient is taken by the N-th cyclotomic
+polynomial Phi_N, not by x^N - 1: Phi_N is irreducible over Q, so the
+quotient is a field and every nonzero element is invertible, which the
+rank computations downstream rely on. The terms are always fully reduced,
+so equality at a fixed conductor is tuple equality, zero is the empty
+tuple and a rational is at most the k = 0 term; across conductors both
+operands are first embedded into the lcm conductor.
 
 Rationals are fractions.Fraction throughout: always reduced, denominators
-positive, arbitrary precision. Every zero coefficient a scalar built here
-holds is the one shared Fraction(0), so zero tests compare tuples by
-identity at C speed; a zero that is a different object is still a zero,
-only slower to find.
+positive, arbitrary precision.
 
 Reduction modulo the monic, integer Phi_N runs in Python ints: the
 polynomial is scaled by the lcm D of its denominators, Phi_N's nonzero
 terms are subtracted with no division, and a Fraction(v, D) is built only
 for each nonzero remainder. Products and inverses (extended Euclid by
-pseudo-division) run in ints too, and a product or a sum skips the work a
-rational or a zero operand never needed.
+pseudo-division) run in ints too, and a product skips the work a rational
+operand never needed.
 """
 
 from __future__ import annotations
@@ -29,15 +27,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import is_not
 
 import mpmath
 
 from .errors import ConductorLimitExceeded, DivisionByZero
 
 # Largest conductor the engine will build a field for. phi(10080) = 2304, so
-# coefficient vectors stay small enough for dense arithmetic.
+# the dense int polynomials of products and reductions stay small.
 CONDUCTOR_LIMIT = 10080
 
 _F0 = Fraction(0)
@@ -117,18 +113,18 @@ def _fold(N: int):
     return phi, tuple((i - phi, -c) for i, c in enumerate(cyc[:-1]) if c)
 
 
-@lru_cache(maxsize=None)
-def _zeros(length: int) -> tuple:
-    return (_F0,) * length
+def _int_terms(terms):
+    """([(k, v), ...], den): each term (k, c) as c = v / den, den the lcm."""
+    den = math.lcm(*[c.denominator for _, c in terms])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms], den
 
 
-def _scaled(coeffs):
-    """(ints, den) with coeffs[k] == ints[k] / den, den the lcm of the
-    denominators; coefficients are ints or Fractions."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _spread(pairs, step: int = 1) -> list:
+    """The dense int polynomial sum(v * x^(step * k)), pairs k-ascending."""
+    poly = [0] * (step * pairs[-1][0] + 1)
+    for k, v in pairs:
+        poly[step * k] = v
+    return poly
 
 
 def _reduced(N: int, ints: list, den: int) -> "CycloScalar":
@@ -146,10 +142,26 @@ def _reduced(N: int, ints: list, den: int) -> "CycloScalar":
                 ints[k + off] += v * c
     del ints[phi:]
     if den == 1:
-        coeffs = [Fraction(v) if v else _F0 for v in ints]
-    else:
-        coeffs = [Fraction(v, den) if v else _F0 for v in ints]
-    return CycloScalar(N, coeffs + list(_zeros(phi - len(coeffs))))
+        return _make(N, tuple([(k, Fraction(v)) for k, v in enumerate(ints) if v]))
+    return _make(N, tuple([(k, Fraction(v, den)) for k, v in enumerate(ints) if v]))
+
+
+def _summed(a: tuple, b: tuple, sign: int) -> tuple:
+    """The terms of a + sign * b, for sign 1 or -1, merged by k."""
+    out, i, n = [], 0, len(a)
+    for k, c in b:
+        while i < n and a[i][0] < k:
+            out.append(a[i])
+            i += 1
+        if i < n and a[i][0] == k:
+            v = a[i][1] + c if sign == 1 else a[i][1] - c
+            i += 1
+            if v:
+                out.append((k, v))
+        else:
+            out.append((k, c) if sign == 1 else (k, -c))
+    out += a[i:]
+    return tuple(out)
 
 
 def _trim(p: list) -> list:
@@ -224,18 +236,28 @@ def common_conductor(*orders: int) -> int:
 
 
 class CycloScalar:
-    """An exact element of Q(zeta_N).
+    """An exact element of Q(zeta_N), held as its nonzero terms.
 
     Unhashable by design: equality spans conductors (operands are embedded
     into a common field first) and no cheap hash can respect that. Code that
     needs dict keys canonicalizes through .text() at a fixed conductor.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "_terms")
 
     def __init__(self, conductor: int, coeffs):
+        """The scalar sum(coeffs[k] * zeta^k) with reduced, dense coeffs."""
         self.conductor = conductor
-        self.coeffs = tuple(coeffs)
+        self._terms = tuple([(k, Fraction(c)) for k, c in enumerate(coeffs) if c])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient tuple of length phi(N), each zero the shared
+        Fraction(0); a view built on every read."""
+        dense = [_F0] * euler_phi(self.conductor)
+        for k, c in self._terms:
+            dense[k] = c
+        return tuple(dense)
 
     # -- construction -------------------------------------------------------
 
@@ -244,13 +266,13 @@ class CycloScalar:
         """Reduce an arbitrary-degree polynomial in zeta_N whose
         coefficients are ints or Fractions."""
         _check_conductor(N)
-        return _reduced(N, *_scaled(poly))
+        den = math.lcm(*[c.denominator for c in poly])
+        return _reduced(N, [c.numerator * (den // c.denominator) for c in poly], den)
 
     @classmethod
     def rational(cls, q, conductor: int = 1) -> "CycloScalar":
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        return cls(conductor, (q or _F0,) + _zeros(euler_phi(conductor) - 1))
+        q = q if type(q) is Fraction else Fraction(q)
+        return _make(conductor, ((0, q),) if q else ())
 
     # -- embedding -----------------------------------------------------------
 
@@ -263,12 +285,9 @@ class CycloScalar:
             raise ValueError(f"cannot embed conductor {N} into {M}")
         _check_conductor(M)
         if self.is_rational():  # the same constant term in every field
-            return CycloScalar.rational(self.coeffs[0], M)
-        step = M // N
-        ints, den = _scaled(self.coeffs)
-        poly = [0] * (step * (len(ints) - 1) + 1)
-        poly[::step] = ints
-        return _reduced(M, poly, den)
+            return _make(M, self._terms)
+        pairs, den = _int_terms(self._terms)
+        return _reduced(M, _spread(pairs, M // N), den)
 
     def _common(self, other: "CycloScalar"):
         if self.conductor == other.conductor:
@@ -287,23 +306,18 @@ class CycloScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        # the constant term answers first; the comparison with the shared
-        # zeros then runs on identity
-        c = self.coeffs
-        return (c[0] is _F0 or not c[0]) and (len(c) == 1 or c == _zeros(len(c)))
+        return not self._terms
 
     def __bool__(self) -> bool:
-        c = self.coeffs
-        return (c[0] is not _F0 and bool(c[0])) or (len(c) > 1 and c != _zeros(len(c)))
+        return bool(self._terms)
 
     def is_rational(self) -> bool:
-        c = self.coeffs
-        return len(c) == 1 or (not c[1] and c[1:] == _zeros(len(c) - 1))
+        return not self._terms or self._terms[-1][0] == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self.text()} is not rational")
-        return self.coeffs[0]
+        return self._terms[0][1] if self._terms else _F0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -312,31 +326,19 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CycloScalar(
-            a.conductor,
-            [
-                x if y is _F0 else y if x is _F0 else (x + y or _F0)
-                for x, y in zip(a.coeffs, b.coeffs)
-            ],
-        )
+        return _make(a.conductor, _summed(a._terms, b._terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.conductor, [c if c is _F0 else -c for c in self.coeffs])
+        return _make(self.conductor, tuple([(k, -c) for k, c in self._terms]))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CycloScalar(
-            a.conductor,
-            [
-                x if y is _F0 else -y if x is _F0 else (x - y or _F0)
-                for x, y in zip(a.coeffs, b.coeffs)
-            ],
-        )
+        return _make(a.conductor, _summed(a._terms, b._terms, -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -353,42 +355,33 @@ class CycloScalar:
             a, b = b, a
         if a.is_rational():
             # a rational factor scales; zero and one need no work at all
-            q = a.coeffs[0]
-            if not q:
+            if not a._terms:
                 return a
+            q = a._terms[0][1]
             if q == 1:
                 return b
-            return CycloScalar(a.conductor, [c if c is _F0 else c * q for c in b.coeffs])
-        ia, da = _scaled(a.coeffs)
-        ib, db = _scaled(b.coeffs)
-        nonzero_b = [(j, y) for j, y in enumerate(ib) if y]
-        prod = [0] * (len(ia) + len(ib) - 1)
-        for i, x in enumerate(ia):
-            if x:
-                for j, y in nonzero_b:
-                    prod[i + j] += x * y
+            return _make(b.conductor, tuple([(k, c * q) for k, c in b._terms]))
+        ia, da = _int_terms(a._terms)
+        ib, db = _int_terms(b._terms)
+        prod = [0] * (ia[-1][0] + ib[-1][0] + 1)
+        for i, x in ia:
+            for j, y in ib:
+                prod[i + j] += x * y
         return _reduced(a.conductor, prod, da * db)
 
     __rmul__ = __mul__
-
-    def _monomial(self):
-        """(j, c) when the reduced form is the single term c*zeta^j, else None."""
-        terms = self.terms()
-        return terms[0] if len(terms) == 1 else None
 
     def inverse(self) -> "CycloScalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero in a cyclotomic field")
         if self.is_rational():
-            return CycloScalar.rational(1 / self.coeffs[0], self.conductor)
-        mono = self._monomial()
-        if mono is not None:
-            j, c = mono
-            poly = [0] * (self.conductor - j) + [1 / c]
-            return CycloScalar.from_poly(self.conductor, poly)
+            return _make(self.conductor, ((0, 1 / self._terms[0][1]),))
+        if len(self._terms) == 1:  # c*zeta^j with 0 < j
+            ((j, c),) = self._terms
+            return CycloScalar.from_poly(self.conductor, [0] * (self.conductor - j) + [1 / c])
         # self = ints / den and ints * s = c, so 1/self = den * s / c
-        ints, den = _scaled(self.coeffs)
-        s, c = _inverse_mod(ints, list(_cyclotomic(self.conductor)))
+        pairs, den = _int_terms(self._terms)
+        s, c = _inverse_mod(_spread(pairs), list(_cyclotomic(self.conductor)))
         if c < 0:
             s, c = [-v for v in s], -c
         return _reduced(self.conductor, [den * v for v in s], c)
@@ -398,7 +391,7 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        if a.coeffs == b.coeffs:
+        if a._terms == b._terms:
             # common fast path (direction normalization divides an entry by itself)
             if a.is_zero():
                 raise DivisionByZero("0/0 in a cyclotomic field")
@@ -416,14 +409,12 @@ class CycloScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        mono = self._monomial()
-        if mono is not None:
+        if len(self._terms) == 1:
             # (c*zeta^j)^k reduces the root exponent mod the conductor first,
             # keeping large-conductor powers linear instead of repeated
             # full polynomial squaring.
-            j, c = mono
-            poly = [0] * ((j * k) % self.conductor) + [c**k]
-            return CycloScalar.from_poly(self.conductor, poly)
+            ((j, c),) = self._terms
+            return CycloScalar.from_poly(self.conductor, [0] * (j * k % self.conductor) + [c**k])
         result = CycloScalar.rational(1, self.conductor)
         base = self
         while k:
@@ -438,32 +429,31 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a._terms == b._terms
 
     __hash__ = None  # see class docstring
 
     # -- rendering -----------------------------------------------------------
 
-    def terms(self) -> list:
+    def terms(self) -> tuple:
         """(k, c) for every nonzero coefficient c of zeta^k, k ascending."""
-        c = self.coeffs
-        # the shared zeros are skipped by identity, at C speed
-        candidates = compress(range(len(c)), map(is_not, c, repeat(_F0)))
-        return [(k, c[k]) for k in candidates if c[k]]
+        return self._terms
 
     def text(self) -> str:
         """Canonical text form: '+'-joined terms q*z(N,k) ordered by k; the
         k=0 term prints as a bare rational; zero prints as '0'."""
-        parts = []
-        for k, c in self.terms():
-            if k == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*z({self.conductor},{k})")
+        parts = [str(c) if k == 0 else f"{c}*z({self.conductor},{k})" for k, c in self._terms]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"<{self.text()} @ N={self.conductor}>"
+
+
+def _make(N: int, terms: tuple) -> CycloScalar:
+    """The scalar at conductor N with the given reduced, nonzero terms."""
+    a = object.__new__(CycloScalar)
+    a.conductor, a._terms = N, terms
+    return a
 
 
 def zeta(N: int, k: int = 1) -> CycloScalar:
@@ -472,10 +462,9 @@ def zeta(N: int, k: int = 1) -> CycloScalar:
         raise ValueError(f"conductor must be >= 1, got {N}")
     _check_conductor(N)
     k %= N
-    phi = euler_phi(N)
-    if k < phi:
+    if k < euler_phi(N):
         # zeta^k is already a basis vector of the power basis
-        return CycloScalar(N, _zeros(k) + (_F1,) + _zeros(phi - k - 1))
+        return _make(N, ((k, _F1),))
     return CycloScalar.from_poly(N, [0] * k + [1])
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import c5cone.cli
+import c5cone.projection
 from c5cone.cli import main
 from c5cone.oracle import MAX_SAMPLES
 
@@ -204,6 +205,25 @@ def test_project_auto_emits_image_document(capsys, fixtures_dir):
     assert len(image["branches"]) == 1
 
 
+def test_project_auto_projects_the_curve_once(capsys, fixtures_dir, monkeypatch):
+    calls = []
+    original = c5cone.projection.apply_projection
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(c5cone.cli, "apply_projection", counting)
+    monkeypatch.setattr(c5cone.projection, "apply_projection", counting)
+    code, data, _ = run_json(
+        capsys, "project", fixture(fixtures_dir, "space_cusp"), "--auto", "--json"
+    )
+    assert code == 0
+    assert data["invariance"] is True
+    assert data["image_document"]["n"] == 2
+    assert len(calls) == 1
+
+
 def test_project_auto_finishes_on_prime_multiplicity(capsys, fixtures_dir):
     # n = 200 over Q(zeta_2017): the genericity rank runs on dense vectors
     # of length 2016. It takes a few seconds; it used to run for minutes
@@ -278,6 +298,30 @@ def test_verify_rejects_out_of_range_sampling_flags(capsys, fixtures_dir, flags)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InvalidSamplingParameter"
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "1", "0", "-1"])
+def test_verify_rejects_tolerance_outside_the_unit_interval(
+    capsys, fixtures_dir, monkeypatch, tolerance
+):
+    # a plane distance never exceeds 1: a tolerance of 1 or more passes
+    # every cone, one of 0 or less none, and NaN would print invalid JSON
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started cone or sampling work")
+
+    monkeypatch.setattr(c5cone.cli, "c5_cone", no_work)
+    monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
+    code, out, err = run(
+        capsys,
+        "verify",
+        fixture(fixtures_dir, "space_cusp"),
+        "--tolerance", tolerance,
+    )
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidSamplingParameter"
+    assert "tolerance" in diagnostic["detail"]
 
 
 def test_verify_rejects_too_many_samples_before_any_work(

@@ -7,10 +7,16 @@ or renamed, a value of the wrong type, a bad zeta_order (0, negative, past
 the conductor cap), a bad exponent, an empty list, a duplicated branch
 label. Flags are drawn well-typed, so argparse accepts them and the engine
 must judge them: --kernel matrices of any shape, --radii in and out of
-(0, 0.5], --samples up to 200 plus 0 and MAX_SAMPLES + 1. The n = 200
-fixture is left out to keep each example within its deadline.
+(0, 0.5], --samples up to 200 plus 0 and MAX_SAMPLES + 1, --tolerance in
+and out of (0, 1), NaN and infinity included; one out of that range must
+exit 2. The n = 200 fixture is left out to keep each example within its
+deadline.
 
-A second test draws command lines argparse itself rejects: ill-typed
+A second test runs verify on unmutated fixtures with any float as
+--tolerance: it exits 2 with a tolerance diagnostic exactly when the value
+lies outside (0, 1).
+
+A third test draws command lines argparse itself rejects: ill-typed
 values, unknown flags and commands, missing files, and --kernel together
 with --auto. Each must exit 2 with an InvalidArgument diagnostic.
 """
@@ -111,8 +117,13 @@ def _flags(data, doc):
     ))
     samples = data.draw(st.one_of(st.integers(1, 200), st.sampled_from([0, MAX_SAMPLES + 1])))
     seed = data.draw(st.integers(0, 5))
-    return ["verify", ["--radii", *map(str, radii), "--samples", str(samples),
-                       "--seed", str(seed)]]
+    flags = ["--radii", *map(str, radii), "--samples", str(samples), "--seed", str(seed)]
+    tolerance = data.draw(st.sampled_from(
+        [None, 0.01, 0.5, 1e-9, 1.0, 0.0, -1.0, 2.0, float("nan"), float("inf")]
+    ))
+    if tolerance is not None:
+        flags += ["--tolerance", str(tolerance)]
+    return ["verify", flags]
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +152,35 @@ def test_fuzzed_documents_and_flags_end_in_a_verdict_or_a_diagnostic(data, workd
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     event(f"{command} exit {code}")
+    if "--tolerance" in flags and not 0 < float(flags[flags.index("--tolerance") + 1]) < 1:
+        assert code == 2
     if code == 2:
         diagnostic = json.loads(err)
         assert isinstance(diagnostic, dict) and "error" in diagnostic
         assert out == ""
+
+
+@settings(
+    max_examples=40,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(NAMES),
+    tolerance=st.one_of(st.floats(), st.floats(min_value=0, max_value=1)),
+)
+def test_verify_tolerance_outside_the_unit_interval_exits_two(name, tolerance, capsys):
+    capsys.readouterr()
+    code = main(["verify", str(FIXTURES / f"{name}.json"), "--samples", "5",
+                 "--tolerance", str(tolerance)])
+    out, err = capsys.readouterr()
+    inside = 0 < tolerance < 1
+    event("inside" if inside else "outside")
+    rejected = code == 2 and "tolerance" in json.loads(err)["detail"]
+    assert rejected != inside, (tolerance, code, err)
+    if inside and code != 2:
+        assert json.loads(out)["tolerance"] == tolerance
 
 
 # no int and no float parses these

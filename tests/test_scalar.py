@@ -275,6 +275,18 @@ def _canonical_zeros(a):
     return all(c is _F0 for c in a.coeffs if not c)
 
 
+def _sparse_canonical(a):
+    """The stored terms have strictly increasing exponents in [0, phi(N))
+    and no zero coefficient, and the dense view builds the same scalar."""
+    ks = [k for k, _ in a.terms()]
+    return (
+        all(c for _, c in a.terms())
+        and all(0 <= k < euler_phi(a.conductor) for k in ks)
+        and all(i < j for i, j in zip(ks, ks[1:]))
+        and CycloScalar(a.conductor, a.coeffs) == a
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_arithmetic_matches_the_fraction_reference(data):
@@ -285,6 +297,7 @@ def test_arithmetic_matches_the_fraction_reference(data):
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
     assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    quotients = ()
     if b.is_zero():
         with pytest.raises(DivisionByZero):
             a / b
@@ -294,6 +307,7 @@ def test_arithmetic_matches_the_fraction_reference(data):
         assert _ref_reduce(N, _ref_mul(b.inverse().coeffs, b.coeffs)) == (
             _ref_reduce(N, [1])
         )
+        quotients = (q, b.inverse())
     else:
         # quotients at phi = 96 carry thousand-digit coefficients, which the
         # Fraction reference takes seconds to multiply
@@ -301,6 +315,8 @@ def test_arithmetic_matches_the_fraction_reference(data):
     for result in (a * b, a + b, a - b, -a):
         assert len(result.coeffs) == euler_phi(N)
         assert _canonical_zeros(result)
+    for result in (a, b, a * b, a + b, a - b, -a, *quotients):
+        assert _sparse_canonical(result)
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,6 +329,8 @@ def test_mixed_conductors_match_the_fraction_reference(a, b):
     assert (a * b).coeffs == _ref_reduce(M, _ref_mul(wa, wb))
     assert (a + b).coeffs == tuple(x + y for x, y in zip(wa, wb))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(wa, wb))
+    for result in (a.embed(M), b.embed(M), a * b, a + b, a - b):
+        assert _sparse_canonical(result)
 
 
 @settings(max_examples=80, deadline=None)
@@ -325,6 +343,7 @@ def test_from_poly_reduces_like_the_fraction_reference(N, data):
     got = CycloScalar.from_poly(N, poly)
     assert got.coeffs == _ref_reduce(N, poly)
     assert _canonical_zeros(got)
+    assert _sparse_canonical(got)
 
 
 @pytest.mark.parametrize("N", _FIELD_ORDERS)
@@ -342,6 +361,13 @@ def test_zeros_that_are_not_shared_still_count_as_zero():
     assert not CycloScalar(12, [Fraction(0)] * 4)
     assert CycloScalar(12, [Fraction(5)] + [Fraction(0)] * 3).is_rational()
     assert (fresh * fresh.inverse()).rational_value() == 1
+
+
+def test_dense_int_coefficients_are_taken_as_fractions():
+    a = CycloScalar(12, [2, 0, 3, 0])
+    assert a == 2 + 3 * zeta(12, 2)
+    assert a * a.inverse() == 1
+    assert CycloScalar(12, [2, 0, 0, 0]).inverse().text() == "1/2"
 
 
 @pytest.mark.parametrize("N", [1, 4, 12, 60, 105, 420])

@@ -14,6 +14,12 @@ fixtures of the new tree, so both sides see the same files:
   so the two runs with --json compare that rejection;
 * compare over every ordered pair of fixtures.
 
+The same analyze, project and verify invocations then run on generated
+curves, each also compared with itself: the 10 cyclo-highN and the 40
+random-lowN documents of seed 101, built by the new tree's
+perfbench/workloads.py into a temporary directory. They carry
+non-rational coefficients over Q(zeta_N) up to N = 420.
+
 Each tree runs all invocations in one process of its own, through
 c5cone.cli.main with stdout and stderr captured. The exit status is 1 when
 any invocation differs, else 0. No engine code imports this file.
@@ -22,39 +28,83 @@ any invocation differs, else 0. No engine code imports this file.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 import time
+
+
+SEED = 101
+
+
+def _document_invocations(path: pathlib.Path) -> list:
+    """analyze, project and verify of one document."""
+    f = str(path)
+    n = json.loads(path.read_text())["n"]
+    units = [[int(col == row) for col in range(n)] for row in range(2, n)]
+    diffs = [[int(col == 1) - int(col == k) for col in range(n)] for k in range(2, n)]
+    return [
+        ["analyze", f],
+        ["analyze", f, "--json"],
+        ["analyze", f, "--reps"],
+        ["analyze", f, "--json", "--reps"],
+        ["project", f, "--auto"],
+        ["project", f, "--auto", "--json"],
+        ["project", f, "--kernel", json.dumps(units), "--json"],
+        ["project", f, "--kernel", json.dumps(diffs)],
+        ["verify", f],
+        ["verify", f, "--json"],
+        ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
+         "--samples", "57", "--json"],
+        ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
+         "--samples", "57"],
+    ]
 
 
 def invocations(fixtures: pathlib.Path) -> list:
     paths = sorted(fixtures.glob("*.json"))
+    out = [call for path in paths for call in _document_invocations(path)]
+    out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
+    return out
+
+
+def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
+    """Write the cyclo-highN and random-lowN documents of SEED, drawn as the
+    benchmark draws them, into directory; return their paths."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_diff_workloads", tree / "perfbench" / "workloads.py"
+    )
+    W = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(W)
+    docs = []
+    rng = random.Random(SEED)
+    for index, shape in enumerate(W.CYCLO_SHAPES):
+        docs.append((f"cyclo{index}", W.cyclo_curve(rng, W.cyclo_skeleton(*shape))))
+    rng = random.Random(SEED)
+    for index, stratum in enumerate(W.lown_strata(40)):
+        docs.append((f"lown{index:02d}", W.lown_curve(rng, stratum)))
+        # the benchmark draws a branch permutation after each curve
+        perm = list(range(len(docs[-1][1]["branches"])))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+    paths = []
+    for name, doc in docs:
+        path = directory / f"{name}.json"
+        path.write_text(W.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def generated_invocations(paths: list) -> list:
     out = []
     for path in paths:
-        f = str(path)
-        n = json.loads(path.read_text())["n"]
-        units = [[int(col == row) for col in range(n)] for row in range(2, n)]
-        diffs = [[int(col == 1) - int(col == k) for col in range(n)] for k in range(2, n)]
-        out += [
-            ["analyze", f],
-            ["analyze", f, "--json"],
-            ["analyze", f, "--reps"],
-            ["analyze", f, "--json", "--reps"],
-            ["project", f, "--auto"],
-            ["project", f, "--auto", "--json"],
-            ["project", f, "--kernel", json.dumps(units), "--json"],
-            ["project", f, "--kernel", json.dumps(diffs)],
-            ["verify", f],
-            ["verify", f, "--json"],
-            ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
-             "--samples", "57", "--json"],
-            ["verify", f, "--seed", "3", "--radii", "0.1", "0.01", "0.001",
-             "--samples", "57"],
-        ]
-    out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
+        out += _document_invocations(path)
+        out.append(["compare", str(path), str(path), "--json"])
     return out
 
 
@@ -106,7 +156,15 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old, new = (pathlib.Path(p).resolve() for p in argv)
-    calls = invocations(new / "fixtures")
+    differences = _diff(old, new, invocations(new / "fixtures"), "fixtures")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = generated_documents(new, pathlib.Path(tmp))
+        differences += _diff(old, new, generated_invocations(paths), "generated curves")
+    return 1 if differences else 0
+
+
+def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
+    """Print the differing invocations and a total line; return the count."""
     old_results, old_s = _run(old, calls)
     new_results, new_s = _run(new, calls)
     differences = 0
@@ -121,10 +179,10 @@ def main(argv) -> int:
                 detail = f"{x} != {y}" if name == "exit" else _first_difference(x, y)
                 print(f"  {name}: {detail}")
     print(
-        f"{len(calls)} invocations, {differences} differ "
+        f"{what}: {len(calls)} invocations, {differences} differ "
         f"(old {old_s:.1f} s, new {new_s:.1f} s)"
     )
-    return 1 if differences else 0
+    return differences
 
 
 if __name__ == "__main__":
