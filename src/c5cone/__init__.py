@@ -46,6 +46,7 @@ from .errors import (
     DivisionByZero,
     DuplicateBranch,
     EngineError,
+    FloatingPointOverflow,
     FloatingPointUnderflow,
     IncompatibleSystem,
     InvalidArgument,

@@ -104,3 +104,7 @@ class InvalidSamplingParameter(EngineError, ValueError):
 
 class FloatingPointUnderflow(EngineError):
     """A branch's leading term is below IEEE double range at the requested scale."""
+
+
+class FloatingPointOverflow(EngineError):
+    """An exact value exceeds IEEE double range, so its double is infinite."""

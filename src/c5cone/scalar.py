@@ -24,13 +24,12 @@ operand never needed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
-from .errors import ConductorLimitExceeded, DivisionByZero
+from .errors import ConductorLimitExceeded, DivisionByZero, FloatingPointOverflow
 
 # Largest conductor the engine will build a field for. phi(10080) = 2304, so
 # the dense int polynomials of products and reductions stay small.
@@ -475,17 +474,54 @@ def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:
     return zeta(conductor, (conductor // order) * (k % order))
 
 
-def to_complex(a: CycloScalar) -> complex:
-    """Numeric value of a, correctly rounded to a double.
+@lru_cache(maxsize=None)
+def _unit(N: int, j: int):
+    """zeta_N^j = exp(2*pi*i*j/N) at 200 bits, computed once per (N, j).
+    Callers pass reduced exponents j < phi(N), so the table holds at most
+    phi(N) entries per conductor, like _fold."""
+    import mpmath
 
-    Evaluated at 200 bits through mpmath before the final rounding, so the
-    only error is the unavoidable double-precision representation of the
-    exact value.
+    with mpmath.workprec(200):
+        return mpmath.expjpi(mpmath.mpf(2 * j) / N)
+
+
+def to_complex(a: CycloScalar) -> complex:
+    """Numeric value of a as a double; raises FloatingPointOverflow when
+    that double would be infinite.
+
+    Every value but a small rational is evaluated at 200 bits through
+    mpmath before the final rounding, so above the subnormal range the only
+    error is the unavoidable double-precision representation of the exact
+    value (below it, mpmath rounds to 53 bits and then to the subnormal).
+    mpmath is imported on the first such value only.
     """
+    if a.is_rational():
+        q = a.rational_value()
+        num, den = q.numerator, q.denominator
+        if abs(num) < 2**64 and den < 2**64:
+            # Int true division is correctly rounded, and gives the double of
+            # the 200-bit route: mpf(num) is exact and the 200-bit quotient
+            # lies within 2**-200 * |q| of q. A midpoint m = M * 2**t of two
+            # adjacent doubles (M odd, below 2**54) other than q lies at
+            # least 2**-128 * |q| from q: q - m is a nonzero multiple of
+            # 2**min(t, 0) / den, where 1 / den > 2**-64 * |q| and, for every
+            # m within |q| / 2 of q, 2**t > 2**-55 * |q|. So both routes round
+            # to the same side of each such m. A q that is a midpoint has 54
+            # bits, is exact at 200 bits, and both routes break its tie to
+            # even. |q| >= 2**-64 keeps both clear of subnormals.
+            return complex(num / den)
+    import mpmath
+
     with mpmath.workprec(200):
         total = mpmath.mpc(0)
         N = a.conductor
         for j, c in a.terms():
             q = mpmath.mpf(c.numerator) / c.denominator
-            total += q * mpmath.expjpi(mpmath.mpf(2 * j) / N)
-        return complex(total)
+            total += q * _unit(N, j)
+        z = complex(total)
+    if not cmath.isfinite(z):
+        raise FloatingPointOverflow(
+            f"a value at conductor {a.conductor} exceeds IEEE double range",
+            conductor=a.conductor,
+        )
+    return z

@@ -4,14 +4,16 @@ It draws each point, evaluates every coordinate series term by term, and
 measures the normalized secant direction against every cone component
 through small helper functions, one call per sample. The engine runs the
 same float operations, on the same operands and in the same order, in one
-tight loop; the tests compare the two reports with ==.
+tight loop; the tests compare the two reports with ==. Coefficients and
+basis entries reach doubles through reference_complex, the 200-bit route,
+so the comparison checks the engine's own conversion too.
 """
 
 import cmath
 import math
 import random
 
-from c5cone import DegenerateSecant, FloatingPointUnderflow, c5_cone, to_complex
+from c5cone import DegenerateSecant, FloatingPointUnderflow, c5_cone
 from c5cone.oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
@@ -19,6 +21,7 @@ from c5cone.oracle import (
     SampleReport,
     check_sampling_parameters,
 )
+from reference_complex import to_complex
 
 _MAX_FLOAT_EXPONENT = 10**300
 

@@ -367,6 +367,19 @@ def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):
     assert [w["skipped"] for w in data["witness_families"]] == [True]
 
 
+def test_verify_rejects_a_coefficient_beyond_double_range(capsys, fixtures_dir, tmp_path):
+    # its double is infinite: the secants would be NaN and every distance
+    # would read 0.0, a false pass
+    doc = json.loads((fixtures_dir / "space_cusp.json").read_text())
+    doc["branches"][0]["coords"][2][0]["coeff"][0]["num"] = 10**400
+    path = tmp_path / "huge_coefficient.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FloatingPointOverflow"
+
+
 def test_verify_rejects_wrong_override_planes(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

@@ -5,18 +5,23 @@ exception escapes cli.main, and exit 2 leaves one JSON object with an
 Documents are valid fixtures with up to three mutations: a key removed
 or renamed, a value of the wrong type, a bad zeta_order (0, negative, past
 the conductor cap), a bad exponent, an empty list, a duplicated branch
-label. Flags are drawn well-typed, so argparse accepts them and the engine
-must judge them: --kernel matrices of any shape, --radii in and out of
-(0, 0.5], --samples up to 200 plus 0 and MAX_SAMPLES + 1, --tolerance in
-and out of (0, 1), NaN and infinity included; one out of that range must
-exit 2. The n = 200 fixture is left out to keep each example within its
-deadline.
+label, a numerator of 10**400. A verify run on a document that still
+holds that numerator must exit 2: its double is infinite. Flags are drawn
+well-typed, so argparse accepts them and the engine must judge them:
+--kernel matrices of any shape, --radii in and out of (0, 0.5], --samples
+up to 200 plus 0 and MAX_SAMPLES + 1, --tolerance in and out of (0, 1),
+NaN and infinity included; one out of that range must exit 2. The
+n = 200 fixture is left out to keep each example within its deadline.
 
 A second test runs verify on unmutated fixtures with any float as
 --tolerance: it exits 2 with a tolerance diagnostic exactly when the value
 lies outside (0, 1).
 
-A third test draws command lines argparse itself rejects: ill-typed
+A third test runs verify on unmutated fixtures with valid flags (a seed,
+1 to 20 samples, two decreasing radii in (0, 0.5]) and checks its sampling
+figures against reference_sampler.
+
+A fourth test draws command lines argparse itself rejects: ill-typed
 values, unknown flags and commands, missing files, and --kernel together
 with --auto. Each must exit 2 with an InvalidArgument diagnostic.
 """
@@ -30,6 +35,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import reference_sampler
+from c5cone import read_curve
 from c5cone.cli import main
 from c5cone.oracle import MAX_SAMPLES
 
@@ -40,6 +47,7 @@ DOCUMENTS = {name: json.loads((FIXTURES / f"{name}.json").read_text()) for name 
 JUNK = st.sampled_from([None, True, "x", "", 1.5, -1, 0, [], {}, [1], {"a": 1}, 10**50])
 BAD_ORDERS = st.sampled_from([0, -1, -12, 10081, 10**9, 10**30])
 BAD_EXPONENTS = st.sampled_from([0, -1, -7, 1, 2, 10**6])
+HUGE = 10**400  # no double holds it
 
 
 def _paths(node, prefix=()):
@@ -64,7 +72,7 @@ def _set(doc, path, value):
 def _mutate(doc, data):
     paths = [p for p, _ in _paths(doc) if p]
     kind = data.draw(st.sampled_from(
-        ["drop", "rename", "junk", "order", "exponent", "empty", "duplicate", "n"]
+        ["drop", "rename", "junk", "order", "exponent", "empty", "duplicate", "n", "huge"]
     ))
     if kind in ("drop", "rename"):
         keyed = [p for p in paths if isinstance(p[-1], str)]
@@ -86,6 +94,10 @@ def _mutate(doc, data):
     elif kind == "empty":
         lists = [p for p, v in _paths(doc) if p and isinstance(v, list)]
         _set(doc, data.draw(st.sampled_from(lists)), [])
+    elif kind == "huge":
+        hits = [p for p in paths if p[-1] == "num"]
+        if hits:
+            _set(doc, data.draw(st.sampled_from(hits)), HUGE)
     elif kind == "duplicate":
         branches = doc.get("branches")
         if isinstance(branches, list) and branches:
@@ -154,6 +166,8 @@ def test_fuzzed_documents_and_flags_end_in_a_verdict_or_a_diagnostic(data, workd
     event(f"{command} exit {code}")
     if "--tolerance" in flags and not 0 < float(flags[flags.index("--tolerance") + 1]) < 1:
         assert code == 2
+    if command == "verify" and any(p[-1:] == ("num",) and v == HUGE for p, v in _paths(doc)):
+        assert code == 2
     if code == 2:
         diagnostic = json.loads(err)
         assert isinstance(diagnostic, dict) and "error" in diagnostic
@@ -181,6 +195,43 @@ def test_verify_tolerance_outside_the_unit_interval_exits_two(name, tolerance, c
     assert rejected != inside, (tolerance, code, err)
     if inside and code != 2:
         assert json.loads(out)["tolerance"] == tolerance
+
+
+# the smallest radius keeps every fixture's leading term in double range
+RADII = st.floats(min_value=2e-6, max_value=0.5).flatmap(
+    lambda big: st.tuples(
+        st.just(big), st.floats(min_value=1e-6, max_value=big, exclude_max=True)
+    )
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(NAMES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 20),
+    radii=RADII,
+)
+def test_verify_samples_like_the_reference(name, seed, samples, radii, capsys):
+    path = FIXTURES / f"{name}.json"
+    capsys.readouterr()
+    code = main(["verify", str(path), "--seed", str(seed), "--samples", str(samples),
+                 "--radii", *map(str, radii)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1), err
+    event(f"verify exit {code}")
+    data = json.loads(out)
+    ref = reference_sampler.sample_secant_directions(
+        read_curve(path), radii=radii, k=samples, seed=seed
+    )
+    assert data["per_radius_max"] == [[r, d] for r, d in ref.per_radius_max]
+    assert data["component_min_distance"] == list(ref.component_min)
+    assert data["degenerate_resampled"] == ref.degenerate_count
 
 
 # no int and no float parses these

@@ -1,8 +1,12 @@
 """Exact cyclotomic arithmetic."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from functools import lru_cache
 
 import pytest
@@ -14,6 +18,7 @@ from c5cone import (
     ConductorLimitExceeded,
     CycloScalar,
     DivisionByZero,
+    FloatingPointOverflow,
     common_conductor,
     cyclotomic_polynomial,
     root_of_unity,
@@ -21,6 +26,7 @@ from c5cone import (
     zeta,
 )
 from c5cone.scalar import _F0, euler_phi
+from reference_complex import to_complex as reference_to_complex
 
 _ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -388,3 +394,90 @@ def test_reduction_matches_sympy_rem(N):
         rem = [Fraction(str(c)) for c in reversed(p.rem(phi).all_coeffs())]
         want = tuple(rem + [Fraction(0)] * (euler_phi(N) - len(rem)))
         assert CycloScalar.from_poly(N, poly).coeffs == want
+
+
+# ---------------------------------------------------------------------------
+# Conversion to doubles: bit for bit the 200-bit reference.
+
+
+def _bits(z: complex) -> tuple:
+    """The two doubles of z as hex text, which tells -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_as_reference(a):
+    assert _bits(to_complex(a)) == _bits(reference_to_complex(a)), a
+
+
+_EDGES = (2**63, 2**64 - 1, 2**64, 2**200)
+
+
+def test_rationals_at_the_fast_path_bounds_convert_like_the_reference():
+    parts = [1, 3, 7, 2**53 + 1, *(e + d for e in _EDGES for d in (-1, 0, 1))]
+    for num in parts:
+        for den in parts:
+            for sign in (1, -1):
+                _assert_as_reference(CycloScalar.rational(Fraction(sign * num, den)))
+
+
+def test_midpoints_zero_and_negatives_convert_like_the_reference():
+    half_ulp = Fraction(1, 2**53)
+    values = [
+        0, 1, -1, 1 + half_ulp, 1 - half_ulp, 1 - half_ulp / 2, 1 + 3 * half_ulp,
+        -(1 + half_ulp), -(1 + 3 * half_ulp), Fraction(1, 3), Fraction(-2, 3),
+        Fraction(2**64 - 1, 2**63), Fraction(-(2**53 + 1), 2**64 - 1),
+    ]
+    for q in values:
+        for conductor in (1, 12):
+            _assert_as_reference(CycloScalar.rational(q, conductor))
+    assert to_complex(CycloScalar.rational(1 + half_ulp)) == 1.0  # tie to even
+    assert to_complex(CycloScalar.rational(1 + 3 * half_ulp)) == 1 + 4 * float(half_ulp)
+
+
+@pytest.mark.parametrize("N", [3, 4, 12, 60, 420, 2017])
+def test_irrational_values_convert_like_the_reference(N):
+    rng = random.Random(N)
+    coefficients = [
+        Fraction(1), Fraction(-1, 3), Fraction(2**64 - 1, 7), Fraction(5, 2**64),
+        Fraction(2**200 + 1, 3), Fraction(-(2**63), 2**200 - 1),
+    ]
+    for _ in range(12):
+        terms = rng.randint(1, 5)
+        poly = [0] * N
+        for k in rng.sample(range(1, N), min(terms, N - 1)):
+            poly[k] = rng.choice(coefficients)
+        if rng.random() < 0.5:
+            poly[0] = rng.choice(coefficients)
+        _assert_as_reference(CycloScalar.from_poly(N, poly))
+    # the first roots, and each zeta^k with k >= phi(N), which has many terms
+    for k in range(N):
+        if k < 6 or k >= euler_phi(N) or k == N - 1:
+            _assert_as_reference(zeta(N, k))
+
+
+def test_values_beyond_double_range_raise_overflow():
+    huge = CycloScalar.rational(10**400)
+    for a in (huge, -huge, huge * zeta(12), CycloScalar.rational(2**1023) * 2 + zeta(4)):
+        with pytest.raises(FloatingPointOverflow):
+            to_complex(a)
+    assert to_complex(CycloScalar.rational(Fraction(1, 10**400))) == 0
+
+
+def test_mpmath_is_loaded_only_for_irrational_values():
+    src = Path(__file__).resolve().parent.parent / "src"
+    fixture = src.parent / "fixtures" / "space_cusp.json"
+    script = (
+        "import sys\n"
+        "import c5cone.cli\n"
+        "assert 'mpmath' not in sys.modules, 'import'\n"
+        f"assert c5cone.cli.main(['analyze', {str(fixture)!r}, '--json']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'analyze'\n"
+        "c5cone.to_complex(c5cone.zeta(3))\n"
+        "assert 'mpmath' in sys.modules, 'irrational'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,9 @@ perfbench/workloads.py into a temporary directory. They carry
 non-rational coefficients over Q(zeta_N) up to N = 420.
 
 Each tree runs all invocations in one process of its own, through
-c5cone.cli.main with stdout and stderr captured. The exit status is 1 when
+c5cone.cli.main with stdout and stderr captured. After each set of
+invocations the script prints each tree's wall-clock seconds in all and
+per command (analyze, compare, project, verify). The exit status is 1 when
 any invocation differs, else 0. No engine code imports this file.
 """
 
@@ -110,12 +112,14 @@ def generated_invocations(paths: list) -> list:
 
 def _worker(src: str) -> None:
     """Run the invocations read from stdin with the engine under src and
-    write [exit code, stdout, stderr] for each to stdout as JSON."""
+    write [exit code, stdout, stderr] and the seconds taken for each to
+    stdout as JSON."""
     sys.path.insert(0, src)
     from c5cone.cli import main
 
-    results = []
+    results, seconds = [], []
     for argv in json.load(sys.stdin):
+        start = time.perf_counter()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -125,10 +129,12 @@ def _worker(src: str) -> None:
             except Exception as exc:  # an escape is a result to compare too
                 code = f"uncaught {type(exc).__name__}: {exc}"
         results.append([code, out.getvalue(), err.getvalue()])
-    json.dump(results, sys.stdout)
+        seconds.append(time.perf_counter() - start)
+    json.dump([results, seconds], sys.stdout)
 
 
 def _run(tree: pathlib.Path, calls: list) -> tuple:
+    """(results, seconds per command, total wall seconds) of one tree."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, __file__, "--worker", str(tree / "src")],
@@ -137,7 +143,11 @@ def _run(tree: pathlib.Path, calls: list) -> tuple:
         text=True,
         check=True,
     )
-    return json.loads(proc.stdout), time.perf_counter() - start
+    results, seconds = json.loads(proc.stdout)
+    per_command = {}
+    for argv, s in zip(calls, seconds):
+        per_command[argv[0]] = per_command.get(argv[0], 0.0) + s
+    return results, per_command, time.perf_counter() - start
 
 
 def _first_difference(a: str, b: str) -> str:
@@ -165,8 +175,8 @@ def main(argv) -> int:
 
 def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
     """Print the differing invocations and a total line; return the count."""
-    old_results, old_s = _run(old, calls)
-    new_results, new_s = _run(new, calls)
+    old_results, old_per, old_s = _run(old, calls)
+    new_results, new_per, new_s = _run(new, calls)
     differences = 0
     for argv_, a, b in zip(calls, old_results, new_results):
         if a == b:
@@ -182,6 +192,11 @@ def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
         f"{what}: {len(calls)} invocations, {differences} differ "
         f"(old {old_s:.1f} s, new {new_s:.1f} s)"
     )
+    for command in sorted(new_per):
+        print(
+            f"  {command}: old {old_per[command]:.2f} s, "
+            f"new {new_per[command]:.2f} s"
+        )
     return differences
 
 
