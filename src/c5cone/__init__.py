@@ -126,4 +126,34 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The API of README "Python API". Every other name imported above is still
+# importable from the package root by name.
+__all__ = [
+    # curves and documents
+    "read_curve",
+    "write_curve",
+    "curve_from_exponents",
+    # the cone
+    "c5_cone",
+    "bound1",
+    "bound2",
+    "product_equation",
+    "Analysis",
+    # invariants
+    "cham",
+    "coam",
+    "characteristic_exponents",
+    "contact_structure",
+    "profile",
+    "bilipschitz_equivalent",
+    # projections
+    "LinearProjection",
+    "find_generic_projection",
+    "is_c5_generic",
+    "verify_projection_invariance",
+    # the numeric oracle
+    "sample_secant_directions",
+    "cone_witness_results",
+    # errors
+    "EngineError",
+]

@@ -16,13 +16,20 @@ cone of bi-secant limits.
 Both are read off the branch supports; no difference series is built. The
 u^e coefficient of phi(u) - phi(theta*u) is c_e*(1 - theta^e), which
 vanishes exactly when ord(theta) divides e. The u^E coefficient of a
-contact difference is c_i(E/a) - c_j(E/b)*theta^E, formed up the merged
-rescaled supports only until the first nonzero one.
+contact difference is c_i(E/a) - c_j(E/b)*theta^E, and for
+theta = zeta_lcm^k it depends on k only through the twist j = k*E mod lcm.
+contact_leading forms it for one theta up the merged rescaled supports
+until the first nonzero one. For the whole root group, one walk up those
+supports gives every k its class (m_theta, j) (see _Pair.classes), at a
+cost of one coefficient check per distinct twist of the k still
+vanishing, not one vector per root: coam reads the classes alone, and
+contact records of one class share one v_theta and one plane.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import DuplicateBranch, NonPrimitiveParametrization
@@ -96,61 +103,136 @@ def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> Aux
     )
 
 
-def _rescaled(bi: Branch, bj: Branch) -> tuple:
+class _Pair:
     """What every theta of a pair shares: lcm, conductor, both supports
-    rescaled to order lcm, merged exponents, tangency, roots as read."""
-    lcm = math.lcm(bi.m, bj.m)
-    left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
-    right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
-    conductor = common_conductor(bi.conductor, bj.conductor)
-    exponents = sorted(set().union(*left, *right))
-    return lcm, conductor, left, right, exponents, bi.tangent == bj.tangent, {}
+    rescaled to order lcm, merged exponents, tangency, the roots
+    zeta_lcm^j as built, the class of every k and each class's shared
+    (v_theta, plane)."""
 
+    def __init__(self, bi: Branch, bj: Branch):
+        self.lcm = lcm = math.lcm(bi.m, bj.m)
+        self.left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
+        self.right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
+        self.conductor = common_conductor(bi.conductor, bj.conductor)
+        self.exponents = sorted(set().union(*self.left, *self.right))
+        self.tangent = bi.tangent == bj.tangent
+        self.roots = {}
+        self.leading = {}  # class (m_theta, j) -> (v_theta, plane)
 
-def contact_leading(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None) -> tuple:
-    """(m_theta, lowest-order coefficient vector) of
-    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k. pair,
-    when given, is _rescaled(bi, bj), built once for all k.
+    def root(self, j: int) -> CycloScalar:
+        j %= self.lcm
+        roots = self.roots
+        return roots.get(j) or roots.setdefault(j, root_of_unity(self.conductor, self.lcm, j))
 
-    Raises DuplicateBranch when the difference vanishes: the two branches
-    have the same image.
-    """
-    lcm, conductor, left, right, exponents, _, roots = pair or _rescaled(bi, bj)
-    for E in exponents:
-        j = k * E % lcm
-        twist = roots.get(j) or roots.setdefault(j, root_of_unity(conductor, lcm, j))
+    def vector(self, E: int, j: int) -> list:
+        """The u^E coefficient vector c_i(E) - c_j(E)*zeta_lcm^j."""
+        twist = self.root(j)
         vec = []
-        for lhs, rhs in zip(left, right):
+        for lhs, rhs in zip(self.left, self.right):
             if E in rhs:
                 term = rhs[E] * twist
                 vec.append(lhs[E] - term if E in lhs else -term)
             else:
                 vec.append(lhs.get(E, _ZERO))
-        if any(not entry.is_zero() for entry in vec):
-            return E, vec
-    raise DuplicateBranch(
+        return vec
+
+    @cached_property
+    def classes(self) -> list:
+        """classes[k] is (m_theta, j) for theta = zeta_lcm^k, with the twist
+        j = k*m_theta mod lcm, or None where the difference vanishes.
+
+        One walk up the merged exponents. The k whose difference vanishes
+        below E are k = a mod P, a progression whose twists at E are
+        E*a + g*t mod lcm with g = gcd(E*P, lcm). Where right(E) != 0 the
+        vectors right(E)*zeta_lcm^j differ for each j, and where it is 0,
+        left(E) is not: at most one of those lcm/g twists keeps the
+        difference zero. Its k are cut down by CRT, and every other k gets
+        class (E, k*E mod lcm).
+        """
+        lcm = self.lcm
+        classes = [None] * lcm
+        a, P = 0, 1
+        for E in self.exponents:
+            g = math.gcd(E * P, lcm)
+            kept = self._vanishing_twist(E, E * a % g, g)
+            for k in range(a, lcm, P):
+                j = k * E % lcm
+                if j != kept:
+                    classes[k] = (E, j)
+            if kept is None:
+                break
+            step = lcm // g
+            t = (kept - E * a) // g * pow(E * P // g, -1, step) % step
+            a, P = a + P * t, P * step
+        return classes
+
+    def _vanishing_twist(self, E: int, residue: int, g: int) -> Optional[int]:
+        """The one twist j = residue mod g at which the u^E coefficients of
+        both sides agree, or None. Sides nonzero in different coordinates
+        never agree; otherwise one coordinate picks the twist and the rest
+        confirm it."""
+        rows = [(lhs.get(E), rhs.get(E)) for lhs, rhs in zip(self.left, self.right)]
+        if any((lhs is None) != (rhs is None) for lhs, rhs in rows):
+            return None
+        (l0, r0), *rest = [row for row in rows if row[1] is not None]
+        for j in range(residue, self.lcm, g):
+            twist = self.root(j)
+            if r0 * twist == l0:
+                return j if all(rhs * twist == lhs for lhs, rhs in rest) else None
+        return None
+
+
+def _duplicate(bi: Branch, bj: Branch) -> DuplicateBranch:
+    return DuplicateBranch(
         f"branches {bi.label} and {bj.label} have the same image",
         labels=[bi.label, bj.label],
     )
 
 
-def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[tuple] = None) -> AuxRecord:
+def contact_leading(bi: Branch, bj: Branch, k: int) -> tuple:
+    """(m_theta, lowest-order coefficient vector) of
+    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k, read by
+    forming the coefficient vectors up the merged supports until the first
+    nonzero one.
+
+    Raises DuplicateBranch when the difference vanishes: the two branches
+    have the same image.
+    """
+    pair = _Pair(bi, bj)
+    for E in pair.exponents:
+        vec = pair.vector(E, k * E)
+        if any(not entry.is_zero() for entry in vec):
+            return E, vec
+    raise _duplicate(bi, bj)
+
+
+def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[_Pair] = None) -> AuxRecord:
     """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
-    theta = zeta_lcm^k (theta = 1 allowed); pair as for contact_leading."""
-    lcm, conductor, *_, tangent_pair, _ = pair = pair or _rescaled(bi, bj)
-    if tangent_pair:
+    theta = zeta_lcm^k (theta = 1 allowed). pair, when given, is
+    _Pair(bi, bj), built once for all k.
+
+    The record is read off k's class (m_theta, j): records of a pair with
+    one class share one v_theta and one plane."""
+    pair = pair or _Pair(bi, bj)
+    if pair.tangent:
         check_tangent_pair(bi, bj)
-    m_theta, lowest = contact_leading(bi, bj, k, pair)
-    v_theta = Direction(lowest)
+    found = pair.classes[k % pair.lcm]
+    if found is None:
+        raise _duplicate(bi, bj)
+    if found not in pair.leading:
+        v_theta = Direction(pair.vector(*found))
+        other = v_theta if pair.tangent else bj.tangent
+        pair.leading[found] = (v_theta, plane_from_vectors(bi.tangent, other))
+    v_theta, plane = pair.leading[found]
     return AuxRecord(
         kind="contact",
         labels=(bi.label, bj.label),
-        group_order=lcm,
+        group_order=pair.lcm,
         k=k,
-        theta=root_of_unity(conductor, lcm, k),
-        m_theta=m_theta,
+        theta=pair.root(k),
+        m_theta=found[0],
         v_theta=v_theta,
-        plane=plane_from_vectors(bi.tangent, v_theta if tangent_pair else bj.tangent),
+        plane=plane,
     )
 
 
@@ -172,8 +254,8 @@ def contact_records(bi: Branch, bj: Branch) -> list:
     No representative shortcut exists here: same-order thetas can yield
     different planes.
     """
-    pair = _rescaled(bi, bj)
-    return [contact_aux(bi, bj, k, pair) for k in range(pair[0])]
+    pair = _Pair(bi, bj)
+    return [contact_aux(bi, bj, k, pair) for k in range(pair.lcm)]
 
 
 def cham(b: Branch) -> frozenset:
@@ -187,13 +269,15 @@ def cham(b: Branch) -> frozenset:
 
 def coam(bi: Branch, bj: Branch) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
-    m_theta over the full root group, one entry per theta, read with
-    contact_leading and no record. A non-tangent pair needs no enumeration:
-    its rescaled branches start at order lcm and their leading vectors, the
-    two tangents, are not proportional."""
+    m_theta over the full root group, one entry per theta, read off the
+    classes of one walk with no vector and no record. A non-tangent pair needs no walk: its rescaled branches start at
+    order lcm and their leading vectors, the two tangents, are not
+    proportional."""
     lcm = math.lcm(bi.m, bj.m)
     if bi.tangent != bj.tangent:
         return (lcm,) * lcm
     check_tangent_pair(bi, bj)
-    pair = _rescaled(bi, bj)
-    return tuple(sorted(contact_leading(bi, bj, k, pair)[0] for k in range(lcm)))
+    classes = _Pair(bi, bj).classes
+    if None in classes:
+        raise _duplicate(bi, bj)
+    return tuple(sorted(m_theta for m_theta, _ in classes))

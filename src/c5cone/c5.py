@@ -101,9 +101,14 @@ class Analysis:
             )
         found = {}
         ordered = []
+        # id(plane) -> (plane, key): records share plane objects, and
+        # holding each plane keeps its id from being reused meanwhile
+        keys = {}
 
         def add(plane, descriptor):
-            key = plane.key()
+            if id(plane) not in keys:
+                keys[id(plane)] = plane, plane.key()
+            key = keys[id(plane)][1]
             if key not in found:
                 found[key] = [plane, []]
                 ordered.append(key)

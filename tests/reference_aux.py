@@ -66,6 +66,7 @@ class Reference(NamedTuple):
     lowest: list  # raw lowest-order coefficient vector of the difference
     v_theta: Direction
     plane: object
+    theta: CycloScalar
 
 
 def _lowest(diff):
@@ -82,9 +83,8 @@ def characteristic_reference(b, k) -> Reference:
             f"branch {b.label} is invariant under u -> theta*u", label=b.label
         )
     m_theta, lowest, v_theta = _lowest(diff)
-    return Reference(
-        m_theta, lowest, v_theta, plane_from_vectors(tangent_direction(b), v_theta)
-    )
+    plane = plane_from_vectors(tangent_direction(b), v_theta)
+    return Reference(m_theta, lowest, v_theta, plane, theta)
 
 
 def contact_reference(bi, bj, k) -> Reference:
@@ -103,4 +103,4 @@ def contact_reference(bi, bj, k) -> Reference:
         )
     m_theta, lowest, v_theta = _lowest(diff)
     plane = plane_from_vectors(ti, v_theta if ti == tj else tj)
-    return Reference(m_theta, lowest, v_theta, plane)
+    return Reference(m_theta, lowest, v_theta, plane, theta)

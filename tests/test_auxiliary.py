@@ -13,6 +13,7 @@ from c5cone import (
     CycloScalar,
     Direction,
     DuplicateBranch,
+    EngineError,
     IncompatibleSystem,
     NonPrimitiveParametrization,
     Parametrization,
@@ -202,7 +203,8 @@ def test_coam_matches_the_enumeration(fixture_names, load):
         for kind, pairs in (("T", cls.T), ("NT", cls.NT)):
             for i, j in sorted(pairs):
                 bi, bj = c.branches[i], c.branches[j]
-                reference = sorted(r.m_theta for r in contact_records(bi, bj))
+                lcm = math.lcm(bi.m, bj.m)
+                reference = sorted(contact_reference(bi, bj, k).m_theta for k in range(lcm))
                 assert coam(bi, bj) == tuple(reference)
                 checked[kind] += 1
     assert checked["T"] >= 10 and checked["NT"] >= 40
@@ -334,16 +336,118 @@ def _contact_outcomes(build, bi, bj):
     return out
 
 
-def test_identical_images_are_rejected_at_the_matching_root(load):
-    b = load("same_order_contact").branches[0]
+def reparametrized_pair():
+    """Two branches with one image: the second is the first reparametrized
+    by u -> i*u, so the first is the second at theta*u for theta = i^3."""
     z = zeta(4)
-    # the second branch is the first reparametrized by u -> i*u, so the
-    # first is the second at theta*u for theta = i^3
-    pair = curve_from_exponents([
+    return curve_from_exponents([
         [4, [(6, 1)], [(9, 1)]],
         [4, [(6, -1)], [(9, z)]],
-    ]).branches
+    ])
+
+
+def test_identical_images_are_rejected_at_the_matching_root(load):
+    b = load("same_order_contact").branches[0]
+    pair = reparametrized_pair().branches
     for bi, bj, duplicate_k in ((b, b, 0), (*pair, 3)):
         closed = _contact_outcomes(contact_aux, bi, bj)
         assert closed == _contact_outcomes(contact_reference, bi, bj)
         assert [k for k, v in enumerate(closed) if v == "duplicate"] == [duplicate_k]
+
+
+# ---------------------------------------------------------------------------
+# contact data of every k against the expanded difference series
+
+
+def _outcome(call):
+    """call()'s result, or the type and payload of the engine error it raised."""
+    try:
+        return call()
+    except EngineError as exc:
+        return type(exc), exc.to_json()
+
+
+def _first_error(outcomes):
+    return next((o for o in outcomes if isinstance(o[0], type)), None)
+
+
+def _facts(rec):
+    """What a contact record (or a reference) says about its root."""
+    return rec.m_theta, rec.v_theta.key(), rec.plane.key(), rec.theta.text()
+
+
+def assert_contact_data_match_the_reference(c):
+    """Every ordered pair of branches, (b, b) included: at every k the
+    record, contact_leading and the reference agree, or raise the same
+    error; contact_records and coam agree with them over the whole group."""
+    checked = 0
+    for bi in c.branches:
+        for bj in c.branches:
+            ks = range(math.lcm(bi.m, bj.m))
+            references = [_outcome(lambda k=k: contact_reference(bi, bj, k)) for k in ks]
+            expected = [o if isinstance(o[0], type) else _facts(o) for o in references]
+            for k, want, ref in zip(ks, expected, references):
+                assert _outcome(lambda: _facts(contact_aux(bi, bj, k))) == want, k
+                leading = _outcome(lambda: contact_leading(bi, bj, k))
+                if isinstance(ref[0], type):
+                    # contact_leading leaves the tangent-pair check to its callers
+                    if ref[0] is DuplicateBranch:
+                        assert leading == ref, k
+                else:
+                    assert leading == (ref.m_theta, ref.lowest), k
+            error = _first_error(expected)
+            records = _outcome(lambda: [_facts(r) for r in contact_records(bi, bj)])
+            assert records == (error or expected)
+            if error:
+                assert _outcome(lambda: coam(bi, bj)) == error
+            else:
+                assert coam(bi, bj) == tuple(sorted(want[0] for want in expected))
+            checked += len(ks)
+    return checked
+
+
+def test_contact_data_match_the_reference_on_fixtures(fixture_names, load):
+    # prime_multiplicity has one branch of order 2017: the expanded series
+    # of its 2017 self-contact roots takes seconds each
+    curves = [load(name) for name in fixture_names if name != "prime_multiplicity"]
+    for c in curves + [reparametrized_pair()]:
+        assert_contact_data_match_the_reference(c)
+
+
+def follower(b, s):
+    """b reparametrized by u -> zeta_m^s*u, with 1/7 added to one highest
+    non-special term: against b, its contact difference vanishes at
+    theta = zeta_m^-s up to that term, so the walk cuts its progression
+    down at several exponents before the pair parts."""
+    top = max(e for series in b.param.coords for e, _ in series.terms)
+    coords = [
+        [(e, c * zeta(b.m, s * e % b.m)) for e, c in series.terms]
+        for series in b.param.coords
+    ]
+    shifted = next(
+        (
+            coord for index, coord in enumerate(coords)
+            if index not in b.special_coords and coord and coord[-1][0] == top
+        ),
+        None,
+    )
+    if shifted is not None:
+        e, c = shifted[-1]
+        shifted[-1] = (e, c + CycloScalar.rational(Fraction(1, 7)))
+    return coords
+
+
+def test_contact_data_match_the_reference_on_random_curves():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(200):
+        c = random_curve(rng)
+        checked += assert_contact_data_match_the_reference(c)
+        b = c.branches[0]
+        leader = [list(series.terms) for series in b.param.coords]
+        try:
+            pair = curve_from_exponents([leader, follower(b, rng.randrange(b.m))])
+        except EngineError:
+            continue
+        checked += assert_contact_data_match_the_reference(pair)
+    assert checked >= 4000

@@ -270,6 +270,21 @@ def test_project_and_verify_read_one_analysis(
     }
 
 
+@pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])
+def test_contact_records_build_one_plane_per_class(monkeypatch, load, name):
+    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",))
+    contacts = Analysis(load(name)).contacts
+    classes = {}
+    for records in contacts.values():
+        for rec in records:
+            twist = rec.k * rec.m_theta % rec.group_order
+            classes.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
+    assert counts == {"plane_from_vectors": len(classes)}
+    assert len(classes) < sum(map(len, contacts.values()))
+    for first, *rest in classes.values():
+        assert all(r.v_theta is first.v_theta and r.plane is first.plane for r in rest)
+
+
 def test_profile_builds_no_record_and_no_plane(monkeypatch, load):
     names = ("characteristic_aux", "contact_aux", "plane_from_vectors")
     counts = count_engine_calls(monkeypatch, names)

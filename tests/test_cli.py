@@ -1,6 +1,8 @@
 """Command line behavior: output shapes, exit codes, error contract."""
 
+import copy
 import json
+import pathlib
 import time
 
 import pytest
@@ -24,6 +26,10 @@ def run_json(capsys, *argv):
 
 def fixture(fixtures_dir, name):
     return str(fixtures_dir / f"{name}.json")
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SMALL = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "prime_multiplicity")
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +384,33 @@ def test_verify_rejects_a_coefficient_beyond_double_range(capsys, fixtures_dir, 
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "FloatingPointOverflow"
+
+
+def _non_leading_terms(doc):
+    """(branch, coordinate, term) of every term above its branch's order."""
+    for b, branch in enumerate(doc["branches"]):
+        m = min(term["exp"] for coord in branch["coords"] for term in coord)
+        for c, coord in enumerate(branch["coords"]):
+            for t, term in enumerate(coord):
+                if term["exp"] > m:
+                    yield b, c, t
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_verify_rejects_any_non_leading_coefficient_beyond_double_range(
+    capsys, fixtures_dir, tmp_path, name
+):
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
+    sites = list(_non_leading_terms(doc))
+    assert sites
+    path = tmp_path / "huge_coefficient.json"
+    for b, c, t in sites:
+        huge = copy.deepcopy(doc)
+        huge["branches"][b]["coords"][c][t]["coeff"][0]["num"] = 10**400
+        path.write_text(json.dumps(huge))
+        code, out, err = run(capsys, "verify", str(path), "--samples", "5")
+        assert (code, out) == (2, ""), (b, c, t)
+        assert json.loads(err)["error"] == "FloatingPointOverflow", (b, c, t)
 
 
 def test_verify_rejects_wrong_override_planes(capsys, fixtures_dir):

@@ -21,10 +21,13 @@ perfbench/workloads.py into a temporary directory. They carry
 non-rational coefficients over Q(zeta_N) up to N = 420.
 
 Each tree runs all invocations in one process of its own, through
-c5cone.cli.main with stdout and stderr captured. After each set of
-invocations the script prints each tree's wall-clock seconds in all and
-per command (analyze, compare, project, verify). The exit status is 1 when
-any invocation differs, else 0. No engine code imports this file.
+c5cone.cli.main with stdout and stderr captured. Each set of invocations
+runs ROUNDS times per tree, the trees interleaved and the one that goes
+first alternating, and the outputs of the first round are diffed. After
+each set the script prints each tree's median wall-clock seconds over the
+rounds, in all and per command (analyze, compare, project, verify): one
+run per tree swings by about 20 % on a shared machine. The exit status is
+1 when any invocation differs, else 0. No engine code imports this file.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import io
 import json
 import pathlib
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,6 +46,7 @@ import time
 
 
 SEED = 101
+ROUNDS = 3
 
 
 def _document_invocations(path: pathlib.Path) -> list:
@@ -174,11 +179,14 @@ def main(argv) -> int:
 
 
 def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
-    """Print the differing invocations and a total line; return the count."""
-    old_results, old_per, old_s = _run(old, calls)
-    new_results, new_per, new_s = _run(new, calls)
+    """Print the differing invocations of the first round, then a total
+    line and the median seconds per command; return the count."""
+    runs = {old: [], new: []}
+    for round_ in range(ROUNDS):
+        for tree in (old, new) if round_ % 2 == 0 else (new, old):
+            runs[tree].append(_run(tree, calls))
     differences = 0
-    for argv_, a, b in zip(calls, old_results, new_results):
+    for argv_, a, b in zip(calls, runs[old][0][0], runs[new][0][0]):
         if a == b:
             continue
         differences += 1
@@ -188,14 +196,20 @@ def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
             if x != y:
                 detail = f"{x} != {y}" if name == "exit" else _first_difference(x, y)
                 print(f"  {name}: {detail}")
+
+    def median(tree, command=None):
+        return statistics.median(
+            total if command is None else per[command] for _, per, total in runs[tree]
+        )
+
     print(
         f"{what}: {len(calls)} invocations, {differences} differ "
-        f"(old {old_s:.1f} s, new {new_s:.1f} s)"
+        f"(median of {ROUNDS} rounds: old {median(old):.1f} s, new {median(new):.1f} s)"
     )
-    for command in sorted(new_per):
+    for command in sorted(runs[new][0][1]):
         print(
-            f"  {command}: old {old_per[command]:.2f} s, "
-            f"new {new_per[command]:.2f} s"
+            f"  {command}: old {median(old, command):.2f} s, "
+            f"new {median(new, command):.2f} s"
         )
     return differences
 
