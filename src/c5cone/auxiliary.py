@@ -105,9 +105,9 @@ def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> Aux
 
 class _Pair:
     """What every theta of a pair shares: lcm, conductor, both supports
-    rescaled to order lcm, merged exponents, tangency, the roots
-    zeta_lcm^j as built, the class of every k and each class's shared
-    (v_theta, plane)."""
+    rescaled to order lcm, merged exponents, tangency (compared when first
+    read), the class of every k and each class's shared (v_theta, plane).
+    The roots zeta_lcm^j come from the scalar layer's table of powers."""
 
     def __init__(self, bi: Branch, bj: Branch):
         self.lcm = lcm = math.lcm(bi.m, bj.m)
@@ -115,18 +115,17 @@ class _Pair:
         self.right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
         self.conductor = common_conductor(bi.conductor, bj.conductor)
         self.exponents = sorted(set().union(*self.left, *self.right))
-        self.tangent = bi.tangent == bj.tangent
-        self.roots = {}
+        self.branches = bi, bj
         self.leading = {}  # class (m_theta, j) -> (v_theta, plane)
 
-    def root(self, j: int) -> CycloScalar:
-        j %= self.lcm
-        roots = self.roots
-        return roots.get(j) or roots.setdefault(j, root_of_unity(self.conductor, self.lcm, j))
+    @cached_property
+    def tangent(self) -> bool:
+        bi, bj = self.branches
+        return bi.tangent == bj.tangent
 
     def vector(self, E: int, j: int) -> list:
         """The u^E coefficient vector c_i(E) - c_j(E)*zeta_lcm^j."""
-        twist = self.root(j)
+        twist = root_of_unity(self.conductor, self.lcm, j)
         vec = []
         for lhs, rhs in zip(self.left, self.right):
             if E in rhs:
@@ -176,7 +175,7 @@ class _Pair:
             return None
         (l0, r0), *rest = [row for row in rows if row[1] is not None]
         for j in range(residue, self.lcm, g):
-            twist = self.root(j)
+            twist = root_of_unity(self.conductor, self.lcm, j)
             if r0 * twist == l0:
                 return j if all(rhs * twist == lhs for lhs, rhs in rest) else None
         return None
@@ -229,7 +228,7 @@ def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[_Pair] = None) ->
         labels=(bi.label, bj.label),
         group_order=pair.lcm,
         k=k,
-        theta=pair.root(k),
+        theta=root_of_unity(pair.conductor, pair.lcm, k),
         m_theta=found[0],
         v_theta=v_theta,
         plane=plane,
@@ -270,13 +269,21 @@ def cham(b: Branch) -> frozenset:
 def coam(bi: Branch, bj: Branch) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
     m_theta over the full root group, one entry per theta, read off the
-    classes of one walk with no vector and no record. A non-tangent pair needs no walk: its rescaled branches start at
-    order lcm and their leading vectors, the two tangents, are not
-    proportional."""
+    classes of one walk with no vector and no record. A non-tangent pair
+    needs no walk: its rescaled branches start at order lcm and their
+    leading vectors, the two tangents, are not proportional."""
+    tangent = bi.tangent == bj.tangent
+    if tangent:
+        check_tangent_pair(bi, bj)
+    return _coam(bi, bj, tangent)
+
+
+def _coam(bi: Branch, bj: Branch, tangent: bool) -> tuple:
+    """coam(bi, bj) for a pair whose tangency is already known and, when
+    tangent, already checked by check_tangent_pair."""
     lcm = math.lcm(bi.m, bj.m)
-    if bi.tangent != bj.tangent:
+    if not tangent:
         return (lcm,) * lcm
-    check_tangent_pair(bi, bj)
     classes = _Pair(bi, bj).classes
     if None in classes:
         raise _duplicate(bi, bj)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InvalidDocument
 from .geometry import Branch, Curve, curve
-from .scalar import CycloScalar, common_conductor
+from .scalar import CycloScalar, _monomial, common_conductor
 from .series import CoordinateSeries, Parametrization
 
 DOCUMENT_VERSION = 1
@@ -72,10 +72,9 @@ def _parse_scalar(summands, what: str) -> CycloScalar:
             raise InvalidDocument(
                 f"{what}[{pos}].zeta_order must be positive, got {order}"
             )
-        # The cap check comes before the list of power % order zeros is built.
+        # The cap check comes before zeta_order^power enters the table.
         common_conductor(order)
-        poly = [Fraction(0)] * (power % order) + [Fraction(num, den)]
-        total = total + CycloScalar.from_poly(order, poly)
+        total = total + _monomial(order, power, Fraction(num, den))
     return total
 
 

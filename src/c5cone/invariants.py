@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .auxiliary import cham, coam
+from .auxiliary import _coam, cham
 from .errors import (
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
     TooManyBranches,
 )
-from .geometry import Branch, Curve, check_compatibility
+from .geometry import Branch, Curve, check_tangent_pair, classify
 
 MAX_BRANCHES = 12
 
@@ -138,14 +138,16 @@ class InvariantProfile(NamedTuple):
 def profile(c: Curve) -> InvariantProfile:
     """All characteristic and contact auxiliary multiplicities of a curve,
     read off the branch supports: no auxiliary record or plane is built."""
-    check_compatibility(c)  # IncompatibleSystem before DuplicateBranch
     branches = c.branches
+    T = classify(c).T  # the one comparison of each pair's tangents
+    for i, j in sorted(T):  # IncompatibleSystem before DuplicateBranch
+        check_tangent_pair(branches[i], branches[j])
     r = len(branches)
     return InvariantProfile(
         r=r,
         chams=tuple(cham(b) for b in branches),
         coams={
-            (i, j): coam(branches[i], branches[j])
+            (i, j): _coam(branches[i], branches[j], (i, j) in T)
             for i in range(r)
             for j in range(i + 1, r)
         },

@@ -19,7 +19,9 @@ polynomial is scaled by the lcm D of its denominators, Phi_N's nonzero
 terms are subtracted with no division, and a Fraction(v, D) is built only
 for each nonzero remainder. Products and inverses (extended Euclid by
 pseudo-division) run in ints too, and a product skips the work a rational
-operand never needed.
+operand never needed. A monomial c*zeta_N^k (a power of zeta, a document
+summand, the inverse or a power of a one-term scalar) is c times the
+reduced terms of zeta_N^(k mod N), which a per-process table builds once.
 """
 
 from __future__ import annotations
@@ -377,7 +379,7 @@ class CycloScalar:
             return _make(self.conductor, ((0, 1 / self._terms[0][1]),))
         if len(self._terms) == 1:  # c*zeta^j with 0 < j
             ((j, c),) = self._terms
-            return CycloScalar.from_poly(self.conductor, [0] * (self.conductor - j) + [1 / c])
+            return _monomial(self.conductor, -j, 1 / c)
         # self = ints / den and ints * s = c, so 1/self = den * s / c
         pairs, den = _int_terms(self._terms)
         s, c = _inverse_mod(_spread(pairs), list(_cyclotomic(self.conductor)))
@@ -406,14 +408,12 @@ class CycloScalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        if len(self._terms) == 1:
+            # (c*zeta^j)^k = c^k * zeta^(j*k) for every k: one table lookup
+            ((j, c),) = self._terms
+            return _monomial(self.conductor, j * k, c**k)
         if k < 0:
             return self.inverse() ** (-k)
-        if len(self._terms) == 1:
-            # (c*zeta^j)^k reduces the root exponent mod the conductor first,
-            # keeping large-conductor powers linear instead of repeated
-            # full polynomial squaring.
-            ((j, c),) = self._terms
-            return CycloScalar.from_poly(self.conductor, [0] * (j * k % self.conductor) + [c**k])
         result = CycloScalar.rational(1, self.conductor)
         base = self
         while k:
@@ -455,16 +455,33 @@ def _make(N: int, terms: tuple) -> CycloScalar:
     return a
 
 
+@lru_cache(maxsize=None)
+def _zeta_terms(N: int, k: int) -> tuple:
+    """The reduced terms of zeta_N^k for 0 <= k < N, built once per (N, k):
+    at most N entries per conductor, like _fold. For k < phi(N), zeta^k is
+    a basis vector of the power basis; above, it is reduced by Phi_N."""
+    if k < euler_phi(N):
+        return ((k, _F1),)
+    return _reduced(N, [0] * k + [1], 1)._terms
+
+
+def _monomial(N: int, k: int, c: Fraction) -> CycloScalar:
+    """c * zeta_N^k for any int k, from the table; zero is the empty tuple
+    at conductor N. The caller has checked N against the cap."""
+    if not c:
+        return _make(N, ())
+    terms = _zeta_terms(N, k % N)
+    if c == 1:
+        return _make(N, terms)
+    return _make(N, tuple([(i, v * c) for i, v in terms]))
+
+
 def zeta(N: int, k: int = 1) -> CycloScalar:
     """The canonical representative of zeta_N^k (k reduced mod N)."""
     if N < 1:
         raise ValueError(f"conductor must be >= 1, got {N}")
     _check_conductor(N)
-    k %= N
-    if k < euler_phi(N):
-        # zeta^k is already a basis vector of the power basis
-        return _make(N, ((k, _F1),))
-    return CycloScalar.from_poly(N, [0] * k + [1])
+    return _make(N, _zeta_terms(N, k % N))
 
 
 def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:

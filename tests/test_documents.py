@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from c5cone import (
+    CONDUCTOR_LIMIT,
     ConductorLimitExceeded,
+    CycloScalar,
     InvalidDocument,
     NotPuiseuxForm,
     curve_from_exponents,
@@ -20,6 +22,9 @@ from c5cone import (
     write_curve,
     zeta,
 )
+from c5cone.cli import main
+from c5cone.documents import _parse_scalar
+from c5cone.scalar import _zeta_terms
 
 
 def cusp_document():
@@ -175,6 +180,65 @@ def test_huge_root_order_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _summand(num, den, order, power):
+    return {"num": num, "den": den, "zeta_order": order, "zeta_pow": power}
+
+
+def _dense_sum(summands):
+    """A coefficient summed through from_poly on dense Fraction lists, the
+    route summands took before the table of powers."""
+    total = CycloScalar.rational(0)
+    for s in summands:
+        poly = [Fraction(0)] * (s["zeta_pow"] % s["zeta_order"])
+        poly.append(Fraction(s["num"], s["den"]))
+        total = total + CycloScalar.from_poly(s["zeta_order"], poly)
+    return total
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        [_summand(1, 1, 12, 11)],  # a power Phi_12 reduces
+        [_summand(2, 3, 12, 12)],  # zeta_pow == zeta_order
+        [_summand(5, 1, 60, 137)],  # zeta_pow above zeta_order
+        [_summand(-1, 4, 420, -1)],  # negative zeta_pow
+        [_summand(3, 1, 7, -15)],
+        [_summand(0, 1, 7, 3)],  # zero, still at conductor 7
+        [_summand(1, 2, 1, 0), _summand(0, 5, 9, 8)],
+        [_summand(7, 9, 105, 100), _summand(-7, 9, 105, 100)],  # cancel to 0
+        [_summand(1, 3, 4, 3), _summand(2, 5, 6, 5), _summand(-1, 7, 15, 14)],
+        [_summand(4, 6, 360, 359), _summand(1, 1, 420, 96), _summand(1, 2, 1, 9)],
+    ],
+)
+def test_summands_parse_to_the_dense_route(summands):
+    got, expected = _parse_scalar(summands, "coeff"), _dense_sum(summands)
+    assert (got.conductor, got.terms(), got.text()) == (
+        expected.conductor, expected.terms(), expected.text()
+    )
+
+
+def test_a_zero_summand_still_raises_the_conductor():
+    doc = cusp_document()
+    assert from_document(doc).conductor == 2
+    doc["branches"][0]["coords"][1][0]["coeff"].append(_summand(0, 1, 7, 3))
+    assert from_document(doc).conductor == 14
+
+
+@pytest.mark.parametrize("order", [CONDUCTOR_LIMIT + 1, 10**9])
+def test_an_order_above_the_cap_exits_two_and_adds_no_power(order, tmp_path, capsys):
+    doc = cusp_document()
+    doc["branches"][0]["coords"][1][0]["coeff"] = [_summand(1, 1, order, order - 1)]
+    path = tmp_path / "above_cap.json"
+    path.write_text(dumps_document(doc))
+    before = _zeta_terms.cache_info()
+    assert main(["analyze", str(path), "--json"]) == 2
+    after = _zeta_terms.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ConductorLimitExceeded"
 
 
 def test_content_errors_pass_through_unwrapped():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from c5cone import (
+    EngineError,
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
@@ -13,13 +14,15 @@ from c5cone import (
     bilipschitz_equivalent,
     cham,
     characteristic_exponents,
+    check_compatibility,
     coam,
     contact_structure,
     curve_from_exponents,
     intersection_multiplicity,
     profile,
 )
-from random_curves import random_plane_branch_curve
+from c5cone.geometry import Direction
+from random_curves import random_curve, random_plane_branch_curve
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,52 @@ def test_profile_shape(load):
     assert set(p.coams) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
     assert p.coams[(0, 1)] == (18,) * 12
     assert p.coams[(2, 3)] == (3, 3, 3)
+
+
+def _profile_outcome(c, read):
+    """read(c) as (chams, coams), or the error type and payload it raised."""
+    try:
+        return read(c)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc), exc.to_json()
+
+
+def _profile_by_pairs(c):
+    """The profile read pair by pair through the public calls: compatibility
+    first, then cham per branch and coam per pair."""
+    check_compatibility(c)
+    b = c.branches
+    return (
+        tuple(cham(x) for x in b),
+        {(i, j): coam(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))},
+    )
+
+
+def test_profile_compares_each_pairs_tangents_once(load, fixture_names, monkeypatch):
+    curves = [load(name) for name in fixture_names]
+    rng = random.Random(13)
+    curves += [random_curve(rng, max_r=4) for _ in range(150)]
+    equal = Direction.__eq__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return equal(self, other)
+
+    def read(c):
+        p = profile(c)
+        return p.chams, p.coams
+
+    for c in curves:
+        expected = _profile_outcome(c, _profile_by_pairs)
+        monkeypatch.setattr(Direction, "__eq__", counted)
+        calls.clear()
+        got = _profile_outcome(c, read)
+        count = len(calls)
+        monkeypatch.setattr(Direction, "__eq__", equal)
+        r = len(c.branches)
+        assert count == r * (r - 1) // 2
+        assert got == expected
 
 
 def test_equivalence_of_matching_tangent_pairs(load):

@@ -25,7 +25,7 @@ from c5cone import (
     to_complex,
     zeta,
 )
-from c5cone.scalar import _F0, euler_phi
+from c5cone.scalar import _F0, _zeta_terms, euler_phi
 from reference_complex import to_complex as reference_to_complex
 
 _ORDERS = (1, 2, 3, 4, 6, 8, 12)
@@ -137,8 +137,50 @@ def test_zeta_equals_the_reduced_power_of_x(N):
 
 
 def test_conductor_limit_guards_zeta():
+    before = _zeta_terms.cache_info().currsize
     with pytest.raises(ConductorLimitExceeded):
         zeta(CONDUCTOR_LIMIT + 1)
+    assert _zeta_terms.cache_info().currsize == before
+
+
+@lru_cache(maxsize=None)
+def _dense_monomial(N, r, c):
+    """c * zeta_N^r for 0 <= r < N, through from_poly on the dense list of
+    r zeros: the route monomials took before the table."""
+    return CycloScalar.from_poly(N, [0] * r + [c])
+
+
+def _as_dense(a, b, text=True):
+    same = (a.conductor, a.terms()) == (b.conductor, b.terms())
+    return same and (not text or a.text() == b.text())
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 60, 105, 120, 360, 420, 2017])
+def test_monomials_from_the_table_match_the_dense_route(N):
+    phi = euler_phi(N)
+    # one-term bases c * zeta^j, j < phi(N): the first, middle and last
+    js = sorted({1 % phi, phi // 2, phi - 1})
+    for k in range(-2 * N, 2 * N + 1):
+        one = _dense_monomial(N, k % N, Fraction(1))
+        assert _as_dense(zeta(N, k), one)
+        assert _as_dense(root_of_unity(N, N, k), one)
+        j = js[k % len(js)]
+        for c in (Fraction(1), Fraction(-1), Fraction(3, 7)):
+            base = _dense_monomial(N, k % phi, c)
+            assert _as_dense(base.inverse(), _dense_monomial(N, -(k % phi) % N, 1 / c))
+            power = _dense_monomial(N, j, c) ** k
+            if abs(c) == 1:
+                expected = _dense_monomial(N, j * k % N, c**k)
+            else:  # c**k takes a new value at every k: scale the dense root
+                expected = _dense_monomial(N, j * k % N, Fraction(1)) * c**k
+            # printing (3/7)^k costs time quadratic in k's digits
+            assert _as_dense(power, expected, text=abs(c) == 1 or abs(k) <= 64)
+    _dense_monomial.cache_clear()
+
+
+def test_the_table_of_powers_holds_the_terms_the_readme_states():
+    for N, total in ((420, 4544), (2017, 4032)):
+        assert sum(len(_zeta_terms(N, k)) for k in range(N)) == total
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ fixtures of the new tree, so both sides see the same files:
 * compare over every ordered pair of fixtures.
 
 The same analyze, project and verify invocations then run on generated
-curves, each also compared with itself: the 10 cyclo-highN and the 40
-random-lowN documents of seed 101, built by the new tree's
-perfbench/workloads.py into a temporary directory. They carry
+curves, each also compared with itself and, as the benchmark's compare
+ops do, with a copy whose branches are in reverse order: the 10
+cyclo-highN and the 40 random-lowN documents of seed 101, built by the
+new tree's perfbench/workloads.py into a temporary directory. They carry
 non-rational coefficients over Q(zeta_N) up to N = 420.
 
 Each tree runs all invocations in one process of its own, through
@@ -82,7 +83,8 @@ def invocations(fixtures: pathlib.Path) -> list:
 
 def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
     """Write the cyclo-highN and random-lowN documents of SEED, drawn as the
-    benchmark draws them, into directory; return their paths."""
+    benchmark draws them, and a branch-reversed copy of each into
+    directory; return (path, reversed copy's path) pairs."""
     spec = importlib.util.spec_from_file_location(
         "cli_diff_workloads", tree / "perfbench" / "workloads.py"
     )
@@ -102,16 +104,20 @@ def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
     paths = []
     for name, doc in docs:
         path = directory / f"{name}.json"
+        copy = directory / f"{name}.reversed.json"
         path.write_text(W.dumps(doc), encoding="utf-8")
-        paths.append(path)
+        reversal = list(range(len(doc["branches"])))[::-1]
+        copy.write_text(W.dumps(W.permuted(doc, reversal)), encoding="utf-8")
+        paths.append((path, copy))
     return paths
 
 
 def generated_invocations(paths: list) -> list:
     out = []
-    for path in paths:
+    for path, copy in paths:
         out += _document_invocations(path)
         out.append(["compare", str(path), str(path), "--json"])
+        out.append(["compare", str(path), str(copy), "--json"])
     return out
 
 
