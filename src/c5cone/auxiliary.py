@@ -105,11 +105,14 @@ def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> Aux
 
 class _Pair:
     """What every theta of a pair shares: lcm, conductor, both supports
-    rescaled to order lcm, merged exponents, tangency (compared when first
-    read), the class of every k and each class's shared (v_theta, plane).
-    The roots zeta_lcm^j come from the scalar layer's table of powers."""
+    rescaled to order lcm, merged exponents, tangency (given when known,
+    else compared when first read), the class of every k and each class's
+    shared (v_theta, plane). The roots zeta_lcm^j come from the scalar
+    layer's table of powers."""
 
-    def __init__(self, bi: Branch, bj: Branch):
+    def __init__(self, bi: Branch, bj: Branch, tangent: Optional[bool] = None):
+        if tangent is not None:  # known: the tangents are not compared
+            self.tangent = tangent
         self.lcm = lcm = math.lcm(bi.m, bj.m)
         self.left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
         self.right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]

@@ -15,15 +15,16 @@ from typing import NamedTuple, Optional
 
 from .auxiliary import (
     AuxRecord,
+    _Pair,
     characteristic_aux,
-    contact_records,
+    contact_aux,
     representative_ks,
 )
 from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
     TangencyClassification,
-    check_compatibility,
+    check_tangent_pair,
     classify,
     plane_equations,
     plane_from_vectors,
@@ -80,13 +81,20 @@ class Analysis:
 
     @cached_property
     def contacts(self) -> dict:
-        """Contact records of every tangent pair (i, j), full root group."""
-        c = self.curve
-        check_compatibility(c)  # IncompatibleSystem before DuplicateBranch
-        return {
-            (i, j): contact_records(c.branches[i], c.branches[j])
-            for i, j in sorted(self.classification.T)
-        }
+        """Contact records of every tangent pair (i, j), full root group.
+        Each pair's tangency is known from the classification, so no
+        tangents are compared again."""
+        branches = self.curve.branches
+        pairs = sorted(self.classification.T)
+        for i, j in pairs:  # IncompatibleSystem before DuplicateBranch
+            check_tangent_pair(branches[i], branches[j])
+        contacts = {}
+        for i, j in pairs:
+            pair = _Pair(branches[i], branches[j], tangent=True)
+            contacts[(i, j)] = [
+                contact_aux(branches[i], branches[j], k, pair) for k in range(pair.lcm)
+            ]
+        return contacts
 
     @cached_property
     def cone(self) -> C5Cone:

@@ -27,8 +27,8 @@ import cmath
 import math
 import random
 import sys
-from itertools import repeat
-from operator import mul
+from itertools import compress, repeat, starmap
+from operator import add, attrgetter, lt, mul, not_, sub, truediv
 from typing import NamedTuple, Optional
 
 from .auxiliary import characteristic_order, contact_leading
@@ -67,6 +67,9 @@ _CONVERGED = 2 * math.sqrt(sys.float_info.epsilon)
 # |u| < 1, where u**e is already 0.0 in doubles, and a larger int would
 # overflow its conversion to float.
 _MAX_FLOAT_EXPONENT = 10**300
+_TURN = 2j * math.pi
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
 
 
 # ---------------------------------------------------------------------------
@@ -313,69 +316,128 @@ def _coordinate_terms(p: Parametrization):
     ]
 
 
-def _sample_source(pairs, radius, count, rng, rows, track):
-    """Max over count samples of the distance to the nearest component.
+def _points(radius, a, b):
+    """The points radius*(0.5 + 0.5*a)*exp(2j*pi*b) over the columns a, b."""
+    return list(map(
+        mul,
+        map(mul, repeat(radius), map(add, repeat(0.5), map(mul, repeat(0.5), a))),
+        map(cmath.exp, map(mul, repeat(_TURN), b)),
+    ))
 
-    pairs holds the two branches' _coordinate_terms, zipped per coordinate;
-    rows holds each component's orthonormal basis rows, conjugated. With
-    track, also the per-component minimum distances; without, a sample stops
-    scanning at the first component within the running maximum, which it
-    can no longer raise.
 
-    The loop runs the float operations of _eval_param, _norm and _residual
-    inline, on the same operands in the same order, so the report does not
-    depend on how it is organized.
+def _values(terms, points):
+    """Per coordinate, the column of its series' values at points. Each
+    power u**e is taken once per distinct exponent, shared by the
+    coordinates."""
+    powers = {}
+    columns = []
+    for coeffs, exps in terms:
+        column = None
+        for c, e in zip(coeffs, exps):
+            if e not in powers:
+                powers[e] = list(map(pow, points, repeat(e)))
+            products = map(mul, repeat(c), powers[e])
+            column = list(products if column is None else map(add, column, products))
+        # sum() of no terms is the int 0
+        columns.append(repeat(0, len(points)) if column is None else column)
+    return columns
+
+
+def _sample_source(left, right, radius, count, rng):
+    """The unit secant directions of count point pairs of one source at one
+    radius, as one column per coordinate, and the number of degenerate pairs
+    drawn again. left and right are the two branches' _coordinate_terms.
+
+    A batch draws 4*need values in stream order, u then v for each pair, for
+    the need directions still missing. A pair whose secant norm falls below
+    1e-280 is dropped and counted, and the next batch draws one pair for each
+    one dropped, so the directions are those of the first count
+    non-degenerate pairs of the stream, as in a loop over the samples.
+
+    Here and in _distances, each float operation of the plain per-sample
+    sampler (tests/reference_sampler.py) runs over a whole column, on the
+    same operands and in the same order, so the report is the same bit for
+    bit. Three steps are left out, each exactly neutral:
+
+    * sum()'s leading int 0 in front of each series and each inner product:
+      0 + z differs from z only where z holds a -0.0, and a zero's sign
+      never changes a value that reaches abs or hypot, where every series
+      value and inner product ends;
+    * the 0.0 + in front of each total of squares |<row, d>|**2, which
+      is non-negative;
+    * max(0.0, x) over a column whose every x is positive: it returns x.
     """
     draw = rng.random
-    exp = cmath.exp
-    hypot = math.hypot
-    sqrt = math.sqrt
-    turn = 2j * math.pi
-    max_distance = 0.0
-    mins = [math.inf] * len(rows)
+    columns = [[] for _ in left]
     degenerate = 0
-    produced = 0
-    while produced < count:
-        u = radius * (0.5 + 0.5 * draw()) * exp(turn * draw())
-        v = radius * (0.5 + 0.5 * draw()) * exp(turn * draw())
-        us = repeat(u)  # u over and over, to raise to each exponent
-        vs = repeat(v)
-        delta = []
-        parts = []  # hypot scales internally: no square underflows
-        for (ci, ei), (cj, ej) in pairs:
-            z = (sum(map(mul, ci, map(pow, us, ei)))
-                 - sum(map(mul, cj, map(pow, vs, ej))))
-            delta.append(z)
-            parts.append(z.real)
-            parts.append(z.imag)
-        scale = hypot(*parts)
-        if scale < 1e-280:
-            degenerate += 1
+    need = count
+    while need:
+        drawn = list(starmap(draw, repeat((), 4 * need)))
+        u = _points(radius, drawn[0::4], drawn[1::4])
+        v = _points(radius, drawn[2::4], drawn[3::4])
+        deltas = [
+            list(map(sub, p, q)) for p, q in zip(_values(left, u), _values(right, v))
+        ]
+        # hypot scales internally: no square underflows
+        parts = (m for z in deltas for m in (map(_REAL, z), map(_IMAG, z)))
+        scales = list(map(math.hypot, *parts))
+        low = list(map(lt, scales, repeat(1e-280)))
+        need = low.count(True)
+        if need:
+            degenerate += need
             if degenerate > 100 * count:
                 raise DegenerateSecant(
                     "persistent numerically equal sample points",
                     radius=radius,
                 )
-            continue
-        produced += 1
-        direction = [z / scale for z in delta]
-        best = math.inf
-        for idx, basis in enumerate(rows):
-            total = 0.0
-            for row in basis:
-                total += abs(sum(map(mul, row, direction))) ** 2
-            d = sqrt(max(0.0, 1.0 - total))
-            if track:
-                if d < mins[idx]:
-                    mins[idx] = d
-            elif d <= max_distance:
-                best = d  # so the sample cannot raise the maximum
-                break
-            if d < best:
-                best = d
-        if best > max_distance:
-            max_distance = best
-    return max_distance, mins, degenerate
+            keep = list(map(not_, low))
+            scales = list(compress(scales, keep))
+            deltas = [list(compress(z, keep)) for z in deltas]
+        for column, z in zip(columns, deltas):
+            column.extend(map(truediv, z, scales))
+    return columns, degenerate
+
+
+def _distances(basis, directions):
+    """Per direction, its distance sqrt(max(0, 1 - sum |<row, d>|^2)) to
+    the component whose orthonormal rows, conjugated, are basis."""
+    total = None
+    for row in basis:
+        inner = None
+        for b, column in zip(row, directions):
+            products = map(mul, repeat(b), column)
+            inner = products if inner is None else list(map(add, inner, products))
+        squares = map(pow, map(abs, inner), repeat(2))
+        total = squares if total is None else list(map(add, total, squares))
+    rest = list(map(sub, repeat(1.0), total))
+    if not all(map(lt, repeat(0.0), rest)):
+        rest = map(max, repeat(0.0), rest)
+    return list(map(math.sqrt, rest))
+
+
+def _pruned_max(bases, directions, floor):
+    """max(floor, the largest distance from a direction to its nearest
+    component), scanning the components column by column.
+
+    Before each component after the first, the direction farthest from the
+    components scanned so far gets its full minimum, which may raise floor.
+    A direction whose best distance so far is within floor can no longer
+    raise the maximum and is dropped; the farthest one goes too, its full
+    minimum now being part of floor."""
+    best = [math.inf] * len(directions[0])
+    for idx, basis in enumerate(bases):
+        if idx:
+            far = best.index(max(best))
+            single = [[column[far]] for column in directions]
+            best[far] = min(best[far], *(_distances(b, single)[0] for b in bases[idx:]))
+            floor = max(floor, best[far])
+            keep = list(map(lt, repeat(floor), best))
+            best = list(compress(best, keep))
+            if not best:
+                return floor
+            directions = [list(compress(column, keep)) for column in directions]
+        best = list(map(min, best, _distances(basis, directions)))
+    return max(floor, max(best))
 
 
 def check_sampling_parameters(radii, k: int) -> tuple:
@@ -399,7 +461,14 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
                              seed: int = 0, cone: Optional[C5Cone] = None) -> SampleReport:
     """Draw k point pairs per radius on every branch combination (same
     branch and cross branch), and measure how far the normalized secant
-    directions sit from the nearest cone component."""
+    directions sit from the nearest cone component.
+
+    Each (source, radius) is one batch of k samples, measured column by
+    column (_sample_source). The smallest radius measures every direction
+    against every component, for the per-component minima; every other
+    radius only needs its maximum, and _pruned_max drops the directions
+    that can no longer raise it, carrying that floor across the sources.
+    The report equals that of tests/reference_sampler.py bit for bit."""
     radii = check_sampling_parameters(radii, k)
     for b in c.branches:
         if b.m * math.log10(radii[-1] / 2) < -300:
@@ -419,23 +488,27 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     sources = [(i, i) for i in range(r)] + [
         (i, j) for i in range(r) for j in range(i + 1, r)
     ]
-    pairs = [list(zip(terms[i], terms[j])) for i, j in sources]
     per_radius = []
     degenerate_total = 0
     smallest = len(radii) - 1
+    component_min = [math.inf] * len(rows)
     for radius_index, radius in enumerate(radii):
-        outcomes = [
-            _sample_source(
-                source_pairs, radius, k,
-                _derived_rng(seed, source_index, radius_index), rows,
-                radius_index == smallest,
+        largest = 0.0  # over the sources of this radius so far
+        for source_index, (i, j) in enumerate(sources):
+            directions, degenerate = _sample_source(
+                terms[i], terms[j], radius, k,
+                _derived_rng(seed, source_index, radius_index),
             )
-            for source_index, source_pairs in enumerate(pairs)
-        ]
-        per_radius.append((radius, max(o[0] for o in outcomes)))
-        degenerate_total += sum(o[2] for o in outcomes)
-    # outcomes are those of the smallest radius here
-    component_min = [min(column) for column in zip(*(o[1] for o in outcomes))]
+            degenerate_total += degenerate
+            if radius_index < smallest:
+                largest = _pruned_max(rows, directions, largest)
+                continue
+            columns = [_distances(basis, directions) for basis in rows]
+            component_min = list(map(min, component_min, map(min, columns)))
+            # each sample's minimum starts from inf, which an empty cone keeps
+            nearest = map(min, zip(repeat(math.inf, k), *columns))
+            largest = max(largest, max(nearest))
+        per_radius.append((radius, largest))
     return SampleReport(
         seed=seed,
         prng=PRNG_NAME,

@@ -10,6 +10,8 @@ import pytest
 from c5cone import (
     Analysis,
     CycloScalar,
+    Direction,
+    EngineError,
     UnsupportedDimension,
     auxiliary,
     bound1,
@@ -17,6 +19,8 @@ from c5cone import (
     c5_cone,
     characteristic_aux,
     characteristic_records,
+    check_compatibility,
+    contact_records,
     integer_normalized_form,
     polynomial_text,
     product_equation,
@@ -26,7 +30,7 @@ from c5cone import (
 )
 from c5cone.cli import component_equations, main, variable_names
 from c5cone.geometry import Plane
-from random_curves import random_curve_with_cone
+from random_curves import random_curve, random_curve_with_cone
 
 
 def cone_equations(c, cone=None):
@@ -290,6 +294,51 @@ def test_profile_builds_no_record_and_no_plane(monkeypatch, load):
     counts = count_engine_calls(monkeypatch, names)
     profile(load("four_branches"))
     assert counts == dict.fromkeys(names, 0)
+
+
+def _cone_outcome(cone_of, c):
+    """The cone's dimension, component keys and provenance, or the error
+    type and payload raised on the way."""
+    try:
+        cone = cone_of(c)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc), exc.to_json()
+    return cone.dimension, [p.key() for p in cone.components], cone.provenance
+
+
+def _cone_by_public_pairs(c):
+    """The cone with its contact records read through the public calls:
+    compatibility first, then contact_records per tangent pair."""
+    analysis = Analysis(c)
+    check_compatibility(c)
+    analysis.contacts = {
+        (i, j): contact_records(c.branches[i], c.branches[j])
+        for i, j in sorted(analysis.classification.T)
+    }
+    return analysis.cone
+
+
+def test_cone_compares_each_pairs_tangents_once(load, fixture_names, monkeypatch):
+    curves = [load(name) for name in fixture_names]
+    rng = random.Random(14)
+    curves += [random_curve(rng, max_r=4) for _ in range(150)]
+    equal = Direction.__eq__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return equal(self, other)
+
+    for c in curves:
+        expected = _cone_outcome(_cone_by_public_pairs, c)
+        monkeypatch.setattr(Direction, "__eq__", counted)
+        calls.clear()
+        got = _cone_outcome(c5_cone, c)
+        count = len(calls)
+        monkeypatch.setattr(Direction, "__eq__", equal)
+        r = len(c.branches)
+        assert count == r * (r - 1) // 2
+        assert got == expected
 
 
 def test_analysis_agrees_with_the_standalone_functions():

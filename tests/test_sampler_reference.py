@@ -1,7 +1,10 @@
 """The secant sampler equals the straightforward reference sampler bit for
 bit: the whole SampleReport compares == on the fixtures, on seeded random
-curves, and through the degenerate-resample and DegenerateSecant paths."""
+curves, and through the degenerate-resample and DegenerateSecant paths, at
+the edges of the column design (an empty cone, one sample, many radii and
+components)."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from c5cone import (
     curve_from_exponents,
     sample_secant_directions,
 )
+from c5cone.c5 import C5Cone
 from c5cone.oracle import SampleReport
 from random_curves import random_curve_with_cone
 
@@ -22,6 +26,9 @@ FLAG_SETS = {
     "seed-3": {"seed": 3},
     "three-radii": {"radii": (0.1, 0.01, 0.001), "k": 57},
 }
+
+
+FOUR_RADII = (0.1, 0.01, 0.001, 0.0001)
 
 
 def both(c, **flags):
@@ -76,3 +83,92 @@ def test_persistent_degeneracy_raises_like_the_reference():
     mine, ref = both(c, radii=(1e-7,), k=3)
     assert mine == ref
     assert mine[0] is DegenerateSecant
+
+
+def reference_sources(c, cone, radii, k, seed, radius_index):
+    """Per source, the reference's (max, per-component minima, degenerate)
+    at one radius of a report."""
+    bases = [reference_sampler.component_basis(comp) for comp in cone.components]
+    cterms = [reference_sampler._complex_terms(b.param) for b in c.branches]
+    r = len(c.branches)
+    sources = [(i, i) for i in range(r)] + [
+        (i, j) for i in range(r) for j in range(i + 1, r)
+    ]
+    return [
+        reference_sampler._sample_source(
+            cterms[i], cterms[j], radii[radius_index], k,
+            reference_sampler._derived_rng(seed, source_index, radius_index), bases,
+        )
+        for source_index, (i, j) in enumerate(sources)
+    ]
+
+
+def test_an_empty_cone_matches_the_reference(load):
+    c = load("four_branches")
+    empty = C5Cone(dimension=2, components=(), provenance=())
+    for flags in ({}, {"radii": FOUR_RADII, "k": 7}):
+        mine, ref = both(c, cone=empty, **flags)
+        assert mine == ref
+        assert mine.component_min == ()
+        assert all(d == math.inf for _, d in mine.per_radius_max)
+
+
+def test_one_sample_per_radius_matches_the_reference(load, fixture_names):
+    for name in fixture_names:
+        c = load(name)
+        mine, ref = both(c, cone=c5_cone(c), k=1, radii=FOUR_RADII)
+        assert mine == ref, name
+
+
+def test_four_radii_on_many_components_match_the_reference(load, fixture_names):
+    # the largest distance of a pruned radius comes from a later source on
+    # some of these, so the floor carried across sources decides
+    curves = [(load(name), 60, 0) for name in fixture_names]
+    rng = random.Random(14)
+    curves += [
+        (random_curve_with_cone(rng, max_n=5, max_r=4)[0], 17, seed)
+        for seed in range(60)
+    ]
+    later = measured = 0
+    for c, k, seed in curves:
+        cone = c5_cone(c)
+        if len(cone.components) < 5:
+            continue
+        mine, ref = both(c, cone=cone, radii=FOUR_RADII, k=k, seed=seed)
+        assert isinstance(mine, SampleReport) and mine == ref
+        measured += 1
+        for radius_index in range(len(FOUR_RADII) - 1):
+            maxima = [o[0] for o in reference_sources(c, cone, FOUR_RADII, k, seed, radius_index)]
+            later += maxima.index(max(maxima)) > 0
+    assert measured >= 5 and later > 0
+
+
+def test_degenerate_resamples_at_a_pruned_radius_match_the_reference():
+    c = curve_from_exponents([
+        [40, [(42, 1)], [(45, 1)]],
+        [[(41, 1)], 40, [(43, 1)]],
+        [[(41, 1)], [(42, 1)], 40],
+    ])
+    cone = c5_cone(c)
+    radii = (1.5e-7, 1.45e-7, 1.4e-7)
+    mine, ref = both(c, cone=cone, radii=radii, k=20)
+    assert mine == ref
+    assert len(cone.components) > 1
+    for radius_index in (0, 1):
+        outcomes = reference_sources(c, cone, radii, 20, 0, radius_index)
+        assert sum(o[2] for o in outcomes) > 0
+
+
+def test_four_branch_curves_match_the_reference():
+    rng = random.Random(20261019)
+    trials = 0
+    while trials < 100:
+        c, cone = random_curve_with_cone(rng, max_n=5, max_r=4)
+        if len(c.branches) != 4:
+            continue
+        flags = {"k": 11, "seed": trials, "cone": cone}
+        if trials % 2:
+            flags["radii"] = FOUR_RADII
+        mine, ref = both(c, **flags)
+        assert isinstance(mine, SampleReport) and mine == ref, trials
+        trials += 1

@@ -11,7 +11,9 @@ fixtures of the new tree, so both sides see the same files:
   (the last n-2 unit vectors, and e_2 - e_k for k = 3..n);
 * verify with default flags, and with --seed 3 --radii 0.1 0.01 0.001
   --samples 57; verify prints JSON without --json and rejects the flag,
-  so the two runs with --json compare that rejection;
+  so the two runs with --json compare that rejection; on the fixtures
+  only, also --samples 1, and --samples 1000 over the four radii 0.1,
+  0.01, 0.001, 0.0001, the sampler's batch edges and pruned radii;
 * compare over every ordered pair of fixtures.
 
 The same analyze, project and verify invocations then run on generated
@@ -77,6 +79,10 @@ def _document_invocations(path: pathlib.Path) -> list:
 def invocations(fixtures: pathlib.Path) -> list:
     paths = sorted(fixtures.glob("*.json"))
     out = [call for path in paths for call in _document_invocations(path)]
+    for path in paths:
+        out.append(["verify", str(path), "--samples", "1"])
+        out.append(["verify", str(path), "--samples", "1000",
+                    "--radii", "0.1", "0.01", "0.001", "0.0001"])
     out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
     return out
 
