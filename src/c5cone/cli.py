@@ -35,7 +35,7 @@ from .c5 import (
     polynomial_text,
     product_equation,
 )
-from .documents import dumps_document, read_curve, to_document
+from .documents import _canonical_json, dumps_document, read_curve, to_document
 from .errors import EngineError, InvalidArgument, InvalidDocument, InvalidSamplingParameter
 from .geometry import Curve, Plane, component_rows, null_space, tangent_direction
 from .invariants import bilipschitz_equivalent
@@ -134,7 +134,7 @@ def _record_json(rec, v_theta, plane_equations):
 
 def _print(data, as_json: bool, render) -> None:
     if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(_canonical_json(data))
     else:
         for line in render(data):
             print(line)
@@ -481,7 +481,7 @@ def cmd_verify(args) -> int:
         "tolerance": tol,
         "pass": passed,
     }
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(_canonical_json(data))
     return 0 if passed else 1
 
 

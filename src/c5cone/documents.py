@@ -24,14 +24,17 @@ denotes (a/b) * zeta_N^k and a coefficient is the sum of its summands.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import InvalidDocument
-from .geometry import Branch, Curve, curve
-from .scalar import CycloScalar, _monomial, common_conductor
+from .geometry import Curve, _validated, curve
+from .scalar import CycloScalar, _check_conductor, _monomial
 from .series import CoordinateSeries, Parametrization
 
 DOCUMENT_VERSION = 1
+_INF = math.inf
 
 _SUMMAND_KEYS = frozenset(("num", "den", "zeta_order", "zeta_pow"))
 _TERM_KEYS = frozenset(("exp", "coeff"))
@@ -46,6 +49,8 @@ def _require_int(value, what: str) -> int:
 
 
 def _require_keys(obj, keys: frozenset, what: str) -> None:
+    if type(obj) is dict and obj.keys() == keys:
+        return
     if not isinstance(obj, dict):
         raise InvalidDocument(f"{what} must be an object, got {type(obj).__name__}")
     missing = keys - obj.keys()
@@ -56,16 +61,28 @@ def _require_keys(obj, keys: frozenset, what: str) -> None:
         raise InvalidDocument(f"{what} has unknown keys {sorted(extra)}")
 
 
+def _summand_fields(summand, what: str, pos: int) -> tuple:
+    """(num, den, zeta_order, zeta_pow) of summand pos, each checked to be
+    an int. The names for the errors are built only when a check fails."""
+    if type(summand) is dict and summand.keys() == _SUMMAND_KEYS:
+        fields = summand["num"], summand["den"], summand["zeta_order"], summand["zeta_pow"]
+        num, den, order, power = fields
+        if type(num) is type(den) is type(order) is type(power) is int:
+            return fields
+    where = f"{what}[{pos}]"
+    _require_keys(summand, _SUMMAND_KEYS, where)
+    return tuple(
+        _require_int(summand[key], f"{where}.{key}")
+        for key in ("num", "den", "zeta_order", "zeta_pow")
+    )
+
+
 def _parse_scalar(summands, what: str) -> CycloScalar:
     if not isinstance(summands, list) or not summands:
         raise InvalidDocument(f"{what} must be a non-empty list of summands")
-    total = CycloScalar.rational(0)
+    total = None
     for pos, summand in enumerate(summands):
-        _require_keys(summand, _SUMMAND_KEYS, f"{what}[{pos}]")
-        num = _require_int(summand["num"], f"{what}[{pos}].num")
-        den = _require_int(summand["den"], f"{what}[{pos}].den")
-        order = _require_int(summand["zeta_order"], f"{what}[{pos}].zeta_order")
-        power = _require_int(summand["zeta_pow"], f"{what}[{pos}].zeta_pow")
+        num, den, order, power = _summand_fields(summand, what, pos)
         if den < 1:
             raise InvalidDocument(f"{what}[{pos}].den must be positive, got {den}")
         if order < 1:
@@ -73,8 +90,9 @@ def _parse_scalar(summands, what: str) -> CycloScalar:
                 f"{what}[{pos}].zeta_order must be positive, got {order}"
             )
         # The cap check comes before zeta_order^power enters the table.
-        common_conductor(order)
-        total = total + _monomial(order, power, Fraction(num, den))
+        _check_conductor(order)
+        term = _monomial(order, power, num if den == 1 else Fraction(num, den))
+        total = term if total is None else total + term
     return total
 
 
@@ -83,8 +101,11 @@ def _parse_series(terms, what: str) -> CoordinateSeries:
         raise InvalidDocument(f"{what} must be a list of terms")
     parsed = []
     for pos, term in enumerate(terms):
-        _require_keys(term, _TERM_KEYS, f"{what}[{pos}]")
-        exp = _require_int(term["exp"], f"{what}[{pos}].exp")
+        if type(term) is dict and term.keys() == _TERM_KEYS and type(term["exp"]) is int:
+            exp = term["exp"]
+        else:  # name the first check that fails
+            _require_keys(term, _TERM_KEYS, f"{what}[{pos}]")
+            exp = _require_int(term["exp"], f"{what}[{pos}].exp")
         if exp < 1:
             raise InvalidDocument(f"{what}[{pos}].exp must be >= 1, got {exp}")
         parsed.append((exp, _parse_scalar(term["coeff"], f"{what}[{pos}].coeff")))
@@ -113,7 +134,7 @@ def from_document(doc) -> Curve:
     raw_branches = doc["branches"]
     if not isinstance(raw_branches, list) or not raw_branches:
         raise InvalidDocument("branches must be a non-empty list")
-    branches = []
+    validated = []
     labels = set()
     for pos, raw in enumerate(raw_branches):
         _require_keys(raw, _BRANCH_KEYS, f"branches[{pos}]")
@@ -122,6 +143,9 @@ def from_document(doc) -> Curve:
             raise InvalidDocument(
                 f"branches[{pos}].label must be a non-empty string, got {label!r}"
             )
+        if "," in label:
+            # analyze keys each CoAM by the two labels joined with a comma
+            raise InvalidDocument(f"branches[{pos}].label must not contain ',', got {label!r}")
         if label in labels:
             raise InvalidDocument(f"duplicate branch label {label!r}")
         labels.add(label)
@@ -134,8 +158,10 @@ def from_document(doc) -> Curve:
             _parse_series(c, f"branches[{pos}].coords[{ci}]")
             for ci, c in enumerate(coords)
         ]
-        branches.append(Branch(Parametrization(series), label=label))
-    return curve(branches)
+        validated.append(_validated(Parametrization(series), label))
+    # every branch is checked before the curve's conductor is known; each
+    # is then built once, at that conductor
+    return curve(validated)
 
 
 def _scalar_summands(a: CycloScalar):
@@ -165,7 +191,111 @@ def to_document(c: Curve) -> dict:
 
 def dumps_document(doc) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _canonical_json(doc, allow_nan=False) + "\n"
+
+
+# Line breaks with the indent of depths 0-15; deeper ones are built on use.
+# Kept small: every fresh import of the engine pays for it again.
+_BREAKS = tuple("\n" + "  " * depth for depth in range(16))
+
+
+def _float_text(x: float, allow_nan: bool) -> str:
+    if x != x:
+        text = "NaN"
+    elif x == _INF:
+        text = "Infinity"
+    elif x == -_INF:
+        text = "-Infinity"
+    else:
+        return float.__repr__(x)
+    if not allow_nan:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return text
+
+
+def _canonical_json(obj, allow_nan: bool = True) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2, allow_nan=...)
+    gives, for dicts with str keys, lists, tuples, str, int, float, bool
+    and None; anything else raises TypeError as json does.
+
+    json falls back to its pure-Python encoder whenever indent is set.
+    Here strings go through json's C escaper, a list of strings is one
+    join, and a list object met again at the same depth reuses its text:
+    records of one root order share their v_theta and plane lists.
+    """
+    return _Writer(allow_nan).value(obj, 0)
+
+
+class _Writer:
+    """The state of one _canonical_json call: the encoded dict keys, and
+    the text of each list by (id, depth). The memo lives for that call
+    only, while obj holds every list it names, so no id is reused. Methods,
+    not nested functions: closures that call each other form a reference
+    cycle, which would keep the texts alive until the next collection."""
+
+    __slots__ = ("allow_nan", "memo", "keys")
+
+    def __init__(self, allow_nan: bool):
+        self.allow_nan = allow_nan
+        self.memo = {}
+        self.keys = {}
+
+    def value(self, o, depth: int) -> str:
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o, self.allow_nan)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            memo = self.memo
+            text = memo.get((id(o), depth))
+            if text is None:
+                text = memo[id(o), depth] = self.array(o, depth + 1)
+            return text
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            return self.mapping(o, depth + 1)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def array(self, items, depth: int) -> str:
+        inner = _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
+        if isinstance(items[0], str):
+            try:
+                return f"[{inner}{(',' + inner).join(map(_encode_str, items))}{inner[:-2]}]"
+            except TypeError:  # a later item is no string
+                pass
+        value = self.value
+        return f"[{inner}{(',' + inner).join([value(x, depth) for x in items])}{inner[:-2]}]"
+
+    def mapping(self, d, depth: int) -> str:
+        inner = _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
+        keys = self.keys
+        parts = []
+        for k in sorted(d):
+            text = keys.get(k)
+            if text is None:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                text = keys[k] = _encode_str(k) + ": "
+            v = d[k]
+            # the common leaves without a call; bool is no int here
+            if type(v) is str:
+                parts.append(text + _encode_str(v))
+            elif type(v) is int:
+                parts.append(text + int.__repr__(v))
+            else:
+                parts.append(text + self.value(v, depth))
+        return f"{{{inner}{(',' + inner).join(parts)}{inner[:-2]}}}"
 
 
 def loads_document(text: str) -> dict:
@@ -216,7 +346,6 @@ def curve_from_exponents(spec, label_prefix: str = "b") -> Curve:
         branches.append(
             Parametrization(series)
         )
-    built = [
-        Branch(p, label=f"{label_prefix}{i + 1}") for i, p in enumerate(branches)
-    ]
-    return curve(built)
+    return curve(
+        _validated(p, f"{label_prefix}{i + 1}") for i, p in enumerate(branches)
+    )

@@ -19,7 +19,6 @@ from .errors import (
 )
 from .scalar import CycloScalar, common_conductor
 from .series import (
-    CoordinateSeries,
     Parametrization,
     is_primitive,
     puiseux_form_check,
@@ -203,35 +202,25 @@ class Branch:
     __slots__ = ("param", "m", "special_coords", "label", "conductor", "tangent")
 
     def __init__(self, param: Parametrization, label: str = "b", conductor: int | None = None):
-        if not is_primitive(param):
-            g = 0
-            for series in param.coords:
-                for e, _ in series.terms:
-                    g = math.gcd(g, e)
-            raise NonPrimitiveParametrization(
-                f"branch {label}: all exponents share the factor {g}",
-                label=label,
-                gcd=g,
-            )
-        m, special = puiseux_form_check(param)
-        needed = common_conductor(
-            m, *(c.conductor for series in param.coords for _, c in series.terms)
-        )
-        target = needed if conductor is None else common_conductor(needed, conductor)
-        if any(
-            c.conductor != target for series in param.coords for _, c in series.terms
-        ):
-            param = Parametrization(
-                CoordinateSeries((e, c.embed(target)) for e, c in series.terms)
-                for series in param.coords
-            )
+        form = _validated(param, label)
+        target = form.conductor
+        if conductor is not None:
+            target = common_conductor(target, conductor)
+        self._fill(form, target)
+
+    def _fill(self, form: "_Validated", conductor: int) -> None:
+        """Take the fields of a validated parametrization, its coefficients
+        embedded at conductor, a multiple of form.conductor."""
+        param = form.param
+        if any(c.conductor != conductor for series in param.coords for _, c in series.terms):
+            param = Parametrization(series.embedded(conductor) for series in param.coords)
         self.param = param
-        self.m = m
-        self.special_coords = special
-        self.label = label
-        self.conductor = target
+        self.m = form.m
+        self.special_coords = form.special
+        self.label = form.label
+        self.conductor = conductor
         # the coefficients of u^m; nonzero, since a special coordinate is u^m
-        self.tangent = Direction(series.coefficient(m) for series in param.coords)
+        self.tangent = Direction(series.coefficient(form.m) for series in param.coords)
 
     @property
     def n(self) -> int:
@@ -240,10 +229,55 @@ class Branch:
     def embedded(self, conductor: int) -> "Branch":
         if conductor == self.conductor:
             return self
-        return Branch(self.param, self.label, conductor)
+        form = _Validated(self.param, self.label, self.m, self.special_coords, self.conductor)
+        return form.embedded(common_conductor(self.conductor, conductor))
 
     def __repr__(self):
         return f"<branch {self.label}: {self.param.text()}>"
+
+
+class _Validated:
+    """A parametrization that passed the checks of Branch: its multiplicity
+    m, its special coordinates, and the least conductor holding both its
+    coefficients and the m-th roots of unity. Not yet a branch: curve()
+    takes these too, and builds each branch once, at the curve's conductor."""
+
+    __slots__ = ("param", "label", "m", "special", "conductor")
+
+    def __init__(self, param: Parametrization, label: str, m: int, special: frozenset,
+                 conductor: int):
+        self.param, self.label, self.m = param, label, m
+        self.special, self.conductor = special, conductor
+
+    @property
+    def n(self) -> int:
+        return self.param.n
+
+    def embedded(self, conductor: int) -> Branch:
+        """The branch, with every coefficient at conductor."""
+        b = object.__new__(Branch)
+        b._fill(self, conductor)
+        return b
+
+
+def _validated(param: Parametrization, label: str) -> _Validated:
+    """Check that param is a primitive Puiseux-form parametrization whose
+    conductor stays within the cap, raising the engine error otherwise."""
+    if not is_primitive(param):
+        g = 0
+        for series in param.coords:
+            for e, _ in series.terms:
+                g = math.gcd(g, e)
+        raise NonPrimitiveParametrization(
+            f"branch {label}: all exponents share the factor {g}",
+            label=label,
+            gcd=g,
+        )
+    m, special = puiseux_form_check(param)
+    needed = common_conductor(
+        m, *(c.conductor for series in param.coords for _, c in series.terms)
+    )
+    return _Validated(param, label, m, special, needed)
 
 
 class Curve(NamedTuple):
@@ -256,6 +290,9 @@ class Curve(NamedTuple):
 
 
 def curve(branches: Iterable[Branch]) -> Curve:
+    """The curve of the given branches, each embedded at their common
+    conductor. Parametrizations validated by _validated may stand in for
+    branches: each is then built once, at that conductor."""
     branches = tuple(branches)
     if not branches:
         raise ValueError("a curve needs at least one branch")

@@ -21,7 +21,7 @@ from .errors import (
     NoCommonSpecialCoordinate,
     ProjectionSearchExhausted,
 )
-from .geometry import Branch, Curve, Plane, curve, matrix_rank, null_space
+from .geometry import Curve, Plane, _validated, curve, matrix_rank, null_space
 from .invariants import profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
@@ -146,7 +146,7 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     (NotPuiseuxForm, NonPrimitiveParametrization, ...)."""
     _check_dimension(c, proj)
     return curve(
-        Branch(_project_param(b.param, proj.matrix), b.label) for b in c.branches
+        _validated(_project_param(b.param, proj.matrix), b.label) for b in c.branches
     )
 
 

@@ -465,14 +465,17 @@ def _zeta_terms(N: int, k: int) -> tuple:
     return _reduced(N, [0] * k + [1], 1)._terms
 
 
-def _monomial(N: int, k: int, c: Fraction) -> CycloScalar:
-    """c * zeta_N^k for any int k, from the table; zero is the empty tuple
-    at conductor N. The caller has checked N against the cap."""
+def _monomial(N: int, k: int, c) -> CycloScalar:
+    """c * zeta_N^k for any int k and an int or Fraction c, from the
+    table; zero is the empty tuple at conductor N. The caller has checked N
+    against the cap."""
     if not c:
         return _make(N, ())
     terms = _zeta_terms(N, k % N)
     if c == 1:
         return _make(N, terms)
+    if c == -1:
+        return _make(N, tuple([(i, -v) for i, v in terms]))
     return _make(N, tuple([(i, v * c) for i, v in terms]))
 
 

@@ -11,6 +11,7 @@ truncated.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import NotPuiseuxForm
@@ -18,6 +19,8 @@ from .scalar import CycloScalar
 
 # Order of the zero series.
 INFINITE = math.inf
+# The terms of the scalar 1, the same at every conductor.
+_ONE_TERMS = ((0, Fraction(1)),)
 
 
 class CoordinateSeries:
@@ -41,6 +44,14 @@ class CoordinateSeries:
 
     def order(self):
         return self.terms[0][0] if self.terms else INFINITE
+
+    def embedded(self, conductor: int) -> "CoordinateSeries":
+        """The same series with every coefficient in Q(zeta_conductor).
+        Embedding keeps each coefficient nonzero, so the terms need no
+        second check."""
+        out = object.__new__(CoordinateSeries)
+        out.terms = tuple([(e, c.embed(conductor)) for e, c in self.terms])
+        return out
 
     def coefficient(self, exponent: int) -> CycloScalar:
         for e, c in self.terms:
@@ -146,7 +157,7 @@ def puiseux_form_check(p: Parametrization):
         for j, series in enumerate(p.coords)
         if len(series.terms) == 1
         and series.terms[0][0] == m
-        and series.terms[0][1] == 1
+        and series.terms[0][1].terms() == _ONE_TERMS
     )
     if not special:
         worst = min(

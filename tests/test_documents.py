@@ -4,9 +4,11 @@ import copy
 import json
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+import reference_documents
 from c5cone import (
     CONDUCTOR_LIMIT,
     ConductorLimitExceeded,
@@ -25,6 +27,7 @@ from c5cone import (
 from c5cone.cli import main
 from c5cone.documents import _parse_scalar
 from c5cone.scalar import _zeta_terms
+from random_curves import random_curve
 
 
 def cusp_document():
@@ -251,3 +254,67 @@ def test_content_errors_pass_through_unwrapped():
 def test_read_curve_reports_missing_files(tmp_path):
     with pytest.raises(InvalidDocument, match="cannot read"):
         read_curve(tmp_path / "absent.json")
+
+
+# ---------------------------------------------------------------------------
+# labels
+
+
+def _mutually_tangent_plane_document(labels):
+    """(u^2, u^3), (u^2, u^5), (u^3, u^4): three branches tangent to the
+    x axis, so three tangent pairs and three CoAMs."""
+    doc = to_document(
+        curve_from_exponents([[2, [(3, 1)]], [2, [(5, 1)]], [3, [(4, 1)]]])
+    )
+    for branch, label in zip(doc["branches"], labels):
+        branch["label"] = label
+    return doc
+
+
+def test_a_label_holding_a_comma_is_rejected(tmp_path, capsys):
+    # analyze keys a CoAM by "a,b": the pairs (x,y | x) and (x | y,x) would
+    # both print as "x,y,x", and one of the three CoAMs would be lost
+    doc = _mutually_tangent_plane_document(["x,y", "x", "y,x"])
+    with pytest.raises(InvalidDocument, match=r"branches\[0\]\.label.*'x,y'"):
+        from_document(doc)
+    path = tmp_path / "comma.json"
+    path.write_text(dumps_document(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidDocument"
+    path.write_text(dumps_document(_mutually_tangent_plane_document(["x", "y", "z"])))
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["coam"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the reader against the reference reader
+
+
+def _respelled(doc):
+    """The same curve with each rational coefficient q spelled as q - 1 at
+    zeta order 1 plus 1 at order 2, so summands are summed and branches
+    need orders other than the ones their summands carry."""
+    for branch in doc["branches"]:
+        for series in branch["coords"]:
+            for term in series:
+                if len(term["coeff"]) == 1 and term["coeff"][0]["zeta_pow"] == 0:
+                    s = term["coeff"][0]
+                    term["coeff"] = [
+                        {"num": s["num"] - s["den"], "den": s["den"],
+                         "zeta_order": 1, "zeta_pow": 0},
+                        {"num": 1, "den": 1, "zeta_order": 2, "zeta_pow": 0},
+                    ]
+    return doc
+
+
+def test_documents_read_as_the_reference_reader(fixtures_dir, fixture_names):
+    docs = [loads_document((fixtures_dir / f"{name}.json").read_text()) for name in fixture_names]
+    rng = Random(15)
+    docs += [to_document(random_curve(rng, max_r=4)) for _ in range(60)]
+    docs += [_respelled(copy.deepcopy(doc)) for doc in docs]
+    for doc in docs:
+        assert reference_documents.fingerprint(from_document(doc)) == (
+            reference_documents.fingerprint(reference_documents.from_document(doc))
+        )

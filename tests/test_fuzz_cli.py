@@ -24,6 +24,10 @@ figures against reference_sampler.
 A fourth test draws command lines argparse itself rejects: ill-typed
 values, unknown flags and commands, missing files, and --kernel together
 with --auto. Each must exit 2 with an InvalidArgument diagnostic.
+
+A fifth test reads the mutated documents of the first with the engine and
+with reference_documents: both must give the same curve, or raise the same
+error class with the same message.
 """
 
 import copy
@@ -35,8 +39,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import reference_documents
 import reference_sampler
-from c5cone import read_curve
+from c5cone import from_document, read_curve
 from c5cone.cli import main
 from c5cone.oracle import MAX_SAMPLES
 
@@ -266,3 +271,21 @@ def test_flags_argparse_rejects_end_in_a_diagnostic(data, capsys):
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "InvalidArgument", argv
+
+
+def _read(reader, doc):
+    try:
+        return "curve", reference_documents.fingerprint(reader(doc))
+    except Exception as exc:  # the error is the result to compare
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_read_as_the_reference_reader(data):
+    doc = copy.deepcopy(DOCUMENTS[data.draw(st.sampled_from(NAMES))])
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        _mutate(doc, data)
+    ours = _read(from_document, doc)
+    event(ours[0])
+    assert ours == _read(reference_documents.from_document, doc)

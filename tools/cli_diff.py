@@ -21,7 +21,10 @@ curves, each also compared with itself and, as the benchmark's compare
 ops do, with a copy whose branches are in reverse order: the 10
 cyclo-highN and the 40 random-lowN documents of seed 101, built by the
 new tree's perfbench/workloads.py into a temporary directory. They carry
-non-rational coefficients over Q(zeta_N) up to N = 420.
+non-rational coefficients over Q(zeta_N) up to N = 420. The same runs
+then cover every fixture with its branch labels replaced by LABELS: non-ASCII
+text, a quote, a backslash, a tab and brackets, which the JSON writer must
+escape as json does. No label holds a comma: documents reject one.
 
 Each tree runs all invocations in one process of its own, through
 c5cone.cli.main with stdout and stderr captured. Each set of invocations
@@ -50,6 +53,7 @@ import time
 
 SEED = 101
 ROUNDS = 3
+LABELS = ("\u00df", "\u65e5\u672c", 'q"t', "b\\s", "[x]", "{y}", "\u00e9\t\u03b2")
 
 
 def _document_invocations(path: pathlib.Path) -> list:
@@ -114,6 +118,23 @@ def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
         path.write_text(W.dumps(doc), encoding="utf-8")
         reversal = list(range(len(doc["branches"])))[::-1]
         copy.write_text(W.dumps(W.permuted(doc, reversal)), encoding="utf-8")
+        paths.append((path, copy))
+    return paths
+
+
+def relabelled_documents(fixtures: pathlib.Path, directory: pathlib.Path) -> list:
+    """Write each fixture with its branches labelled from LABELS, and a
+    branch-reversed copy, into directory; return (path, copy) pairs."""
+    paths = []
+    for source in sorted(fixtures.glob("*.json")):
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        for index, branch in enumerate(doc["branches"]):
+            branch["label"] = LABELS[index % len(LABELS)] + str(index)
+        path = directory / f"{source.stem}.relabelled.json"
+        copy = directory / f"{source.stem}.relabelled.reversed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        doc["branches"].reverse()
+        copy.write_text(json.dumps(doc), encoding="utf-8")
         paths.append((path, copy))
     return paths
 
@@ -187,6 +208,8 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = generated_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "generated curves")
+        paths = relabelled_documents(new / "fixtures", pathlib.Path(tmp))
+        differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
     return 1 if differences else 0
 
 
