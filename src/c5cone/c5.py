@@ -52,6 +52,7 @@ class Analysis:
         self._characteristic = {}  # (branch index, k) -> record
         # per branch: order d -> (m_theta, v_theta, plane), shared by its records
         self._leading = [{} for _ in c.branches]
+        self._pairs = {}  # (i, j) -> _Pair
 
     @cached_property
     def classification(self) -> TangencyClassification:
@@ -79,6 +80,15 @@ class Analysis:
             for k in representative_ks(self.curve.branches[i].m)
         ]
 
+    def pair(self, i: int, j: int) -> _Pair:
+        """The _Pair of branches i and j (i == j: one branch with itself),
+        built once, its tangency read off the classification."""
+        if (i, j) not in self._pairs:
+            tangent = i == j or (min(i, j), max(i, j)) in self.classification.T
+            branches = self.curve.branches
+            self._pairs[(i, j)] = _Pair(branches[i], branches[j], tangent=tangent)
+        return self._pairs[(i, j)]
+
     @cached_property
     def contacts(self) -> dict:
         """Contact records of every tangent pair (i, j), full root group.
@@ -90,7 +100,7 @@ class Analysis:
             check_tangent_pair(branches[i], branches[j])
         contacts = {}
         for i, j in pairs:
-            pair = _Pair(branches[i], branches[j], tangent=True)
+            pair = self.pair(i, j)
             contacts[(i, j)] = [
                 contact_aux(branches[i], branches[j], k, pair) for k in range(pair.lcm)
             ]
@@ -162,21 +172,24 @@ def sigma(n: int) -> int:
     return count
 
 
-def bound1(c: Curve) -> int:
+def _bound(c: Curve, cls: TangencyClassification, chain) -> int:
+    """Sum of chain(m_i) - 1 over singular branches, plus lcm(m_i, m_j)
+    over tangent pairs, plus the number of non-tangent pairs."""
+    total = sum(chain(c.branches[i].m) - 1 for i in cls.S)
+    total += sum(math.lcm(c.branches[i].m, c.branches[j].m) for i, j in cls.T)
+    return total + len(cls.NT)
+
+
+def bound1(c: Curve, cls: Optional[TangencyClassification] = None) -> int:
     """Sum of (m_i - 1) over singular branches, plus lcm(m_i, m_j) over
-    tangent pairs, plus the number of non-tangent pairs."""
-    cls = classify(c)
-    total = sum(c.branches[i].m - 1 for i in cls.S)
-    total += sum(math.lcm(c.branches[i].m, c.branches[j].m) for i, j in cls.T)
-    return total + len(cls.NT)
+    tangent pairs, plus the number of non-tangent pairs. cls, when given,
+    is c's classification."""
+    return _bound(c, classify(c) if cls is None else cls, lambda m: m)
 
 
-def bound2(c: Curve) -> int:
+def bound2(c: Curve, cls: Optional[TangencyClassification] = None) -> int:
     """Like bound1 with sigma(m_i) - 1 in place of m_i - 1; never larger."""
-    cls = classify(c)
-    total = sum(sigma(c.branches[i].m) - 1 for i in cls.S)
-    total += sum(math.lcm(c.branches[i].m, c.branches[j].m) for i, j in cls.T)
-    return total + len(cls.NT)
+    return _bound(c, classify(c) if cls is None else cls, sigma)
 
 
 # ---------------------------------------------------------------------------

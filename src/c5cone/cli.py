@@ -30,7 +30,6 @@ from .c5 import (
     C5Cone,
     bound1,
     bound2,
-    c5_cone,
     integer_form,
     polynomial_text,
     product_equation,
@@ -43,6 +42,7 @@ from .oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
     DEFAULT_TOLERANCE,
+    FloatView,
     check_sampling_parameters,
     cone_witness_results,
     sample_secant_directions,
@@ -219,7 +219,7 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
             "components": components,
             "product_equation": product,
         },
-        "bounds": {"bound1": bound1(c), "bound2": bound2(c)},
+        "bounds": {"bound1": bound1(c, cls), "bound2": bound2(c, cls)},
     }
 
 
@@ -423,11 +423,12 @@ def _witness_json(w) -> dict:
 def cmd_verify(args) -> int:
     c = read_curve(args.file)
     # bad flags exit before any cone or sampling work
-    check_sampling_parameters(args.radii, args.samples)
+    check_sampling_parameters(args.radii, args.samples, len(c.branches))
     tol = args.tolerance
     if not 0 < tol < 1:  # a plane distance never exceeds 1; NaN fails too
         raise InvalidSamplingParameter(f"tolerance must lie in (0, 1), got {tol}")
-    cone = c5_cone(c)
+    analysis = Analysis(c)
+    cone = analysis.cone
     override = None
     if args.override_planes is not None:
         raw = _parse_matrix(args.override_planes, "--override-planes")
@@ -445,9 +446,12 @@ def cmd_verify(args) -> int:
             provenance=tuple(() for _ in planes),
         )
         cone = override
-    witnesses = [] if override else cone_witness_results(c, cone)
+    # one float view: the witness families and the sampler convert each
+    # branch's terms and each component's basis once between them
+    view = FloatView(c.branches, cone.components)
+    witnesses = [] if override else cone_witness_results(c, cone, analysis, view)
     report = sample_secant_directions(
-        c, radii=tuple(args.radii), k=args.samples, seed=args.seed, cone=cone
+        c, radii=tuple(args.radii), k=args.samples, seed=args.seed, view=view
     )
     witness_ok = [
         (not w.skipped) and w.monotone and w.final_plane_distance <= tol

@@ -27,14 +27,16 @@ import cmath
 import math
 import random
 import sys
+from collections import Counter
 from itertools import compress, repeat, starmap
-from operator import add, attrgetter, lt, mul, not_, sub, truediv
+from operator import add, attrgetter, lt, mul, neg, not_, sub, truediv
 from typing import NamedTuple, Optional
 
 from .auxiliary import characteristic_order, contact_leading
-from .c5 import C5Cone, c5_cone
+from .c5 import Analysis, C5Cone, c5_cone
 from .errors import (
     DegenerateSecant,
+    FloatingPointOverflow,
     FloatingPointUnderflow,
     InvalidSamplingParameter,
 )
@@ -47,13 +49,20 @@ from .geometry import (
     plane_from_vectors,
 )
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
-from .series import Parametrization, substitute_power
+from .series import Parametrization
 
 DEFAULT_RADII = (1e-2, 1e-3)
 DEFAULT_SAMPLES = 200
 # Largest sample count per radius. Sampling time grows linearly with it, so
 # a larger count could run for hours.
 MAX_SAMPLES = 10_000
+# Most radii per call: each (source, radius) batch costs about as much as
+# 15 samples, however few samples it holds.
+MAX_RADII = 100
+# Most secant samples per call, sources x radii x samples per radius, where
+# r branches give r*(r+1)/2 sources. 12 branches at 10,000 samples and
+# two radii (1,560,000) fit.
+MAX_TOTAL_SAMPLES = 2_000_000
 DEFAULT_TOLERANCE = 1e-2
 PRNG_NAME = "mt19937"
 _SKIP_U = 0.3
@@ -81,6 +90,14 @@ def _complex_terms(p: Parametrization):
         [(min(e, _MAX_FLOAT_EXPONENT), to_complex(c)) for e, c in series.terms]
         for series in p.coords
     ]
+
+
+def _rescaled(cterms, s: int):
+    """The terms of u -> u^s: exponents times s, clamped again. The clamp
+    commutes with the scaling: min(min(e, M)*s, M) = min(e*s, M) for s >= 1."""
+    if s == 1:
+        return cterms
+    return [[(min(e * s, _MAX_FLOAT_EXPONENT), c) for e, c in series] for series in cterms]
 
 
 def _eval_param(cterms, u: complex):
@@ -118,6 +135,33 @@ def component_basis(component):
     return _orthonormalize(
         [[to_complex(e) for e in row] for row in component_rows(component)]
     )
+
+
+class FloatView:
+    """The doubles of some branches and some cone components, each
+    converted once, when first read: a branch's complex terms
+    (_complex_terms) and a component's orthonormal basis (component_basis).
+    The witness families and the sampler of one verify share one view.
+
+    Reading on demand keeps the order in which conversions happen, and so
+    which value raises FloatingPointOverflow first, the same as converting
+    each family's and then the sampler's values afresh."""
+
+    def __init__(self, branches, components):
+        self.branches = tuple(branches)
+        self.components = tuple(components)
+        self._terms = [None] * len(self.branches)
+        self._bases = [None] * len(self.components)
+
+    def terms(self, i: int):
+        if self._terms[i] is None:
+            self._terms[i] = _complex_terms(self.branches[i].param)
+        return self._terms[i]
+
+    def basis(self, idx: int):
+        if self._bases[idx] is None:
+            self._bases[idx] = component_basis(self.components[idx])
+        return self._bases[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +210,12 @@ def _skipped(kind, labels, k, group_order, k_theta, reason) -> WitnessResult:
     )
 
 
-def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
-                lam, target_exact, plane, u_values) -> WitnessResult:
+def _run_family(kind, labels, k, group_order, k_theta, u_values, floats) -> WitnessResult:
+    """Measure one family at u_values (default: default_u_values). floats()
+    gives its doubles (c1, c2, theta, lam, target, plane_basis): the complex
+    terms of both sides, theta and lam, and the orthonormal bases of the
+    target and of the plane. It is called only once the family is known to
+    run, so a skipped family converts nothing."""
     if u_values is None:
         u_values, reason = default_u_values(k_theta - group_order)
         if u_values is None:
@@ -179,16 +227,11 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
                 f"default evaluation window",
             )
     u_values = tuple(float(u) for u in u_values)
-    theta_c = to_complex(theta)
-    lam_c = to_complex(lam)
-    c1 = _complex_terms(psi1)
-    c2 = _complex_terms(psi2)
+    c1, c2, theta_c, lam_c, target, plane_basis = floats()
     # h(u) = theta*u + c*u^(k-N+1) with c = -lam*theta/N makes the secant
     # direction converge exactly to v_theta + lam*w.
     offset = -lam_c * theta_c / group_order
     power = k_theta - group_order + 1
-    target = _orthonormalize([[to_complex(t) for t in target_exact]])
-    plane_basis = component_basis(plane)
     target_distances = []
     plane_distances = []
     for u in u_values:
@@ -197,6 +240,11 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
             a - b for a, b in zip(_eval_param(c1, u), _eval_param(c2, h))
         ]
         scale = _norm(alpha)
+        if not math.isfinite(scale):
+            raise FloatingPointOverflow(
+                f"a witness secant at u={u} exceeds IEEE double range",
+                u=u, labels=list(labels),
+            )
         if scale == 0.0:
             raise DegenerateSecant(
                 f"witness points coincide at u={u}", u=u, labels=list(labels)
@@ -213,30 +261,42 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta,
     )
 
 
-def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values,
-                 plane=None) -> WitnessResult:
+def _family(kind, view: FloatView, i: int, j: int, idx: int, k: int, lam,
+            m_theta: int, leading, u_values) -> WitnessResult:
     """Secants of the contact difference psi_i(u) - psi_j(theta*u),
-    theta = zeta_lcm^k, on the branches rescaled to order lcm; the pair
-    (b, b) is the characteristic difference phi(u) - phi(theta*u). The
-    target is the leading vector plus lam times psi_i's tangent
-    coefficients. plane defaults to the span of tangent_i and the leading
-    vector; the non-tangent family spans the two tangents."""
+    theta = zeta_lcm^k, on view's branches i and j rescaled to order lcm;
+    the pair (b, b) is the characteristic difference phi(u) - phi(theta*u).
+    The difference starts at u^m_theta with the exact vector leading; the
+    target is leading plus lam times psi_i's tangent coefficients, and the
+    plane is view's component idx."""
+    bi, bj = view.branches[i], view.branches[j]
+    lcm = math.lcm(bi.m, bj.m)
+    labels = (bi.label,) if kind == "characteristic" else (bi.label, bj.label)
+    theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
+    target = [v + lam * s.coefficient(bi.m) for v, s in zip(leading, bi.param.coords)]
+
+    def floats():
+        theta_c = to_complex(theta)
+        lam_c = to_complex(lam)
+        c1 = _rescaled(view.terms(i), lcm // bi.m)
+        c2 = _rescaled(view.terms(j), lcm // bj.m)
+        unit = _orthonormalize([[to_complex(t) for t in target]])
+        return c1, c2, theta_c, lam_c, unit, view.basis(idx)
+
+    return _run_family(kind, labels, k, lcm, m_theta, u_values, floats)
+
+
+def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values) -> WitnessResult:
+    """One family built on its own: contact_leading reads the leading
+    vector, and the plane spans tangent_i and the leading vector (the
+    non-tangent family: the two tangents)."""
     if not isinstance(lam, CycloScalar):
         lam = CycloScalar.rational(lam)
-    lcm = math.lcm(bi.m, bj.m)
     m_theta, leading = contact_leading(bi, bj, k)
-    target = [v + lam * s.coefficient(bi.m) for v, s in zip(leading, bi.param.coords)]
-    if plane is None:
-        second = bj.tangent if kind == "non-tangent" else Direction(leading)
-        plane = plane_from_vectors(bi.tangent, second)
-    psi1 = substitute_power(bi.param, lcm // bi.m)
-    psi2 = psi1 if bj is bi else substitute_power(bj.param, lcm // bj.m)
-    theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
-    labels = (bi.label,) if kind == "characteristic" else (bi.label, bj.label)
-    return _run_family(
-        kind, labels, k, psi1, psi2, lcm, theta, m_theta, lam, target, plane,
-        u_values,
-    )
+    second = bj.tangent if kind == "non-tangent" else Direction(leading)
+    plane = plane_from_vectors(bi.tangent, second)
+    view = FloatView((bi,) if bj is bi else (bi, bj), (plane,))
+    return _family(kind, view, 0, 0 if bj is bi else 1, 0, k, lam, m_theta, leading, u_values)
 
 
 def witness_secant_family(b: Branch, k: int, lam=1, u_values=None) -> WitnessResult:
@@ -262,24 +322,45 @@ def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessRes
     return _pair_family("non-tangent", bi, bj, 0, 0, u_values)
 
 
-def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None) -> list:
+_ONE = CycloScalar.rational(1)
+_ZERO = CycloScalar.rational(0)
+
+
+def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
+                         analysis: Optional[Analysis] = None,
+                         view: Optional[FloatView] = None) -> list:
     """One witness family per cone component, read off the component's
-    first provenance descriptor, with the component as its plane."""
+    first provenance descriptor, with the component as its plane.
+
+    Each family reads what the analysis already holds (one is built when
+    none is given; its cone is the default): m_theta from the branch's
+    characteristic record, or from the pair's class, and the exact leading
+    vector from the pair (Analysis.pair) at that class, as contact_leading
+    would form it. view (default: a new one over c and cone) supplies the
+    doubles."""
+    if analysis is None:
+        analysis = Analysis(c)
     if cone is None:
-        cone = c5_cone(c)
+        cone = analysis.cone
     if cone.dimension != 2:
         return []
-    by_label = {b.label: b for b in c.branches}
+    if view is None:
+        view = FloatView(c.branches, cone.components)
+    index = {b.label: i for i, b in enumerate(c.branches)}
     results = []
-    for plane, descriptors in zip(cone.components, cone.provenance):
+    for idx, descriptors in enumerate(cone.provenance):
         kind, labels, k = descriptors[0]
-        bi = by_label[labels[0]]
-        bj = by_label[labels[-1]]
-        if kind == "non-tangent":  # provenance k is -1
-            k, lam = 0, 0
-        else:
-            lam = 1
-        results.append(_pair_family(kind, bi, bj, k, lam, None, plane))
+        i, j = index[labels[0]], index[labels[-1]]
+        pair = analysis.pair(i, j)
+        lam = _ONE
+        if kind == "characteristic":
+            m_theta = analysis.characteristic_record(i, k).m_theta
+        elif kind == "contact":
+            m_theta = pair.classes[k][0]
+        else:  # non-tangent: provenance k is -1; both sides start at u^lcm
+            k, lam, m_theta = 0, _ZERO, pair.lcm
+        leading = pair.vector(m_theta, k * m_theta % pair.lcm)
+        results.append(_family(kind, view, i, j, idx, k, lam, m_theta, leading, None))
     return results
 
 
@@ -307,12 +388,12 @@ def _derived_rng(seed: int, source_index: int, radius_index: int) -> random.Rand
     return random.Random(mixed)
 
 
-def _coordinate_terms(p: Parametrization):
+def _coordinate_terms(cterms):
     """Per coordinate, the complex coefficients and the exponents of its
     terms, as two tuples."""
     return [
         (tuple(c for _, c in series), tuple(e for e, _ in series))
-        for series in _complex_terms(p)
+        for series in cterms
     ]
 
 
@@ -325,19 +406,43 @@ def _points(radius, a, b):
     ))
 
 
+def _combination(pairs):
+    """The column sum of c*column over the (c, column) pairs, formed as
+    sum() would form it but for its leading 0: a c equal to 0 adds no pass,
+    one equal to 1 adds its column with no multiply, and one equal to -1
+    subtracts it. None when every c is 0."""
+    total = None
+    for c, column in pairs:
+        if not c:
+            continue
+        if total is None:
+            if c == 1:
+                total = column
+            else:
+                total = map(neg, column) if c == -1 else map(mul, repeat(c), column)
+        elif c == 1:
+            total = list(map(add, total, column))
+        elif c == -1:
+            total = list(map(sub, total, column))
+        else:
+            total = list(map(add, total, map(mul, repeat(c), column)))
+    return total
+
+
 def _values(terms, points):
-    """Per coordinate, the column of its series' values at points. Each
-    power u**e is taken once per distinct exponent, shared by the
-    coordinates."""
+    """Per coordinate, the column of its series' values at points
+    (_combination). Each power u**e is taken once per distinct exponent,
+    shared by the coordinates."""
     powers = {}
+
+    def power(e):
+        if e not in powers:
+            powers[e] = list(map(pow, points, repeat(e)))
+        return powers[e]
+
     columns = []
     for coeffs, exps in terms:
-        column = None
-        for c, e in zip(coeffs, exps):
-            if e not in powers:
-                powers[e] = list(map(pow, points, repeat(e)))
-            products = map(mul, repeat(c), powers[e])
-            column = list(products if column is None else map(add, column, products))
+        column = _combination((c, power(e)) for c, e in zip(coeffs, exps))
         # sum() of no terms is the int 0
         columns.append(repeat(0, len(points)) if column is None else column)
     return columns
@@ -352,17 +457,27 @@ def _sample_source(left, right, radius, count, rng):
     the need directions still missing. A pair whose secant norm falls below
     1e-280 is dropped and counted, and the next batch draws one pair for each
     one dropped, so the directions are those of the first count
-    non-degenerate pairs of the stream, as in a loop over the samples.
+    non-degenerate pairs of the stream, as in a loop over the samples. A
+    secant norm that is not finite raises FloatingPointOverflow, unless
+    DegenerateSecant comes first in stream order.
 
     Here and in _distances, each float operation of the plain per-sample
     sampler (tests/reference_sampler.py) runs over a whole column, on the
     same operands and in the same order, so the report is the same bit for
-    bit. Three steps are left out, each exactly neutral:
+    bit. Some steps are left out, each exactly neutral:
 
     * sum()'s leading int 0 in front of each series and each inner product:
       0 + z differs from z only where z holds a -0.0, and a zero's sign
       never changes a value that reaches abs or hypot, where every series
       value and inner product ends;
+    * in _combination, the multiply by a coefficient or basis entry equal
+      to 1 or -1 (a negation, or the add turned into a sub), and the whole
+      multiply-add of one equal to 0. On finite operands, which every
+      series term and, once the norm is finite, every direction entry is,
+      1*z = z and -1*z = -z exactly but for the sign of a zero part, and
+      0*z is a zero: again only zero signs change;
+    * a second |<row, d>|**2 over the same directions, for a row that
+      several components share: the same operations on the same operands;
     * the 0.0 + in front of each total of squares |<row, d>|**2, which
       is non-negative;
     * max(0.0, x) over a column whose every x is positive: it returns x.
@@ -383,6 +498,13 @@ def _sample_source(left, right, radius, count, rng):
         scales = list(map(math.hypot, *parts))
         low = list(map(lt, scales, repeat(1e-280)))
         need = low.count(True)
+        if not all(map(math.isfinite, scales)):
+            first = list(map(math.isfinite, scales)).index(False)
+            if degenerate + low[:first].count(True) <= 100 * count:
+                raise FloatingPointOverflow(
+                    f"a secant at radius {radius} exceeds IEEE double range",
+                    radius=radius,
+                )
         if need:
             degenerate += need
             if degenerate > 100 * count:
@@ -398,16 +520,25 @@ def _sample_source(left, right, radius, count, rng):
     return columns, degenerate
 
 
-def _distances(basis, directions):
+def _squares(row, directions):
+    """|<row, d>|**2 per direction (_combination)."""
+    return map(pow, map(abs, _combination(zip(row, directions))), repeat(2))
+
+
+def _distances(basis, directions, shared=None):
     """Per direction, its distance sqrt(max(0, 1 - sum |<row, d>|^2)) to
-    the component whose orthonormal rows, conjugated, are basis."""
+    the component whose orthonormal rows, conjugated, are basis. shared,
+    when given, maps each row that other components hold too to its
+    squares over these directions, or to None until they are first
+    needed."""
     total = None
     for row in basis:
-        inner = None
-        for b, column in zip(row, directions):
-            products = map(mul, repeat(b), column)
-            inner = products if inner is None else list(map(add, inner, products))
-        squares = map(pow, map(abs, inner), repeat(2))
+        if shared is not None and row in shared:
+            squares = shared[row]
+            if squares is None:
+                squares = shared[row] = list(_squares(row, directions))
+        else:
+            squares = _squares(row, directions)
         total = squares if total is None else list(map(add, total, squares))
     rest = list(map(sub, repeat(1.0), total))
     if not all(map(lt, repeat(0.0), rest)):
@@ -415,15 +546,17 @@ def _distances(basis, directions):
     return list(map(math.sqrt, rest))
 
 
-def _pruned_max(bases, directions, floor):
+def _pruned_max(bases, directions, floor, shared):
     """max(floor, the largest distance from a direction to its nearest
-    component), scanning the components column by column.
+    component), scanning the components column by column. shared lists
+    the rows that several components hold (see _distances).
 
     Before each component after the first, the direction farthest from the
     components scanned so far gets its full minimum, which may raise floor.
     A direction whose best distance so far is within floor can no longer
     raise the maximum and is dropped; the farthest one goes too, its full
     minimum now being part of floor."""
+    squares = dict.fromkeys(shared)
     best = [math.inf] * len(directions[0])
     for idx, basis in enumerate(bases):
         if idx:
@@ -436,29 +569,48 @@ def _pruned_max(bases, directions, floor):
             if not best:
                 return floor
             directions = [list(compress(column, keep)) for column in directions]
-        best = list(map(min, best, _distances(basis, directions)))
+            squares = {
+                row: None if column is None else list(compress(column, keep))
+                for row, column in squares.items()
+            }
+        best = list(map(min, best, _distances(basis, directions, squares)))
     return max(floor, max(best))
 
 
-def check_sampling_parameters(radii, k: int) -> tuple:
-    """The radii as floats, after checking that they lie in (0, 0.5] and
-    strictly decrease and that 1 <= k <= MAX_SAMPLES."""
+def check_sampling_parameters(radii, k: int, branches: int = 1) -> tuple:
+    """The radii as floats, after checking that there are at most
+    MAX_RADII of them, that they lie in (0, 0.5] and strictly decrease,
+    that 1 <= k <= MAX_SAMPLES, and that the samples of a curve with this
+    many branches, sources x radii x k, are at most MAX_TOTAL_SAMPLES."""
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0 < r <= 0.5 for r in radii):
         raise InvalidSamplingParameter(f"radii must lie in (0, 0.5], got {radii}")
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise InvalidSamplingParameter(f"radii must be strictly decreasing, got {radii}")
+    if len(radii) > MAX_RADII:
+        raise InvalidSamplingParameter(
+            f"at most {MAX_RADII} radii, got {len(radii)}"
+        )
     if k < 1:
         raise InvalidSamplingParameter(f"need at least one sample per radius, got {k}")
     if k > MAX_SAMPLES:
         raise InvalidSamplingParameter(
             f"at most {MAX_SAMPLES} samples per radius, got {k}"
         )
+    sources = branches * (branches + 1) // 2
+    total = sources * len(radii) * k
+    if total > MAX_TOTAL_SAMPLES:
+        raise InvalidSamplingParameter(
+            f"at most {MAX_TOTAL_SAMPLES} secant samples in all, got {total}: "
+            f"{sources} sources x {len(radii)} radii x {k} samples",
+            total=total, limit=MAX_TOTAL_SAMPLES,
+        )
     return radii
 
 
 def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAMPLES,
-                             seed: int = 0, cone: Optional[C5Cone] = None) -> SampleReport:
+                             seed: int = 0, cone: Optional[C5Cone] = None,
+                             view: Optional[FloatView] = None) -> SampleReport:
     """Draw k point pairs per radius on every branch combination (same
     branch and cross branch), and measure how far the normalized secant
     directions sit from the nearest cone component.
@@ -468,8 +620,10 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     against every component, for the per-component minima; every other
     radius only needs its maximum, and _pruned_max drops the directions
     that can no longer raise it, carrying that floor across the sources.
-    The report equals that of tests/reference_sampler.py bit for bit."""
-    radii = check_sampling_parameters(radii, k)
+    view, when given, is the float view of c over cone (or over the
+    default cone), shared with the witness families. The report equals that
+    of tests/reference_sampler.py bit for bit."""
+    radii = check_sampling_parameters(radii, k, len(c.branches))
     for b in c.branches:
         if b.m * math.log10(radii[-1] / 2) < -300:
             raise FloatingPointUnderflow(
@@ -477,13 +631,15 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
                 f"underflows IEEE doubles at radius {radii[-1]}",
                 label=b.label, multiplicity=b.m, radius=radii[-1],
             )
-    if cone is None:
-        cone = c5_cone(c)
+    if view is None:
+        view = FloatView(c.branches, (c5_cone(c) if cone is None else cone).components)
     rows = [
-        [[z.conjugate() for z in row] for row in component_basis(comp)]
-        for comp in cone.components
+        tuple(tuple(z.conjugate() for z in row) for row in view.basis(idx))
+        for idx in range(len(view.components))
     ]
-    terms = [_coordinate_terms(b.param) for b in c.branches]
+    held = Counter(row for basis in rows for row in set(basis))
+    shared = [row for row, count in held.items() if count > 1]
+    terms = [_coordinate_terms(view.terms(i)) for i in range(len(c.branches))]
     r = len(c.branches)
     sources = [(i, i) for i in range(r)] + [
         (i, j) for i in range(r) for j in range(i + 1, r)
@@ -501,9 +657,10 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
             )
             degenerate_total += degenerate
             if radius_index < smallest:
-                largest = _pruned_max(rows, directions, largest)
+                largest = _pruned_max(rows, directions, largest, shared)
                 continue
-            columns = [_distances(basis, directions) for basis in rows]
+            squares = dict.fromkeys(shared)
+            columns = [_distances(basis, directions, squares) for basis in rows]
             component_min = list(map(min, component_min, map(min, columns)))
             # each sample's minimum starts from inf, which an empty cone keeps
             nearest = map(min, zip(repeat(math.inf, k), *columns))

@@ -505,15 +505,27 @@ def _unit(N: int, j: int):
         return mpmath.expjpi(mpmath.mpf(2 * j) / N)
 
 
+def _rounded(x) -> float:
+    """The mpf x rounded once to a double. Below the least normal double,
+    2**-1022, float() would round to 53 bits and then again to the
+    subnormal grid; there the exact mantissa and exponent go through one
+    int true division, which Python rounds correctly (ties to even)."""
+    sign, man, exp, bits = x._mpf_  # x = (-1)**sign * man * 2**exp
+    if not man or bits + exp > -1022:
+        return float(x)
+    if bits + exp < -1076:  # below half the least subnormal
+        return -0.0 if sign else 0.0
+    return (-man if sign else man) / (1 << -exp)
+
+
 def to_complex(a: CycloScalar) -> complex:
     """Numeric value of a as a double; raises FloatingPointOverflow when
     that double would be infinite.
 
     Every value but a small rational is evaluated at 200 bits through
-    mpmath before the final rounding, so above the subnormal range the only
-    error is the unavoidable double-precision representation of the exact
-    value (below it, mpmath rounds to 53 bits and then to the subnormal).
-    mpmath is imported on the first such value only.
+    mpmath before the one final rounding (_rounded), so the only error is
+    the unavoidable double-precision representation of the exact value,
+    subnormals included. mpmath is imported on the first such value only.
     """
     if a.is_rational():
         q = a.rational_value()
@@ -538,7 +550,7 @@ def to_complex(a: CycloScalar) -> complex:
         for j, c in a.terms():
             q = mpmath.mpf(c.numerator) / c.denominator
             total += q * _unit(N, j)
-        z = complex(total)
+        z = complex(_rounded(total.real), _rounded(total.imag))
     if not cmath.isfinite(z):
         raise FloatingPointOverflow(
             f"a value at conductor {a.conductor} exceeds IEEE double range",

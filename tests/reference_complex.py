@@ -5,7 +5,18 @@ bits and rounded once; the engine's to_complex must return the same double
 for every value, and the reference sampler converts through this function.
 """
 
+from fractions import Fraction
+
 import mpmath
+
+
+def _rounded(x) -> float:
+    """The mpf x rounded once to a double: its exact value man * 2**exp
+    as a Fraction, which float() rounds correctly, subnormals included
+    (mpmath's own float() rounds to 53 bits first, and again below
+    2**-1022)."""
+    sign, man, exp, _ = x._mpf_  # x = (-1)**sign * man * 2**exp
+    return float((-1) ** sign * Fraction(man) * Fraction(2) ** exp)
 
 
 def to_complex(a) -> complex:
@@ -21,4 +32,4 @@ def to_complex(a) -> complex:
         for j, c in a.terms():
             q = mpmath.mpf(c.numerator) / c.denominator
             total += q * mpmath.expjpi(mpmath.mpf(2 * j) / N)
-        return complex(total)
+        return complex(_rounded(total.real), _rounded(total.imag))

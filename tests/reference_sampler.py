@@ -13,7 +13,7 @@ import cmath
 import math
 import random
 
-from c5cone import DegenerateSecant, FloatingPointUnderflow, c5_cone
+from c5cone import DegenerateSecant, FloatingPointOverflow, FloatingPointUnderflow, c5_cone
 from c5cone.oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
@@ -102,6 +102,11 @@ def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
                     radius=radius,
                 )
             continue
+        if not math.isfinite(scale):
+            raise FloatingPointOverflow(
+                f"a secant at radius {radius} exceeds IEEE double range",
+                radius=radius,
+            )
         direction = [z / scale for z in delta]
         best = math.inf
         for idx, basis in enumerate(bases):
@@ -117,7 +122,7 @@ def _sample_source(cterms_i, cterms_j, radius, count, rng, bases):
 
 
 def sample_secant_directions(c, radii=DEFAULT_RADII, k=DEFAULT_SAMPLES, seed=0, cone=None):
-    radii = check_sampling_parameters(radii, k)
+    radii = check_sampling_parameters(radii, k, len(c.branches))
     for b in c.branches:
         if b.m * math.log10(radii[-1] / 2) < -300:
             raise FloatingPointUnderflow(

@@ -15,13 +15,34 @@ from typing import Optional
 from c5cone.auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
 from c5cone.c5 import Analysis, C5Cone
 from c5cone.geometry import Branch, Curve, plane_from_vectors, tangent_direction
-from c5cone.oracle import WitnessResult, _run_family
-from c5cone.scalar import CycloScalar, common_conductor, root_of_unity
+from c5cone.oracle import (
+    WitnessResult,
+    _complex_terms,
+    _orthonormalize,
+    _run_family as _run_floats,
+    component_basis,
+)
+from c5cone.scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from c5cone.series import substitute_power
 
 
 def _as_scalar(lam) -> CycloScalar:
     return lam if isinstance(lam, CycloScalar) else CycloScalar.rational(lam)
+
+
+def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta, lam,
+                target, plane, u_values) -> WitnessResult:
+    """The engine's measurement of one family, with every double converted
+    here from the exact sides, theta, lam, target and plane."""
+
+    def floats():
+        theta_c, lam_c = to_complex(theta), to_complex(lam)
+        return (
+            _complex_terms(psi1), _complex_terms(psi2), theta_c, lam_c,
+            _orthonormalize([[to_complex(t) for t in target]]), component_basis(plane),
+        )
+
+    return _run_floats(kind, labels, k, group_order, k_theta, u_values, floats)
 
 
 def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,

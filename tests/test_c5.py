@@ -1,5 +1,6 @@
 """The bi-secant limit cone: components, provenance, bounds, product form."""
 
+import json
 import math
 import random
 import sys
@@ -21,10 +22,13 @@ from c5cone import (
     characteristic_records,
     check_compatibility,
     contact_records,
+    geometry,
     integer_normalized_form,
     polynomial_text,
     product_equation,
+    oracle,
     profile,
+    read_curve,
     sigma,
     tangent_direction,
 )
@@ -222,12 +226,13 @@ def test_product_equation_needs_planes_in_three_space(load):
 # one analysis per curve
 
 
-def count_engine_calls(monkeypatch, names):
-    """Count calls of the named functions of the auxiliary module (its own
-    or imported), in every engine module that holds a reference to them."""
+def count_engine_calls(monkeypatch, names, home=auxiliary):
+    """Count calls of the named functions of the module home (default: the
+    auxiliary module; its own or imported), in every engine module that
+    holds a reference to them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(auxiliary, name)
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -272,6 +277,41 @@ def test_project_and_verify_read_one_analysis(
     assert record_builds == {
         "characteristic_aux": characteristic, "contact_aux": contact,
     }
+
+
+def test_analyze_classifies_once(monkeypatch, capsys, fixtures_dir):
+    counts = count_engine_calls(monkeypatch, ("classify",), geometry)
+    for name in ("four_branches", "contact_structure_pair", "space_cusp"):
+        counts["classify"] = 0
+        assert main(["analyze", "--json", str(fixtures_dir / f"{name}.json")]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert counts == {"classify": 1}, name
+        c = read_curve(fixtures_dir / f"{name}.json")
+        assert data["bounds"] == {"bound1": bound1(c), "bound2": bound2(c)}
+
+
+def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
+    # the witness families read the cone's records and pairs: no contact
+    # difference is walked again; each branch's terms and each component's
+    # basis reach doubles once, for the families and the sampler together
+    c = load("four_branches")
+    components = len(c5_cone(c).components)
+    walks = count_engine_calls(monkeypatch, ("contact_leading",))
+    pairs = []
+    monkeypatch.setattr(
+        auxiliary._Pair, "__init__",
+        lambda self, *args, _init=auxiliary._Pair.__init__, **kwargs: (
+            pairs.append(args[:2]), _init(self, *args, **kwargs))[1],
+    )
+    floats = count_engine_calls(monkeypatch, ("component_basis", "_complex_terms"), oracle)
+    assert main(["verify", str(fixtures_dir / "four_branches.json")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["witness_families"]) == components == 7
+    assert walks == {"contact_leading": 0}
+    assert floats == {"component_basis": components, "_complex_terms": len(c.branches)}
+    # one pair per tangent pair, per non-tangent family and per branch
+    # with a characteristic family, none built twice
+    assert len(pairs) == len({tuple(b.label for b in p) for p in pairs}) == 5
 
 
 @pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])

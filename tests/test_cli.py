@@ -10,7 +10,12 @@ import pytest
 import c5cone.cli
 import c5cone.projection
 from c5cone.cli import main
-from c5cone.oracle import MAX_SAMPLES
+from c5cone.oracle import (
+    MAX_RADII,
+    MAX_SAMPLES,
+    MAX_TOTAL_SAMPLES,
+    check_sampling_parameters,
+)
 
 
 def run(capsys, *argv):
@@ -315,7 +320,7 @@ def test_verify_rejects_tolerance_outside_the_unit_interval(
     def no_work(*args, **kwargs):
         raise AssertionError("verify started cone or sampling work")
 
-    monkeypatch.setattr(c5cone.cli, "c5_cone", no_work)
+    monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
     monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
     code, out, err = run(
         capsys,
@@ -337,7 +342,7 @@ def test_verify_rejects_too_many_samples_before_any_work(
         raise AssertionError("verify started cone or sampling work")
 
     monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
-    monkeypatch.setattr(c5cone.cli, "c5_cone", no_work)
+    monkeypatch.setattr(c5cone.cli, "cone_witness_results", no_work)
     monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
     code, out, err = run(
         capsys,
@@ -350,6 +355,78 @@ def test_verify_rejects_too_many_samples_before_any_work(
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "InvalidSamplingParameter"
     assert str(MAX_SAMPLES) in diagnostic["detail"]
+
+
+def _no_verify_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started cone or sampling work")
+
+    for name in ("Analysis", "cone_witness_results", "sample_secant_directions"):
+        monkeypatch.setattr(c5cone.cli, name, no_work)
+
+
+def _radii(count):
+    return [str(0.5 * 0.9**i) for i in range(count)]
+
+
+def test_verify_refuses_a_sampling_total_above_the_budget(
+    capsys, fixtures_dir, monkeypatch
+):
+    # four branches give 10 sources: 10 x 20 radii x 10,000 samples is the
+    # limit itself, and one more radius at 9,524 samples is 40 above it
+    assert MAX_TOTAL_SAMPLES == 10 * 20 * 10_000
+    assert len(check_sampling_parameters(_radii(20), MAX_SAMPLES, 4)) == 20
+    _no_verify_work(monkeypatch)
+    code, out, err = run(
+        capsys, "verify", fixture(fixtures_dir, "four_branches"),
+        "--radii", *_radii(21), "--samples", "9524",
+    )
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidSamplingParameter"
+    assert (diagnostic["total"], diagnostic["limit"]) == (2_000_040, MAX_TOTAL_SAMPLES)
+    assert "10 sources x 21 radii x 9524 samples" in diagnostic["detail"]
+
+
+def test_verify_refuses_more_radii_than_the_cap(capsys, fixtures_dir, monkeypatch):
+    assert len(check_sampling_parameters(_radii(MAX_RADII), 1)) == MAX_RADII
+    _no_verify_work(monkeypatch)
+    code, out, err = run(
+        capsys, "verify", fixture(fixtures_dir, "space_cusp"),
+        "--radii", *_radii(MAX_RADII + 1), "--samples", "1",
+    )
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidSamplingParameter"
+    assert f"at most {MAX_RADII} radii" in diagnostic["detail"]
+
+
+def test_verify_rejects_an_overflowing_secant(capsys, tmp_path):
+    # x = u, y = C*(u + u^2 + u^3 + u^4), C = 1.7e308: every value is finite
+    # in doubles, but secants across the disc of radius 0.5 are not; they
+    # used to read as distances 0.0 and 1.0, and verify passed
+    coeff = [{"num": 17 * 10**307, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
+    one = [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
+    doc = {
+        "version": 1,
+        "n": 2,
+        "branches": [{
+            "label": "b1",
+            "coords": [
+                [{"exp": 1, "coeff": one}],
+                [{"exp": e, "coeff": coeff} for e in (1, 2, 3, 4)],
+            ],
+        }],
+    }
+    path = tmp_path / "overflowing_secant.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "verify", str(path), "--radii", "0.5", "0.45", "--samples", "2000"
+    )
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "FloatingPointOverflow"
+    assert diagnostic["radius"] == 0.5
 
 
 def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):

@@ -6,6 +6,8 @@ components)."""
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +15,14 @@ import reference_sampler
 from c5cone import (
     DegenerateSecant,
     EngineError,
+    FloatingPointOverflow,
     c5_cone,
     curve_from_exponents,
     sample_secant_directions,
+    zeta,
 )
 from c5cone.c5 import C5Cone
-from c5cone.oracle import SampleReport
+from c5cone.oracle import SampleReport, component_basis
 from random_curves import random_curve_with_cone
 
 FLAG_SETS = {
@@ -172,3 +176,46 @@ def test_four_branch_curves_match_the_reference():
         mine, ref = both(c, **flags)
         assert isinstance(mine, SampleReport) and mine == ref, trials
         trials += 1
+
+
+# coefficients 1, -1, i, zeta_3 and one whose double is 0 (2**-1100); the
+# characteristic planes of each branch share their first basis row, the
+# unit vector of the tangent, and hold entries 0 and 1
+_TINY = Fraction(1, 2**1100)
+SHARED_ROWS = {
+    "m16": [[16, [(24, 1), (30, -1)], [(28, -1), (33, zeta(4))], [(30, 1), (35, _TINY)],
+             [(33, -1), (37, 1)]]],
+    "m30": [[30, [(36, 1), (50, -1)], [(40, -1), (42, 1)],
+             [(45, zeta(3)), (47, 1), (49, _TINY)]]],
+}
+
+
+@pytest.mark.parametrize("name", SHARED_ROWS)
+def test_shared_rows_and_unit_entries_match_the_reference(name):
+    c = curve_from_exponents(SHARED_ROWS[name])
+    cone = c5_cone(c)
+    rows = Counter(tuple(row) for comp in cone.components for row in component_basis(comp))
+    assert len(cone.components) >= 3 and max(rows.values()) == len(cone.components)
+    entries = {z for row in rows for z in row}
+    assert {0, 1} <= entries
+    coefficients = {z for series in reference_sampler._complex_terms(c.branches[0].param)
+                    for _, z in series}
+    assert {0, 1, -1} <= coefficients
+    for flags in ({}, {"seed": 3}, {"radii": FOUR_RADII, "k": 60},
+                  {"radii": (0.5, 0.2), "k": 101, "seed": 7}):
+        mine, ref = both(c, cone=cone, **flags)
+        assert isinstance(mine, SampleReport) and mine == ref, flags
+
+
+def overflowing_curve():
+    """x = u, y = C*(u + u^2 + u^3 + u^4) with C = 1.7e308: every term is
+    finite, but secants across the disc of radius 0.5 exceed double range."""
+    C = 17 * 10**307
+    return curve_from_exponents([[[(1, 1)], [(e, C) for e in (1, 2, 3, 4)]]])
+
+
+def test_an_overflowing_secant_raises_like_the_reference():
+    mine, ref = both(overflowing_curve(), radii=(0.5, 0.45), k=2000)
+    assert mine == ref
+    assert mine[0] is FloatingPointOverflow
+    assert mine[1]["radius"] == 0.5

@@ -476,6 +476,36 @@ def test_midpoints_zero_and_negatives_convert_like_the_reference():
     assert to_complex(CycloScalar.rational(1 + 3 * half_ulp)) == 1 + 4 * float(half_ulp)
 
 
+def test_subnormal_rationals_round_once_like_int_division():
+    # above 2**64 the 200-bit route is taken; rounding its value to 53 bits
+    # and then to the subnormal grid would send 2**-1075 + 2**-1145, just
+    # above half the least subnormal, to 0.0
+    q = Fraction(1, 2**1075) + Fraction(1, 2**1145)
+    assert to_complex(CycloScalar.rational(q)) == 5e-324
+    assert to_complex(CycloScalar.rational(-q)) == -5e-324
+    rng = random.Random(1075)
+    values = [q, Fraction(1, 2**1075), Fraction(3, 2**1076), Fraction(2**70 - 1, 2**1092)]
+    for _ in range(300):
+        den = rng.randrange(2**64, 2**90) << rng.randrange(1000, 1030)
+        num = rng.randrange(1, 2**40)
+        values.append(Fraction(num, den))
+    assert any(abs(v.numerator) >= 2**64 or v.denominator >= 2**64 for v in values)
+    for v in values:
+        for sign in (1, -1):
+            a = CycloScalar.rational(sign * v)
+            exact = (sign * v.numerator) / v.denominator
+            assert abs(exact) <= sys.float_info.min
+            assert _bits(to_complex(a)) == _bits(complex(exact)), v
+            _assert_as_reference(a)
+
+
+def test_subnormal_parts_of_irrational_values_round_once():
+    # zeta_12 times a subnormal-sized rational: both parts below 2**-1022
+    for num, shift in ((1, 1060), (3, 1072), (2**70 + 1, 1140), (5, 1076)):
+        _assert_as_reference(CycloScalar.rational(Fraction(num, 2**shift)) * zeta(12))
+        _assert_as_reference(CycloScalar.rational(Fraction(-num, 2**shift)) * zeta(8, 3))
+
+
 @pytest.mark.parametrize("N", [3, 4, 12, 60, 420, 2017])
 def test_irrational_values_convert_like_the_reference(N):
     rng = random.Random(N)

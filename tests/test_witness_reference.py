@@ -19,6 +19,7 @@ from c5cone import (
     DependentVectors,
     Direction,
     EngineError,
+    FloatingPointOverflow,
     IncompatibleSystem,
     NonPrimitiveParametrization,
     Parametrization,
@@ -144,3 +145,25 @@ def test_characteristic_family_rejects_a_theta_fixing_an_unchecked_branch():
     got = _outcome(witness_secant_family, covered, 2)
     assert got == _outcome(ref.witness_secant_family, covered, 2)
     assert got[0] == "NonPrimitiveParametrization"
+
+
+def test_an_overflowing_witness_secant_raises_like_the_reference():
+    # every term of y = C*(u^3 + u^5 + ... + u^11), C = 8e307, and the
+    # target 2C are finite, but at u = 0.9 the sum is not
+    C = 8 * 10**307
+    c = curve_from_exponents([
+        [2, [(e, C) for e in (3, 5, 7, 9, 11)]],
+        [[(2, 1)], [(2, 1), (3, C)]],
+    ])
+    b1, b2 = c.branches
+    window = (0.9, 0.5)
+    for build, reference, args in (
+        (witness_secant_family, ref.witness_secant_family, (b1, 1, 1, window)),
+        (contact_witness_family, ref.contact_witness_family, (b1, b2, 1, 1, window)),
+    ):
+        got = _outcome(build, *args)
+        assert got == _outcome(reference, *args)
+        assert got[0] == FloatingPointOverflow.__name__
+        assert got[1]["u"] == 0.9
+    # one family still measures where the window stays in range
+    assert not witness_secant_family(b1, 1, u_values=(0.1, 0.05, 0.01)).skipped
