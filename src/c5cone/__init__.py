@@ -15,7 +15,6 @@ from .auxiliary import (
     characteristic_records,
     coam,
     contact_aux,
-    contact_leading,
     contact_records,
 )
 from .c5 import (
@@ -68,7 +67,6 @@ from .geometry import (
     Direction,
     Plane,
     TangencyClassification,
-    check_compatibility,
     classify,
     curve,
     matrix_rank,
@@ -92,11 +90,8 @@ from .oracle import (
     SampleReport,
     WitnessResult,
     cone_witness_results,
-    contact_witness_family,
     default_u_values,
-    diagonal_witness_family,
     sample_secant_directions,
-    witness_secant_family,
 )
 from .projection import (
     GenericityVerdict,
@@ -110,7 +105,6 @@ from .scalar import (
     CONDUCTOR_LIMIT,
     CycloScalar,
     common_conductor,
-    cyclotomic_polynomial,
     root_of_unity,
     to_complex,
     zeta,

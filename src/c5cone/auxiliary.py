@@ -18,12 +18,11 @@ u^e coefficient of phi(u) - phi(theta*u) is c_e*(1 - theta^e), which
 vanishes exactly when ord(theta) divides e. The u^E coefficient of a
 contact difference is c_i(E/a) - c_j(E/b)*theta^E, and for
 theta = zeta_lcm^k it depends on k only through the twist j = k*E mod lcm.
-contact_leading forms it for one theta up the merged rescaled supports
-until the first nonzero one. For the whole root group, one walk up those
-supports gives every k its class (m_theta, j) (see _Pair.classes), at a
-cost of one coefficient check per distinct twist of the k still
-vanishing, not one vector per root: coam reads the classes alone, and
-contact records of one class share one v_theta and one plane.
+One walk up the merged rescaled supports gives every k its class
+(m_theta, j) (see _Pair.classes), at a cost of one coefficient check per
+distinct twist of the k still vanishing, not one vector per root: coam
+reads the classes alone, and contact records of one class share one
+v_theta and one plane.
 """
 
 from __future__ import annotations
@@ -105,14 +104,12 @@ def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> Aux
 
 class _Pair:
     """What every theta of a pair shares: lcm, conductor, both supports
-    rescaled to order lcm, merged exponents, tangency (given when known,
-    else compared when first read), the class of every k and each class's
-    shared (v_theta, plane). The roots zeta_lcm^j come from the scalar
-    layer's table of powers."""
+    rescaled to order lcm, merged exponents, tangency (given when known and
+    checked, else compared and checked here), the class of every k and
+    each class's shared (v_theta, plane). The roots zeta_lcm^j come from
+    the scalar layer's table of powers."""
 
     def __init__(self, bi: Branch, bj: Branch, tangent: Optional[bool] = None):
-        if tangent is not None:  # known: the tangents are not compared
-            self.tangent = tangent
         self.lcm = lcm = math.lcm(bi.m, bj.m)
         self.left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
         self.right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
@@ -120,11 +117,11 @@ class _Pair:
         self.exponents = sorted(set().union(*self.left, *self.right))
         self.branches = bi, bj
         self.leading = {}  # class (m_theta, j) -> (v_theta, plane)
-
-    @cached_property
-    def tangent(self) -> bool:
-        bi, bj = self.branches
-        return bi.tangent == bj.tangent
+        if tangent is None:
+            tangent = bi.tangent == bj.tangent
+            if tangent:
+                check_tangent_pair(bi, bj)
+        self.tangent = tangent
 
     def vector(self, E: int, j: int) -> list:
         """The u^E coefficient vector c_i(E) - c_j(E)*zeta_lcm^j."""
@@ -168,6 +165,13 @@ class _Pair:
             a, P = a + P * t, P * step
         return classes
 
+    def coam(self) -> tuple:
+        """The sorted m_theta of every k, read off the classes alone, of a
+        tangent pair (see coam); DuplicateBranch where one vanishes."""
+        if None in self.classes:
+            raise _duplicate(*self.branches)
+        return tuple(sorted(m_theta for m_theta, _ in self.classes))
+
     def _vanishing_twist(self, E: int, residue: int, g: int) -> Optional[int]:
         """The one twist j = residue mod g at which the u^E coefficients of
         both sides agree, or None. Sides nonzero in different coordinates
@@ -191,23 +195,6 @@ def _duplicate(bi: Branch, bj: Branch) -> DuplicateBranch:
     )
 
 
-def contact_leading(bi: Branch, bj: Branch, k: int) -> tuple:
-    """(m_theta, lowest-order coefficient vector) of
-    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k, read by
-    forming the coefficient vectors up the merged supports until the first
-    nonzero one.
-
-    Raises DuplicateBranch when the difference vanishes: the two branches
-    have the same image.
-    """
-    pair = _Pair(bi, bj)
-    for E in pair.exponents:
-        vec = pair.vector(E, k * E)
-        if any(not entry.is_zero() for entry in vec):
-            return E, vec
-    raise _duplicate(bi, bj)
-
-
 def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[_Pair] = None) -> AuxRecord:
     """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
     theta = zeta_lcm^k (theta = 1 allowed). pair, when given, is
@@ -216,8 +203,6 @@ def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[_Pair] = None) ->
     The record is read off k's class (m_theta, j): records of a pair with
     one class share one v_theta and one plane."""
     pair = pair or _Pair(bi, bj)
-    if pair.tangent:
-        check_tangent_pair(bi, bj)
     found = pair.classes[k % pair.lcm]
     if found is None:
         raise _duplicate(bi, bj)
@@ -271,23 +256,10 @@ def cham(b: Branch) -> frozenset:
 
 def coam(bi: Branch, bj: Branch) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
-    m_theta over the full root group, one entry per theta, read off the
-    classes of one walk with no vector and no record. A non-tangent pair
-    needs no walk: its rescaled branches start at order lcm and their
-    leading vectors, the two tangents, are not proportional."""
-    tangent = bi.tangent == bj.tangent
-    if tangent:
-        check_tangent_pair(bi, bj)
-    return _coam(bi, bj, tangent)
-
-
-def _coam(bi: Branch, bj: Branch, tangent: bool) -> tuple:
-    """coam(bi, bj) for a pair whose tangency is already known and, when
-    tangent, already checked by check_tangent_pair."""
-    lcm = math.lcm(bi.m, bj.m)
-    if not tangent:
+    m_theta over the full root group, one entry per theta (_Pair.coam). A
+    non-tangent pair needs no walk: its rescaled branches start at order
+    lcm and their leading vectors, the two tangents, are not proportional."""
+    if bi.tangent != bj.tangent:
+        lcm = math.lcm(bi.m, bj.m)
         return (lcm,) * lcm
-    classes = _Pair(bi, bj).classes
-    if None in classes:
-        raise _duplicate(bi, bj)
-    return tuple(sorted(m_theta for m_theta, _ in classes))
+    return _Pair(bi, bj).coam()

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .auxiliary import (
     AuxRecord,
     _Pair,
     characteristic_aux,
+    cham,
     contact_aux,
     representative_ks,
 )
@@ -43,9 +45,15 @@ class C5Cone(NamedTuple):
     provenance: tuple
 
 
+class InvariantProfile(NamedTuple):
+    r: int
+    chams: tuple  # frozenset per branch
+    coams: dict  # (i, j) with i < j -> sorted tuple
+
+
 class Analysis:
-    """Classification, auxiliary records and cone of one curve, each
-    computed once, when first read."""
+    """Classification, auxiliary records, cone and invariant profile of one
+    curve, each computed once, when first read."""
 
     def __init__(self, c: Curve):
         self.curve = c
@@ -83,11 +91,22 @@ class Analysis:
     def pair(self, i: int, j: int) -> _Pair:
         """The _Pair of branches i and j (i == j: one branch with itself),
         built once, its tangency read off the classification."""
-        if (i, j) not in self._pairs:
+        pair = self._pairs.get((i, j))
+        if pair is None:
             tangent = i == j or (min(i, j), max(i, j)) in self.classification.T
             branches = self.curve.branches
-            self._pairs[(i, j)] = _Pair(branches[i], branches[j], tangent=tangent)
-        return self._pairs[(i, j)]
+            pair = self._pairs[(i, j)] = _Pair(branches[i], branches[j], tangent)
+        return pair
+
+    @cached_property
+    def tangent_pairs(self) -> list:
+        """The sorted tangent pairs (i, j), all checked by check_tangent_pair
+        before the contact data of any can raise DuplicateBranch."""
+        branches = self.curve.branches
+        pairs = sorted(self.classification.T)
+        for i, j in pairs:
+            check_tangent_pair(branches[i], branches[j])
+        return pairs
 
     @cached_property
     def contacts(self) -> dict:
@@ -95,16 +114,26 @@ class Analysis:
         Each pair's tangency is known from the classification, so no
         tangents are compared again."""
         branches = self.curve.branches
-        pairs = sorted(self.classification.T)
-        for i, j in pairs:  # IncompatibleSystem before DuplicateBranch
-            check_tangent_pair(branches[i], branches[j])
         contacts = {}
-        for i, j in pairs:
+        for i, j in self.tangent_pairs:
             pair = self.pair(i, j)
             contacts[(i, j)] = [
                 contact_aux(branches[i], branches[j], k, pair) for k in range(pair.lcm)
             ]
         return contacts
+
+    @cached_property
+    def profile(self) -> InvariantProfile:
+        """All characteristic and contact auxiliary multiplicities, read off
+        the supports and the tangent pairs' classes, with no record or plane
+        built; a non-tangent pair has (lcm,) * lcm and needs no _Pair."""
+        branches = self.curve.branches
+        tangent = set(self.tangent_pairs)
+        coams = {}
+        for (i, bi), (j, bj) in combinations(enumerate(branches), 2):
+            lcm = math.lcm(bi.m, bj.m)
+            coams[(i, j)] = self.pair(i, j).coam() if (i, j) in tangent else (lcm,) * lcm
+        return InvariantProfile(len(branches), tuple(map(cham, branches)), coams)
 
     @cached_property
     def cone(self) -> C5Cone:

@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .auxiliary import cham
 from .c5 import (
     Analysis,
     C5Cone,
@@ -49,6 +48,7 @@ from .oracle import (
 )
 from .projection import (
     LinearProjection,
+    _search_axis,
     apply_projection,
     find_generic_projection,
     image_keeps_profile,
@@ -187,10 +187,11 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
         )
         for rec in listed
     ]
-    chams = {b.label: sorted(cham(b)) for b in c.branches}
+    invariants = analysis.profile
+    chams = {b.label: sorted(cham) for b, cham in zip(c.branches, invariants.chams)}
     coams = {
-        f"{labels[i]},{labels[j]}": sorted(rec.m_theta for rec in contacts)
-        for (i, j), contacts in analysis.contacts.items()
+        f"{labels[i]},{labels[j]}": list(invariants.coams[(i, j)])
+        for i, j in analysis.tangent_pairs
     }
     components = []
     for component, descriptors in zip(cone.components, cone.provenance):
@@ -372,12 +373,15 @@ def cmd_project(args) -> int:
 
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
-    proj = find_generic_projection(c)
+    # one analysis gives the search its cone and the check its source
+    # profile; the search's own errors come before the cone's
+    analysis = Analysis(c)
+    proj = find_generic_projection(c, None if _search_axis(c) is None else analysis.cone)
     try:
         image = apply_projection(c, proj)
     except EngineError:
         image = None
-    invariant = image is not None and image_keeps_profile(c, image)
+    invariant = image is not None and image_keeps_profile(analysis.profile, image)
     data = {
         "command": "project",
         "mode": "auto",

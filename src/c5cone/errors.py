@@ -103,7 +103,8 @@ class InvalidSamplingParameter(EngineError, ValueError):
 
 
 class FloatingPointUnderflow(EngineError):
-    """A branch's leading term is below IEEE double range at the requested scale."""
+    """A branch's leading term is below IEEE double range at the requested
+    scale, or a witness target rounds to the zero vector."""
 
 
 class FloatingPointOverflow(EngineError):

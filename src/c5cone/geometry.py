@@ -339,9 +339,3 @@ def check_tangent_pair(bi: Branch, bj: Branch) -> None:
     if not bi.special_coords & bj.special_coords:
         raise IncompatibleSystem(bi.label, bj.label)
 
-
-def check_compatibility(c: Curve) -> None:
-    """Raise IncompatibleSystem naming the first tangent pair with no
-    shared special coordinate."""
-    for i, j in sorted(classify(c).T):
-        check_tangent_pair(c.branches[i], c.branches[j])

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .auxiliary import _coam, cham
+from .c5 import Analysis, InvariantProfile
 from .errors import (
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
     TooManyBranches,
 )
-from .geometry import Branch, Curve, check_tangent_pair, classify
+from .geometry import Branch, Curve
 
 MAX_BRANCHES = 12
 
@@ -129,29 +129,9 @@ def contact_structure(bi: Branch, bj: Branch, coam_seq) -> ContactStructure:
     )
 
 
-class InvariantProfile(NamedTuple):
-    r: int
-    chams: tuple  # frozenset per branch
-    coams: dict  # (i, j) with i < j -> sorted tuple
-
-
 def profile(c: Curve) -> InvariantProfile:
-    """All characteristic and contact auxiliary multiplicities of a curve,
-    read off the branch supports: no auxiliary record or plane is built."""
-    branches = c.branches
-    T = classify(c).T  # the one comparison of each pair's tangents
-    for i, j in sorted(T):  # IncompatibleSystem before DuplicateBranch
-        check_tangent_pair(branches[i], branches[j])
-    r = len(branches)
-    return InvariantProfile(
-        r=r,
-        chams=tuple(cham(b) for b in branches),
-        coams={
-            (i, j): _coam(branches[i], branches[j], (i, j) in T)
-            for i in range(r)
-            for j in range(i + 1, r)
-        },
-    )
+    """Every ChAM and CoAM of a curve: Analysis(c).profile."""
+    return Analysis(c).profile
 
 
 class EquivalenceVerdict(NamedTuple):

@@ -18,7 +18,8 @@ the smallest point, and a family that would need u beyond 0.3 to do so
 (gap of 14 or more) is reported as skipped. Underflow: a leading term
 below double range at every admissible scale (multiplicity in the
 hundreds) skips the family, or raises FloatingPointUnderflow instead of
-sampling unrepresentable points.
+sampling unrepresentable points; so does a witness target whose every
+entry rounds to zero.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from itertools import compress, repeat, starmap
 from operator import add, attrgetter, lt, mul, neg, not_, sub, truediv
 from typing import NamedTuple, Optional
 
-from .auxiliary import characteristic_order, contact_leading
 from .c5 import Analysis, C5Cone, c5_cone
 from .errors import (
     DegenerateSecant,
@@ -40,14 +40,7 @@ from .errors import (
     FloatingPointUnderflow,
     InvalidSamplingParameter,
 )
-from .geometry import (
-    Branch,
-    Curve,
-    Direction,
-    check_tangent_pair,
-    component_rows,
-    plane_from_vectors,
-)
+from .geometry import Curve, component_rows
 from .scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from .series import Parametrization
 
@@ -262,13 +255,15 @@ def _run_family(kind, labels, k, group_order, k_theta, u_values, floats) -> Witn
 
 
 def _family(kind, view: FloatView, i: int, j: int, idx: int, k: int, lam,
-            m_theta: int, leading, u_values) -> WitnessResult:
+            m_theta: int, leading) -> WitnessResult:
     """Secants of the contact difference psi_i(u) - psi_j(theta*u),
     theta = zeta_lcm^k, on view's branches i and j rescaled to order lcm;
     the pair (b, b) is the characteristic difference phi(u) - phi(theta*u).
     The difference starts at u^m_theta with the exact vector leading; the
     target is leading plus lam times psi_i's tangent coefficients, and the
-    plane is view's component idx."""
+    plane is view's component idx. A target whose every double is zero, as
+    a nonzero one below 2**-1074 is, has no direction to measure:
+    FloatingPointUnderflow."""
     bi, bj = view.branches[i], view.branches[j]
     lcm = math.lcm(bi.m, bj.m)
     labels = (bi.label,) if kind == "characteristic" else (bi.label, bj.label)
@@ -280,46 +275,15 @@ def _family(kind, view: FloatView, i: int, j: int, idx: int, k: int, lam,
         lam_c = to_complex(lam)
         c1 = _rescaled(view.terms(i), lcm // bi.m)
         c2 = _rescaled(view.terms(j), lcm // bj.m)
-        unit = _orthonormalize([[to_complex(t) for t in target]])
-        return c1, c2, theta_c, lam_c, unit, view.basis(idx)
+        target_c = [to_complex(t) for t in target]
+        if not any(target_c):
+            raise FloatingPointUnderflow(
+                f"the witness target of {', '.join(labels)} underflows IEEE doubles",
+                labels=list(labels),
+            )
+        return c1, c2, theta_c, lam_c, _orthonormalize([target_c]), view.basis(idx)
 
-    return _run_family(kind, labels, k, lcm, m_theta, u_values, floats)
-
-
-def _pair_family(kind, bi: Branch, bj: Branch, k: int, lam, u_values) -> WitnessResult:
-    """One family built on its own: contact_leading reads the leading
-    vector, and the plane spans tangent_i and the leading vector (the
-    non-tangent family: the two tangents)."""
-    if not isinstance(lam, CycloScalar):
-        lam = CycloScalar.rational(lam)
-    m_theta, leading = contact_leading(bi, bj, k)
-    second = bj.tangent if kind == "non-tangent" else Direction(leading)
-    plane = plane_from_vectors(bi.tangent, second)
-    view = FloatView((bi,) if bj is bi else (bi, bj), (plane,))
-    return _family(kind, view, 0, 0 if bj is bi else 1, 0, k, lam, m_theta, leading, u_values)
-
-
-def witness_secant_family(b: Branch, k: int, lam=1, u_values=None) -> WitnessResult:
-    """Characteristic witness on one branch: secants between phi(u) and
-    phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k != 1."""
-    characteristic_order(b, k)  # raises when theta leaves b invariant
-    return _pair_family("characteristic", b, b, k, lam, u_values)
-
-
-def contact_witness_family(bi: Branch, bj: Branch, k: int, lam=1,
-                           u_values=None) -> WitnessResult:
-    """Contact witness on a pair, working on the reparametrized branches
-    psi_i(u) = phi_i(u^(lcm/m_i))."""
-    if bi.tangent == bj.tangent:
-        check_tangent_pair(bi, bj)
-    return _pair_family("contact", bi, bj, k, lam, u_values)
-
-
-def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessResult:
-    """Non-tangent pair witness: secants between psi_i(u) and psi_j(u)
-    converge to the difference of the two tangent coefficient vectors,
-    which lies in the span of the tangents."""
-    return _pair_family("non-tangent", bi, bj, 0, 0, u_values)
+    return _run_family(kind, labels, k, lcm, m_theta, None, floats)
 
 
 _ONE = CycloScalar.rational(1)
@@ -335,9 +299,8 @@ def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
     Each family reads what the analysis already holds (one is built when
     none is given; its cone is the default): m_theta from the branch's
     characteristic record, or from the pair's class, and the exact leading
-    vector from the pair (Analysis.pair) at that class, as contact_leading
-    would form it. view (default: a new one over c and cone) supplies the
-    doubles."""
+    vector from the pair (Analysis.pair) at that class. view (default: a
+    new one over c and cone) supplies the doubles."""
     if analysis is None:
         analysis = Analysis(c)
     if cone is None:
@@ -360,7 +323,7 @@ def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
         else:  # non-tangent: provenance k is -1; both sides start at u^lcm
             k, lam, m_theta = 0, _ZERO, pair.lcm
         leading = pair.vector(m_theta, k * m_theta % pair.lcm)
-        results.append(_family(kind, view, i, j, idx, k, lam, m_theta, leading, None))
+        results.append(_family(kind, view, i, j, idx, k, lam, m_theta, leading))
     return results
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ProjectionSearchExhausted,
 )
 from .geometry import Curve, Plane, _validated, curve, matrix_rank, null_space
-from .invariants import profile
+from .invariants import InvariantProfile, profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
 
@@ -160,23 +160,32 @@ def _transverse(component, s: int):
     return None if component.vec[s] else component.vec
 
 
-def find_generic_projection(c: Curve) -> LinearProjection:
-    """Deterministic search for a generic projection of the normal shape
-    (x_s, sum of lambda_k x_k, k != s) with s special in every branch:
-    all-ones lambda first, then integer tuples by increasing max-norm, up
-    to max-norm _SEARCH_CAP. lambda is generic iff lambda*w != 0 for the
-    vector w of every cone component (see _transverse)."""
-    n = c.n
-    if n == 2:
-        return LinearProjection.identity()
+def _search_axis(c: Curve) -> Optional[int]:
+    """The least coordinate special in every branch, which the search keeps,
+    or None for a plane curve; NoCommonSpecialCoordinate when none is."""
+    if c.n == 2:
+        return None
     universal = frozenset.intersection(*(b.special_coords for b in c.branches))
     if not universal:
         raise NoCommonSpecialCoordinate(
             "no coordinate is special for every branch",
             special=[sorted(b.special_coords) for b in c.branches],
         )
-    s = min(universal)
-    transverse = [w for p in c5_cone(c).components if (w := _transverse(p, s)) is not None]
+    return min(universal)
+
+
+def find_generic_projection(c: Curve, cone: Optional[C5Cone] = None) -> LinearProjection:
+    """Deterministic search for a generic projection of the normal shape
+    (x_s, sum of lambda_k x_k, k != s) with s = _search_axis(c): all-ones
+    lambda first, then integer tuples by increasing max-norm, up to
+    max-norm _SEARCH_CAP. lambda is generic iff lambda*w != 0 for the
+    vector w of every component of c's cone (default: c5_cone(c); see
+    _transverse). A plane curve gets the identity."""
+    s, n = _search_axis(c), c.n
+    if s is None:
+        return LinearProjection.identity()
+    components = (c5_cone(c) if cone is None else cone).components
+    transverse = [w for p in components if (w := _transverse(p, s)) is not None]
     all_ones = (1,) * (n - 1)
     shells = (
         lam
@@ -204,14 +213,13 @@ def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:
         image = apply_projection(c, proj)
     except EngineError:
         return False
-    return image_keeps_profile(c, image)
+    return image_keeps_profile(profile(c), image)
 
 
-def image_keeps_profile(c: Curve, image: Curve) -> bool:
+def image_keeps_profile(source: InvariantProfile, image: Curve) -> bool:
     """True iff the image curve keeps every characteristic set and pairwise
-    contact sequence of c, branch by branch; an image profile cannot read
-    keeps nothing."""
-    source = profile(c)
+    contact sequence of the source profile, branch by branch; an image
+    profile cannot read keeps nothing."""
     try:
         return profile(image) == source
     except EngineError:

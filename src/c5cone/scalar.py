@@ -210,14 +210,6 @@ def _inverse_mod(a: list, m: list):
     return s1, r1[0]
 
 
-def cyclotomic_polynomial(N: int):
-    """Coefficients of Phi_N as Fractions, lowest degree first; degree is
-    phi(N)."""
-    if N < 1:
-        raise ValueError(f"conductor must be >= 1, got {N}")
-    return tuple(Fraction(c) for c in _cyclotomic(N))
-
-
 def _check_conductor(N: int):
     if N > CONDUCTOR_LIMIT:
         raise ConductorLimitExceeded(

@@ -6,6 +6,11 @@ reads its order and lowest-order coefficients. The engine reads the same
 data off the branch supports instead; the tests compare the two. The two
 series operations it needs, u -> theta*u and the difference, live here
 too: no engine code needs them.
+
+contact_leading is a third route to a contact difference's leading data:
+one theta at a time, up the merged rescaled supports, with no series and
+no root group. The engine walks every theta of a pair at once
+(_Pair.classes) instead.
 """
 
 import math
@@ -104,3 +109,30 @@ def contact_reference(bi, bj, k) -> Reference:
     m_theta, lowest, v_theta = _lowest(diff)
     plane = plane_from_vectors(ti, v_theta if ti == tj else tj)
     return Reference(m_theta, lowest, v_theta, plane, theta)
+
+
+def contact_leading(bi, bj, k) -> tuple:
+    """(m_theta, lowest-order coefficient vector) of
+    phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for theta = zeta_lcm^k: the u^E
+    coefficient vector c_i(E) - c_j(E)*theta^E, formed up the merged
+    rescaled supports until the first nonzero one.
+
+    Raises DuplicateBranch when every one vanishes: the two branches have
+    the same image. The tangent-pair check is left to the callers."""
+    lcm = math.lcm(bi.m, bj.m)
+    conductor = common_conductor(bi.conductor, bj.conductor)
+    psi_i = substitute_power(bi.param, lcm // bi.m)
+    psi_j = substitute_power(bj.param, lcm // bj.m)
+    exponents = {e for p in (psi_i, psi_j) for series in p.coords for e, _ in series.terms}
+    for E in sorted(exponents):
+        theta_E = root_of_unity(conductor, lcm, k * E)
+        vec = [
+            a.coefficient(E) - b.coefficient(E) * theta_E
+            for a, b in zip(psi_i.coords, psi_j.coords)
+        ]
+        if any(not entry.is_zero() for entry in vec):
+            return E, vec
+    raise DuplicateBranch(
+        f"branches {bi.label} and {bj.label} have the same image",
+        labels=[bi.label, bj.label],
+    )

@@ -3,17 +3,21 @@ family as one contact difference, kept as a test oracle.
 
 Each builder derives its leading vector its own way: the characteristic
 family scales phi's coefficient at m_theta by 1 - theta^m_theta, the
-contact family reads contact_leading, and the non-tangent family spans the
-two tangents. Records are built with characteristic_aux and contact_aux,
-or read from an Analysis. The tests assert that the engine's builders
-return equal WitnessResults and raise the same errors.
+contact family reads reference_aux.contact_leading, and the non-tangent
+family spans the two tangents. Records are built with characteristic_aux
+and contact_aux, or read from an Analysis. Each builder runs one family
+through the engine's measurement (oracle._run_family), at any k, lam and
+window; the tests use them to check that measurement, and assert that the
+engine's cone_witness_results returns equal WitnessResults and raises the
+same errors.
 """
 
 import math
 from typing import Optional
 
-from c5cone.auxiliary import AuxRecord, characteristic_aux, contact_aux, contact_leading
+from c5cone.auxiliary import AuxRecord, characteristic_aux, contact_aux
 from c5cone.c5 import Analysis, C5Cone
+from c5cone.errors import FloatingPointUnderflow
 from c5cone.geometry import Branch, Curve, plane_from_vectors, tangent_direction
 from c5cone.oracle import (
     WitnessResult,
@@ -24,6 +28,7 @@ from c5cone.oracle import (
 )
 from c5cone.scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from c5cone.series import substitute_power
+from reference_aux import contact_leading
 
 
 def _as_scalar(lam) -> CycloScalar:
@@ -33,14 +38,19 @@ def _as_scalar(lam) -> CycloScalar:
 def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta, lam,
                 target, plane, u_values) -> WitnessResult:
     """The engine's measurement of one family, with every double converted
-    here from the exact sides, theta, lam, target and plane."""
+    here from the exact sides, theta, lam, target and plane. A target whose
+    every double is zero has no direction: FloatingPointUnderflow."""
 
     def floats():
         theta_c, lam_c = to_complex(theta), to_complex(lam)
-        return (
-            _complex_terms(psi1), _complex_terms(psi2), theta_c, lam_c,
-            _orthonormalize([[to_complex(t) for t in target]]), component_basis(plane),
-        )
+        c1, c2 = _complex_terms(psi1), _complex_terms(psi2)
+        target_c = [to_complex(t) for t in target]
+        if all(z == 0 for z in target_c):
+            raise FloatingPointUnderflow(
+                f"the witness target of {', '.join(labels)} underflows IEEE doubles",
+                labels=list(labels),
+            )
+        return c1, c2, theta_c, lam_c, _orthonormalize([target_c]), component_basis(plane)
 
     return _run_floats(kind, labels, k, group_order, k_theta, u_values, floats)
 

@@ -1,7 +1,9 @@
 """The package root's API: __all__ is the list in README "Python API", and
 every other public name still imports from the package root."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import c5cone
@@ -32,8 +34,23 @@ def test_every_name_in_all_resolves():
 
 def test_names_outside_all_still_import():
     for name in (
-        "contact_records", "contact_aux", "contact_leading", "characteristic_aux",
+        "contact_records", "contact_aux", "characteristic_aux",
         "matrix_rank", "Plane", "Direction", "CycloScalar", "zeta",
         "DuplicateBranch", "FloatingPointOverflow", "loads_document", "to_complex",
     ):
         exec(f"from c5cone import {name}", {})
+
+
+def test_second_routes_to_a_fact_are_gone():
+    # the cone's Analysis derives each of these facts once; the parallel
+    # paths that derived them again were deleted
+    modules = [
+        importlib.import_module(f"c5cone.{info.name}")
+        for info in pkgutil.iter_modules(c5cone.__path__)
+    ]
+    for name in (
+        "contact_leading", "witness_secant_family", "contact_witness_family",
+        "diagonal_witness_family", "_coam", "check_compatibility",
+        "cyclotomic_polynomial",
+    ):
+        assert not any(hasattr(module, name) for module in [c5cone, *modules]), name

@@ -24,7 +24,6 @@ from c5cone import (
     classify,
     coam,
     contact_aux,
-    contact_leading,
     contact_records,
     curve_from_exponents,
     profile,
@@ -32,7 +31,7 @@ from c5cone import (
     zeta,
 )
 from random_curves import random_curve, random_curve_with_cone
-from reference_aux import characteristic_reference, contact_reference
+from reference_aux import characteristic_reference, contact_leading, contact_reference
 
 
 def direction(*entries):

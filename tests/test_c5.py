@@ -20,7 +20,6 @@ from c5cone import (
     c5_cone,
     characteristic_aux,
     characteristic_records,
-    check_compatibility,
     contact_records,
     geometry,
     integer_normalized_form,
@@ -290,28 +289,53 @@ def test_analyze_classifies_once(monkeypatch, capsys, fixtures_dir):
         assert data["bounds"] == {"bound1": bound1(c), "bound2": bound2(c)}
 
 
-def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
-    # the witness families read the cone's records and pairs: no contact
-    # difference is walked again; each branch's terms and each component's
-    # basis reach doubles once, for the families and the sampler together
-    c = load("four_branches")
-    components = len(c5_cone(c).components)
-    walks = count_engine_calls(monkeypatch, ("contact_leading",))
+def count_pairs(monkeypatch) -> list:
+    """The (bi, bj) of every _Pair built from now on."""
     pairs = []
     monkeypatch.setattr(
         auxiliary._Pair, "__init__",
         lambda self, *args, _init=auxiliary._Pair.__init__, **kwargs: (
             pairs.append(args[:2]), _init(self, *args, **kwargs))[1],
     )
+    return pairs
+
+
+def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
+    # the witness families read the cone's records and pairs: no engine
+    # module walks a contact difference for one theta; each branch's terms
+    # and each component's basis reach doubles once, for the families and
+    # the sampler together
+    c = load("four_branches")
+    components = len(c5_cone(c).components)
+    engine = [m for name, m in sys.modules.items() if name.split(".")[0] == "c5cone"]
+    assert not any(hasattr(module, "contact_leading") for module in engine)
+    pairs = count_pairs(monkeypatch)
     floats = count_engine_calls(monkeypatch, ("component_basis", "_complex_terms"), oracle)
     assert main(["verify", str(fixtures_dir / "four_branches.json")]) == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["witness_families"]) == components == 7
-    assert walks == {"contact_leading": 0}
     assert floats == {"component_basis": components, "_complex_terms": len(c.branches)}
     # one pair per tangent pair, per non-tangent family and per branch
     # with a characteristic family, none built twice
     assert len(pairs) == len({tuple(b.label for b in p) for p in pairs}) == 5
+
+
+def test_project_auto_classifies_the_source_once(monkeypatch, capsys, fixtures_dir, load):
+    # one Analysis gives the search its cone and the invariance check its
+    # source profile: classify runs once on the source and once on the
+    # image, and each tangent pair of the source is built once, for the
+    # contact records and the CoAM together
+    c = load("same_order_contact")
+    tangent = geometry.classify(c).T
+    assert c.n >= 3 and tangent
+    counts = count_engine_calls(monkeypatch, ("classify",), geometry)
+    pairs = count_pairs(monkeypatch)
+    path = str(fixtures_dir / "same_order_contact.json")
+    assert main(["project", path, "--auto", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariance"] is True
+    assert counts == {"classify": 2}
+    source = sorted(tuple(b.label for b in p) for p in pairs if p[0].n == c.n)
+    assert source == sorted((c.branches[i].label, c.branches[j].label) for i, j in tangent)
 
 
 @pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])
@@ -348,9 +372,9 @@ def _cone_outcome(cone_of, c):
 
 def _cone_by_public_pairs(c):
     """The cone with its contact records read through the public calls:
-    compatibility first, then contact_records per tangent pair."""
+    the tangent-pair check first, then contact_records per tangent pair."""
     analysis = Analysis(c)
-    check_compatibility(c)
+    analysis.tangent_pairs
     analysis.contacts = {
         (i, j): contact_records(c.branches[i], c.branches[j])
         for i, j in sorted(analysis.classification.T)

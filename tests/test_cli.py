@@ -429,6 +429,31 @@ def test_verify_rejects_an_overflowing_secant(capsys, tmp_path):
     assert diagnostic["radius"] == 0.5
 
 
+def test_verify_rejects_a_witness_target_below_double_range(capsys, tmp_path):
+    # (u, 2^-1100*u + u^2) and (u, 2^-1099*u + u^3) are not tangent, and
+    # the target of their witness family, the difference (0, -2^-1100) of
+    # the tangents, is the zero vector in doubles; verify used to end in a
+    # ZeroDivisionError traceback
+    def term(exp, den=1):
+        return {"exp": exp, "coeff": [{"num": 1, "den": den, "zeta_order": 1, "zeta_pow": 0}]}
+
+    doc = {
+        "version": 1,
+        "n": 2,
+        "branches": [
+            {"label": "b1", "coords": [[term(1)], [term(1, 2**1100), term(2)]]},
+            {"label": "b2", "coords": [[term(1)], [term(1, 2**1099), term(3)]]},
+        ],
+    }
+    path = tmp_path / "underflowing_target.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--samples", "5")
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "FloatingPointUnderflow"
+    assert diagnostic["labels"] == ["b1", "b2"]
+
+
 def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):
     one = [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
     doc = {

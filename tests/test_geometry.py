@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c5cone import (
+    Analysis,
     Branch,
     CycloScalar,
     DependentVectors,
@@ -14,7 +15,6 @@ from c5cone import (
     IncompatibleSystem,
     Plane,
     c5_cone,
-    check_compatibility,
     classify,
     curve,
     curve_from_exponents,
@@ -211,7 +211,8 @@ def test_smooth_single_branch_classification(load):
 
 
 def test_compatibility_picks_common_special_coordinate(load):
-    assert check_compatibility(load("four_branches")) is None
+    # the one tangent pair b1, b2 shares a special coordinate
+    assert Analysis(load("four_branches")).tangent_pairs == [(0, 1)]
 
 
 def test_incompatible_tangent_pair_is_rejected():
@@ -222,7 +223,7 @@ def test_incompatible_tangent_pair_is_rejected():
         ]
     )
     with pytest.raises(IncompatibleSystem) as exc:
-        check_compatibility(c)
+        Analysis(c).tangent_pairs
     assert exc.value.pair == ("b1", "b2")
 
 

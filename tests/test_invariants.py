@@ -6,6 +6,7 @@ import random
 import pytest
 
 from c5cone import (
+    Analysis,
     EngineError,
     NonIntegralResult,
     NotPlaneCurve,
@@ -14,7 +15,6 @@ from c5cone import (
     bilipschitz_equivalent,
     cham,
     characteristic_exponents,
-    check_compatibility,
     coam,
     contact_structure,
     curve_from_exponents,
@@ -177,9 +177,9 @@ def _profile_outcome(c, read):
 
 
 def _profile_by_pairs(c):
-    """The profile read pair by pair through the public calls: compatibility
-    first, then cham per branch and coam per pair."""
-    check_compatibility(c)
+    """The profile read pair by pair through the public calls: the
+    tangent-pair check first, then cham per branch and coam per pair."""
+    Analysis(c).tangent_pairs
     b = c.branches
     return (
         tuple(cham(x) for x in b),

@@ -12,9 +12,7 @@ from c5cone import (
     cone_witness_results,
     curve_from_exponents,
     default_u_values,
-    diagonal_witness_family,
     sample_secant_directions,
-    witness_secant_family,
 )
 from c5cone.oracle import (
     DEFAULT_RADII,
@@ -23,6 +21,7 @@ from c5cone.oracle import (
     PRNG_NAME,
 )
 from random_curves import random_curve_with_cone
+from reference_witness import diagonal_witness_family, witness_secant_family
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,8 @@ def test_wide_gaps_are_reported_not_sampled():
 
 
 # ---------------------------------------------------------------------------
-# witness families
+# witness families: single families at any k, lam and window come from the
+# reference builders, which run the engine's measurement (_run_family)
 
 
 def test_characteristic_witness_converges_to_its_plane(load):

@@ -20,12 +20,11 @@ from c5cone import (
     DivisionByZero,
     FloatingPointOverflow,
     common_conductor,
-    cyclotomic_polynomial,
     root_of_unity,
     to_complex,
     zeta,
 )
-from c5cone.scalar import _F0, _zeta_terms, euler_phi
+from c5cone.scalar import _F0, _cyclotomic, _zeta_terms, euler_phi
 from reference_complex import to_complex as reference_to_complex
 
 _ORDERS = (1, 2, 3, 4, 6, 8, 12)
@@ -65,28 +64,34 @@ def test_common_conductor_respects_limit():
 
 
 def test_cyclotomic_polynomial_known_values():
-    one = Fraction(1)
-    assert tuple(cyclotomic_polynomial(1)) == (-one, one)
-    assert tuple(cyclotomic_polynomial(2)) == (one, one)
-    assert tuple(cyclotomic_polynomial(4)) == (one, Fraction(0), one)
-    assert tuple(cyclotomic_polynomial(6)) == (one, -one, one)
-    assert tuple(cyclotomic_polynomial(12)) == (
-        one, Fraction(0), -one, Fraction(0), one,
-    )
+    # Phi_N as ints, lowest degree first
+    assert _cyclotomic(1) == (-1, 1)
+    assert _cyclotomic(2) == (1, 1)
+    assert _cyclotomic(4) == (1, 0, 1)
+    assert _cyclotomic(6) == (1, -1, 1)
+    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
 @pytest.mark.parametrize("N", _ORDERS)
 def test_cyclotomic_polynomial_annihilates_primitive_root(N):
     value = CycloScalar.rational(0)
     z = zeta(N)
-    for j, c in enumerate(cyclotomic_polynomial(N)):
+    for j, c in enumerate(_cyclotomic(N)):
         value = value + CycloScalar.rational(c) * z ** j
     assert value.is_zero()
 
 
 @pytest.mark.parametrize("N", _ORDERS)
 def test_cyclotomic_polynomial_degree_is_phi(N):
-    assert len(cyclotomic_polynomial(N)) == euler_phi(N) + 1
+    assert len(_cyclotomic(N)) == euler_phi(N) + 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 60, 105, 210, 420, 2310])
+def test_cyclotomic_polynomial_matches_sympy(N):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
+    assert _cyclotomic(N) == tuple(int(c) for c in want)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +401,7 @@ def test_from_poly_reduces_like_the_fraction_reference(N, data):
 
 @pytest.mark.parametrize("N", _FIELD_ORDERS)
 def test_cyclotomic_polynomial_matches_the_fraction_reference(N):
-    assert cyclotomic_polynomial(N) == _ref_phi(N)
+    assert _cyclotomic(N) == tuple(_ref_phi(N))
 
 
 def test_zeros_that_are_not_shared_still_count_as_zero():
