@@ -28,11 +28,10 @@ v_theta and one plane.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import DuplicateBranch, NonPrimitiveParametrization
-from .geometry import Branch, Direction, Plane, check_tangent_pair, plane_from_vectors
+from .geometry import Branch, Direction, Plane, cached, check_tangent_pair, plane_from_vectors
 from .scalar import CycloScalar, common_conductor, root_of_unity
 
 _ZERO = CycloScalar.rational(0)
@@ -135,7 +134,7 @@ class _Pair:
                 vec.append(lhs.get(E, _ZERO))
         return vec
 
-    @cached_property
+    @cached
     def classes(self) -> list:
         """classes[k] is (m_theta, j) for theta = zeta_lcm^k, with the twist
         j = k*m_theta mod lcm, or None where the difference vanishes.

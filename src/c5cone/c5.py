@@ -10,7 +10,6 @@ degenerates to its tangent line.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -26,6 +25,7 @@ from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
     TangencyClassification,
+    cached,
     check_tangent_pair,
     classify,
     plane_equations,
@@ -62,7 +62,7 @@ class Analysis:
         self._leading = [{} for _ in c.branches]
         self._pairs = {}  # (i, j) -> _Pair
 
-    @cached_property
+    @cached
     def classification(self) -> TangencyClassification:
         return classify(self.curve)
 
@@ -98,7 +98,7 @@ class Analysis:
             pair = self._pairs[(i, j)] = _Pair(branches[i], branches[j], tangent)
         return pair
 
-    @cached_property
+    @cached
     def tangent_pairs(self) -> list:
         """The sorted tangent pairs (i, j), all checked by check_tangent_pair
         before the contact data of any can raise DuplicateBranch."""
@@ -108,7 +108,7 @@ class Analysis:
             check_tangent_pair(branches[i], branches[j])
         return pairs
 
-    @cached_property
+    @cached
     def contacts(self) -> dict:
         """Contact records of every tangent pair (i, j), full root group.
         Each pair's tangency is known from the classification, so no
@@ -122,7 +122,7 @@ class Analysis:
             ]
         return contacts
 
-    @cached_property
+    @cached
     def profile(self) -> InvariantProfile:
         """All characteristic and contact auxiliary multiplicities, read off
         the supports and the tangent pairs' classes, with no record or plane
@@ -135,7 +135,7 @@ class Analysis:
             coams[(i, j)] = self.pair(i, j).coam() if (i, j) in tangent else (lcm,) * lcm
         return InvariantProfile(len(branches), tuple(map(cham, branches)), coams)
 
-    @cached_property
+    @cached
     def cone(self) -> C5Cone:
         """Run the three collection steps and deduplicate."""
         c, cls = self.curve, self.classification

@@ -28,6 +28,26 @@ _ZERO = CycloScalar.rational(0)
 _ONE = CycloScalar.rational(1)
 
 
+class cached:
+    """A property computed on its first read and stored in the instance
+    __dict__, where every later read finds it without a call: the
+    semantics of functools.cached_property, without the lock that Python
+    3.11 takes on each first read."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q(zeta_N).
 

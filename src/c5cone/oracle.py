@@ -49,8 +49,8 @@ DEFAULT_SAMPLES = 200
 # Largest sample count per radius. Sampling time grows linearly with it, so
 # a larger count could run for hours.
 MAX_SAMPLES = 10_000
-# Most radii per call: each (source, radius) batch costs about as much as
-# 15 samples, however few samples it holds.
+# Most radii per call: each batch of a radius costs about as much as 15
+# samples, however few samples it holds.
 MAX_RADII = 100
 # Most secant samples per call, sources x radii x samples per radius, where
 # r branches give r*(r+1)/2 sources. 12 branches at 10,000 samples and
@@ -353,11 +353,46 @@ def _derived_rng(seed: int, source_index: int, radius_index: int) -> random.Rand
 
 def _coordinate_terms(cterms):
     """Per coordinate, the complex coefficients and the exponents of its
-    terms, as two tuples."""
-    return [
+    terms, as two tuples; and the steps that form the powers of u they
+    need (_power_steps)."""
+    coords = [
         (tuple(c for _, c in series), tuple(e for e, _ in series))
         for series in cterms
     ]
+    return coords, _power_steps({e for _, exps in coords for e in exps})
+
+
+def _power_steps(exponents):
+    """The steps (e, a, b) that form u**e for every e in exponents, in
+    order, from u**1 = u: u**e = u**a * u**b, or pow(u, e) where a and b
+    are None.
+
+    For 1 <= e <= 100 the power is formed as CPython's complex ** forms it
+    for integer exponents up to 100 (c_powu): the product, in ascending
+    order, of the repeated squares u**(2**(b+1)) = u**(2**b) * u**(2**b)
+    over e's set bits. Each partial product, over e's bits below some b,
+    is the power of that smaller exponent, formed once and shared with it
+    and with every other exponent of the same lower bits. Larger
+    exponents, the clamp _MAX_FLOAT_EXPONENT included, go through pow,
+    which CPython computes in polar form there."""
+    steps = []
+    formed = {1}
+    for e in sorted(exponents):
+        if not 1 <= e <= 100:
+            steps.append((e, None, None))
+            continue
+        low = 0  # e's bits below bit b
+        for b in range(e.bit_length()):
+            bit = 1 << b
+            if bit not in formed:
+                formed.add(bit)
+                steps.append((bit, bit >> 1, bit >> 1))
+            if e & bit:
+                if low and (low | bit) not in formed:
+                    formed.add(low | bit)
+                    steps.append((low | bit, low, bit))
+                low |= bit
+    return steps
 
 
 def _points(radius, a, b):
@@ -370,10 +405,10 @@ def _points(radius, a, b):
 
 
 def _combination(pairs):
-    """The column sum of c*column over the (c, column) pairs, formed as
-    sum() would form it but for its leading 0: a c equal to 0 adds no pass,
-    one equal to 1 adds its column with no multiply, and one equal to -1
-    subtracts it. None when every c is 0."""
+    """The column sum of c*column over the (c, column) pairs, as a list,
+    formed as sum() would form it but for its leading 0: a c equal to 0
+    adds no pass, one equal to 1 adds its column with no multiply, and one
+    equal to -1 subtracts it. None when every c is 0."""
     total = None
     for c, column in pairs:
         if not c:
@@ -381,8 +416,10 @@ def _combination(pairs):
         if total is None:
             if c == 1:
                 total = column
+            elif c == -1:
+                total = list(map(neg, column))
             else:
-                total = map(neg, column) if c == -1 else map(mul, repeat(c), column)
+                total = list(map(mul, repeat(c), column))
         elif c == 1:
             total = list(map(add, total, column))
         elif c == -1:
@@ -393,36 +430,78 @@ def _combination(pairs):
 
 
 def _values(terms, points):
-    """Per coordinate, the column of its series' values at points
-    (_combination). Each power u**e is taken once per distinct exponent,
-    shared by the coordinates."""
-    powers = {}
-
-    def power(e):
-        if e not in powers:
+    """Per coordinate, the list of its series' values at points
+    (_combination), for terms from _coordinate_terms. Each power u**e is
+    formed once (_power_steps) and shared by the coordinates."""
+    coords, steps = terms
+    powers = {1: points}
+    for e, a, b in steps:
+        if a is None:
             powers[e] = list(map(pow, points, repeat(e)))
-        return powers[e]
-
+        else:
+            powers[e] = list(map(mul, powers[a], powers[b]))
     columns = []
-    for coeffs, exps in terms:
-        column = _combination((c, power(e)) for c, e in zip(coeffs, exps))
+    for coeffs, exps in coords:
+        column = _combination((c, powers[e]) for c, e in zip(coeffs, exps))
         # sum() of no terms is the int 0
-        columns.append(repeat(0, len(points)) if column is None else column)
+        columns.append([0] * len(points) if column is None else column)
     return columns
 
 
-def _sample_source(left, right, radius, count, rng):
-    """The unit secant directions of count point pairs of one source at one
-    radius, as one column per coordinate, and the number of degenerate pairs
-    drawn again. left and right are the two branches' _coordinate_terms.
+def _branch_points(batch, radius, count):
+    """The points of count pairs for each source of batch, each (i, j, rng),
+    drawn from rng in stream order, 4*count values, u then v for each pair,
+    u on branch i and v on branch j. Returns each branch's points in the
+    batch, and per source where its u, then its v, start in them."""
+    drawn = []
+    for _, _, rng in batch:
+        drawn += starmap(rng.random, repeat((), 4 * count))
+    u = _points(radius, drawn[0::4], drawn[1::4])
+    v = _points(radius, drawn[2::4], drawn[3::4])
+    at = {}
+    starts = []
+    for n, (i, j, _) in enumerate(batch):
+        part = slice(n * count, (n + 1) * count)
+        for b, points in ((i, u), (j, v)):
+            held = at.setdefault(b, [])
+            starts.append(len(held))
+            held += points[part]
+    return at, starts
 
-    A batch draws 4*need values in stream order, u then v for each pair, for
-    the need directions still missing. A pair whose secant norm falls below
-    1e-280 is dropped and counted, and the next batch draws one pair for each
-    one dropped, so the directions are those of the first count
-    non-degenerate pairs of the stream, as in a loop over the samples. A
-    secant norm that is not finite raises FloatingPointOverflow, unless
-    DegenerateSecant comes first in stream order.
+
+def _secants(terms, batch, radius, count):
+    """The secants of count point pairs for each source of batch
+    (_branch_points): one column per coordinate over the batch, source by
+    source, and the secant norms. Each branch is evaluated once, at all
+    its points."""
+    at, starts = _branch_points(batch, radius, count)
+    # each branch's points are dropped once evaluated
+    values = {b: _values(terms[b], at.pop(b)) for b in list(at)}
+    deltas = [[] for _ in values[batch[0][0]]]
+    for (i, j, _), left, right in zip(batch, starts[0::2], starts[1::2]):
+        for delta, p, q in zip(deltas, values[i], values[j]):
+            delta += map(sub, p[left:left + count], q[right:right + count])
+    # hypot scales internally: no square underflows
+    parts = (m for z in deltas for m in (map(_REAL, z), map(_IMAG, z)))
+    return deltas, list(map(math.hypot, *parts))
+
+
+def _sample_batch(terms, batch, radius, count):
+    """The unit secant directions of count point pairs for each source of
+    batch, each (i, j, rng): one column per coordinate over the batch,
+    source by source, and the number of degenerate pairs drawn again.
+    terms holds each branch's _coordinate_terms.
+
+    A source draws 4*need values in stream order, u then v for each pair,
+    for the need directions still missing; the first draw of every source
+    of the batch is evaluated at once (_secants). Then, source by source,
+    a pair whose secant norm falls below 1e-280 is dropped and counted, and
+    the source draws one pair for each one dropped from its own rng, so its
+    directions are those of its first count non-degenerate pairs, as in a
+    loop over the samples. A secant norm that is not finite raises
+    FloatingPointOverflow, unless DegenerateSecant comes first in stream
+    order: the same error, with the same payload, as sampling one source
+    after the other.
 
     Here and in _distances, each float operation of the plain per-sample
     sampler (tests/reference_sampler.py) runs over a whole column, on the
@@ -433,6 +512,9 @@ def _sample_source(left, right, radius, count, rng):
       0 + z differs from z only where z holds a -0.0, and a zero's sign
       never changes a value that reaches abs or hypot, where every series
       value and inner product ends;
+    * in _power_steps, the leading 1* of c_powu's first product
+      1*u**(2**b): on a finite power it changes only the signs of zero
+      parts;
     * in _combination, the multiply by a coefficient or basis entry equal
       to 1 or -1 (a negation, or the add turned into a sub), and the whole
       multiply-add of one equal to 0. On finite operands, which every
@@ -445,20 +527,26 @@ def _sample_source(left, right, radius, count, rng):
       is non-negative;
     * max(0.0, x) over a column whose every x is positive: it returns x.
     """
-    draw = rng.random
-    columns = [[] for _ in left]
+    deltas, scales = _secants(terms, batch, radius, count)
+    if all(map(math.isfinite, scales)) and not any(map(lt, scales, repeat(1e-280))):
+        return [list(map(truediv, z, scales)) for z in deltas], 0
+    columns = [[] for _ in deltas]
     degenerate = 0
-    need = count
-    while need:
-        drawn = list(starmap(draw, repeat((), 4 * need)))
-        u = _points(radius, drawn[0::4], drawn[1::4])
-        v = _points(radius, drawn[2::4], drawn[3::4])
-        deltas = [
-            list(map(sub, p, q)) for p, q in zip(_values(left, u), _values(right, v))
-        ]
-        # hypot scales internally: no square underflows
-        parts = (m for z in deltas for m in (map(_REAL, z), map(_IMAG, z)))
-        scales = list(map(math.hypot, *parts))
+    for n, source in enumerate(batch):
+        part = slice(n * count, (n + 1) * count)
+        degenerate += _redraw(
+            columns, terms, source, radius, count, [z[part] for z in deltas], scales[part]
+        )
+    return columns, degenerate
+
+
+def _redraw(columns, terms, source, radius, count, deltas, scales):
+    """Extend columns by the directions of the count pairs of source, an
+    (i, j, rng) of _sample_batch, given the secants and norms of its first
+    draw, drawing again from its rng for the degenerate ones. Returns how
+    many were degenerate."""
+    degenerate = 0
+    while True:
         low = list(map(lt, scales, repeat(1e-280)))
         need = low.count(True)
         if not all(map(math.isfinite, scales)):
@@ -480,7 +568,9 @@ def _sample_source(left, right, radius, count, rng):
             deltas = [list(compress(z, keep)) for z in deltas]
         for column, z in zip(columns, deltas):
             column.extend(map(truediv, z, scales))
-    return columns, degenerate
+        if not need:
+            return degenerate
+        deltas, scales = _secants(terms, [source], radius, need)
 
 
 def _squares(row, directions):
@@ -578,11 +668,13 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     branch and cross branch), and measure how far the normalized secant
     directions sit from the nearest cone component.
 
-    Each (source, radius) is one batch of k samples, measured column by
-    column (_sample_source). The smallest radius measures every direction
-    against every component, for the per-component minima; every other
-    radius only needs its maximum, and _pruned_max drops the directions
-    that can no longer raise it, carrying that floor across the sources.
+    Each radius takes consecutive sources into batches of at most
+    MAX_SAMPLES samples (one source when k alone reaches it), measured
+    column by column (_sample_batch). The smallest radius measures every
+    direction against every component, for the per-component minima;
+    every other radius only needs its maximum, and _pruned_max drops the
+    directions that can no longer raise it, carrying that floor across the
+    batches.
     view, when given, is the float view of c over cone (or over the
     default cone), shared with the witness families. The report equals that
     of tests/reference_sampler.py bit for bit."""
@@ -607,17 +699,21 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     sources = [(i, i) for i in range(r)] + [
         (i, j) for i in range(r) for j in range(i + 1, r)
     ]
+    per_batch = MAX_SAMPLES // k
     per_radius = []
     degenerate_total = 0
     smallest = len(radii) - 1
     component_min = [math.inf] * len(rows)
     for radius_index, radius in enumerate(radii):
-        largest = 0.0  # over the sources of this radius so far
-        for source_index, (i, j) in enumerate(sources):
-            directions, degenerate = _sample_source(
-                terms[i], terms[j], radius, k,
-                _derived_rng(seed, source_index, radius_index),
-            )
+        largest = 0.0  # over the batches of this radius so far
+        for first in range(0, len(sources), per_batch):
+            batch = [
+                (i, j, _derived_rng(seed, source_index, radius_index))
+                for source_index, (i, j) in enumerate(
+                    sources[first:first + per_batch], first
+                )
+            ]
+            directions, degenerate = _sample_batch(terms, batch, radius, k)
             degenerate_total += degenerate
             if radius_index < smallest:
                 largest = _pruned_max(rows, directions, largest, shared)
@@ -626,7 +722,7 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
             columns = [_distances(basis, directions, squares) for basis in rows]
             component_min = list(map(min, component_min, map(min, columns)))
             # each sample's minimum starts from inf, which an empty cone keeps
-            nearest = map(min, zip(repeat(math.inf, k), *columns))
+            nearest = map(min, zip(repeat(math.inf, len(directions[0])), *columns))
             largest = max(largest, max(nearest))
         per_radius.append((radius, largest))
     return SampleReport(

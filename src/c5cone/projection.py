@@ -9,7 +9,6 @@ computable and tested against each other.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple, Optional
 
@@ -21,7 +20,7 @@ from .errors import (
     NoCommonSpecialCoordinate,
     ProjectionSearchExhausted,
 )
-from .geometry import Curve, Plane, _validated, curve, matrix_rank, null_space
+from .geometry import Curve, Plane, _validated, cached, curve, matrix_rank, null_space
 from .invariants import InvariantProfile, profile
 from .scalar import CycloScalar
 from .series import CoordinateSeries, Parametrization
@@ -53,7 +52,7 @@ class LinearProjection:
             raise DependentVectors("projection matrix has rank < 2")
         self.matrix = tuple(rows)
 
-    @cached_property
+    @cached
     def kernel_basis(self) -> tuple:
         return tuple(tuple(r) for r in null_space([list(r) for r in self.matrix]))
 

@@ -4,8 +4,10 @@ curves, and through the degenerate-resample and DegenerateSecant paths, at
 the edges of the column design (an empty cone, one sample, many radii and
 components)."""
 
+import cmath
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -21,8 +23,9 @@ from c5cone import (
     sample_secant_directions,
     zeta,
 )
+from c5cone import oracle
 from c5cone.c5 import C5Cone
-from c5cone.oracle import SampleReport, component_basis
+from c5cone.oracle import DEFAULT_RADII, SampleReport, component_basis
 from random_curves import random_curve_with_cone
 
 FLAG_SETS = {
@@ -219,3 +222,97 @@ def test_an_overflowing_secant_raises_like_the_reference():
     assert mine == ref
     assert mine[0] is FloatingPointOverflow
     assert mine[1]["radius"] == 0.5
+
+
+# points on both axes, signed zeros included, |u| = 0.5, and |u| small
+# enough that high powers are subnormal (1e-4**80) or 0 (2**-20**60)
+POWER_POINTS = [
+    complex(x, y)
+    for x, y in [(0.5, 0.0), (-0.5, 0.0), (-0.5, -0.0), (0.0, 0.5), (0.0, -0.5),
+                 (-0.0, -0.3), (0.0, 0.0), (-0.25, 0.25), (1e-4, 0.0), (0.0, -1e-4),
+                 (2.0**-20, 0.0), (-(2.0**-20), 2.0**-21)]
+] + [0.5 * cmath.exp(2j * math.pi * t / 16) for t in range(16)]
+_DRAWN = random.Random(5)
+POWER_POINTS += [
+    0.5 * _DRAWN.random() * cmath.exp(2j * math.pi * _DRAWN.random()) for _ in range(200)
+]
+
+
+def test_the_power_table_matches_pow():
+    exponents = list(range(1, 101)) + [101, oracle._MAX_FLOAT_EXPONENT]
+    terms = oracle._coordinate_terms([[(e, 1)] for e in exponents])
+    columns = oracle._values(terms, POWER_POINTS)
+    subnormal = 0
+    for e, column in zip(exponents, columns):
+        for u, mine in zip(POWER_POINTS, column):
+            ref = u**e
+            assert mine == ref, (e, u)
+            for a, b in ((mine.real, ref.real), (mine.imag, ref.imag)):
+                if b:
+                    assert a.hex() == b.hex(), (e, u)
+                    subnormal += abs(b) < sys.float_info.min
+    assert subnormal > 0
+
+
+def four_branch_batches(k):
+    """Per batch of the sampler at k samples a radius on four branches,
+    the set of branches it evaluates."""
+    sources = [(i, i) for i in range(4)] + [
+        (i, j) for i in range(4) for j in range(i + 1, 4)
+    ]
+    per_batch = oracle.MAX_SAMPLES // k
+    return [
+        {b for source in sources[first:first + per_batch] for b in source}
+        for first in range(0, len(sources), per_batch)
+    ]
+
+
+def test_several_batches_a_radius_match_the_reference(load, monkeypatch):
+    # k = 3000: the ten sources of a radius run in batches of 3, 3, 3 and 1
+    c = load("four_branches")
+    cone = c5_cone(c)
+    seen = []
+    values = oracle._values
+
+    def counted(terms, points):
+        seen.append(len(points))
+        return values(terms, points)
+
+    monkeypatch.setattr(oracle, "_values", counted)
+    batches = four_branch_batches(3000)
+    assert [len(b) for b in batches] == [3, 4, 4, 2]
+    for radii in (DEFAULT_RADII, FOUR_RADII):
+        seen.clear()
+        mine, ref = both(c, cone=cone, radii=radii, k=3000)
+        assert isinstance(mine, SampleReport) and mine == ref, radii
+        assert mine.degenerate_count == 0
+        # each branch is evaluated once per batch, at no more than
+        # 2*MAX_SAMPLES points
+        assert len(seen) == len(radii) * sum(map(len, batches))
+        assert max(seen) <= 2 * oracle.MAX_SAMPLES
+
+
+def test_degenerate_resamples_in_split_batches_match_the_reference():
+    # k = 2500: the six sources run in batches of 4 and 2, and at every
+    # radius some pairs are degenerate
+    c = curve_from_exponents([
+        [40, [(42, 1)], [(45, 1)]],
+        [[(41, 1)], 40, [(43, 1)]],
+        [[(41, 1)], [(42, 1)], 40],
+    ])
+    cone = c5_cone(c)
+    mine, ref = both(c, cone=cone, radii=(1.5e-7, 1.45e-7, 1.4e-7), k=2500)
+    assert isinstance(mine, SampleReport) and mine == ref
+    assert mine.degenerate_count > 0
+
+
+def test_exponents_beyond_the_power_table_in_split_batches_match_the_reference():
+    # u^101 and the clamped u^(10**400 + 1) go through pow; k = 2500 splits
+    # the six sources into batches of 4 and 2
+    c = curve_from_exponents([
+        [[(2, 1)], [(3, 1), (101, 1)]],
+        [[(2, 1)], [(10**400 + 1, 1)]],
+        [[(1, 1)], [(1, 2), (2, 1)]],
+    ])
+    mine, ref = both(c, cone=c5_cone(c), k=2500)
+    assert isinstance(mine, SampleReport) and mine == ref
