@@ -3,8 +3,10 @@
 For a singular curve the cone is a finite union of 2-planes, collected in
 three steps: characteristic planes of each singular branch, contact planes
 of each tangent pair (full root group, theta = 1 included), and the span of
-the two tangents for each non-tangent pair. A smooth irreducible germ
-degenerates to its tangent line.
+the two tangents for each non-tangent pair. Each step yields spans, a
+tangent and a second vector per plane (Analysis.spans), which the
+projection search reads as they are and the cone makes canonical. A
+smooth irreducible germ degenerates to its tangent line.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import NamedTuple, Optional
 
 from .auxiliary import (
     AuxRecord,
+    _duplicate,
     _Pair,
     characteristic_aux,
+    characteristic_order,
     cham,
     contact_aux,
     representative_ks,
@@ -24,6 +28,7 @@ from .auxiliary import (
 from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
+    Direction,
     TangencyClassification,
     cached,
     check_tangent_pair,
@@ -45,6 +50,16 @@ class C5Cone(NamedTuple):
     provenance: tuple
 
 
+class Span(NamedTuple):
+    """Two independent vectors spanning one cone plane: a branch tangent
+    and a second vector, raw as the auxiliary difference gives it, with the
+    (kind, labels, k) descriptors of the records whose plane it is."""
+
+    tangent: Direction
+    vector: tuple
+    descriptors: tuple
+
+
 class InvariantProfile(NamedTuple):
     r: int
     chams: tuple  # frozenset per branch
@@ -52,8 +67,8 @@ class InvariantProfile(NamedTuple):
 
 
 class Analysis:
-    """Classification, auxiliary records, cone and invariant profile of one
-    curve, each computed once, when first read."""
+    """Classification, spans, auxiliary records, cone and invariant profile
+    of one curve, each computed once, when first read."""
 
     def __init__(self, c: Curve):
         self.curve = c
@@ -61,18 +76,106 @@ class Analysis:
         # per branch: order d -> (m_theta, v_theta, plane), shared by its records
         self._leading = [{} for _ in c.branches]
         self._pairs = {}  # (i, j) -> _Pair
+        self._by_source = {}  # branch index i or tangent pair (i, j) -> its spans
+        # id(span) -> (span, v_theta, plane, key): holding the span keeps
+        # its id; spans whose planes have one key share the first such plane
+        self._planes = {}
+        self._interned = {}  # key -> plane
 
     @cached
     def classification(self) -> TangencyClassification:
         return classify(self.curve)
 
+    def _characteristic_spans(self, i: int) -> dict:
+        """m_theta -> span of branch i's characteristic plane: its tangent
+        and its coefficient vector at m_theta, with the representative ks
+        (representative_ks order) of that m_theta."""
+        spans = self._by_source.get(i)
+        if spans is None:
+            b = self.curve.branches[i]
+            ks = {}
+            for k in representative_ks(b.m):
+                ks.setdefault(characteristic_order(b, k), []).append(k)
+            spans = self._by_source[i] = {
+                m_theta: Span(
+                    b.tangent,
+                    tuple(series.coefficient(m_theta) for series in b.param.coords),
+                    tuple(("characteristic", (b.label,), k) for k in group),
+                )
+                for m_theta, group in ks.items()
+            }
+        return spans
+
+    def _contact_spans(self, i: int, j: int) -> dict:
+        """class (m_theta, twist) -> span of the tangent pair (i, j)'s
+        contact plane: bi's tangent and the class's vector, with the ks of
+        the class, ascending; DuplicateBranch where a difference vanishes."""
+        spans = self._by_source.get((i, j))
+        if spans is None:
+            pair = self.pair(i, j)
+            if None in pair.classes:
+                raise _duplicate(*pair.branches)
+            ks = {}
+            for k, found in enumerate(pair.classes):
+                ks.setdefault(found, []).append(k)
+            bi, bj = pair.branches
+            spans = self._by_source[(i, j)] = {
+                found: Span(
+                    bi.tangent,
+                    tuple(pair.vector(*found)),
+                    tuple(("contact", (bi.label, bj.label), k) for k in group),
+                )
+                for found, group in ks.items()
+            }
+        return spans
+
+    @cached
+    def spans(self) -> tuple:
+        """Every span of the cone, in collection order: characteristic
+        spans of each singular branch, contact spans of each tangent pair,
+        and the two tangents of each non-tangent pair. Errors come as the
+        records would raise them: characteristic orders first, then every
+        tangent pair's check, then each pair's duplicate test."""
+        c, cls = self.curve, self.classification
+        spans = []
+        for i in sorted(cls.S):
+            spans += self._characteristic_spans(i).values()
+        for i, j in self.tangent_pairs:
+            spans += self._contact_spans(i, j).values()
+        for i, j in sorted(cls.NT):
+            bi, bj = c.branches[i], c.branches[j]
+            spans.append(Span(
+                bi.tangent, bj.tangent.vec, (("non-tangent", (bi.label, bj.label), -1),)
+            ))
+        return tuple(spans)
+
+    def _canonical(self, span: Span) -> tuple:
+        """(direction of span.vector, canonical plane, its key) of a span of
+        this analysis. The plane is formed from the direction, whose one
+        inverse the span's records share; spans with one plane get one
+        plane object."""
+        entry = self._planes.get(id(span))
+        if entry is None:
+            v_theta = Direction(span.vector)
+            plane = plane_from_vectors(span.tangent, v_theta)
+            key = plane.key()
+            plane = self._interned.setdefault(key, plane)
+            entry = self._planes[id(span)] = (span, v_theta, plane, key)
+        return entry[1:]
+
     def characteristic_record(self, i: int, k: int) -> AuxRecord:
         """Characteristic record of branch i at theta = zeta_m^k. Records of
-        one branch with equal m_theta share one v_theta and one plane."""
+        one branch with equal m_theta share one v_theta, and their plane is
+        the cone's."""
         if (i, k) not in self._characteristic:
-            self._characteristic[(i, k)] = characteristic_aux(
-                self.curve.branches[i], k, self._leading[i]
-            )
+            b = self.curve.branches[i]
+            leading = self._leading[i]
+            if not leading:
+                for m_theta, span in self._characteristic_spans(i).items():
+                    shared = (m_theta, *self._canonical(span)[:2])
+                    for _, _, rep in span.descriptors:
+                        leading[b.m // math.gcd(b.m, rep)] = shared
+            self._characteristic[(i, k)] = characteristic_aux(b, k, leading)
         return self._characteristic[(i, k)]
 
     def characteristic_records(self, i: int) -> list:
@@ -82,7 +185,7 @@ class Analysis:
 
     def representative_records(self, i: int) -> list:
         """One characteristic record of branch i per root order, in the order
-        of representative_ks: the records the cone reads."""
+        of representative_ks."""
         return [
             self.characteristic_record(i, k)
             for k in representative_ks(self.curve.branches[i].m)
@@ -111,12 +214,14 @@ class Analysis:
     @cached
     def contacts(self) -> dict:
         """Contact records of every tangent pair (i, j), full root group.
-        Each pair's tangency is known from the classification, so no
-        tangents are compared again."""
+        Records of one class share one v_theta, and their plane is the
+        cone's."""
         branches = self.curve.branches
         contacts = {}
         for i, j in self.tangent_pairs:
             pair = self.pair(i, j)
+            for found, span in self._contact_spans(i, j).items():
+                pair.leading[found] = self._canonical(span)[:2]
             contacts[(i, j)] = [
                 contact_aux(branches[i], branches[j], k, pair) for k in range(pair.lcm)
             ]
@@ -137,8 +242,11 @@ class Analysis:
 
     @cached
     def cone(self) -> C5Cone:
-        """Run the three collection steps and deduplicate."""
-        c, cls = self.curve, self.classification
+        """The canonical plane of every span, deduplicated, in key order.
+        A plane's descriptors keep collection order: that of their spans,
+        and within one branch or pair, that of k, which the representative
+        ks descend and the contact ks ascend."""
+        c = self.curve
         if len(c.branches) == 1 and c.branches[0].m == 1:
             b = c.branches[0]
             return C5Cone(
@@ -146,36 +254,23 @@ class Analysis:
                 components=(tangent_direction(b),),
                 provenance=((("tangent", (b.label,), -1),),),
             )
-        found = {}
-        ordered = []
-        # id(plane) -> (plane, key): records share plane objects, and
-        # holding each plane keeps its id from being reused meanwhile
-        keys = {}
+        found = {}  # key -> (plane, descriptors)
+        source = {}  # (kind, labels) -> its rank in collection order
+        for span in self.spans:
+            kind, labels, _ = span.descriptors[0]
+            source.setdefault((kind, labels), len(source))
+            _, plane, key = self._canonical(span)
+            found.setdefault(key, (plane, []))[1].extend(span.descriptors)
 
-        def add(plane, descriptor):
-            if id(plane) not in keys:
-                keys[id(plane)] = plane, plane.key()
-            key = keys[id(plane)][1]
-            if key not in found:
-                found[key] = [plane, []]
-                ordered.append(key)
-            found[key][1].append(descriptor)
+        def collected(descriptor):
+            kind, labels, k = descriptor
+            return source[kind, labels], -k if kind == "characteristic" else k
 
-        for i in sorted(cls.S):
-            for rec in self.representative_records(i):
-                add(rec.plane, (rec.kind, rec.labels, rec.k))
-        for records in self.contacts.values():
-            for rec in records:
-                add(rec.plane, (rec.kind, rec.labels, rec.k))
-        for i, j in sorted(cls.NT):
-            bi, bj = c.branches[i], c.branches[j]
-            plane = plane_from_vectors(tangent_direction(bi), tangent_direction(bj))
-            add(plane, ("non-tangent", (bi.label, bj.label), -1))
-        keys = sorted(ordered)
+        keys = sorted(found)
         return C5Cone(
             dimension=2,
             components=tuple(found[k][0] for k in keys),
-            provenance=tuple(tuple(found[k][1]) for k in keys),
+            provenance=tuple(tuple(sorted(found[k][1], key=collected)) for k in keys),
         )
 
 

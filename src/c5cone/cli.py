@@ -373,10 +373,10 @@ def cmd_project(args) -> int:
 
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
-    # one analysis gives the search its cone and the check its source
-    # profile; the search's own errors come before the cone's
+    # one analysis gives the search its spans and the check its source
+    # profile; the search's own errors come before the spans'
     analysis = Analysis(c)
-    proj = find_generic_projection(c, None if _search_axis(c) is None else analysis.cone)
+    proj = find_generic_projection(c, None if _search_axis(c) is None else analysis.spans)
     try:
         image = apply_projection(c, proj)
     except EngineError:

@@ -73,9 +73,8 @@ def rref(rows):
             inv = lead.inverse()
             work[r] = [x * inv for x in work[r]]
         for i in range(len(work)):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
+            if i != r:
+                work[i] = _eliminated(work[i], work[r], work[i][col])
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -192,12 +191,37 @@ class Plane:
 
 
 def plane_from_vectors(w: Direction, v: Direction) -> Plane:
-    """Canonical plane spanned by two independent directions."""
+    """Canonical plane spanned by two independent directions.
+
+    The RREF in closed form, equal to Plane([w.vec, v.vec]) entry by entry.
+    w leads with 1 at p, so: eliminate v at p, normalise it at its pivot q,
+    back-substitute into w at q, and put the row with the smaller pivot
+    first. When q < p, w is 0 at q and keeps its entries."""
     if w.n != v.n:
         raise DimensionMismatch(
             f"vectors live in dimensions {w.n} and {v.n}", dims=[w.n, v.n]
         )
-    return Plane([list(w.vec), list(v.vec)])
+    w, v = w.vec, v.vec
+    p = next(i for i, e in enumerate(w) if e)
+    v = _eliminated(v, w, v[p])
+    q = next((i for i, e in enumerate(v) if e), None)
+    if q is None:
+        raise DependentVectors("expected a rank-2 span, got rank 1", rank=1)
+    lead = v[q]
+    if not (lead.is_rational() and lead.rational_value() == 1):
+        inv = lead.inverse()
+        v = [x * inv for x in v]
+    plane = object.__new__(Plane)  # the rows below are its RREF: no rref
+    plane.basis = (tuple(v), w) if q < p else (tuple(_eliminated(w, v, w[q])), tuple(v))
+    return plane
+
+
+def _eliminated(row, pivot_row, f):
+    """row - f*pivot_row, as rref forms it: entries where pivot_row is 0
+    are kept as they are."""
+    if not f:
+        return row
+    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
 
 
 def component_rows(component) -> tuple:

@@ -661,6 +661,16 @@ def check_sampling_parameters(radii, k: int, branches: int = 1) -> tuple:
     return radii
 
 
+def _measured(rows, directions, shared):
+    """The least distance of the directions to each component, and the
+    largest distance of a direction to its nearest component."""
+    squares = dict.fromkeys(shared)
+    columns = [_distances(basis, directions, squares) for basis in rows]
+    # each sample's minimum starts from inf, which an empty cone keeps
+    nearest = map(min, zip(repeat(math.inf, len(directions[0])), *columns))
+    return list(map(min, columns)), max(nearest)
+
+
 def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAMPLES,
                              seed: int = 0, cone: Optional[C5Cone] = None,
                              view: Optional[FloatView] = None) -> SampleReport:
@@ -717,13 +727,11 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
             degenerate_total += degenerate
             if radius_index < smallest:
                 largest = _pruned_max(rows, directions, largest, shared)
-                continue
-            squares = dict.fromkeys(shared)
-            columns = [_distances(basis, directions, squares) for basis in rows]
-            component_min = list(map(min, component_min, map(min, columns)))
-            # each sample's minimum starts from inf, which an empty cone keeps
-            nearest = map(min, zip(repeat(math.inf, len(directions[0])), *columns))
-            largest = max(largest, max(nearest))
+            else:
+                minima, farthest = _measured(rows, directions, shared)
+                component_min = list(map(min, component_min, minima))
+                largest = max(largest, farthest)
+            del directions  # freed before the next batch is drawn
         per_radius.append((radius, largest))
     return SampleReport(
         seed=seed,

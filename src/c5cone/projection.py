@@ -9,10 +9,11 @@ computable and tested against each other.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, product
 from typing import NamedTuple, Optional
 
-from .c5 import C5Cone, c5_cone
+from .c5 import Analysis, C5Cone, c5_cone
 from .errors import (
     DependentVectors,
     DimensionMismatch,
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .geometry import Curve, Plane, _validated, cached, curve, matrix_rank, null_space
 from .invariants import InvariantProfile, profile
-from .scalar import CycloScalar
+from .scalar import CycloScalar, common_conductor
 from .series import CoordinateSeries, Parametrization
 
 _SEARCH_CAP = 50
@@ -149,14 +150,39 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     )
 
 
-def _transverse(component, s: int):
-    """w with pi = (x_s, lambda*x) injective on the component iff lambda*w
-    != 0: p1[s]*p2 - p2[s]*p1 for a plane (det(pi*p1, pi*p2) = lambda*w),
-    v for a line along v with v[s] = 0; None when v[s] != 0 (always kept)."""
-    if isinstance(component, Plane):
-        p1, p2 = component.basis
-        return [p1[s] * b - p2[s] * a for a, b in zip(p1, p2)]
-    return None if component.vec[s] else component.vec
+def _transverse(a, b, s: int) -> tuple:
+    """w = a[s]*b - b[s]*a for a span of a and b, as int rows: pi =
+    (x_s, lambda*x) is injective on the span iff lambda*w != 0, since
+    det(pi*a, pi*b) = lambda*w. Another basis of the same plane scales w
+    by the nonzero determinant of the change, so any basis gives the same
+    test. w's entries, reduced over one power basis, give one row per power
+    of zeta of (coordinate, coefficient) pairs, the zero entries skipped;
+    the rows are scaled to coprime ints, first one positive, so every
+    rational multiple of w gives the same rows."""
+    sa, sb = a[s], b[s]
+    entries = []
+    for idx, (x, y) in enumerate(zip(a, b)):
+        # products with a 0 are skipped: spans are sparse, and b[s] is
+        # mostly 0, as s is special in every branch
+        e = sa * y if y else _ZERO
+        if x and sb:
+            e = e - sb * x
+        if e:
+            entries.append((idx, e))
+    N = common_conductor(*(e.conductor for _, e in entries))
+    rows = {}
+    for idx, e in entries:
+        for k, q in e.embed(N).terms():
+            rows.setdefault(k, []).append((idx, q))
+    den = math.lcm(*(q.denominator for row in rows.values() for _, q in row))
+    ints = [
+        [(idx, q.numerator * (den // q.denominator)) for idx, q in row]
+        for _, row in sorted(rows.items())
+    ]
+    g = math.gcd(*(v for row in ints for _, v in row))
+    if ints and ints[0][0][1] < 0:
+        g = -g
+    return tuple(tuple((idx, v // g) for idx, v in row) for row in ints)
 
 
 def _search_axis(c: Curve) -> Optional[int]:
@@ -173,18 +199,26 @@ def _search_axis(c: Curve) -> Optional[int]:
     return min(universal)
 
 
-def find_generic_projection(c: Curve, cone: Optional[C5Cone] = None) -> LinearProjection:
+def find_generic_projection(c: Curve, cone=None) -> LinearProjection:
     """Deterministic search for a generic projection of the normal shape
     (x_s, sum of lambda_k x_k, k != s) with s = _search_axis(c): all-ones
     lambda first, then integer tuples by increasing max-norm, up to
     max-norm _SEARCH_CAP. lambda is generic iff lambda*w != 0 for the
-    vector w of every component of c's cone (default: c5_cone(c); see
-    _transverse). A plane curve gets the identity."""
+    vector w of every plane of c's cone (see _transverse), read off any
+    basis of it: cone is c's C5Cone, or the spans that collect it
+    (Analysis.spans; default: those of a new Analysis of c). A line, the
+    tangent of a smooth germ, has 1 at s and keeps every candidate. A
+    plane curve gets the identity."""
     s, n = _search_axis(c), c.n
     if s is None:
         return LinearProjection.identity()
-    components = (c5_cone(c) if cone is None else cone).components
-    transverse = [w for p in components if (w := _transverse(p, s)) is not None]
+    if cone is None:
+        cone = Analysis(c).spans
+    if isinstance(cone, C5Cone):
+        bases = [p.basis for p in cone.components if isinstance(p, Plane)]
+    else:
+        bases = [(span.tangent.vec, span.vector) for span in cone]
+    transverse = list(dict.fromkeys(_transverse(a, b, s) for a, b in bases))
     all_ones = (1,) * (n - 1)
     shells = (
         lam
@@ -194,7 +228,9 @@ def find_generic_projection(c: Curve, cone: Optional[C5Cone] = None) -> LinearPr
     )
     for lam in chain([all_ones], shells):
         row2 = lam[:s] + (0,) + lam[s:]  # lambda, with 0 at s
-        if all(_dot(row2, w) for w in transverse):
+        if all(
+            any(sum(row2[idx] * v for idx, v in row) for row in w) for w in transverse
+        ):
             return LinearProjection([[int(idx == s) for idx in range(n)], row2])
     raise ProjectionSearchExhausted(
         f"no generic projection among the candidates of max-norm up to {_SEARCH_CAP}",

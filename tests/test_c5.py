@@ -265,8 +265,8 @@ def test_analyze_builds_each_record_once(
 
 
 @pytest.mark.parametrize("command, flags, name, characteristic, contact", [
-    ("project", ["--auto"], "space_cusp", 2, 0),
-    ("verify", [], "four_branches", 6, 12),
+    ("project", ["--auto"], "space_cusp", 0, 0),
+    ("verify", [], "four_branches", 4, 0),
 ])
 def test_project_and_verify_read_one_analysis(
     record_builds, capsys, fixtures_dir, command, flags, name, characteristic, contact
@@ -320,22 +320,44 @@ def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
     assert len(pairs) == len({tuple(b.label for b in p) for p in pairs}) == 5
 
 
-def test_project_auto_classifies_the_source_once(monkeypatch, capsys, fixtures_dir, load):
-    # one Analysis gives the search its cone and the invariance check its
-    # source profile: classify runs once on the source and once on the
-    # image, and each tangent pair of the source is built once, for the
-    # contact records and the CoAM together
-    c = load("same_order_contact")
-    tangent = geometry.classify(c).T
-    assert c.n >= 3 and tangent
+def test_project_auto_classifies_the_source_once(
+    monkeypatch, capsys, fixtures_dir, load, fixture_names
+):
+    # one Analysis gives the search its spans and the invariance check its
+    # source profile, on every fixture in 3-space or more: classify runs
+    # once on the source and once on the image, each tangent pair of the
+    # source is built once, and no canonical plane and no record is built
+    builds = count_engine_calls(
+        monkeypatch, ("characteristic_aux", "contact_aux", "plane_from_vectors")
+    )
     counts = count_engine_calls(monkeypatch, ("classify",), geometry)
+    planes = []
+    monkeypatch.setattr(
+        Plane, "__init__",
+        lambda self, *args, _init=Plane.__init__: (planes.append(args), _init(self, *args))[1],
+    )
     pairs = count_pairs(monkeypatch)
-    path = str(fixtures_dir / "same_order_contact.json")
-    assert main(["project", path, "--auto", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["invariance"] is True
-    assert counts == {"classify": 2}
-    source = sorted(tuple(b.label for b in p) for p in pairs if p[0].n == c.n)
-    assert source == sorted((c.branches[i].label, c.branches[j].label) for i, j in tangent)
+    searched = set()
+    for name in fixture_names:
+        c = load(name)
+        if c.n < 3:
+            continue
+        pairs.clear()
+        counts["classify"] = 0
+        code = main(["project", str(fixtures_dir / f"{name}.json"), "--auto", "--json"])
+        out = capsys.readouterr().out
+        assert builds == dict.fromkeys(builds, 0), name
+        assert planes == [], name
+        if code == 2:  # no coordinate special for every branch: no analysis
+            assert counts == {"classify": 0}, name
+            continue
+        assert json.loads(out)["invariance"] is True
+        assert code == 0 and counts == {"classify": 2}, name
+        tangent = geometry.classify(c).T
+        source = sorted(tuple(b.label for b in p) for p in pairs if p[0].n == c.n)
+        assert source == sorted((c.branches[i].label, c.branches[j].label) for i, j in tangent)
+        searched.add(name)
+    assert len(searched) >= 8 and "same_order_contact" in searched
 
 
 @pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])

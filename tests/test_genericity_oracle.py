@@ -7,17 +7,21 @@ import pytest
 
 from c5cone import (
     DependentVectors,
+    EngineError,
     LinearProjection,
     NoCommonSpecialCoordinate,
     c5_cone,
+    curve,
     curve_from_exponents,
     find_generic_projection,
     is_c5_generic,
     null_space,
+    zeta,
 )
 from c5cone.geometry import Plane
 from random_curves import (
     engineered_nongeneric_projection,
+    random_curve,
     random_curve_with_cone,
     random_normal_shape_projection,
     random_space_branch_curve,
@@ -162,3 +166,66 @@ def test_search_with_the_special_coordinate_off_the_pivots():
     assert texts(found.matrix) == [["0", "0", "1"], ["1", "1", "0"]]
     assert texts(found.matrix) == texts(reference_search(c).matrix)
     assert rank_verdict(c, found, cone).generic
+
+
+def _search_outcome(search, c):
+    """The projection's matrix texts, or the error type and payload."""
+    try:
+        return texts(search(c).matrix)
+    except EngineError as exc:
+        return type(exc).__name__, exc.to_json()
+
+
+def _cone_error(c):
+    try:
+        c5_cone(c)
+    except EngineError as exc:
+        return type(exc).__name__, exc.to_json()
+    return None
+
+
+def test_span_search_equals_the_canonical_cone_search(load, fixture_names):
+    # the search reads each plane off the spans that collect it; the
+    # reference reads the canonical cone by the rank test: same projection
+    # (and the same when the search is handed the canonical cone),
+    # on the curve and on a branch-permuted copy, and the cone's own error
+    # where the cone has one
+    rng = random.Random(29)
+    fixtures = [load(name) for name in fixture_names]
+    # reparametrizations of one branch, beside a third branch: the cone
+    # raises DuplicateBranch, and so must the search
+    fixtures += [
+        curve_from_exponents([
+            [2, [(3, 1)], [(5, 1)]], [2, [(3, -1)], [(5, -1)]], [1, [(1, 2)], [(2, 1)]],
+        ]),
+        curve_from_exponents([
+            [3, [(4, 1)], [(5, 2)], [(3, 1)]], [3, [(4, zeta(3))], [(5, 2 * zeta(3, 2))], [(3, 1)]],
+        ]),
+    ]
+    searched = failed = 0
+    for index in range(1000):
+        c = fixtures[index] if index < len(fixtures) else random_curve(rng, max_n=5, max_r=4)
+        if c.n == 2:
+            assert texts(find_generic_projection(c).matrix) == [["1", "0"], ["0", "1"]]
+            continue
+        if not frozenset.intersection(*(b.special_coords for b in c.branches)):
+            with pytest.raises(NoCommonSpecialCoordinate):
+                find_generic_projection(c)
+            continue
+        perm = list(range(len(c.branches)))
+        rng.shuffle(perm)
+        copy = curve(c.branches[i] for i in perm)
+        for each in (c, copy):
+            error = _cone_error(each)
+            got = _search_outcome(find_generic_projection, each)
+            if error is not None:
+                assert got == error
+                failed += 1
+            else:
+                assert got == texts(reference_search(each).matrix)
+                # the basis rows of the canonical planes are spans too
+                assert texts(find_generic_projection(each, c5_cone(each)).matrix) == got
+        searched += error is None
+        if searched >= 200 and index >= len(fixtures):
+            break
+    assert searched >= 200 and failed > 0

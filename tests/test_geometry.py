@@ -1,5 +1,7 @@
 """Exact linear algebra, branches, and tangency classification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,8 @@ from c5cone import (
     zeta,
 )
 from fractions import Fraction
+
+from random_curves import random_curve_with_cone
 
 
 def vec(*entries):
@@ -128,6 +132,54 @@ def test_plane_contains_spanning_combinations():
 def test_plane_rejects_dependent_spans():
     with pytest.raises(DependentVectors):
         plane_from_vectors(Direction(vec(1, 2, 0)), Direction(vec(2, 4, 0)))
+
+
+def _entries(plane):
+    return [[(e.conductor, e.terms()) for e in row] for row in plane.basis]
+
+
+def _assert_closed_form_is_rref(w, v):
+    """plane_from_vectors equals the rref route entry by entry, conductor
+    and terms included, or both raise DependentVectors."""
+    try:
+        expected = _entries(Plane([list(w.vec), list(v.vec)]))
+    except DependentVectors:
+        with pytest.raises(DependentVectors):
+            plane_from_vectors(w, v)
+        return
+    assert _entries(plane_from_vectors(w, v)) == expected
+
+
+def test_closed_form_planes_equal_the_rref_route_on_every_span(load, fixture_names):
+    curves = [load(name) for name in fixture_names]
+    rng = random.Random(41)
+    curves += [random_curve_with_cone(rng, max_n=5)[0] for _ in range(200)]
+    spans = 0
+    for c in curves:
+        for span in Analysis(c).spans:
+            _assert_closed_form_is_rref(span.tangent, Direction(span.vector))
+            spans += 1
+    assert spans > 500
+
+
+def test_closed_form_planes_where_the_vector_leads_first():
+    z = zeta(3)
+    w = Direction(vec(0, 1, 2, z))
+    for v in (vec(3, 1, 0, 1), vec(z, 5, 1, 0), vec(0, 0, z, 1), vec(1, 0, 0, 0)):
+        _assert_closed_form_is_rref(w, Direction(v))
+    # the vector leads before the tangent: its row comes first
+    p = plane_from_vectors(w, Direction(vec(z, 5, 1, 0)))
+    assert [row.index(next(e for e in row if e)) for row in p.basis] == [0, 1]
+
+
+def test_closed_form_planes_reject_parallel_vectors():
+    z = zeta(6)
+    w = Direction(vec(0, 1, z, 2))
+    for scale in (1, -3, z, z * z + 1):
+        v = Direction([scale * e for e in w.vec])
+        with pytest.raises(DependentVectors):
+            plane_from_vectors(w, v)
+        _assert_closed_form_is_rref(w, v)
 
 
 def test_plane_equations_vanish_on_basis():

@@ -5,9 +5,11 @@ the edges of the column design (an empty cone, one sample, many radii and
 components)."""
 
 import cmath
+import gc
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -316,3 +318,30 @@ def test_exponents_beyond_the_power_table_in_split_batches_match_the_reference()
     ])
     mine, ref = both(c, cone=c5_cone(c), k=2500)
     assert isinstance(mine, SampleReport) and mine == ref
+
+
+def test_a_radius_samples_without_the_last_radius_directions(load, monkeypatch):
+    # the directions of one batch, and the distance columns of the smallest
+    # radius, are freed before _sample_batch draws the next batch: the
+    # memory live on entry to the second radius stays that of the first
+    # (before, the first radius's 2,000 directions were still held)
+    c = load("four_branches")
+    cone = c5_cone(c)
+    live = []
+    draw = oracle._sample_batch
+
+    def traced(*args):
+        gc.collect()  # empties the float free list, the same on each entry
+        live.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args)
+
+    monkeypatch.setattr(oracle, "_sample_batch", traced)
+    tracemalloc.start()
+    try:
+        report = sample_secant_directions(c, k=200, cone=cone)
+    finally:
+        tracemalloc.stop()
+    assert len(DEFAULT_RADII) == len(live) == 2  # one batch a radius
+    assert live[1] <= 1.1 * live[0], live
+    monkeypatch.undo()
+    assert report == reference_sampler.sample_secant_directions(c, k=200, cone=cone)

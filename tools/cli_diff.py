@@ -18,7 +18,9 @@ fixtures of the new tree, so both sides see the same files:
 
 The same analyze, project and verify invocations then run on generated
 curves, each also compared with itself and, as the benchmark's compare
-ops do, with a copy whose branches are in reverse order: the 10
+ops do, with a copy whose branches are in reverse order; project --auto,
+with and without --json, runs on that copy too, since the search reads
+the cone's spans in branch order and must not depend on it: the 10
 cyclo-highN and the 40 random-lowN documents of seed 101, built by the
 new tree's perfbench/workloads.py into a temporary directory. They carry
 non-rational coefficients over Q(zeta_N) up to N = 420. The same runs
@@ -143,6 +145,8 @@ def generated_invocations(paths: list) -> list:
     out = []
     for path, copy in paths:
         out += _document_invocations(path)
+        out.append(["project", str(copy), "--auto"])
+        out.append(["project", str(copy), "--auto", "--json"])
         out.append(["compare", str(path), str(path), "--json"])
         out.append(["compare", str(path), str(copy), "--json"])
     return out
