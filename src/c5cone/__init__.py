@@ -7,18 +7,10 @@ the germ up to bi-Lipschitz equivalence, and cross-checks the symbolic cone
 with a floating-point secant-sampling oracle.
 """
 
-from .auxiliary import (
-    AuxRecord,
-    cham,
-    characteristic_aux,
-    characteristic_order,
-    characteristic_records,
-    coam,
-    contact_aux,
-    contact_records,
-)
+from .auxiliary import cham, characteristic_order, coam
 from .c5 import (
     Analysis,
+    AuxRecord,
     C5Cone,
     bound1,
     bound2,

@@ -11,7 +11,8 @@ Two families of auxiliary curves drive everything downstream:
 The order m_theta of such a difference and the direction v_theta of its
 lowest-order coefficients are the auxiliary multiplicities and directions;
 span{tangent(s), v_theta} is the plane the difference contributes to the
-cone of bi-secant limits.
+cone of bi-secant limits. This module reads the orders and the leading
+vectors; c5.Analysis makes the planes and the records.
 
 Both are read off the branch supports; no difference series is built. The
 u^e coefficient of phi(u) - phi(theta*u) is c_e*(1 - theta^e), which
@@ -21,38 +22,19 @@ theta = zeta_lcm^k it depends on k only through the twist j = k*E mod lcm.
 One walk up the merged rescaled supports gives every k its class
 (m_theta, j) (see _Pair.classes), at a cost of one coefficient check per
 distinct twist of the k still vanishing, not one vector per root: coam
-reads the classes alone, and contact records of one class share one
-v_theta and one plane.
+reads the classes alone, and the k of one class share one leading vector.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import DuplicateBranch, NonPrimitiveParametrization
-from .geometry import Branch, Direction, Plane, cached, check_tangent_pair, plane_from_vectors
+from .geometry import Branch, cached, check_tangent_pair
 from .scalar import CycloScalar, common_conductor, root_of_unity
 
 _ZERO = CycloScalar.rational(0)
-
-
-class AuxRecord(NamedTuple):
-    """The derived data of one auxiliary parametrization.
-
-    kind is "characteristic" or "contact"; labels holds the branch label(s);
-    group_order is the order of the root-of-unity group theta lives in and
-    k its exponent (theta = zeta_{group_order}^k).
-    """
-
-    kind: str
-    labels: tuple
-    group_order: int
-    k: int
-    theta: CycloScalar
-    m_theta: int
-    v_theta: Direction
-    plane: Plane
 
 
 def characteristic_order(b: Branch, k: int) -> int:
@@ -70,57 +52,18 @@ def characteristic_order(b: Branch, k: int) -> int:
     return m_theta
 
 
-def characteristic_aux(b: Branch, k: int, leading: Optional[dict] = None) -> AuxRecord:
-    """Auxiliary record of phi(u) - phi(theta*u) for theta = zeta_m^k != 1.
-
-    m_theta depends on k only through d = ord(theta); v_theta is the
-    direction of phi's coefficient vector at m_theta (the difference's is
-    that one times 1 - theta^m_theta != 0). leading, when given, holds
-    (m_theta, v_theta, plane) per d across calls on one branch, one v_theta
-    and one plane per m_theta.
-    """
-    leading = {} if leading is None else leading
-    d = b.m // math.gcd(b.m, k)
-    if d not in leading:
-        m_theta = characteristic_order(b, k)
-        shared = next((v for v in leading.values() if v[0] == m_theta), None)
-        if shared is None:
-            v_theta = Direction(series.coefficient(m_theta) for series in b.param.coords)
-            shared = (m_theta, v_theta, plane_from_vectors(b.tangent, v_theta))
-        leading[d] = shared
-    m_theta, v_theta, plane = leading[d]
-    return AuxRecord(
-        kind="characteristic",
-        labels=(b.label,),
-        group_order=b.m,
-        k=k,
-        theta=root_of_unity(b.conductor, b.m, k),
-        m_theta=m_theta,
-        v_theta=v_theta,
-        plane=plane,
-    )
-
-
 class _Pair:
     """What every theta of a pair shares: lcm, conductor, both supports
-    rescaled to order lcm, merged exponents, tangency (given when known and
-    checked, else compared and checked here), the class of every k and
-    each class's shared (v_theta, plane). The roots zeta_lcm^j come from
-    the scalar layer's table of powers."""
+    rescaled to order lcm, merged exponents and the class of every k. The
+    roots zeta_lcm^j come from the scalar layer's table of powers."""
 
-    def __init__(self, bi: Branch, bj: Branch, tangent: Optional[bool] = None):
+    def __init__(self, bi: Branch, bj: Branch):
         self.lcm = lcm = math.lcm(bi.m, bj.m)
         self.left = [{e * (lcm // bi.m): c for e, c in s.terms} for s in bi.param.coords]
         self.right = [{e * (lcm // bj.m): c for e, c in s.terms} for s in bj.param.coords]
         self.conductor = common_conductor(bi.conductor, bj.conductor)
         self.exponents = sorted(set().union(*self.left, *self.right))
         self.branches = bi, bj
-        self.leading = {}  # class (m_theta, j) -> (v_theta, plane)
-        if tangent is None:
-            tangent = bi.tangent == bj.tangent
-            if tangent:
-                check_tangent_pair(bi, bj)
-        self.tangent = tangent
 
     def vector(self, E: int, j: int) -> list:
         """The u^E coefficient vector c_i(E) - c_j(E)*zeta_lcm^j."""
@@ -194,54 +137,9 @@ def _duplicate(bi: Branch, bj: Branch) -> DuplicateBranch:
     )
 
 
-def contact_aux(bi: Branch, bj: Branch, k: int, pair: Optional[_Pair] = None) -> AuxRecord:
-    """Auxiliary record of phi_i(u^mt_i) - phi_j((theta*u)^mt_j) for
-    theta = zeta_lcm^k (theta = 1 allowed). pair, when given, is
-    _Pair(bi, bj), built once for all k.
-
-    The record is read off k's class (m_theta, j): records of a pair with
-    one class share one v_theta and one plane."""
-    pair = pair or _Pair(bi, bj)
-    found = pair.classes[k % pair.lcm]
-    if found is None:
-        raise _duplicate(bi, bj)
-    if found not in pair.leading:
-        v_theta = Direction(pair.vector(*found))
-        other = v_theta if pair.tangent else bj.tangent
-        pair.leading[found] = (v_theta, plane_from_vectors(bi.tangent, other))
-    v_theta, plane = pair.leading[found]
-    return AuxRecord(
-        kind="contact",
-        labels=(bi.label, bj.label),
-        group_order=pair.lcm,
-        k=k,
-        theta=root_of_unity(pair.conductor, pair.lcm, k),
-        m_theta=found[0],
-        v_theta=v_theta,
-        plane=plane,
-    )
-
-
 def representative_ks(m: int) -> list:
     """One k per subgroup order d > 1, d ascending: zeta_m^(m/d) has order d."""
     return [m // d for d in range(2, m + 1) if m % d == 0]
-
-
-def characteristic_records(b: Branch) -> list:
-    """All characteristic records of a branch, in theta order zeta_m^k,
-    k = 1..m-1."""
-    leading = {}
-    return [characteristic_aux(b, k, leading) for k in range(1, b.m)]
-
-
-def contact_records(bi: Branch, bj: Branch) -> list:
-    """All contact records of a pair, theta = zeta_lcm^k for k = 0..lcm-1.
-
-    No representative shortcut exists here: same-order thetas can yield
-    different planes.
-    """
-    pair = _Pair(bi, bj)
-    return [contact_aux(bi, bj, k, pair) for k in range(pair.lcm)]
 
 
 def cham(b: Branch) -> frozenset:
@@ -261,4 +159,5 @@ def coam(bi: Branch, bj: Branch) -> tuple:
     if bi.tangent != bj.tangent:
         lcm = math.lcm(bi.m, bj.m)
         return (lcm,) * lcm
+    check_tangent_pair(bi, bj)
     return _Pair(bi, bj).coam()

@@ -15,20 +15,12 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .auxiliary import (
-    AuxRecord,
-    _duplicate,
-    _Pair,
-    characteristic_aux,
-    characteristic_order,
-    cham,
-    contact_aux,
-    representative_ks,
-)
+from .auxiliary import _duplicate, _Pair, characteristic_order, cham, representative_ks
 from .errors import UnsupportedDimension
 from .geometry import (
     Curve,
     Direction,
+    Plane,
     TangencyClassification,
     cached,
     check_tangent_pair,
@@ -37,7 +29,7 @@ from .geometry import (
     plane_from_vectors,
     tangent_direction,
 )
-from .scalar import CycloScalar
+from .scalar import CycloScalar, root_of_unity
 
 
 class C5Cone(NamedTuple):
@@ -60,6 +52,25 @@ class Span(NamedTuple):
     descriptors: tuple
 
 
+class AuxRecord(NamedTuple):
+    """The derived data of one auxiliary parametrization.
+
+    kind is "characteristic" or "contact"; labels holds the branch label(s);
+    group_order is the order of the root-of-unity group theta lives in and
+    k its exponent (theta = zeta_{group_order}^k). v_theta and plane are
+    those of the record's span, shared by every record of that span.
+    """
+
+    kind: str
+    labels: tuple
+    group_order: int
+    k: int
+    theta: CycloScalar
+    m_theta: int
+    v_theta: Direction
+    plane: Plane
+
+
 class InvariantProfile(NamedTuple):
     r: int
     chams: tuple  # frozenset per branch
@@ -67,14 +78,12 @@ class InvariantProfile(NamedTuple):
 
 
 class Analysis:
-    """Classification, spans, auxiliary records, cone and invariant profile
-    of one curve, each computed once, when first read."""
+    """Classification, spans, cone and invariant profile of one curve, each
+    computed once, when first read. The auxiliary records are read off the
+    spans (records): those of one span share its v_theta and its plane."""
 
     def __init__(self, c: Curve):
         self.curve = c
-        self._characteristic = {}  # (branch index, k) -> record
-        # per branch: order d -> (m_theta, v_theta, plane), shared by its records
-        self._leading = [{} for _ in c.branches]
         self._pairs = {}  # (i, j) -> _Pair
         self._by_source = {}  # branch index i or tangent pair (i, j) -> its spans
         # id(span) -> (span, v_theta, plane, key): holding the span keeps
@@ -163,42 +172,41 @@ class Analysis:
             entry = self._planes[id(span)] = (span, v_theta, plane, key)
         return entry[1:]
 
-    def characteristic_record(self, i: int, k: int) -> AuxRecord:
-        """Characteristic record of branch i at theta = zeta_m^k. Records of
-        one branch with equal m_theta share one v_theta, and their plane is
-        the cone's."""
-        if (i, k) not in self._characteristic:
-            b = self.curve.branches[i]
-            leading = self._leading[i]
-            if not leading:
-                for m_theta, span in self._characteristic_spans(i).items():
-                    shared = (m_theta, *self._canonical(span)[:2])
-                    for _, _, rep in span.descriptors:
-                        leading[b.m // math.gcd(b.m, rep)] = shared
-            self._characteristic[(i, k)] = characteristic_aux(b, k, leading)
-        return self._characteristic[(i, k)]
+    def records(self, representatives: bool = False) -> list:
+        """Every auxiliary record, read off its span: for each singular
+        branch, theta = zeta_m^k for k = 1..m-1 (representatives: the ks
+        of representative_ks), then for each tangent pair the full root
+        group. m_theta is the span's order, or its class's; v_theta and
+        the plane are the span's canonical ones."""
+        branches, records = self.curve.branches, []
 
-    def characteristic_records(self, i: int) -> list:
-        """Characteristic records of branch i, theta = zeta_m^k, k = 1..m-1."""
-        m = self.curve.branches[i].m
-        return [self.characteristic_record(i, k) for k in range(1, m)]
+        def record(span, conductor, group_order, k, m_theta):
+            kind, labels, _ = span.descriptors[0]
+            v_theta, plane, _ = self._canonical(span)
+            theta = root_of_unity(conductor, group_order, k)
+            records.append(AuxRecord(kind, labels, group_order, k, theta, m_theta, v_theta, plane))
 
-    def representative_records(self, i: int) -> list:
-        """One characteristic record of branch i per root order, in the order
-        of representative_ks."""
-        return [
-            self.characteristic_record(i, k)
-            for k in representative_ks(self.curve.branches[i].m)
-        ]
+        for i in sorted(self.classification.S):
+            b = branches[i]
+            by_order = {}  # root order d -> (m_theta, span)
+            for m_theta, span in self._characteristic_spans(i).items():
+                by_order.update((b.m // k, (m_theta, span)) for _, _, k in span.descriptors)
+            for k in representative_ks(b.m) if representatives else range(1, b.m):
+                m_theta, span = by_order[b.m // math.gcd(b.m, k)]
+                record(span, b.conductor, b.m, k, m_theta)
+        for i, j in self.tangent_pairs:
+            pair, spans = self.pair(i, j), self._contact_spans(i, j)
+            for k, found in enumerate(pair.classes):
+                record(spans[found], pair.conductor, pair.lcm, k, found[0])
+        return records
 
     def pair(self, i: int, j: int) -> _Pair:
         """The _Pair of branches i and j (i == j: one branch with itself),
-        built once, its tangency read off the classification."""
+        built once."""
         pair = self._pairs.get((i, j))
         if pair is None:
-            tangent = i == j or (min(i, j), max(i, j)) in self.classification.T
             branches = self.curve.branches
-            pair = self._pairs[(i, j)] = _Pair(branches[i], branches[j], tangent)
+            pair = self._pairs[(i, j)] = _Pair(branches[i], branches[j])
         return pair
 
     @cached
@@ -210,22 +218,6 @@ class Analysis:
         for i, j in pairs:
             check_tangent_pair(branches[i], branches[j])
         return pairs
-
-    @cached
-    def contacts(self) -> dict:
-        """Contact records of every tangent pair (i, j), full root group.
-        Records of one class share one v_theta, and their plane is the
-        cone's."""
-        branches = self.curve.branches
-        contacts = {}
-        for i, j in self.tangent_pairs:
-            pair = self.pair(i, j)
-            for found, span in self._contact_spans(i, j).items():
-                pair.leading[found] = self._canonical(span)[:2]
-            contacts[(i, j)] = [
-                contact_aux(branches[i], branches[j], k, pair) for k in range(pair.lcm)
-            ]
-        return contacts
 
     @cached
     def profile(self) -> InvariantProfile:

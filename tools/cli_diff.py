@@ -34,7 +34,8 @@ runs ROUNDS times per tree, the trees interleaved and the one that goes
 first alternating, and the outputs of the first round are diffed. After
 each set the script prints each tree's median wall-clock seconds over the
 rounds, in all and per command (analyze, compare, project, verify): one
-run per tree swings by about 20 % on a shared machine. The exit status is
+run per tree swings by about 20 % on a shared machine. Beside the totals
+it prints each tree's line count of src/c5cone/*.py. The exit status is
 1 when any invocation differs, else 0. No engine code imports this file.
 """
 
@@ -192,6 +193,13 @@ def _run(tree: pathlib.Path, calls: list) -> tuple:
     return results, per_command, time.perf_counter() - start
 
 
+def _source_lines(tree: pathlib.Path) -> int:
+    """The line count of the tree's src/c5cone/*.py, as wc -l counts it."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in (tree / "src" / "c5cone").glob("*.py")
+    )
+
+
 def _first_difference(a: str, b: str) -> str:
     la, lb = a.splitlines(), b.splitlines()
     for i, (x, y) in enumerate(zip(la, lb)):
@@ -243,7 +251,8 @@ def _diff(old: pathlib.Path, new: pathlib.Path, calls: list, what: str) -> int:
 
     print(
         f"{what}: {len(calls)} invocations, {differences} differ "
-        f"(median of {ROUNDS} rounds: old {median(old):.1f} s, new {median(new):.1f} s)"
+        f"(median of {ROUNDS} rounds: old {median(old):.1f} s, new {median(new):.1f} s; "
+        f"src/c5cone: old {_source_lines(old)} lines, new {_source_lines(new)} lines)"
     )
     for command in sorted(runs[new][0][1]):
         print(
