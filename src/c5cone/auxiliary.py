@@ -23,6 +23,8 @@ One walk up the merged rescaled supports gives every k its class
 (m_theta, j) (see _Pair.classes), at a cost of one coefficient check per
 distinct twist of the k still vanishing, not one vector per root: coam
 reads the classes alone, and the k of one class share one leading vector.
+The classes of one E whose sides are parallel share a plane (_Pair.pencil):
+c5.Analysis makes one span per predicted plane.
 """
 
 from __future__ import annotations
@@ -76,6 +78,20 @@ class _Pair:
             else:
                 vec.append(lhs.get(E, _ZERO))
         return vec
+
+    def pencil(self, E: int) -> Optional[tuple]:
+        """A vector parallel to c_i(E) - c_j(E)*zeta_lcm^j at every twist j
+        where that is nonzero: L = c_i(E) where L and R = c_j(E) are
+        parallel (tested by cross-multiplying, with no inverse), R where L
+        is 0; None when L and R are independent."""
+        L = [lhs.get(E, _ZERO) for lhs in self.left]
+        R = [rhs.get(E, _ZERO) for rhs in self.right]
+        q = next((x for x, e in enumerate(L) if e), None)
+        if q is None:
+            return tuple(R)
+        if all(R[q] * lx == L[q] * rx for lx, rx in zip(L, R)):
+            return tuple(L)
+        return None
 
     @cached
     def classes(self) -> list:

@@ -4,9 +4,11 @@ For a singular curve the cone is a finite union of 2-planes, collected in
 three steps: characteristic planes of each singular branch, contact planes
 of each tangent pair (full root group, theta = 1 included), and the span of
 the two tangents for each non-tangent pair. Each step yields spans, a
-tangent and a second vector per plane (Analysis.spans), which the
-projection search reads as they are and the cone makes canonical. A
-smooth irreducible germ degenerates to its tangent line.
+tangent and a second vector, one span per plane the closed form predicts
+(Analysis.spans): per characteristic order, per contact pencil or class,
+and per pair of tangent classes. The projection search reads the spans as
+they are and the cone makes them canonical. A smooth irreducible germ
+degenerates to its tangent line.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .geometry import (
 from .scalar import CycloScalar, root_of_unity
 
 
+_KINDS = ("characteristic", "contact", "non-tangent")  # in collection order
+
+
 class C5Cone(NamedTuple):
     """dimension 2: components is a sorted tuple of planes; dimension 1
     (smooth irreducible input): components is a single tangent direction.
@@ -43,9 +48,10 @@ class C5Cone(NamedTuple):
 
 
 class Span(NamedTuple):
-    """Two independent vectors spanning one cone plane: a branch tangent
-    and a second vector, raw as the auxiliary difference gives it, with the
-    (kind, labels, k) descriptors of the records whose plane it is."""
+    """Two independent vectors spanning one predicted cone plane: a branch
+    tangent and a second vector, raw as the auxiliary difference gives it
+    (or parallel to every difference of a pencil), with the (kind, labels,
+    k) descriptors of the records, or non-tangent pairs, whose plane it is."""
 
     tangent: Direction
     vector: tuple
@@ -117,45 +123,59 @@ class Analysis:
 
     def _contact_spans(self, i: int, j: int) -> dict:
         """class (m_theta, twist) -> span of the tangent pair (i, j)'s
-        contact plane: bi's tangent and the class's vector, with the ks of
-        the class, ascending; DuplicateBranch where a difference vanishes."""
+        contact plane: bi's tangent t and a vector parallel to the class's,
+        with the span's ks, ascending; DuplicateBranch where one vanishes.
+        The classes of one E form a pencil, L - R*zeta_lcm^j, with one span
+        where L and R are parallel or one is 0 (_Pair.pencil), else one per
+        class, whose planes all differ: E > lcm, so L and R are 0 at the
+        pair's shared special coordinate s, where t is 1, and a plane holding
+        t, L and R would meet x_s = 0 in one line holding both. So no vector
+        is parallel to t."""
         spans = self._by_source.get((i, j))
         if spans is None:
             pair = self.pair(i, j)
             if None in pair.classes:
                 raise _duplicate(*pair.branches)
-            ks = {}
-            for k, found in enumerate(pair.classes):
-                ks.setdefault(found, []).append(k)
             bi, bj = pair.branches
-            spans = self._by_source[(i, j)] = {
-                found: Span(
+            pencils = {E: pair.pencil(E) for E in {E for E, _ in pair.classes}}
+            ks = {}  # a pencil's exponent, or a class of no pencil -> its ks
+            for k, (E, twist) in enumerate(pair.classes):
+                ks.setdefault(E if pencils[E] else (E, twist), []).append(k)
+            spans = self._by_source[(i, j)] = {}
+            for group in ks.values():
+                found = pair.classes[group[0]]
+                span = Span(
                     bi.tangent,
-                    tuple(pair.vector(*found)),
+                    tuple(pencils[found[0]] or pair.vector(*found)),
                     tuple(("contact", (bi.label, bj.label), k) for k in group),
                 )
-                for found, group in ks.items()
-            }
+                spans.update((pair.classes[k], span) for k in group)
         return spans
 
     @cached
     def spans(self) -> tuple:
-        """Every span of the cone, in collection order: characteristic
-        spans of each singular branch, contact spans of each tangent pair,
-        and the two tangents of each non-tangent pair. Errors come as the
-        records would raise them: characteristic orders first, then every
-        tangent pair's check, then each pair's duplicate test."""
+        """Every span of the cone, one per plane the closed form predicts:
+        per characteristic order of each singular branch, per pencil or
+        class of each tangent pair (_contact_spans), and the two tangents of
+        the non-tangent pairs per pair of tangent classes, with its pairs'
+        descriptors in sorted-pair order. Errors come as the records would
+        raise them: characteristic orders first, then every tangent pair's
+        check, then each pair's duplicate test."""
         c, cls = self.curve, self.classification
         spans = []
         for i in sorted(cls.S):
             spans += self._characteristic_spans(i).values()
         for i, j in self.tangent_pairs:
-            spans += self._contact_spans(i, j).values()
+            spans += {id(span): span for span in self._contact_spans(i, j).values()}.values()
+        least = {j: i for i, j in sorted(cls.T, reverse=True)}  # the least tangent branch
+        planes = {}  # pair of tangent classes -> (tangent, vector, descriptors)
         for i, j in sorted(cls.NT):
             bi, bj = c.branches[i], c.branches[j]
-            spans.append(Span(
-                bi.tangent, bj.tangent.vec, (("non-tangent", (bi.label, bj.label), -1),)
-            ))
+            classes = frozenset((least.get(i, i), least.get(j, j)))
+            planes.setdefault(classes, (bi.tangent, bj.tangent.vec, []))[2].append(
+                ("non-tangent", (bi.label, bj.label), -1)
+            )
+        spans += (Span(t, v, tuple(descriptors)) for t, v, descriptors in planes.values())
         return tuple(spans)
 
     def _canonical(self, span: Span) -> tuple:
@@ -235,9 +255,10 @@ class Analysis:
     @cached
     def cone(self) -> C5Cone:
         """The canonical plane of every span, deduplicated, in key order.
-        A plane's descriptors keep collection order: that of their spans,
-        and within one branch or pair, that of k, which the representative
-        ks descend and the contact ks ascend."""
+        A plane's descriptors keep collection order, read off the
+        classification: kind (_KINDS), then the branch indices of the
+        labels, then k, which the representative ks descend and the contact
+        ks ascend."""
         c = self.curve
         if len(c.branches) == 1 and c.branches[0].m == 1:
             b = c.branches[0]
@@ -247,16 +268,15 @@ class Analysis:
                 provenance=((("tangent", (b.label,), -1),),),
             )
         found = {}  # key -> (plane, descriptors)
-        source = {}  # (kind, labels) -> its rank in collection order
         for span in self.spans:
-            kind, labels, _ = span.descriptors[0]
-            source.setdefault((kind, labels), len(source))
             _, plane, key = self._canonical(span)
             found.setdefault(key, (plane, []))[1].extend(span.descriptors)
+        index = {b.label: i for i, b in enumerate(c.branches)}
 
         def collected(descriptor):
             kind, labels, k = descriptor
-            return source[kind, labels], -k if kind == "characteristic" else k
+            return (_KINDS.index(kind), [index[label] for label in labels],
+                    -k if kind == "characteristic" else k)
 
         keys = sorted(found)
         return C5Cone(

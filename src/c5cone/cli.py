@@ -42,6 +42,7 @@ from .oracle import (
     DEFAULT_SAMPLES,
     DEFAULT_TOLERANCE,
     FloatView,
+    check_leading_terms,
     check_sampling_parameters,
     cone_witness_results,
     sample_secant_directions,
@@ -419,11 +420,13 @@ def _witness_json(w) -> dict:
 
 def cmd_verify(args) -> int:
     c = read_curve(args.file)
-    # bad flags exit before any cone or sampling work
-    check_sampling_parameters(args.radii, args.samples, len(c.branches))
+    # bad flags, and leading terms that underflow doubles at the smallest
+    # radius, exit before any cone or sampling work
+    radii = check_sampling_parameters(args.radii, args.samples, len(c.branches))
     tol = args.tolerance
     if not 0 < tol < 1:  # a plane distance never exceeds 1; NaN fails too
         raise InvalidSamplingParameter(f"tolerance must lie in (0, 1), got {tol}")
+    check_leading_terms(c, radii[-1])
     analysis = Analysis(c)
     cone = analysis.cone
     override = None

@@ -664,6 +664,19 @@ def check_sampling_parameters(radii, k: int, branches: int = 1) -> tuple:
     return radii
 
 
+def check_leading_terms(c: Curve, radius: float) -> None:
+    """Raise FloatingPointUnderflow when a branch's leading term u^m
+    underflows doubles at the smallest radius: m and the radius decide it
+    before any cone or sampling work."""
+    for b in c.branches:
+        if b.m * math.log10(radius / 2) < -300:
+            raise FloatingPointUnderflow(
+                f"branch {b.label} has multiplicity {b.m}; its leading term "
+                f"underflows IEEE doubles at radius {radius}",
+                label=b.label, multiplicity=b.m, radius=radius,
+            )
+
+
 def _measured(rows, directions, shared):
     """The least distance of the directions to each component, and the
     largest distance of a direction to its nearest component."""
@@ -692,13 +705,7 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     default cone), shared with the witness families. The report equals that
     of tests/reference_sampler.py bit for bit."""
     radii = check_sampling_parameters(radii, k, len(c.branches))
-    for b in c.branches:
-        if b.m * math.log10(radii[-1] / 2) < -300:
-            raise FloatingPointUnderflow(
-                f"branch {b.label} has multiplicity {b.m}; its leading term "
-                f"underflows IEEE doubles at radius {radii[-1]}",
-                label=b.label, multiplicity=b.m, radius=radii[-1],
-            )
+    check_leading_terms(c, radii[-1])
     if view is None:
         view = FloatView(c.branches, (c5_cone(c) if cone is None else cone).components)
     rows = [

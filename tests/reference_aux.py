@@ -11,12 +11,19 @@ contact_leading is a third route to a contact difference's leading data:
 one theta at a time, up the merged rescaled supports, with no series and
 no root group. The engine walks every theta of a pair at once
 (_Pair.classes) instead.
+
+PerClassAnalysis is the engine's analysis with one span per contact class
+and one per non-tangent pair, ranking provenance by the order in which
+the spans come: the route the engine took before it made one span per
+predicted plane. The tests compare the two.
 """
 
 import math
 from typing import NamedTuple
 
 from c5cone import (
+    Analysis,
+    C5Cone,
     DimensionMismatch,
     Direction,
     DuplicateBranch,
@@ -29,6 +36,9 @@ from c5cone import (
     substitute_power,
     tangent_direction,
 )
+from c5cone.auxiliary import _duplicate
+from c5cone.c5 import Span
+from c5cone.geometry import cached
 from c5cone.scalar import CycloScalar
 from c5cone.series import CoordinateSeries, Parametrization
 
@@ -136,3 +146,69 @@ def contact_leading(bi, bj, k) -> tuple:
         f"branches {bi.label} and {bj.label} have the same image",
         labels=[bi.label, bj.label],
     )
+
+
+class PerClassAnalysis(Analysis):
+    """An Analysis whose spans are one per contact class (m_theta, twist)
+    and one per non-tangent pair, and whose cone ranks each descriptor's
+    (kind, labels) by the first span that holds it."""
+
+    def _contact_spans(self, i: int, j: int) -> dict:
+        spans = self._by_source.get((i, j))
+        if spans is None:
+            pair = self.pair(i, j)
+            if None in pair.classes:
+                raise _duplicate(*pair.branches)
+            ks = {}
+            for k, found in enumerate(pair.classes):
+                ks.setdefault(found, []).append(k)
+            bi, bj = pair.branches
+            spans = self._by_source[(i, j)] = {
+                found: Span(
+                    bi.tangent,
+                    tuple(pair.vector(*found)),
+                    tuple(("contact", (bi.label, bj.label), k) for k in group),
+                )
+                for found, group in ks.items()
+            }
+        return spans
+
+    @cached
+    def spans(self) -> tuple:
+        c, cls = self.curve, self.classification
+        spans = []
+        for i in sorted(cls.S):
+            spans += self._characteristic_spans(i).values()
+        for i, j in self.tangent_pairs:
+            spans += self._contact_spans(i, j).values()
+        for i, j in sorted(cls.NT):
+            bi, bj = c.branches[i], c.branches[j]
+            spans.append(Span(
+                bi.tangent, bj.tangent.vec, (("non-tangent", (bi.label, bj.label), -1),)
+            ))
+        return tuple(spans)
+
+    @cached
+    def cone(self) -> C5Cone:
+        c = self.curve
+        if len(c.branches) == 1 and c.branches[0].m == 1:
+            b = c.branches[0]
+            return C5Cone(1, (tangent_direction(b),), ((("tangent", (b.label,), -1),),))
+        found = {}  # key -> (plane, descriptors)
+        source = {}  # (kind, labels) -> its rank in span order
+        for span in self.spans:
+            kind, labels, _ = span.descriptors[0]
+            source.setdefault((kind, labels), len(source))
+            _, plane, key = self._canonical(span)
+            found.setdefault(key, (plane, []))[1].extend(span.descriptors)
+
+        def collected(descriptor):
+            kind, labels, k = descriptor
+            return source[kind, labels], -k if kind == "characteristic" else k
+
+        keys = sorted(found)
+        return C5Cone(
+            2,
+            tuple(found[k][0] for k in keys),
+            tuple(tuple(sorted(found[k][1], key=collected)) for k in keys),
+        )

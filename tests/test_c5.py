@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,9 @@ from c5cone import (
 )
 from c5cone.cli import component_equations, main, variable_names
 from c5cone.geometry import Plane
+from pencil_curves import TWO_TANGENT_CLASSES, document, pencil_pairs
 from random_curves import random_curve, random_curve_with_cone
-from reference_aux import characteristic_reference, contact_reference
+from reference_aux import PerClassAnalysis, characteristic_reference, contact_reference
 
 
 def cone_equations(c, cone=None):
@@ -367,20 +369,31 @@ def test_project_auto_classifies_the_source_once(
     assert len(searched) >= 8 and "same_order_contact" in searched
 
 
-@pytest.mark.parametrize("name", ["contact_structure_pair", "four_branches"])
-def test_contact_records_build_one_plane_per_class(monkeypatch, load, name):
-    # one plane per contact class (m_theta, twist) and per characteristic
-    # order m_theta, shared with its v_theta by every record of the class
+@pytest.mark.parametrize("name, planes, classes", [
+    pytest.param("contact_structure_pair", 8, 8, id="contact_structure_pair"),
+    pytest.param("four_branches", 7, 7, id="four_branches"),
+    pytest.param("single_entry", 4, 8, id="single_entry"),
+    pytest.param("classes_abab", 7, 8, id="classes_abab"),
+])
+def test_contact_records_build_one_plane_per_class(monkeypatch, load, name, planes, classes):
+    # one plane per characteristic order m_theta, per contact pencil (the
+    # classes (m_theta, twist) of one exponent whose L and R are parallel,
+    # which share one v_theta) and per class of any other exponent; the
+    # records with one v_theta share it and its plane. single_entry (m = 6)
+    # merges the five twists at u^7, classes_abab the two twists of its
+    # pair (b2, b4); the fixtures merge none
+    c = load(name) if name in ("contact_structure_pair", "four_branches") else (
+        curve_from_exponents({**pencil_pairs(6), **TWO_TANGENT_CLASSES}[name]))
     counts = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
-    records = Analysis(load(name)).records()
-    classes = {}
+    records = Analysis(c).records()
+    by_class, by_pencil = {}, {}
     for rec in records:
         twist = rec.k * rec.m_theta % rec.group_order if rec.kind == "contact" else None
-        classes.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
-    assert counts == {"plane_from_vectors": len(classes)}
-    contacts = [key for key in classes if key[2] is not None]
-    assert 0 < len(contacts) < sum(rec.kind == "contact" for rec in records)
-    for first, *rest in classes.values():
+        by_class.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
+        by_pencil.setdefault((rec.labels, rec.m_theta, rec.v_theta.key()), []).append(rec)
+    assert counts == {"plane_from_vectors": planes} and len(by_pencil) == planes
+    assert len(by_class) == classes
+    for first, *rest in by_pencil.values():
         assert all(r.v_theta is first.v_theta and r.plane is first.plane for r in rest)
 
 
@@ -467,6 +480,132 @@ def test_cone_compares_each_pairs_tangents_once(load, fixture_names, monkeypatch
         assert got == expected
         outcomes.add(got[0])
     assert outcomes == {1, 2, "DuplicateBranch", "IncompatibleSystem"}
+
+
+def _route_outcome(analysis):
+    """The cone's dimension, component keys and provenance, and the
+    records and representative records, or the error type and payload
+    raised on the way."""
+    def listed(records):
+        return [(r.kind, r.labels, r.group_order, r.k, r.theta.text(), r.m_theta,
+                 r.v_theta.key(), r.plane.key()) for r in records]
+
+    try:
+        cone = analysis.cone
+        return (cone.dimension, [p.key() for p in cone.components], cone.provenance,
+                listed(analysis.records()), listed(analysis.records(True)))
+    except EngineError as exc:
+        return _error(exc)
+
+
+def _merging_curves():
+    """The pencil pairs at m = 60 and 120 and the curves with two tangent
+    classes, by name."""
+    curves = {f"{name} m={m}": spec for m in (60, 120) for name, spec in pencil_pairs(m).items()}
+    curves.update(TWO_TANGENT_CLASSES)
+    return {name: curve_from_exponents(spec) for name, spec in curves.items()}
+
+
+def _span_counts(analysis, planes=False):
+    """The number of spans, or of their distinct planes, of each tangent
+    pair and of the non-tangent pairs."""
+    def count(spans):
+        spans = {id(span): span for span in spans}.values()
+        return len({analysis._canonical(span)[2] for span in spans} if planes else spans)
+
+    nontangent = [span for span in analysis.spans if span.descriptors[0][0] == "non-tangent"]
+    pairs = analysis.tangent_pairs
+    return [count(analysis._contact_spans(i, j).values()) for i, j in pairs] + [count(nontangent)]
+
+
+def test_spans_by_plane_agree_with_the_per_class_route(load, fixture_names):
+    # one span per predicted plane gives the cone, its provenance, the
+    # records and the errors of one span per contact class and per
+    # non-tangent pair (tests/reference_aux.py); on the merging curves,
+    # each tangent pair and the non-tangent pairs have one span per plane
+    curves = [load(name) for name in fixture_names]
+    rng = random.Random(21)
+    curves += [random_curve(rng, max_r=4) for _ in range(200)]
+    b1 = [[(2, 1)], [(2, 2), (3, 1)], [(5, 1)]]
+    b2 = [[(2, Fraction(1, 2)), (7, 1)], [(2, 1)], [(7, 1)]]
+    b3 = [[(2, 1)], [(2, 2), (3, -1)], [(5, -1)]]
+    curves += [curve_from_exponents(branches) for branches in ([b1, b3], [b1, b3, b2])]
+    merging = _merging_curves()
+    fewer = outcomes = 0
+    seen = set()
+    for c in curves + list(merging.values()):
+        analysis, reference = Analysis(c), PerClassAnalysis(c)
+        got = _route_outcome(analysis)
+        assert got == _route_outcome(reference)
+        seen.add(got[0])
+        if got[0] == 2:
+            outcomes += 1
+            fewer += len(analysis.spans) < len(reference.spans)
+            assert len(analysis.spans) <= len(reference.spans)
+    assert seen == {1, 2, "DuplicateBranch", "IncompatibleSystem"}
+    assert fewer >= 20 and outcomes >= 150
+    for name, c in merging.items():
+        planes = _span_counts(PerClassAnalysis(c), planes=True)
+        assert _span_counts(Analysis(c)) == planes, name
+
+
+def test_contact_spans_are_never_tangent_and_pencils_have_one_plane():
+    # at every class exponent E of a tangent pair, t, L = c_i(E) and
+    # R = c_j(E) span a plane exactly when _Pair.pencil merges E (L, R
+    # parallel, or one 0), and 3-space otherwise; the reduction by t never
+    # makes independent L, R parallel. No span's vector is parallel to t,
+    # so a merged span raises no DependentVectors
+    curves = list(_merging_curves().values())
+    rng = random.Random(22)
+    curves += [random_curve(rng, max_r=3) for _ in range(200)]
+    merged = independent = 0
+    zero = CycloScalar.rational(0)
+    for c in curves:
+        analysis = Analysis(c)
+        try:
+            analysis.spans
+        except EngineError:
+            continue
+        for i, j in analysis.tangent_pairs:
+            pair = analysis.pair(i, j)
+            t = list(pair.branches[0].tangent.vec)
+            for E in {E for E, _ in pair.classes}:
+                L = [lhs.get(E, zero) for lhs in pair.left]
+                R = [rhs.get(E, zero) for rhs in pair.right]
+                shared = pair.pencil(E)
+                assert geometry.matrix_rank([t, L, R]) == (2 if shared else 3)
+                merged += shared is not None
+                independent += shared is None
+            for span in analysis._contact_spans(i, j).values():
+                assert geometry.matrix_rank([t, list(span.vector)]) == 2
+    assert merged >= 50 and independent >= 5
+
+
+@pytest.mark.parametrize("name", ["single_entry", "two_entries"])
+def test_pencil_pairs_at_the_caps_pay_per_plane(monkeypatch, capsys, tmp_path, name):
+    # ROADMAP item 11's two tangent pairs: every twist at u^(m+1) is a
+    # multiple of one vector, (0, 1, 0) or (0, 1, 1). c5_cone makes at most
+    # one inverse per plane and analyze --json at most one per v_theta,
+    # where one per twist took 1.7 s at m = 840 and 38 s at m = 2520
+    inverses = []
+    inverse = CycloScalar.inverse
+    monkeypatch.setattr(
+        CycloScalar, "inverse", lambda self: (inverses.append(None), inverse(self))[1]
+    )
+    spec = pencil_pairs(840)[name]
+    cone = c5_cone(curve_from_exponents(spec))
+    assert len(inverses) <= len(cone.components) == 2
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(document(spec)))
+    inverses.clear()
+    assert main(["analyze", "--json", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["aux_records"]) == 2 * 839 + 840
+    assert len(inverses) <= len({tuple(r["v_theta"]) for r in data["aux_records"]})
+    c = curve_from_exponents(pencil_pairs(2520)[name])
+    start = time.perf_counter()
+    assert len(c5_cone(c).components) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_analysis_agrees_with_the_standalone_functions():

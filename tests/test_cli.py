@@ -10,6 +10,7 @@ import pytest
 import c5cone.cli
 import c5cone.projection
 from c5cone.cli import main
+from pencil_curves import document, pencil_pairs
 from c5cone.oracle import (
     MAX_RADII,
     MAX_SAMPLES,
@@ -452,6 +453,29 @@ def test_verify_rejects_a_witness_target_below_double_range(capsys, tmp_path):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "FloatingPointUnderflow"
     assert diagnostic["labels"] == ["b1", "b2"]
+
+
+@pytest.mark.parametrize("spec", [
+    # ROADMAP item 11's tangent pair at m = 840: its cone took 1.7 s
+    pencil_pairs(840)["single_entry"],
+    # one image twice (u -> -u at even m): the cone raised DuplicateBranch
+    # before the sampler could see the leading terms
+    [[100, [(101, 1)]], [100, [(101, -1)]]],
+])
+def test_verify_refuses_an_underflowing_leading_term_before_any_analysis(
+    capsys, monkeypatch, tmp_path, spec
+):
+    # u^m at the smallest default radius, 0.001, is below double range
+    # for m > 90: m and the radius decide it, so no Analysis is built
+    monkeypatch.setattr(c5cone.cli, "Analysis", None)
+    path = tmp_path / "high_multiplicity.json"
+    path.write_text(json.dumps(document(spec)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "FloatingPointUnderflow"
+    assert (diagnostic["label"], diagnostic["radius"]) == ("b1", 0.001)
+    assert diagnostic["multiplicity"] in (100, 840)
 
 
 def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):

@@ -26,7 +26,11 @@ new tree's perfbench/workloads.py into a temporary directory. They carry
 non-rational coefficients over Q(zeta_N) up to N = 420. The same runs
 then cover every fixture with its branch labels replaced by LABELS: non-ASCII
 text, a quote, a backslash, a tab and brackets, which the JSON writer must
-escape as json does. No label holds a comma: documents reject one.
+escape as json does. No label holds a comma: documents reject one. Last,
+they cover the curves of the new tree's tests/pencil_curves.py, whose
+spans merge: tangent pairs at m = 60 and 120 whose contact classes form
+pencils (off_pivot_independent at m = 60 only), and curves whose
+non-tangent pairs share two tangent classes.
 
 Each tree runs all invocations in one process of its own, through
 c5cone.cli.main with stdout and stderr captured. Each set of invocations
@@ -125,6 +129,15 @@ def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
     return paths
 
 
+def _write_with_reversed_copy(doc: dict, directory: pathlib.Path, stem: str) -> tuple:
+    """Write doc and a branch-reversed copy into directory; return both paths."""
+    path, copy = directory / f"{stem}.json", directory / f"{stem}.reversed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    doc = dict(doc, branches=doc["branches"][::-1])
+    copy.write_text(json.dumps(doc), encoding="utf-8")
+    return path, copy
+
+
 def relabelled_documents(fixtures: pathlib.Path, directory: pathlib.Path) -> list:
     """Write each fixture with its branches labelled from LABELS, and a
     branch-reversed copy, into directory; return (path, copy) pairs."""
@@ -133,13 +146,27 @@ def relabelled_documents(fixtures: pathlib.Path, directory: pathlib.Path) -> lis
         doc = json.loads(source.read_text(encoding="utf-8"))
         for index, branch in enumerate(doc["branches"]):
             branch["label"] = LABELS[index % len(LABELS)] + str(index)
-        path = directory / f"{source.stem}.relabelled.json"
-        copy = directory / f"{source.stem}.relabelled.reversed.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        doc["branches"].reverse()
-        copy.write_text(json.dumps(doc), encoding="utf-8")
-        paths.append((path, copy))
+        paths.append(_write_with_reversed_copy(doc, directory, f"{source.stem}.relabelled"))
     return paths
+
+
+def merging_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
+    """Write the curves of the tree's tests/pencil_curves.py, the tangent
+    pairs at m = 60 and 120 and the curves with two tangent classes, and a
+    branch-reversed copy of each, into directory; return (path, copy) pairs."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_diff_pencils", tree / "tests" / "pencil_curves.py"
+    )
+    P = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(P)
+    curves = {f"{name}_m{m}": s for m in (60, 120) for name, s in P.pencil_pairs(m).items()}
+    # 122 planes over Q(zeta_120): analyze's product equation alone takes
+    # 70 s per call, where the 62 planes at m = 60 take 3 s
+    del curves["off_pivot_independent_m120"]
+    curves.update(P.TWO_TANGENT_CLASSES)
+    return [
+        _write_with_reversed_copy(P.document(s), directory, name) for name, s in curves.items()
+    ]
 
 
 def generated_invocations(paths: list) -> list:
@@ -222,6 +249,8 @@ def main(argv) -> int:
         differences += _diff(old, new, generated_invocations(paths), "generated curves")
         paths = relabelled_documents(new / "fixtures", pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
+        paths = merging_documents(new, pathlib.Path(tmp))
+        differences += _diff(old, new, generated_invocations(paths), "merging spans")
     return 1 if differences else 0
 
 
