@@ -15,7 +15,6 @@ from .c5 import (
     bound1,
     bound2,
     c5_cone,
-    integer_normalized_form,
     polynomial_text,
     product_equation,
     sigma,
@@ -48,7 +47,6 @@ from .errors import (
     NonPrimitiveParametrization,
     NotPlaneCurve,
     NotPuiseuxForm,
-    ProjectionSearchExhausted,
     StructureMismatch,
     TooManyBranches,
     UnsupportedDimension,
@@ -66,7 +64,6 @@ from .geometry import (
     plane_equations,
     plane_from_vectors,
     rref,
-    tangent_direction,
 )
 from .invariants import (
     ContactStructure,
@@ -107,7 +104,6 @@ from .series import (
     is_primitive,
     order,
     puiseux_form_check,
-    substitute_power,
 )
 
 __version__ = "0.1.0"

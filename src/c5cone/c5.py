@@ -29,7 +29,6 @@ from .geometry import (
     classify,
     plane_equations,
     plane_from_vectors,
-    tangent_direction,
 )
 from .scalar import CycloScalar, root_of_unity
 
@@ -264,7 +263,7 @@ class Analysis:
             b = c.branches[0]
             return C5Cone(
                 dimension=1,
-                components=(tangent_direction(b),),
+                components=(b.tangent,),
                 provenance=((("tangent", (b.label,), -1),),),
             )
         found = {}  # key -> (plane, descriptors)
@@ -348,19 +347,11 @@ def integer_form(form) -> Optional[tuple]:
     return tuple(v // g for v in ints)
 
 
-def integer_normalized_form(form) -> tuple:
-    """integer_form as scalars. Entries outside Q are returned unchanged."""
-    ints = integer_form(form)
-    if ints is None:
-        return tuple(form)
-    return tuple(CycloScalar.rational(v) for v in ints)
-
-
 def _poly_mul_form(poly: dict, form: tuple) -> dict:
     out = {}
     for monomial, coeff in poly.items():
         for pos, fc in enumerate(form):
-            if fc.is_zero():
+            if not fc:
                 continue
             key = tuple(
                 e + 1 if idx == pos else e for idx, e in enumerate(monomial)
@@ -376,8 +367,9 @@ def _poly_mul_form(poly: dict, form: tuple) -> dict:
 
 def product_equation(cone: C5Cone) -> dict:
     """Expanded product of the defining linear forms of a 3-space cone,
-    as {exponent triple: coefficient}. Forms are integer-normalized first,
-    so the graded-lex leading coefficient is positive (1 in the fixtures)."""
+    as {exponent triple: coefficient}. A form with rational entries is
+    scaled to coprime ints first (integer_form), so the graded-lex leading
+    coefficient is positive (1 in the fixtures)."""
     if cone.dimension != 2 or any(p.n != 3 for p in cone.components):
         n = cone.components[0].n if cone.components else 0
         raise UnsupportedDimension(
@@ -386,7 +378,7 @@ def product_equation(cone: C5Cone) -> dict:
     poly = {(0, 0, 0): CycloScalar.rational(1)}
     for plane in cone.components:
         (form,) = plane_equations(plane)
-        poly = _poly_mul_form(poly, integer_normalized_form(form))
+        poly = _poly_mul_form(poly, integer_form(form) or form)
     return poly
 
 

@@ -34,8 +34,14 @@ from .c5 import (
     product_equation,
 )
 from .documents import _canonical_json, dumps_document, read_curve, to_document
-from .errors import EngineError, InvalidArgument, InvalidDocument, InvalidSamplingParameter
-from .geometry import Curve, Plane, component_rows, null_space, tangent_direction
+from .errors import (
+    DimensionMismatch,
+    EngineError,
+    InvalidArgument,
+    InvalidDocument,
+    InvalidSamplingParameter,
+)
+from .geometry import Curve, Plane, component_rows, null_space
 from .invariants import bilipschitz_equivalent
 from .oracle import (
     DEFAULT_RADII,
@@ -49,7 +55,6 @@ from .oracle import (
 )
 from .projection import (
     LinearProjection,
-    _search_axis,
     apply_projection,
     find_generic_projection,
     image_keeps_profile,
@@ -157,7 +162,7 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
             "label": b.label,
             "multiplicity": b.m,
             "special_coords": sorted(b.special_coords),
-            "tangent": _row_texts(tangent_direction(b).vec),
+            "tangent": _row_texts(b.tangent.vec),
             "parametrization": b.param.text(),
         })
     listed = analysis.records(representatives)
@@ -345,6 +350,12 @@ def cmd_project(args) -> int:
     names = variable_names(c.n)
     if args.kernel is not None:
         rows = _parse_matrix(args.kernel, "--kernel")
+        for row in rows:  # before the rank, which rows of another width misstate
+            if len(row) != c.n:
+                raise DimensionMismatch(
+                    f"--kernel rows need {c.n} entries, got {len(row)}",
+                    dims=[len(row), c.n],
+                )
         proj = LinearProjection.from_kernel(rows)
         verdict = is_c5_generic(c, proj)
         data = {
@@ -367,10 +378,9 @@ def cmd_project(args) -> int:
 
         _print(data, args.json, render)
         return 0 if verdict.generic else 1
-    # one analysis gives the search its spans and the check its source
-    # profile; the search's own errors come before the spans'
+    # one analysis gives the search its spans and the check its source profile
     analysis = Analysis(c)
-    proj = find_generic_projection(c, None if _search_axis(c) is None else analysis.spans)
+    proj = find_generic_projection(c, analysis)
     try:
         image = apply_projection(c, proj)
     except EngineError:
@@ -449,7 +459,7 @@ def cmd_verify(args) -> int:
     # one float view: the witness families and the sampler convert each
     # branch's terms and each component's basis once between them
     view = FloatView(c.branches, cone.components)
-    witnesses = [] if override else cone_witness_results(c, cone, analysis, view)
+    witnesses = [] if override else cone_witness_results(c, analysis, view)
     report = sample_secant_directions(
         c, radii=tuple(args.radii), k=args.samples, seed=args.seed, view=view
     )

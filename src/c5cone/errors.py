@@ -77,10 +77,6 @@ class NoCommonSpecialCoordinate(EngineError):
     """No coordinate index is special for every branch."""
 
 
-class ProjectionSearchExhausted(EngineError):
-    """No candidate of the projection search is generic within its cap."""
-
-
 class TooManyBranches(EngineError):
     """Branch count exceeds the bijection-search cap."""
 

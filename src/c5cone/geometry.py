@@ -354,12 +354,6 @@ def curve(branches: Iterable[Branch]) -> Curve:
     return Curve(n, tuple(b.embedded(conductor) for b in branches), conductor)
 
 
-def tangent_direction(b: Branch) -> Direction:
-    """Direction of lowest-order coefficients: entry j is the coefficient of
-    u^m in coordinate j. Built once, with the branch."""
-    return b.tangent
-
-
 class TangencyClassification(NamedTuple):
     S: frozenset  # indices of singular branches (m > 1)
     T: frozenset  # pairs (i < j) of tangent branches
@@ -367,7 +361,7 @@ class TangencyClassification(NamedTuple):
 
 
 def classify(c: Curve) -> TangencyClassification:
-    tangents = [tangent_direction(b) for b in c.branches]
+    tangents = [b.tangent for b in c.branches]
     r = len(c.branches)
     S = frozenset(i for i, b in enumerate(c.branches) if b.m > 1)
     T, NT = set(), set()

@@ -33,9 +33,11 @@ from itertools import compress, repeat, starmap
 from operator import add, attrgetter, lt, mul, neg, not_, sub, truediv
 from typing import NamedTuple, Optional
 
+from .auxiliary import characteristic_order
 from .c5 import Analysis, C5Cone, c5_cone
 from .errors import (
     DegenerateSecant,
+    DimensionMismatch,
     FloatingPointOverflow,
     FloatingPointUnderflow,
     InvalidSamplingParameter,
@@ -290,21 +292,19 @@ _ONE = CycloScalar.rational(1)
 _ZERO = CycloScalar.rational(0)
 
 
-def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
-                         analysis: Optional[Analysis] = None,
+def cone_witness_results(c: Curve, analysis: Optional[Analysis] = None,
                          view: Optional[FloatView] = None) -> list:
-    """One witness family per cone component, read off the component's
-    first provenance descriptor, with the component as its plane.
+    """One witness family per component of c's cone, read off the
+    component's first provenance descriptor, with the component as its
+    plane.
 
-    Each family reads what the analysis already holds (one is built when
-    none is given; its cone is the default): m_theta from the branch's
-    characteristic span, or from the pair's class, and the exact leading
+    analysis is c's (default: a new one). Each family reads m_theta from
+    characteristic_order, or from the pair's class, and the exact leading
     vector from the pair (Analysis.pair) at that class. view (default: a
-    new one over c and cone) supplies the doubles."""
+    new one over c and its cone) supplies the doubles."""
     if analysis is None:
         analysis = Analysis(c)
-    if cone is None:
-        cone = analysis.cone
+    cone = analysis.cone
     if cone.dimension != 2:
         return []
     if view is None:
@@ -317,10 +317,7 @@ def cone_witness_results(c: Curve, cone: Optional[C5Cone] = None,
         pair = analysis.pair(i, j)
         lam = _ONE
         if kind == "characteristic":
-            m_theta = next(
-                order for order, span in analysis._characteristic_spans(i).items()
-                if descriptors[0] in span.descriptors
-            )
+            m_theta = characteristic_order(c.branches[i], k)
         elif kind == "contact":
             m_theta = pair.classes[k][0]
         else:  # non-tangent: provenance k is -1; both sides start at u^lcm
@@ -702,12 +699,20 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     directions that can no longer raise it, carrying that floor across the
     batches.
     view, when given, is the float view of c over cone (or over the
-    default cone), shared with the witness families. The report equals that
-    of tests/reference_sampler.py bit for bit."""
+    default cone), shared with the witness families. A component of
+    another dimension than c's raises DimensionMismatch before any
+    sampling. The report equals that of tests/reference_sampler.py bit
+    for bit."""
     radii = check_sampling_parameters(radii, k, len(c.branches))
     check_leading_terms(c, radii[-1])
     if view is None:
         view = FloatView(c.branches, (c5_cone(c) if cone is None else cone).components)
+    for component in view.components:
+        if component.n != c.n:
+            raise DimensionMismatch(
+                f"a cone component lives in dimension {component.n}, the curve in {c.n}",
+                dims=[component.n, c.n],
+            )
     rows = [
         tuple(tuple(z.conjugate() for z in row) for row in view.basis(idx))
         for idx in range(len(view.components))

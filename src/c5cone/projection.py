@@ -10,23 +10,16 @@ computable and tested against each other.
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import chain, count, product
 from typing import NamedTuple, Optional
 
-from .c5 import Analysis, C5Cone, c5_cone
-from .errors import (
-    DependentVectors,
-    DimensionMismatch,
-    EngineError,
-    NoCommonSpecialCoordinate,
-    ProjectionSearchExhausted,
-)
+from .c5 import Analysis, c5_cone
+from .errors import DependentVectors, DimensionMismatch, EngineError, NoCommonSpecialCoordinate
 from .geometry import Curve, Plane, _validated, cached, curve, matrix_rank, null_space
 from .invariants import InvariantProfile, profile
 from .scalar import CycloScalar, common_conductor
 from .series import CoordinateSeries, Parametrization
 
-_SEARCH_CAP = 50
 _ZERO = CycloScalar.rational(0)
 
 
@@ -104,15 +97,13 @@ def _dot(row, vec) -> CycloScalar:
     return sum((a * b for a, b in zip(row, vec) if a and b), _ZERO)
 
 
-def is_c5_generic(c: Curve, proj: LinearProjection, cone: Optional[C5Cone] = None) -> GenericityVerdict:
-    """Generic iff the kernel meets every cone component only at 0, that is
-    iff the projection is injective on each: det(pi*p1, pi*p2) != 0 for a
-    plane with basis rows p1, p2, and pi*v != 0 for a line along v."""
+def is_c5_generic(c: Curve, proj: LinearProjection) -> GenericityVerdict:
+    """Generic iff the kernel meets every component of c's cone only at 0,
+    that is iff the projection is injective on each: det(pi*p1, pi*p2) != 0
+    for a plane with basis rows p1, p2, and pi*v != 0 for a line along v."""
     _check_dimension(c, proj)
-    if cone is None:
-        cone = c5_cone(c)
     r1, r2 = proj.matrix
-    for component in cone.components:
+    for component in c5_cone(c).components:
         if isinstance(component, Plane):
             p1, p2 = component.basis
             injective = _dot(r1, p1) * _dot(r2, p2) != _dot(r1, p2) * _dot(r2, p1)
@@ -199,30 +190,31 @@ def _search_axis(c: Curve) -> Optional[int]:
     return min(universal)
 
 
-def find_generic_projection(c: Curve, cone=None) -> LinearProjection:
+def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> LinearProjection:
     """Deterministic search for a generic projection of the normal shape
     (x_s, sum of lambda_k x_k, k != s) with s = _search_axis(c): all-ones
-    lambda first, then integer tuples by increasing max-norm, up to
-    max-norm _SEARCH_CAP. lambda is generic iff lambda*w != 0 for the
-    vector w of every plane of c's cone (see _transverse), read off any
-    basis of it: cone is c's C5Cone, or the spans that collect it
-    (Analysis.spans; default: those of a new Analysis of c). A line, the
-    tangent of a smooth germ, has 1 at s and keeps every candidate. A
-    plane curve gets the identity."""
+    lambda first, then integer tuples by increasing max-norm. lambda is
+    generic iff lambda*w != 0 for the vector w of every span of c's cone
+    (see _transverse), read off analysis.spans (default: those of a new
+    Analysis of c). A plane curve gets the identity.
+
+    The search ends. Every span holds a branch tangent a, with a[s] != 0,
+    and a vector b independent of it, so w = a[s]*b - b[s]*a is 0 at s and
+    nonzero elsewhere. The lambda that w rejects therefore lie in a proper
+    subspace (a power of zeta gives w a nonzero rational row), which holds
+    at most (2K+1)^(n-2) of the (2K+1)^(n-1) tuples of max-norm <= K. With
+    P distinct w and 2K+1 > P, some such tuple is rejected by none: the
+    search returns by max-norm ceil(P/2). A smooth irreducible germ has no
+    span and keeps all-ones."""
     s, n = _search_axis(c), c.n
     if s is None:
         return LinearProjection.identity()
-    if cone is None:
-        cone = Analysis(c).spans
-    if isinstance(cone, C5Cone):
-        bases = [p.basis for p in cone.components if isinstance(p, Plane)]
-    else:
-        bases = [(span.tangent.vec, span.vector) for span in cone]
-    transverse = list(dict.fromkeys(_transverse(a, b, s) for a, b in bases))
+    spans = (Analysis(c) if analysis is None else analysis).spans
+    transverse = list(dict.fromkeys(_transverse(t.vec, v, s) for t, v, _ in spans))
     all_ones = (1,) * (n - 1)
     shells = (
         lam
-        for norm in range(1, _SEARCH_CAP + 1)
+        for norm in count(1)
         for lam in product(range(-norm, norm + 1), repeat=n - 1)
         if max(map(abs, lam)) == norm and lam != all_ones
     )
@@ -232,10 +224,6 @@ def find_generic_projection(c: Curve, cone=None) -> LinearProjection:
             any(sum(row2[idx] * v for idx, v in row) for row in w) for w in transverse
         ):
             return LinearProjection([[int(idx == s) for idx in range(n)], row2])
-    raise ProjectionSearchExhausted(
-        f"no generic projection among the candidates of max-norm up to {_SEARCH_CAP}",
-        search_cap=_SEARCH_CAP,
-    )
 
 
 def verify_projection_invariance(c: Curve, proj: LinearProjection) -> bool:

@@ -123,15 +123,6 @@ def order(p: Parametrization):
     return min(c.order() for c in p.coords)
 
 
-def substitute_power(p: Parametrization, k: int) -> Parametrization:
-    """u -> u^k: every exponent is multiplied by k, coefficients unchanged."""
-    if k < 1:
-        raise ValueError(f"power substitution needs k >= 1, got {k}")
-    return Parametrization(
-        CoordinateSeries((e * k, c) for e, c in series.terms) for series in p.coords
-    )
-
-
 def is_primitive(p: Parametrization) -> bool:
     """True iff the gcd of all exponents carrying a nonzero coefficient is 1."""
     g = 0

@@ -3,9 +3,9 @@
 It expands the whole difference series, phi(u) - phi(theta*u) or
 phi_i(u^mt_i) - phi_j((theta*u)^mt_j), term by term over Q(zeta_N) and
 reads its order and lowest-order coefficients. The engine reads the same
-data off the branch supports instead; the tests compare the two. The two
-series operations it needs, u -> theta*u and the difference, live here
-too: no engine code needs them.
+data off the branch supports instead; the tests compare the two. The three
+series operations it needs, u -> u^k, u -> theta*u and the difference,
+live here too: no engine code needs them.
 
 contact_leading is a third route to a contact difference's leading data:
 one theta at a time, up the merged rescaled supports, with no series and
@@ -33,14 +33,21 @@ from c5cone import (
     order,
     plane_from_vectors,
     root_of_unity,
-    substitute_power,
-    tangent_direction,
 )
 from c5cone.auxiliary import _duplicate
 from c5cone.c5 import Span
 from c5cone.geometry import cached
 from c5cone.scalar import CycloScalar
 from c5cone.series import CoordinateSeries, Parametrization
+
+
+def substitute_power(p: Parametrization, k: int) -> Parametrization:
+    """u -> u^k: every exponent is multiplied by k, coefficients unchanged."""
+    if k < 1:
+        raise ValueError(f"power substitution needs k >= 1, got {k}")
+    return Parametrization(
+        CoordinateSeries((e * k, c) for e, c in series.terms) for series in p.coords
+    )
 
 
 def substitute_scale(p: Parametrization, theta: CycloScalar) -> Parametrization:
@@ -98,13 +105,13 @@ def characteristic_reference(b, k) -> Reference:
             f"branch {b.label} is invariant under u -> theta*u", label=b.label
         )
     m_theta, lowest, v_theta = _lowest(diff)
-    plane = plane_from_vectors(tangent_direction(b), v_theta)
+    plane = plane_from_vectors(b.tangent, v_theta)
     return Reference(m_theta, lowest, v_theta, plane, theta)
 
 
 def contact_reference(bi, bj, k) -> Reference:
     lcm = math.lcm(bi.m, bj.m)
-    ti, tj = tangent_direction(bi), tangent_direction(bj)
+    ti, tj = bi.tangent, bj.tangent
     if ti == tj and not bi.special_coords & bj.special_coords:
         raise IncompatibleSystem(bi.label, bj.label)
     theta = root_of_unity(common_conductor(bi.conductor, bj.conductor), lcm, k)
@@ -193,7 +200,7 @@ class PerClassAnalysis(Analysis):
         c = self.curve
         if len(c.branches) == 1 and c.branches[0].m == 1:
             b = c.branches[0]
-            return C5Cone(1, (tangent_direction(b),), ((("tangent", (b.label,), -1),),))
+            return C5Cone(1, (b.tangent,), ((("tangent", (b.label,), -1),),))
         found = {}  # key -> (plane, descriptors)
         source = {}  # (kind, labels) -> its rank in span order
         for span in self.spans:

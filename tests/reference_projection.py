@@ -10,7 +10,11 @@ LinearProjection for every candidate and asks rank_verdict.
 from itertools import product
 
 from c5cone import CycloScalar, LinearProjection, c5_cone, matrix_rank
-from c5cone.projection import GenericityVerdict, _SEARCH_CAP
+from c5cone.projection import GenericityVerdict
+
+# The reference loop's own bound: the engine's search ends by proof, with
+# no cap (find_generic_projection).
+_SEARCH_CAP = 50
 
 
 def rank_verdict(c, proj, cone=None):

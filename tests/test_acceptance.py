@@ -30,7 +30,6 @@ from c5cone import (
     is_c5_generic,
     read_curve,
     sample_secant_directions,
-    tangent_direction,
     verify_projection_invariance,
 )
 from c5cone.cli import main
@@ -272,7 +271,7 @@ def test_criterion_08_bounds_and_class_invariance(capsys, fixtures_dir, fixture_
         assert len(planes) <= b2 <= b1, (
             f"{what}: {len(planes)} planes vs bounds {b2} <= {b1}"
         )
-        tangents = [tangent_direction(b) for b in c.branches]
+        tangents = [b.tangent for b in c.branches]
         for p in planes:
             assert any(p.contains(t) for t in tangents), (
                 f"{what}: a cone plane misses every branch tangent"
@@ -324,7 +323,7 @@ def test_criterion_09_genericity_matches_invariance(capsys):
             while len(projections) < 5:
                 projections.append(random_normal_shape_projection(rng, c.n))
             for proj in projections:
-                generic = is_c5_generic(c, proj, cone=cone).generic
+                generic = is_c5_generic(c, proj).generic
                 invariant = verify_projection_invariance(c, proj)
                 assert generic == invariant, (
                     f"genericity {generic} but invariance {invariant} for "
@@ -381,7 +380,7 @@ def test_criterion_11_numeric_cross_check(capsys, fixtures_dir):
                 f"{name}: sampled secants stray {report.max_plane_distance:.2e} "
                 f"from the cone at radius 1e-3"
             )
-            witnesses = cone_witness_results(c, cone)
+            witnesses = cone_witness_results(c)
             assert len(witnesses) == len(cone.components)
             for w in witnesses:
                 assert not w.skipped, f"{name}: witness {w.labels} k={w.k} skipped"

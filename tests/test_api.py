@@ -2,6 +2,7 @@
 every other public name still imports from the package root."""
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -42,7 +43,8 @@ def test_names_outside_all_still_import():
 
 def test_second_routes_to_a_fact_are_gone():
     # the cone's Analysis derives each of these facts once; the parallel
-    # paths that derived them again were deleted
+    # paths that derived them again were deleted, and so were the search's
+    # cap, which no input reaches, and the helpers only tests read
     modules = [
         importlib.import_module(f"c5cone.{info.name}")
         for info in pkgutil.iter_modules(c5cone.__path__)
@@ -51,7 +53,8 @@ def test_second_routes_to_a_fact_are_gone():
         "contact_leading", "witness_secant_family", "contact_witness_family",
         "diagonal_witness_family", "_coam", "check_compatibility",
         "cyclotomic_polynomial", "characteristic_aux", "contact_aux",
-        "characteristic_records", "contact_records",
+        "characteristic_records", "contact_records", "ProjectionSearchExhausted",
+        "_SEARCH_CAP", "integer_normalized_form", "substitute_power", "tangent_direction",
     ):
         assert not any(hasattr(module, name) for module in [c5cone, *modules]), name
     # Analysis.records is the one record builder
@@ -61,3 +64,11 @@ def test_second_routes_to_a_fact_are_gone():
         assert not hasattr(c5cone.Analysis, name), name
     b = c5cone.curve_from_exponents([[[(2, 1)], [(2, 1), (3, 1)]]]).branches[0]
     assert not hasattr(c5cone.auxiliary._Pair(b, b), "leading")
+
+
+def test_consumers_take_no_cone():
+    # each reads c's own cone, or the analysis of c it is handed; a cone
+    # of another curve has no side door in
+    for consumer in (c5cone.is_c5_generic, c5cone.find_generic_projection,
+                     c5cone.cone_witness_results):
+        assert "cone" not in inspect.signature(consumer).parameters, consumer.__name__

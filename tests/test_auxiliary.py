@@ -23,7 +23,6 @@ from c5cone import (
     coam,
     curve_from_exponents,
     profile,
-    tangent_direction,
     zeta,
 )
 from c5cone.auxiliary import _duplicate, _Pair
@@ -73,7 +72,7 @@ def test_characteristic_records_with_higher_group(load):
 def test_characteristic_record_planes_contain_tangent(load):
     c = load("four_branches")
     for b in c.branches:
-        t = tangent_direction(b)
+        t = b.tangent
         for rec in records_of(c, b.label):
             assert rec.plane.contains(t)
             assert rec.plane.contains(rec.v_theta)
@@ -217,7 +216,7 @@ def test_tangent_pair_without_common_special_coordinate_is_rejected():
         [[(2, Fraction(1, 2)), (7, 1)], [(2, 1)], [(7, 1)]],
     ])
     bi, bj = c.branches
-    assert tangent_direction(bi) == tangent_direction(bj)
+    assert bi.tangent == bj.tangent
     assert not bi.special_coords & bj.special_coords
     for call in (
         lambda: coam(bi, bj),

@@ -24,7 +24,6 @@ from c5cone import (
     classify,
     curve_from_exponents,
     geometry,
-    integer_normalized_form,
     polynomial_text,
     product_equation,
     oracle,
@@ -32,8 +31,8 @@ from c5cone import (
     profile,
     read_curve,
     sigma,
-    tangent_direction,
 )
+from c5cone.c5 import integer_form
 from c5cone.cli import component_equations, main, variable_names
 from c5cone.geometry import Plane
 from pencil_curves import TWO_TANGENT_CLASSES, document, pencil_pairs
@@ -169,7 +168,7 @@ def test_smooth_branch_cone_is_the_tangent_line(load):
         cone = c5_cone(c)
         assert cone.dimension == 1
         assert len(cone.components) == 1
-        assert cone.components[0] == tangent_direction(c.branches[0])
+        assert cone.components[0] == c.branches[0].tangent
         assert cone.provenance == ((("tangent", ("b1",), -1),),)
 
 
@@ -177,7 +176,7 @@ def test_every_plane_contains_a_branch_tangent():
     rng = random.Random(12)
     for _ in range(30):
         c, cone = random_curve_with_cone(rng)
-        tangents = [tangent_direction(b) for b in c.branches]
+        tangents = [b.tangent for b in c.branches]
         for comp in cone.components:
             if isinstance(comp, Plane):
                 assert any(comp.contains(t) for t in tangents)
@@ -195,12 +194,12 @@ def test_integer_normalized_form_clears_denominators():
         CycloScalar.rational(1),
         CycloScalar.rational(Fraction(-1, 2)),
     )
-    assert [e.text() for e in integer_normalized_form(form)] == ["0", "2", "-1"]
+    assert integer_form(form) == (0, 2, -1)
 
 
 def test_integer_normalized_form_makes_leading_positive():
     form = (CycloScalar.rational(Fraction(-2, 3)), CycloScalar.rational(4))
-    assert [e.text() for e in integer_normalized_form(form)] == ["1", "-6"]
+    assert integer_form(form) == (1, -6)
 
 
 def test_product_equation_of_mixed_curve(load):
@@ -426,7 +425,7 @@ def _reference_outcome(c):
     pair's IncompatibleSystem, else the first error raised."""
     b, *rest = c.branches
     if not rest and b.m == 1:
-        return 1, [tangent_direction(b).key()]
+        return 1, [b.tangent.key()]
     cls = classify(c)
     keys = {
         characteristic_reference(b, k).plane.key()
@@ -444,7 +443,7 @@ def _reference_outcome(c):
     if errors:
         return _error(min(errors, key=lambda exc: not isinstance(exc, IncompatibleSystem)))
     for i, j in sorted(cls.NT):
-        tangents = (tangent_direction(c.branches[i]), tangent_direction(c.branches[j]))
+        tangents = (c.branches[i].tangent, c.branches[j].tangent)
         keys.add(plane_from_vectors(*tangents).key())
     return 2, sorted(keys)
 

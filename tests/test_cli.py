@@ -200,6 +200,20 @@ def test_project_kernel_text_rendering(capsys, fixtures_dir):
     assert "kernel meets component V(y)" in out
 
 
+@pytest.mark.parametrize("kernel, width", [("[[1,2]]", 2), ("[[]]", 0)])
+def test_project_kernel_of_another_width_exits_two(capsys, fixtures_dir, kernel, width):
+    # the width is checked before the rank, which such rows misstate
+    code, out, err = run(
+        capsys, "project", fixture(fixtures_dir, "space_cusp"), "--kernel", kernel
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "DimensionMismatch",
+        "detail": f"--kernel rows need 3 entries, got {width}",
+        "dims": [width, 3],
+    }
+
+
 def test_project_auto_emits_image_document(capsys, fixtures_dir):
     code, data, _ = run_json(
         capsys,
@@ -552,6 +566,23 @@ def test_verify_rejects_wrong_override_planes(capsys, fixtures_dir):
     assert data["pass"] is False
     assert data["witness_families"] == []
     assert data["max_plane_distance"] > 0.5
+
+
+def test_verify_rejects_override_planes_of_another_width(capsys, fixtures_dir):
+    # 2-entry rows on a 3-space curve: each sampled direction would be cut
+    # to two entries and pass against them
+    code, out, err = run(
+        capsys,
+        "verify",
+        fixture(fixtures_dir, "space_cusp"),
+        "--override-planes", "[[1,0],[0,1]]",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "DimensionMismatch",
+        "detail": "a cone component lives in dimension 2, the curve in 3",
+        "dims": [2, 3],
+    }
 
 
 def test_verify_override_needs_row_pairs(capsys, fixtures_dir):

@@ -2,11 +2,13 @@
 the stacked-kernel rank test they replaced (tests/reference_projection.py)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from c5cone import (
     DependentVectors,
+    Direction,
     EngineError,
     LinearProjection,
     NoCommonSpecialCoordinate,
@@ -18,6 +20,7 @@ from c5cone import (
     null_space,
     zeta,
 )
+from c5cone.c5 import Span
 from c5cone.geometry import Plane
 from random_curves import (
     engineered_nongeneric_projection,
@@ -85,7 +88,7 @@ def test_determinant_agrees_with_rank_oracle_on_fixtures(load, fixture_names):
             except NoCommonSpecialCoordinate:
                 pass
         for proj in projections:
-            assert verdict_texts(is_c5_generic(c, proj, cone)) == verdict_texts(
+            assert verdict_texts(is_c5_generic(c, proj)) == verdict_texts(
                 rank_verdict(c, proj, cone)
             ), (name, texts(proj.matrix))
             checked += 1
@@ -101,7 +104,7 @@ def test_determinant_agrees_with_rank_oracle_on_random_pairs():
             continue
         lines += cone.dimension == 1
         for proj in probe_projections(c, cone, rng):
-            verdict = is_c5_generic(c, proj, cone)
+            verdict = is_c5_generic(c, proj)
             assert verdict_texts(verdict) == verdict_texts(rank_verdict(c, proj, cone))
             pairs += 1
             generic += verdict.generic
@@ -116,7 +119,7 @@ def test_engineered_kernels_agree_with_rank_oracle():
         cone = c5_cone(c)
         for component in cone.components:
             proj = engineered_nongeneric_projection(component)
-            verdict = is_c5_generic(c, proj, cone)
+            verdict = is_c5_generic(c, proj)
             assert not verdict.generic
             assert verdict_texts(verdict) == verdict_texts(rank_verdict(c, proj, cone))
 
@@ -151,7 +154,7 @@ def test_a_line_off_the_kernel_keeps_every_candidate():
     assert cone.dimension == 1
     found = find_generic_projection(c)
     assert texts(found.matrix) == [["1", "0", "0"], ["0", "1", "1"]]
-    assert is_c5_generic(c, found, cone).generic
+    assert is_c5_generic(c, found).generic
     assert rank_verdict(c, found, cone).generic
 
 
@@ -187,7 +190,7 @@ def _cone_error(c):
 def test_span_search_equals_the_canonical_cone_search(load, fixture_names):
     # the search reads each plane off the spans that collect it; the
     # reference reads the canonical cone by the rank test: same projection
-    # (and the same when the search is handed the canonical cone),
+    # (and the same when the search is handed the canonical bases as spans),
     # on the curve and on a branch-permuted copy, and the cone's own error
     # where the cone has one
     rng = random.Random(29)
@@ -224,7 +227,11 @@ def test_span_search_equals_the_canonical_cone_search(load, fixture_names):
             else:
                 assert got == texts(reference_search(each).matrix)
                 # the basis rows of the canonical planes are spans too
-                assert texts(find_generic_projection(each, c5_cone(each)).matrix) == got
+                bases = SimpleNamespace(spans=[
+                    Span(Direction(p.basis[0]), p.basis[1], ())
+                    for p in c5_cone(each).components if isinstance(p, Plane)
+                ])
+                assert texts(find_generic_projection(each, bases).matrix) == got
         searched += error is None
         if searched >= 200 and index >= len(fixtures):
             break

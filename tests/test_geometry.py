@@ -25,7 +25,6 @@ from c5cone import (
     plane_equations,
     plane_from_vectors,
     rref,
-    tangent_direction,
     zeta,
 )
 from fractions import Fraction
@@ -222,9 +221,9 @@ def test_branch_rejects_shared_exponent_factor():
 
 def test_tangent_direction_collects_order_m_terms():
     c = curve_from_exponents([[[(1, 1)], [(1, 2)], [(1, 1)]]])
-    assert tangent_direction(c.branches[0]).key() == ("1", "2", "1")
+    assert c.branches[0].tangent.key() == ("1", "2", "1")
     c = curve_from_exponents([[[(4, 1)], [(3, 1)], [(5, 1)]]])
-    assert tangent_direction(c.branches[0]).key() == ("0", "1", "0")
+    assert c.branches[0].tangent.key() == ("0", "1", "0")
 
 
 def test_curve_embeds_all_branches_in_one_conductor():

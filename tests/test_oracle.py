@@ -6,14 +6,19 @@ import random
 import pytest
 
 from c5cone import (
+    C5Cone,
+    CycloScalar,
     DegenerateSecant,
+    DimensionMismatch,
     FloatingPointUnderflow,
+    Plane,
     c5_cone,
     cone_witness_results,
     curve_from_exponents,
     default_u_values,
     sample_secant_directions,
 )
+from c5cone import oracle
 from c5cone.oracle import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
@@ -99,7 +104,7 @@ def test_diagonal_witness_spans_two_branches(load):
 def test_cone_witnesses_align_with_components(load):
     c = load("four_branches")
     cone = c5_cone(c)
-    witnesses = cone_witness_results(c, cone)
+    witnesses = cone_witness_results(c)
     assert len(witnesses) == len(cone.components)
     assert [(w.kind, w.labels, w.k) for w in witnesses] == [
         ("characteristic", ("b1",), 2),
@@ -200,6 +205,18 @@ def test_sampling_validates_radii(load):
         sample_secant_directions(c, k=0)
 
 
+def test_sampling_rejects_components_of_another_dimension(load, monkeypatch):
+    # a plane of C^2 against a curve in C^3: the sampler would measure
+    # each direction by its first two entries only
+    c = load("space_cusp")
+    plane = Plane([[CycloScalar.rational(v) for v in row] for row in ((1, 0), (0, 1))])
+    cone = C5Cone(2, (plane,), ((),))
+    monkeypatch.setattr(oracle, "_sample_batch", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(DimensionMismatch) as exc:
+        sample_secant_directions(c, k=10, cone=cone)
+    assert exc.value.payload == {"dims": [2, 3]}
+
+
 def test_high_multiplicity_sampling_raises_underflow():
     c = curve_from_exponents([[150, [(151, 1)]]])
     with pytest.raises(FloatingPointUnderflow) as exc:
@@ -225,8 +242,8 @@ def _seed7_curves(count):
 def test_noise_floor_distances_count_as_converged():
     # curve 15 of seed 7: a non-tangent family already at the target to
     # double precision, whose last distances read 0, 0, 2.1e-8
-    c, cone = _seed7_curves(16)[15]
-    (w,) = [w for w in cone_witness_results(c, cone) if w.kind == "non-tangent"]
+    c, _ = _seed7_curves(16)[15]
+    (w,) = [w for w in cone_witness_results(c) if w.kind == "non-tangent"]
     tail = w.target_distances[-3:]
     assert not tail[0] >= tail[1] >= tail[2]  # the strict test fails on noise
     assert max(tail) < 3e-8
@@ -235,8 +252,8 @@ def test_noise_floor_distances_count_as_converged():
 
 
 def test_non_tangent_families_converge_on_random_curves():
-    for index, (c, cone) in enumerate(_seed7_curves(200)):
-        for w in cone_witness_results(c, cone):
+    for index, (c, _) in enumerate(_seed7_curves(200)):
+        for w in cone_witness_results(c):
             if w.kind == "non-tangent":
                 assert w.monotone, (index, w.target_distances)
                 assert w.final_plane_distance <= DEFAULT_TOLERANCE, index

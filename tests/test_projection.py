@@ -1,8 +1,10 @@
 """Plane projections: genericity against the cone and profile invariance."""
 
-import json
+import math
 import random
 import time
+from itertools import chain, count, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,20 +12,19 @@ from c5cone import (
     CycloScalar,
     DependentVectors,
     DimensionMismatch,
+    Direction,
     LinearProjection,
     NoCommonSpecialCoordinate,
     NonPrimitiveParametrization,
-    ProjectionSearchExhausted,
     apply_projection,
     c5_cone,
     characteristic_exponents,
     curve_from_exponents,
     find_generic_projection,
     is_c5_generic,
-    projection,
     verify_projection_invariance,
 )
-from c5cone.cli import main
+from c5cone.c5 import Span
 from c5cone.geometry import Curve, Plane
 from random_curves import engineered_nongeneric_projection, random_space_branch_curve
 
@@ -115,7 +116,7 @@ def test_engineered_kernels_hit_their_component():
         planes = [comp for comp in cone.components if isinstance(comp, Plane)]
         for comp in planes:
             p = engineered_nongeneric_projection(comp)
-            assert not is_c5_generic(c, p, cone=cone).generic
+            assert not is_c5_generic(c, p).generic
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +201,37 @@ def test_disjoint_special_coordinates_are_rejected():
         find_generic_projection(c)
 
 
-def test_exhausted_search_exits_two_naming_its_cap(
-    load, monkeypatch, capsys, fixtures_dir
-):
-    # the all-ones candidate, tried before the capped ones, is not generic here
-    c = load("m16_four_planes")
-    ones = LinearProjection([[1, 0, 0], [0, 1, 1]])
-    assert not is_c5_generic(c, ones).generic
-    monkeypatch.setattr(projection, "_SEARCH_CAP", 0)
-    with pytest.raises(ProjectionSearchExhausted) as caught:
-        find_generic_projection(c)
-    assert caught.value.payload == {"search_cap": 0}
-    path = str(fixtures_dir / "m16_four_planes.json")
-    assert main(["project", path, "--auto", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    diagnostic = json.loads(captured.err)
-    assert diagnostic["error"] == "ProjectionSearchExhausted"
-    assert diagnostic["search_cap"] == 0
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_search_ends_within_its_bound(K):
+    # s = 0: the span of e_0 and (0, -q, p) has w = (0, -q, p), so it
+    # rejects exactly the lambda parallel to (p, q). One span per primitive
+    # (p, q) of max-norm <= K rejects every candidate up to max-norm K, and
+    # P such spans leave a candidate by max-norm ceil(P/2).
+    c = curve_from_exponents([[2, [(3, 1)], [(5, 1)]]])
+    rejected = set()
+    for p, q in product(range(-K, K + 1), repeat=2):
+        if (p, q) != (0, 0):
+            g = math.gcd(p, q) * (1 if (p or q) > 0 else -1)
+            rejected.add((p // g, q // g))
+    spans = [
+        Span(
+            Direction(CycloScalar.rational(v) for v in (1, 0, 0)),
+            tuple(CycloScalar.rational(v) for v in (0, -q, p)),
+            (),
+        )
+        for p, q in sorted(rejected)
+    ]
+    bound = -(-len(rejected) // 2)
+    shells = (
+        lam
+        for norm in count(1)
+        for lam in product(range(-norm, norm + 1), repeat=2)
+        if max(map(abs, lam)) == norm
+    )
+    first = next(
+        lam for lam in chain([(1, 1)], shells)
+        if all(p * lam[1] != q * lam[0] for p, q in rejected)
+    )
+    assert max(map(abs, first)) == K + 1 <= bound
+    found = find_generic_projection(c, SimpleNamespace(spans=spans))
+    assert texts(found.matrix) == [["1", "0", "0"], ["0", *map(str, first)]]

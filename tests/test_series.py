@@ -13,11 +13,10 @@ from c5cone import (
     is_primitive,
     order,
     puiseux_form_check,
-    substitute_power,
     zeta,
 )
 from c5cone.series import INFINITE
-from reference_aux import substitute_scale, subtract
+from reference_aux import substitute_power, substitute_scale, subtract
 
 
 def series(terms):

@@ -14,7 +14,10 @@ fixtures of the new tree, so both sides see the same files:
   so the two runs with --json compare that rejection; on the fixtures
   only, also --samples 1, and --samples 1000 over the four radii 0.1,
   0.01, 0.001, 0.0001, the sampler's batch edges and pruned radii;
-* compare over every ordered pair of fixtures.
+* compare over every ordered pair of fixtures;
+* verify --override-planes with each fixture's own cone planes, as the
+  new tree's analyze --json prints them, where every basis entry is
+  rational (the flag takes no other) and the cone is not a line.
 
 The same analyze, project and verify invocations then run on generated
 curves, each also compared with itself and, as the benchmark's compare
@@ -56,6 +59,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 
 SEED = 101
@@ -95,6 +99,31 @@ def invocations(fixtures: pathlib.Path) -> list:
         out.append(["verify", str(path), "--samples", "1000",
                     "--radii", "0.1", "0.01", "0.001", "0.0001"])
     out += [["compare", str(a), str(b), "--json"] for a in paths for b in paths]
+    return out
+
+
+def _rational(text: str) -> bool:
+    try:
+        Fraction(text)
+    except ValueError:
+        return False
+    return True
+
+
+def override_invocations(tree: pathlib.Path) -> list:
+    """verify --override-planes of each of the tree's fixtures with its own
+    cone planes, read off the tree's analyze --json; none for a fixture
+    whose cone is a line or has a basis entry outside Q."""
+    paths = sorted((tree / "fixtures").glob("*.json"))
+    results, _, _ = _run(tree, [["analyze", str(path), "--json"] for path in paths])
+    out = []
+    for path, (code, stdout, _) in zip(paths, results):
+        cone = json.loads(stdout)["cone"] if code == 0 else None
+        if cone is None or cone["dimension"] != 2:
+            continue
+        rows = [row for component in cone["components"] for row in component["basis"]]
+        if all(_rational(e) for row in rows for e in row):
+            out.append(["verify", str(path), "--override-planes", json.dumps(rows)])
     return out
 
 
@@ -243,7 +272,8 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old, new = (pathlib.Path(p).resolve() for p in argv)
-    differences = _diff(old, new, invocations(new / "fixtures"), "fixtures")
+    calls = invocations(new / "fixtures") + override_invocations(new)
+    differences = _diff(old, new, calls, "fixtures")
     with tempfile.TemporaryDirectory() as tmp:
         paths = generated_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "generated curves")
