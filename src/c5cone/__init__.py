@@ -15,6 +15,7 @@ from .c5 import (
     bound1,
     bound2,
     c5_cone,
+    component_forms,
     polynomial_text,
     product_equation,
     sigma,
@@ -61,7 +62,6 @@ from .geometry import (
     curve,
     matrix_rank,
     null_space,
-    plane_equations,
     plane_from_vectors,
     rref,
 )

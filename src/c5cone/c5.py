@@ -27,7 +27,8 @@ from .geometry import (
     cached,
     check_tangent_pair,
     classify,
-    plane_equations,
+    component_rows,
+    null_space,
     plane_from_vectors,
 )
 from .scalar import CycloScalar, root_of_unity
@@ -347,6 +348,13 @@ def integer_form(form) -> Optional[tuple]:
     return tuple(v // g for v in ints)
 
 
+def component_forms(component) -> list:
+    """The linear forms (covectors) vanishing exactly on a cone component,
+    in canonical (RREF) order, each with rational entries scaled to
+    coprime ints (integer_form): n - 2 for a plane, n - 1 for a line."""
+    return [integer_form(eq) or eq for eq in null_space(component_rows(component))]
+
+
 def _poly_mul_form(poly: dict, form: tuple) -> dict:
     out = {}
     for monomial, coeff in poly.items():
@@ -367,9 +375,9 @@ def _poly_mul_form(poly: dict, form: tuple) -> dict:
 
 def product_equation(cone: C5Cone) -> dict:
     """Expanded product of the defining linear forms of a 3-space cone,
-    as {exponent triple: coefficient}. A form with rational entries is
-    scaled to coprime ints first (integer_form), so the graded-lex leading
-    coefficient is positive (1 in the fixtures)."""
+    as {exponent triple: coefficient}. The forms are component_forms', so
+    one with rational entries is scaled to coprime ints and the graded-lex
+    leading coefficient is positive (1 in the fixtures)."""
     if cone.dimension != 2 or any(p.n != 3 for p in cone.components):
         n = cone.components[0].n if cone.components else 0
         raise UnsupportedDimension(
@@ -377,39 +385,43 @@ def product_equation(cone: C5Cone) -> dict:
         )
     poly = {(0, 0, 0): CycloScalar.rational(1)}
     for plane in cone.components:
-        (form,) = plane_equations(plane)
-        poly = _poly_mul_form(poly, integer_form(form) or form)
+        poly = _poly_mul_form(poly, component_forms(plane)[0])
     return poly
 
 
-def graded_lex_order(monomial: tuple) -> tuple:
-    return (-sum(monomial), tuple(-e for e in monomial))
+def terms_text(terms) -> str:
+    """The sum of c*body over the (c, body) pairs as text, e.g. 'y - 2*z'.
+    c is a CycloScalar, int or Fraction. A zero c is skipped, 1 and -1
+    print as a sign, any other rational bare and any other scalar in
+    parentheses, as its text() spells it; an empty body prints c alone.
+    A part that starts with '-' joins with ' - '."""
+    out = ""
+    for c, body in terms:
+        if isinstance(c, CycloScalar):  # a rational value, else its text
+            c = c.rational_value() if c.is_rational() else f"({c.text()})"
+        if c == 0:
+            continue
+        if not body:
+            part = str(c)
+        elif c == 1:
+            part = body
+        elif c == -1:
+            part = f"-{body}"
+        else:
+            part = f"{c}*{body}"
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += f" - {part[1:]}"
+        else:
+            out += f" + {part}"
+    return out or "0"
 
 
 def polynomial_text(poly: dict, names=("x", "y", "z")) -> str:
     """Render {exponents: coefficient} with monomials in graded-lex order,
-    highest first."""
-    if not poly:
-        return "0"
-    parts = []
-    for monomial in sorted(poly, key=graded_lex_order):
-        coeff = poly[monomial]
-        factors = []
-        for name, e in zip(names, monomial):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        ctext = coeff.text()
-        if not body:
-            parts.append(ctext)
-        elif ctext == "1":
-            parts.append(body)
-        elif ctext == "-1":
-            parts.append(f"-{body}")
-        elif coeff.is_rational():
-            parts.append(f"{ctext}*{body}")
-        else:
-            parts.append(f"({ctext})*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    highest first, as terms_text spells each term."""
+    return terms_text(
+        (poly[m], "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, m) if e))
+        for m in sorted(poly, key=lambda m: (sum(m), m), reverse=True)
+    )

@@ -29,9 +29,10 @@ from .c5 import (
     C5Cone,
     bound1,
     bound2,
-    integer_form,
+    component_forms,
     polynomial_text,
     product_equation,
+    terms_text,
 )
 from .documents import _canonical_json, dumps_document, read_curve, to_document
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     InvalidDocument,
     InvalidSamplingParameter,
 )
-from .geometry import Curve, Plane, component_rows, null_space
+from .geometry import Curve, Plane, component_rows
 from .invariants import bilipschitz_equivalent
 from .oracle import (
     DEFAULT_RADII,
@@ -78,37 +79,12 @@ def _row_texts(row):
 def form_text(form, names) -> str:
     """Linear form as readable text, e.g. 'y - 2*z'. Entries are scalars
     or rationals (int or Fraction)."""
-    parts = []
-    for c, name in zip(form, names):
-        if isinstance(c, CycloScalar):
-            if not c.is_rational():
-                parts.append(f"({c.text()})*{name}")
-                continue
-            c = c.rational_value()
-        if c == 0:
-            continue
-        if c == 1:
-            text = name
-        elif c == -1:
-            text = f"-{name}"
-        else:
-            text = f"{c}*{name}"
-        parts.append(text)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += f" - {part[1:]}"
-        else:
-            out += f" + {part}"
-    return out
+    return terms_text(zip(form, names))
 
 
 def component_equations(component, names):
     """Equation texts of a cone component (plane or line)."""
-    rows = component_rows(component)
-    return [form_text(integer_form(eq) or eq, names) for eq in null_space(rows)]
+    return [form_text(form, names) for form in component_forms(component)]
 
 
 def component_json(component, names, equations=None):
@@ -412,22 +388,6 @@ def cmd_project(args) -> int:
 # verify
 
 
-def _witness_json(w) -> dict:
-    return {
-        "kind": w.kind,
-        "labels": list(w.labels),
-        "k": w.k,
-        "group_order": w.group_order,
-        "k_theta": w.k_theta,
-        "u_values": list(w.u_values),
-        "target_distances": list(w.target_distances),
-        "plane_distances": list(w.plane_distances),
-        "monotone": w.monotone,
-        "skipped": w.skipped,
-        "skip_reason": w.skip_reason,
-    }
-
-
 def cmd_verify(args) -> int:
     c = read_curve(args.file)
     # bad flags, and leading terms that underflow doubles at the smallest
@@ -491,7 +451,7 @@ def cmd_verify(args) -> int:
         "degenerate_resampled": report.degenerate_count,
         "component_attained": attained,
         "component_min_distance": list(report.component_min),
-        "witness_families": [_witness_json(w) for w in witnesses],
+        "witness_families": [w._asdict() for w in witnesses],
         "tolerance": tol,
         "pass": passed,
     }

@@ -219,25 +219,22 @@ def _canonical_json(obj, allow_nan: bool = True) -> str:
     and None; anything else raises TypeError as json does.
 
     json falls back to its pure-Python encoder whenever indent is set.
-    Here strings go through json's C escaper, a list of strings is one
-    join, and a list object met again at the same depth reuses its text:
-    records of one root order share their v_theta and plane lists.
+    Here strings go through json's C escaper and a list of strings is one
+    join.
     """
     return _Writer(allow_nan).value(obj, 0)
 
 
 class _Writer:
-    """The state of one _canonical_json call: the encoded dict keys, and
-    the text of each list by (id, depth). The memo lives for that call
-    only, while obj holds every list it names, so no id is reused. Methods,
-    not nested functions: closures that call each other form a reference
-    cycle, which would keep the texts alive until the next collection."""
+    """The state of one _canonical_json call: the encoded dict keys.
+    Methods, not nested functions: closures that call each other form a
+    reference cycle, which would keep the texts alive until the next
+    collection."""
 
-    __slots__ = ("allow_nan", "memo", "keys")
+    __slots__ = ("allow_nan", "keys")
 
     def __init__(self, allow_nan: bool):
         self.allow_nan = allow_nan
-        self.memo = {}
         self.keys = {}
 
     def value(self, o, depth: int) -> str:
@@ -256,11 +253,7 @@ class _Writer:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            memo = self.memo
-            text = memo.get((id(o), depth))
-            if text is None:
-                text = memo[id(o), depth] = self.array(o, depth + 1)
-            return text
+            return self.array(o, depth + 1)
         if isinstance(o, dict):
             if not o:
                 return "{}"

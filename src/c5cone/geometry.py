@@ -8,7 +8,6 @@ epsilon anywhere: the coefficient field is exact.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
 from .scalar import CycloScalar, common_conductor
 from .series import (
     Parametrization,
-    is_primitive,
+    exponent_gcd,
     puiseux_form_check,
 )
 
@@ -229,12 +228,6 @@ def component_rows(component) -> tuple:
     return component.basis if isinstance(component, Plane) else (component.vec,)
 
 
-def plane_equations(p: Plane):
-    """n-2 independent linear forms (covectors) vanishing exactly on p,
-    in canonical order."""
-    return [tuple(row) for row in null_space([list(r) for r in p.basis])]
-
-
 # ---------------------------------------------------------------------------
 # Branches and curves.
 
@@ -245,12 +238,9 @@ class Branch:
 
     __slots__ = ("param", "m", "special_coords", "label", "conductor", "tangent")
 
-    def __init__(self, param: Parametrization, label: str = "b", conductor: int | None = None):
+    def __init__(self, param: Parametrization, label: str = "b"):
         form = _validated(param, label)
-        target = form.conductor
-        if conductor is not None:
-            target = common_conductor(target, conductor)
-        self._fill(form, target)
+        self._fill(form, form.conductor)
 
     def _fill(self, form: "_Validated", conductor: int) -> None:
         """Take the fields of a validated parametrization, its coefficients
@@ -307,11 +297,8 @@ class _Validated:
 def _validated(param: Parametrization, label: str) -> _Validated:
     """Check that param is a primitive Puiseux-form parametrization whose
     conductor stays within the cap, raising the engine error otherwise."""
-    if not is_primitive(param):
-        g = 0
-        for series in param.coords:
-            for e, _ in series.terms:
-                g = math.gcd(g, e)
+    g = exponent_gcd(param)
+    if g != 1:
         raise NonPrimitiveParametrization(
             f"branch {label}: all exponents share the factor {g}",
             label=label,

@@ -142,6 +142,9 @@ class EquivalenceVerdict(NamedTuple):
 def bilipschitz_equivalent(x: Curve, y: Curve) -> EquivalenceVerdict:
     """Search for a branch bijection matching every characteristic set and
     every pairwise contact sequence; first witness in lexicographic order.
+    Each branch's candidates are the branches of y with its signature
+    (ChAM and sorted CoAMs), and curves whose signatures differ as
+    multisets are told apart before any search.
 
     Ambient dimensions may differ: only the multiplicity data is compared.
     """
@@ -154,12 +157,26 @@ def bilipschitz_equivalent(x: Curve, y: Curve) -> EquivalenceVerdict:
     if px.r != py.r:
         return EquivalenceVerdict(False, None)
     r = px.r
-    candidates = [
-        [j for j in range(r) if py.chams[j] == px.chams[i]] for i in range(r)
-    ]
 
     def pair_key(a: int, b: int):
         return (a, b) if a < b else (b, a)
+
+    def signatures(p: InvariantProfile) -> list:
+        """Per branch, its ChAM and its sorted CoAMs to every other branch:
+        a bijection that keeps the profile keeps each branch's signature."""
+        coams = [[] for _ in range(r)]
+        for (a, b), sequence in p.coams.items():
+            coams[a].append(sequence)
+            coams[b].append(sequence)
+        return [(cham, tuple(sorted(found))) for cham, found in zip(p.chams, coams)]
+
+    by_signature = {}  # signature -> the branches of y that have it, ascending
+    for j, signature in enumerate(signatures(py)):
+        by_signature.setdefault(signature, []).append(j)
+    candidates = [by_signature.get(signature, ()) for signature in signatures(px)]
+    # the multisets agree iff each signature has as many branches in x as in y
+    if any(len(found) != candidates.count(found) for found in candidates):
+        return EquivalenceVerdict(False, None)
 
     assignment = [None] * r
     used = [False] * r

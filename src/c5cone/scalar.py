@@ -383,13 +383,7 @@ class CycloScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        if a._terms == b._terms:
-            # common fast path (direction normalization divides an entry by itself)
-            if a.is_zero():
-                raise DivisionByZero("0/0 in a cyclotomic field")
-            return CycloScalar.rational(1, a.conductor)
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

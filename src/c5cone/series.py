@@ -123,15 +123,21 @@ def order(p: Parametrization):
     return min(c.order() for c in p.coords)
 
 
-def is_primitive(p: Parametrization) -> bool:
-    """True iff the gcd of all exponents carrying a nonzero coefficient is 1."""
+def exponent_gcd(p: Parametrization) -> int:
+    """The gcd of all exponents carrying a nonzero coefficient; 0 for the
+    zero parametrization. The walk ends at the first 1."""
     g = 0
     for series in p.coords:
         for e, _ in series.terms:
             g = math.gcd(g, e)
             if g == 1:
-                return True
-    return g == 1
+                return g
+    return g
+
+
+def is_primitive(p: Parametrization) -> bool:
+    """True iff the gcd of all exponents carrying a nonzero coefficient is 1."""
+    return exponent_gcd(p) == 1
 
 
 def puiseux_form_check(p: Parametrization):

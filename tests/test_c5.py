@@ -31,9 +31,11 @@ from c5cone import (
     profile,
     read_curve,
     sigma,
+    write_curve,
+    zeta,
 )
 from c5cone.c5 import integer_form
-from c5cone.cli import component_equations, main, variable_names
+from c5cone.cli import component_equations, form_text, main, variable_names
 from c5cone.geometry import Plane
 from pencil_curves import TWO_TANGENT_CLASSES, document, pencil_pairs
 from random_curves import random_curve, random_curve_with_cone
@@ -216,6 +218,38 @@ def test_product_equation_degree_matches_plane_count(load):
     assert max(sum(e) for e in poly) == len(cone.components)
     text = polynomial_text(poly)
     assert text == "y*z"
+
+
+def test_product_equation_spells_coefficients_as_the_plane_does(tmp_path, capsys):
+    # the cone is one plane, whose equation has a coefficient outside Q...
+    c = curve_from_exponents([[2, 3, [(3, -1 - zeta(3))]]])
+    path = tmp_path / "curve.json"
+    write_curve(path, c)
+    assert main(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (component,) = [line for line in lines if line.startswith("  component 1: ")]
+    (product,) = [line for line in lines if line.startswith("product equation: ")]
+    equation = component.split("V(", 1)[1].rsplit(") from ", 1)[0]
+    # ...whose text holds a '+ -', which the product keeps too
+    assert "+ -" in equation
+    assert product == f"product equation: {equation}"
+
+
+def test_form_text_is_polynomial_text_of_degree_one():
+    rng = random.Random(23)
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), zeta(3), -zeta(3),
+              -1 - zeta(3), zeta(4) - 2, 1 - zeta(6)]
+    names = ("x", "y", "z")
+    seen = set()
+    for _ in range(400):
+        form = [rng.choice(values) for _ in names]
+        form = [v if isinstance(v, CycloScalar) else CycloScalar.rational(v) for v in form]
+        poly = {m: v for m, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form) if v}
+        text = form_text(form, names)
+        assert text == polynomial_text(poly, names)
+        seen.add((any(not v.is_rational() for v in form), " - " in text))
+    # non-rational forms with a negative later term are among them
+    assert (True, True) in seen
 
 
 def test_product_equation_needs_planes_in_three_space(load):

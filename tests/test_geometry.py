@@ -1,5 +1,6 @@
 """Exact linear algebra, branches, and tangency classification."""
 
+import math
 import random
 
 import pytest
@@ -18,11 +19,11 @@ from c5cone import (
     Plane,
     c5_cone,
     classify,
+    component_forms,
     curve,
     curve_from_exponents,
     matrix_rank,
     null_space,
-    plane_equations,
     plane_from_vectors,
     rref,
     zeta,
@@ -181,14 +182,26 @@ def test_closed_form_planes_reject_parallel_vectors():
         _assert_closed_form_is_rref(w, v)
 
 
-def test_plane_equations_vanish_on_basis():
-    p = plane_from_vectors(Direction(vec(1, 0, 1, 0)), Direction(vec(0, 1, 0, 1)))
-    eqs = plane_equations(p)
-    assert len(eqs) == 2
-    for eq in eqs:
-        for row in p.basis:
-            dot = sum((a * b for a, b in zip(eq, row)), CycloScalar.rational(0))
-            assert dot.is_zero()
+def test_component_forms_vanish_on_basis():
+    plane = plane_from_vectors(Direction(vec(1, 0, 1, 0)), Direction(vec(0, 1, 0, 1)))
+    skew = plane_from_vectors(Direction(vec(1, 0, 2)), Direction(vec(zeta(3), 1, 1)))
+    line = Direction(vec(2, 1, Fraction(1, 3)))
+    for component, n, rows in ((plane, 4, plane.basis), (skew, 3, skew.basis),
+                               (line, 3, (line.vec,))):
+        forms = component_forms(component)
+        # n - 2 forms for a plane, n - 1 for a line, independent
+        assert len(forms) == n - len(rows)
+        assert matrix_rank([list(vec(*f)) for f in forms]) == len(forms)
+        for form in forms:
+            for row in rows:
+                dot = sum((row[i] * e for i, e in enumerate(form)), CycloScalar.rational(0))
+                assert dot.is_zero()
+            # rational forms are coprime ints, leading with a positive entry
+            if all(isinstance(e, int) for e in form):
+                assert math.gcd(*form) == 1 and next(e for e in form if e) > 0
+    assert component_forms(plane) == [(1, 0, -1, 0), (0, 1, 0, -1)]
+    assert component_forms(line) == [(1, 0, -6), (0, 1, -3)]
+    assert not all(isinstance(e, int) for e in component_forms(skew)[0])
 
 
 def test_plane_needs_rank_two():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from c5cone import (
 )
 from c5cone.geometry import Direction
 from random_curves import random_curve, random_plane_branch_curve
+from reference_equivalence import brute_force_equivalent, shared_cham_spec, tangent_family
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +261,63 @@ def test_branch_count_cap():
     lines = curve_from_exponents([[1, [(1, k)]] for k in range(13)])
     with pytest.raises(TooManyBranches):
         bilipschitz_equivalent(lines, lines)
+
+
+# ---------------------------------------------------------------------------
+# the bijection search against all r! bijections
+
+
+def _reference_pairs(rng, count):
+    """Seeded (x, y) curve pairs with r <= 7: relabelled copies, copies
+    with the non-special coordinate scaled, independent draws of branches
+    sharing every ChAM, random curves with a relabelled copy, and the
+    tangent family."""
+    pairs = [tuple(map(curve_from_exponents, tangent_family(r))) for r in range(3, 8)]
+    while len(pairs) < count:
+        r, m = rng.randint(2, 7), rng.randint(1, 3)
+        x = shared_cham_spec(rng, r, m)
+        kind = len(pairs) % 4
+        if kind == 0:
+            y = rng.sample(x, r)
+        elif kind == 1:
+            y = [[m, [(e, 2 * c) for e, c in tail]] for _, tail in rng.sample(x, r)]
+        elif kind == 2:
+            y = shared_cham_spec(rng, r, m)
+        else:
+            c = random_curve(rng, max_n=3, max_r=7, max_m=4, max_exp=12)
+            try:
+                profile(c)
+            except EngineError:
+                continue
+            order = rng.sample(range(len(c.branches)), len(c.branches))
+            pairs.append((c, curve_from_exponents([
+                [list(s.terms) for s in c.branches[i].param.coords] for i in order
+            ])))
+            continue
+        pairs.append((curve_from_exponents(x), curve_from_exponents(y)))
+    return pairs
+
+
+def test_equivalence_matches_brute_force():
+    rng = random.Random(8)
+    verdicts = []
+    for x, y in _reference_pairs(rng, 320):
+        for a, b in ((x, y), (y, x)):
+            verdict = bilipschitz_equivalent(a, b)
+            assert tuple(verdict) == brute_force_equivalent(profile(a), profile(b))
+            verdicts.append(verdict.equivalent)
+    # both verdicts are common, so neither side is checked vacuously
+    assert sum(verdicts) > 200
+    assert len(verdicts) - sum(verdicts) > 100
+
+
+@pytest.mark.parametrize("r", range(7, 13))
+def test_equivalence_of_the_tangent_family_is_fast(r):
+    # r - 2 lines between two tangent branches against r lines: each
+    # partial bijection keeps the ChAMs and the CoAMs until the last branch
+    x, y = map(curve_from_exponents, tangent_family(r))
+    for a, b in ((x, y), (y, x)):
+        start = time.perf_counter()
+        verdict = bilipschitz_equivalent(a, b)
+        assert time.perf_counter() - start < 0.1
+        assert verdict == (False, None)

@@ -242,6 +242,8 @@ def test_text_round_trip_readable():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         CycloScalar.rational(1) / CycloScalar.rational(0)
+    with pytest.raises(DivisionByZero):
+        CycloScalar.rational(0, conductor=12) / CycloScalar.rational(0)
 
 
 # ---------------------------------------------------------------------------

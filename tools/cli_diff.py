@@ -35,6 +35,13 @@ spans merge: tangent pairs at m = 60 and 120 whose contact classes form
 pencils (off_pivot_independent at m = 60 only), and curves whose
 non-tangent pairs share two tangent classes.
 
+A last set runs analyze, with and without --json and --reps, of
+SPELLING, a curve whose one plane has a coefficient whose text holds
+'+ -' (the product equation must spell it as the plane equation does),
+and compare, both ways round, of the pair of the new tree's
+tests/reference_equivalence.py tangent_family at r = 8, where a search
+pruned by ChAM and placed CoAMs alone visits about r! bijections.
+
 Each tree runs all invocations in one process of its own, through
 c5cone.cli.main with stdout and stderr captured. Each set of invocations
 runs ROUNDS times per tree, the trees interleaved and the one that goes
@@ -65,6 +72,17 @@ from fractions import Fraction
 SEED = 101
 ROUNDS = 3
 LABELS = ("\u00df", "\u65e5\u672c", 'q"t', "b\\s", "[x]", "{y}", "\u00e9\t\u03b2")
+# (u^2, u^3, (-1 - zeta_3)*u^3)
+SPELLING = {
+    "version": 1,
+    "n": 3,
+    "branches": [{"label": "b1", "coords": [
+        [{"exp": 2, "coeff": [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]}],
+        [{"exp": 3, "coeff": [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]}],
+        [{"exp": 3, "coeff": [{"num": -1, "den": 1, "zeta_order": 1, "zeta_pow": 0},
+                              {"num": -1, "den": 1, "zeta_order": 3, "zeta_pow": 1}]}],
+    ]}],
+}
 
 
 def _document_invocations(path: pathlib.Path) -> list:
@@ -183,11 +201,7 @@ def merging_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
     """Write the curves of the tree's tests/pencil_curves.py, the tangent
     pairs at m = 60 and 120 and the curves with two tangent classes, and a
     branch-reversed copy of each, into directory; return (path, copy) pairs."""
-    spec = importlib.util.spec_from_file_location(
-        "cli_diff_pencils", tree / "tests" / "pencil_curves.py"
-    )
-    P = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(P)
+    P = _load_test_module(tree, "pencil_curves")
     curves = {f"{name}_m{m}": s for m in (60, 120) for name, s in P.pencil_pairs(m).items()}
     # 122 planes over Q(zeta_120): analyze's product equation alone takes
     # 70 s per call, where the 62 planes at m = 60 take 3 s
@@ -195,6 +209,30 @@ def merging_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
     curves.update(P.TWO_TANGENT_CLASSES)
     return [
         _write_with_reversed_copy(P.document(s), directory, name) for name, s in curves.items()
+    ]
+
+
+def _load_test_module(tree: pathlib.Path, name: str):
+    """The tree's tests/<name>.py, loaded by path; it imports no engine."""
+    spec = importlib.util.spec_from_file_location(f"cli_diff_{name}", tree / "tests" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def last_invocations(tree: pathlib.Path, directory: pathlib.Path) -> list:
+    """analyze of SPELLING, and compare of the tangent family pair at r = 8
+    both ways round, written into directory."""
+    P = _load_test_module(tree, "pencil_curves")
+    E = _load_test_module(tree, "reference_equivalence")
+    spelling = directory / "spelling.json"
+    spelling.write_text(json.dumps(SPELLING), encoding="utf-8")
+    x, y = (directory / f"tangent_family_{side}.json" for side in "xy")
+    for path, spec in zip((x, y), E.tangent_family(8)):
+        path.write_text(json.dumps(P.document(spec)), encoding="utf-8")
+    return [call for call in _document_invocations(spelling) if call[0] == "analyze"] + [
+        ["compare", str(x), str(y), "--json"],
+        ["compare", str(y), str(x), "--json"],
     ]
 
 
@@ -281,6 +319,8 @@ def main(argv) -> int:
         differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
         paths = merging_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "merging spans")
+        calls = last_invocations(new, pathlib.Path(tmp))
+        differences += _diff(old, new, calls, "coefficient spelling and the tangent family")
     return 1 if differences else 0
 
 
