@@ -664,9 +664,11 @@ def check_sampling_parameters(radii, k: int, branches: int = 1) -> tuple:
 def check_leading_terms(c: Curve, radius: float) -> None:
     """Raise FloatingPointUnderflow when a branch's leading term u^m
     underflows doubles at the smallest radius: m and the radius decide it
-    before any cone or sampling work."""
+    before any cone or sampling work. A radius whose half rounds to 0.0,
+    as 5e-324's does, underflows at every m."""
+    half = radius / 2
     for b in c.branches:
-        if b.m * math.log10(radius / 2) < -300:
+        if not half or b.m * math.log10(half) < -300:
             raise FloatingPointUnderflow(
                 f"branch {b.label} has multiplicity {b.m}; its leading term "
                 f"underflows IEEE doubles at radius {radius}",

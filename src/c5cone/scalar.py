@@ -482,13 +482,25 @@ def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:
 
 @lru_cache(maxsize=None)
 def _unit(N: int, j: int):
-    """zeta_N^j = exp(2*pi*i*j/N) at 200 bits, computed once per (N, j).
-    Callers pass reduced exponents j < phi(N), so the table holds at most
-    phi(N) entries per conductor, like _fold."""
+    """zeta_N^j = exp(2*pi*i*j/N) at 200 bits, computed once per (N, j), with
+    its real and imaginary parts as exact ints over 2**320 (_scaled). Callers
+    pass reduced exponents j < phi(N), so the table holds at most phi(N)
+    entries per conductor, like _fold."""
     import mpmath
 
     with mpmath.workprec(200):
-        return mpmath.expjpi(mpmath.mpf(2 * j) / N)
+        u = mpmath.expjpi(mpmath.mpf(2 * j) / N)
+    return u, _scaled(u.real), _scaled(u.imag)
+
+
+def _scaled(x):
+    """The mpf x times 2**320 as an exact int, or None when it is not one.
+    Every nonzero part of a root of unity at N <= CONDUCTOR_LIMIT is above
+    2**-14, so its 200 bits stay above 2**-320 and the scaling is exact."""
+    sign, man, exp, _ = x._mpf_  # x = (-1)**sign * man * 2**exp
+    if exp < -320:
+        return None
+    return -man << exp + 320 if sign else man << exp + 320
 
 
 def _rounded(x) -> float:
@@ -504,14 +516,61 @@ def _rounded(x) -> float:
     return (-man if sign else man) / (1 << -exp)
 
 
+def _fixed_point(a: CycloScalar):
+    """a's double by exact int arithmetic over _unit's fixed-point roots, or
+    None when this route cannot prove it equal to the mpmath route's.
+
+    With a = sum(n_j * zeta^j) / d, each part S = sum(n_j * C_j) over the
+    parts C_j of the roots times 2**320 is exact, and the value is
+    X = S / (d << 320). The mpmath route rounds each coefficient twice
+    (mpf of its numerator, then the division), each product once and each
+    of the L - 1 additions once, all to 200 bits
+    (roundoff 2**-200), so its sum lies within (L + 3) * 2**-199 * T of X,
+    T = sum(|n_j * C_j|) / (d << 320). Int true division rounds correctly,
+    subnormals included, and rounding is monotone: when (S - B) / scale and
+    (S + B) / scale, B = ceil((L + 4) * T * 2**-199) in units of 1 / scale,
+    are the same double bit for bit (a zero's sign counts), the mpmath sum
+    rounds to it too. When T = 0 every product is an exact zero, S = B = 0,
+    and both routes give +0.0."""
+    pairs, den = _int_terms(a.terms())
+    scale = den << 320
+    slack = len(pairs) + 4
+    N = a.conductor
+    s_re = s_im = t_re = t_im = 0
+    for j, n in pairs:
+        _, c_re, c_im = _unit(N, j)
+        if c_re is None or c_im is None:
+            return None
+        p_re, p_im = n * c_re, n * c_im
+        s_re += p_re
+        s_im += p_im
+        t_re += abs(p_re)
+        t_im += abs(p_im)
+    parts = []
+    for s, t in ((s_re, t_re), (s_im, t_im)):
+        b = -(-slack * t >> 199)
+        try:
+            lo, hi = (s - b) / scale, (s + b) / scale
+        except OverflowError:
+            return None
+        if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
+            return None
+        parts.append(lo)
+    return complex(*parts)
+
+
 def to_complex(a: CycloScalar) -> complex:
     """Numeric value of a as a double; raises FloatingPointOverflow when
     that double would be infinite.
 
-    Every value but a small rational is evaluated at 200 bits through
-    mpmath before the one final rounding (_rounded), so the only error is
-    the unavoidable double-precision representation of the exact value,
-    subnormals included. mpmath is imported on the first such value only.
+    The double is that of a evaluated at 200 bits through mpmath and then
+    rounded once (_rounded), so the only error is the unavoidable
+    double-precision representation of the exact value, subnormals
+    included. A small rational is one int division; every other value goes
+    through _fixed_point, which proves its double equals the 200-bit one,
+    and the mpmath sum runs only where it cannot (an exactly cancelling
+    part, or a double out of range). mpmath is imported on the first value
+    that is not a small rational.
     """
     if a.is_rational():
         q = a.rational_value()
@@ -528,6 +587,9 @@ def to_complex(a: CycloScalar) -> complex:
             # bits, is exact at 200 bits, and both routes break its tie to
             # even. |q| >= 2**-64 keeps both clear of subnormals.
             return complex(num / den)
+    z = _fixed_point(a)
+    if z is not None:
+        return z
     import mpmath
 
     with mpmath.workprec(200):
@@ -535,7 +597,7 @@ def to_complex(a: CycloScalar) -> complex:
         N = a.conductor
         for j, c in a.terms():
             q = mpmath.mpf(c.numerator) / c.denominator
-            total += q * _unit(N, j)
+            total += q * _unit(N, j)[0]
         z = complex(_rounded(total.real), _rounded(total.imag))
     if not cmath.isfinite(z):
         raise FloatingPointOverflow(

@@ -492,6 +492,18 @@ def test_verify_refuses_an_underflowing_leading_term_before_any_analysis(
     assert diagnostic["multiplicity"] in (100, 840)
 
 
+@pytest.mark.parametrize("radius", [5e-324, 1e-320])
+def test_verify_refuses_a_subnormal_smallest_radius(capsys, radius):
+    # half of 5e-324 rounds to 0.0; 1e-320 takes the log10 test
+    path = FIXTURES / "smooth_plane.json"
+    code, out, err = run(capsys, "verify", str(path), "--radii", "0.1", str(radius))
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "FloatingPointUnderflow"
+    assert (diagnostic["label"], diagnostic["multiplicity"]) == ("b1", 1)
+    assert diagnostic["radius"] == radius
+
+
 def test_verify_evaluates_exponents_beyond_float_range(capsys, tmp_path):
     one = [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
     doc = {

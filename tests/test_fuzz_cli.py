@@ -128,7 +128,7 @@ def _flags(data, doc):
         ))
         return ["project", ["--kernel", json.dumps(rows), "--json"]]
     good = st.lists(st.sampled_from([0.5, 0.1, 0.01, 0.001]), min_size=1, max_size=3, unique=True)
-    radius = st.sampled_from([0.5, 0.1, 0.01, 0.0, -0.1, 0.7, float("nan")])
+    radius = st.sampled_from([0.5, 0.1, 0.01, 0.0, -0.1, 0.7, float("nan"), 5e-324, 1e-320])
     radii = data.draw(st.one_of(
         good.map(lambda r: sorted(r, reverse=True)), st.lists(radius, min_size=1, max_size=3)
     ))

@@ -224,6 +224,15 @@ def test_high_multiplicity_sampling_raises_underflow():
     assert exc.value.to_json()["multiplicity"] == 150
 
 
+def test_a_radius_whose_half_is_zero_raises_underflow():
+    # 5e-324 / 2 rounds to 0.0, which has no log10
+    c = curve_from_exponents([[1, [(2, 1)]]])
+    with pytest.raises(FloatingPointUnderflow) as exc:
+        sample_secant_directions(c, radii=(0.1, 5e-324))
+    assert exc.value.to_json()["multiplicity"] == 1
+    assert exc.value.to_json()["radius"] == 5e-324
+
+
 def test_wider_radii_avoid_the_underflow():
     c = curve_from_exponents([[150, [(151, 1)]]])
     report = sample_secant_directions(c, radii=(0.5, 0.25), k=10)

@@ -18,13 +18,19 @@ from c5cone import (
     ConductorLimitExceeded,
     CycloScalar,
     DivisionByZero,
+    EngineError,
     FloatingPointOverflow,
+    c5_cone,
     common_conductor,
+    read_curve,
     root_of_unity,
+    scalar,
     to_complex,
     zeta,
 )
-from c5cone.scalar import _F0, _cyclotomic, _zeta_terms, euler_phi
+from c5cone.geometry import component_rows
+from c5cone.scalar import _F0, _cyclotomic, _rounded, _zeta_terms, euler_phi
+from random_curves import random_curve
 from reference_complex import to_complex as reference_to_complex
 
 _ORDERS = (1, 2, 3, 4, 6, 8, 12)
@@ -484,9 +490,9 @@ def test_midpoints_zero_and_negatives_convert_like_the_reference():
 
 
 def test_subnormal_rationals_round_once_like_int_division():
-    # above 2**64 the 200-bit route is taken; rounding its value to 53 bits
-    # and then to the subnormal grid would send 2**-1075 + 2**-1145, just
-    # above half the least subnormal, to 0.0
+    # above 2**64 the value is no longer one int division; rounding its
+    # 200-bit value to 53 bits and then to the subnormal grid would send
+    # 2**-1075 + 2**-1145, just above half the least subnormal, to 0.0
     q = Fraction(1, 2**1075) + Fraction(1, 2**1145)
     assert to_complex(CycloScalar.rational(q)) == 5e-324
     assert to_complex(CycloScalar.rational(-q)) == -5e-324
@@ -513,25 +519,106 @@ def test_subnormal_parts_of_irrational_values_round_once():
         _assert_as_reference(CycloScalar.rational(Fraction(-num, 2**shift)) * zeta(8, 3))
 
 
+_COEFFICIENTS = (
+    Fraction(1), Fraction(-1, 3), Fraction(2**64 - 1, 7), Fraction(5, 2**64),
+    Fraction(2**200 + 1, 3), Fraction(-(2**63), 2**200 - 1),
+)
+
+
 @pytest.mark.parametrize("N", [3, 4, 12, 60, 420, 2017])
 def test_irrational_values_convert_like_the_reference(N):
     rng = random.Random(N)
-    coefficients = [
-        Fraction(1), Fraction(-1, 3), Fraction(2**64 - 1, 7), Fraction(5, 2**64),
-        Fraction(2**200 + 1, 3), Fraction(-(2**63), 2**200 - 1),
-    ]
     for _ in range(12):
         terms = rng.randint(1, 5)
         poly = [0] * N
         for k in rng.sample(range(1, N), min(terms, N - 1)):
-            poly[k] = rng.choice(coefficients)
+            poly[k] = rng.choice(_COEFFICIENTS)
         if rng.random() < 0.5:
-            poly[0] = rng.choice(coefficients)
+            poly[0] = rng.choice(_COEFFICIENTS)
         _assert_as_reference(CycloScalar.from_poly(N, poly))
     # the first roots, and each zeta^k with k >= phi(N), which has many terms
     for k in range(N):
         if k < 6 or k >= euler_phi(N) or k == N - 1:
             _assert_as_reference(zeta(N, k))
+
+
+@pytest.fixture
+def mpmath_sums(monkeypatch):
+    """The doubles to_complex rounds off an mpmath sum, which only its
+    fallback route makes, listed as they are made."""
+    made = []
+
+    def counted(x):
+        made.append(x)
+        return _rounded(x)
+
+    monkeypatch.setattr(scalar, "_rounded", counted)
+    return made
+
+
+# parts that are exactly zero, or cancel exactly: 1/9 - 2/9 * 1/2 = 0
+_CANCELLING = (-3 * zeta(4), zeta(8) + zeta(8, 3), Fraction(1, 9) + Fraction(2, 9) * zeta(3))
+# 2**-1070 and 2**-1150 leave subnormal or vanishing parts; 2**1023 puts
+# some near the top of double range and 10**400 beyond it
+_SCALES = (1, 1, 1, 1, 1, Fraction(1, 2**1070), Fraction(3, 2**1150), 2**1023, 10**400)
+
+
+def test_to_complex_matches_the_reference_bit_for_bit():
+    rng = random.Random(24)
+    # the mpmath route too, with subnormal and out-of-range parts
+    values = [scale * a for a in _CANCELLING for scale in dict.fromkeys(_SCALES)]
+    for N in (3, 4, 8, 12, 16, 60, 120, 360, 420, 2017, 2520, 9240):
+        for _ in range(170):
+            # powers below phi(N) are basis vectors, so the value has one
+            # term per power drawn
+            powers = rng.sample(range(euler_phi(N)), min(rng.randint(1, 5), euler_phi(N)))
+            value = sum(rng.choice(_COEFFICIENTS) * zeta(N, k) for k in powers)
+            values.append(rng.choice(_SCALES) * value)
+    assert len(values) >= 2000
+    for a in values:
+        try:
+            want = reference_to_complex(a)
+        except OverflowError:
+            with pytest.raises(FloatingPointOverflow):
+                to_complex(a)
+            continue
+        assert _bits(to_complex(a)) == _bits(want), a
+
+
+def test_a_cancelling_part_takes_the_mpmath_route(mpmath_sums):
+    a = Fraction(1, 9) + Fraction(2, 9) * zeta(3)
+    _assert_as_reference(a)
+    assert len(mpmath_sums) == 2  # its real and imaginary parts
+    _assert_as_reference(Fraction(1, 9) * zeta(3))
+    assert len(mpmath_sums) == 2
+
+
+def test_fixtures_and_random_curves_convert_without_the_fallback(mpmath_sums, fixtures_dir):
+    curves = [read_curve(path) for path in sorted(fixtures_dir.glob("*.json"))]
+    assert len(curves) == 17
+    rng = random.Random(2024)
+    irrational = 0
+    while irrational < 100:
+        c = random_curve(rng)
+        if any(not a.is_rational() for a in _branch_coefficients(c)):
+            curves.append(c)
+            irrational += 1
+    converted = 0
+    for c in curves:
+        try:
+            components = c5_cone(c).components
+        except EngineError:
+            components = ()
+        entries = [e for comp in components for row in component_rows(comp) for e in row]
+        for a in _branch_coefficients(c) + entries:
+            to_complex(a)
+            converted += not a.is_rational()
+    assert converted > 100
+    assert mpmath_sums == []
+
+
+def _branch_coefficients(c) -> list:
+    return [a for b in c.branches for series in b.param.coords for _, a in series.terms]
 
 
 def test_values_beyond_double_range_raise_overflow():

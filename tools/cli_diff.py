@@ -35,6 +35,15 @@ spans merge: tangent pairs at m = 60 and 120 whose contact classes form
 pencils (off_pivot_independent at m = 60 only), and curves whose
 non-tangent pairs share two tangent classes.
 
+A set for the conversion to doubles runs analyze --json, verify and
+verify --samples 57 on one- and two-branch C^3 curves whose coefficients
+are sums of several powers of zeta_N at N = 2017 and 2520, one of them
+zeta_N^(N-1) (every basis power at N = 2017), with one-term leading
+coefficients so that the exact analysis stays cheap; and on curves whose
+coefficients have an exactly zero or cancelling part (-3*zeta_4,
+1/9 + 2/9*zeta_3, zeta_8 + zeta_8^3, 2*zeta_60^5 - zeta_60^15), which
+to_complex sums through mpmath. Both of its routes are then diffed.
+
 A last set runs analyze, with and without --json and --reps, of
 SPELLING, a curve whose one plane has a coefficient whose text holds
 '+ -' (the product equation must spell it as the plane equation does),
@@ -83,6 +92,79 @@ SPELLING = {
                               {"num": -1, "den": 1, "zeta_order": 3, "zeta_pow": 1}]}],
     ]}],
 }
+
+
+# coefficients with an exactly zero or cancelling real or imaginary part
+CANCELLING = (
+    [(-3, 1, 4, 1)],
+    [(1, 9, 1, 0), (2, 9, 3, 1)],
+    [(1, 1, 8, 1), (1, 1, 8, 3)],
+    [(2, 1, 60, 5), (-1, 1, 60, 15)],
+)
+
+
+def _curve(branches) -> dict:
+    """A C^3 document; each branch is three lists of (exp, summands), each
+    summand (num, den, zeta_order, zeta_pow)."""
+    def coeff(summands):
+        return [dict(zip(("num", "den", "zeta_order", "zeta_pow"), s)) for s in summands]
+
+    return {"version": 1, "n": 3, "branches": [
+        {"label": f"b{index + 1}", "coords": [
+            [{"exp": e, "coeff": coeff(summands)} for e, summands in coord]
+            for coord in coords
+        ]} for index, coords in enumerate(branches)
+    ]}
+
+
+def conversion_documents(directory: pathlib.Path) -> list:
+    """Write the curves of many-term coefficients at N = 2017 and 2520 and
+    those of cancelling coefficients into directory; return their paths."""
+    rng = random.Random(SEED)
+
+    def many(N, count):
+        return [(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5, 7)), N, rng.randrange(N))
+                for _ in range(count)] + [(1, 3, N, N - 1)]
+
+    def mono(N):
+        return [(rng.choice((1, -1, 3)), 1, N, rng.randrange(1, N))]
+
+    one, (zero, ninths, root2, root3) = [(1, 1, 1, 0)], CANCELLING
+    curves = {}
+    for N in (2017, 2520):
+        # m = 3 beside m = 2 would put lcm(2017, 6) = 12102 past the conductor cap
+        m = 4 if N == 2017 else 3
+        curves[f"many_terms_one_{N}"] = _curve([
+            [[(2, one)], [(3, mono(N)), (4, many(N, 5))], [(3, mono(N)), (5, many(N, 4))]],
+        ])
+        curves[f"many_terms_two_{N}"] = _curve([
+            [[(2, one)], [(3, mono(N)), (4, many(N, 4))], [(3, mono(N)), (5, many(N, 5))]],
+            [[(m, one)], [(m + 1, mono(N)), (m + 2, many(N, 3))],
+             [(m + 1, mono(N)), (m + 3, many(N, 5))]],
+        ])
+    curves["cancelling_one"] = _curve([
+        [[(2, one)], [(3, one), (4, zero)], [(3, ninths), (5, root2)]],
+    ])
+    curves["cancelling_two"] = _curve([
+        [[(2, one)], [(3, root3), (5, ninths)], [(3, root2)]],
+        [[(3, one)], [(4, ninths)], [(4, zero), (5, root3)]],
+    ])
+    paths = []
+    for name, doc in curves.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def conversion_invocations(paths: list) -> list:
+    return [
+        call for path in paths for call in (
+            ["analyze", str(path), "--json"],
+            ["verify", str(path)],
+            ["verify", str(path), "--samples", "57"],
+        )
+    ]
 
 
 def _document_invocations(path: pathlib.Path) -> list:
@@ -319,6 +401,8 @@ def main(argv) -> int:
         differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
         paths = merging_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "merging spans")
+        calls = conversion_invocations(conversion_documents(pathlib.Path(tmp)))
+        differences += _diff(old, new, calls, "conversion to doubles")
         calls = last_invocations(new, pathlib.Path(tmp))
         differences += _diff(old, new, calls, "coefficient spelling and the tangent family")
     return 1 if differences else 0
