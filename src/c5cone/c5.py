@@ -383,9 +383,15 @@ def product_equation(cone: C5Cone) -> dict:
         raise UnsupportedDimension(
             f"product equation requires planes in dimension 3, got {n}", n=n
         )
+    return form_product(component_forms(plane)[0] for plane in cone.components)
+
+
+def form_product(forms) -> dict:
+    """Expanded product of linear forms in three variables, as {exponent
+    triple: coefficient}."""
     poly = {(0, 0, 0): CycloScalar.rational(1)}
-    for plane in cone.components:
-        poly = _poly_mul_form(poly, component_forms(plane)[0])
+    for form in forms:
+        poly = _poly_mul_form(poly, form)
     return poly
 
 

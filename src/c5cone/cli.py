@@ -30,8 +30,8 @@ from .c5 import (
     bound1,
     bound2,
     component_forms,
+    form_product,
     polynomial_text,
-    product_equation,
     terms_text,
 )
 from .documents import _canonical_json, dumps_document, read_curve, to_document
@@ -141,27 +141,22 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
             "tangent": _row_texts(b.tangent.vec),
             "parametrization": b.param.text(),
         })
-    listed = analysis.records(representatives)
-    # Records of one span share its v_theta and plane objects, and a cone
-    # component is the plane object of its first span: render each object
-    # once. The analysis keeps every object alive, so no id is reused
-    # meanwhile.
-    texts = {}
-
-    def rendered(obj, render):
-        if id(obj) not in texts:
-            texts[id(obj)] = render(obj)
-        return texts[id(obj)]
-
-    def equations(component):
-        return rendered(component, lambda p: component_equations(p, names))
-
-    records = [
-        _record_json(
-            rec, rendered(rec.v_theta, lambda v: _row_texts(v.vec)), equations(rec.plane)
-        )
-        for rec in listed
-    ]
+    # The analysis gives planes of one key one object, so each record's
+    # plane is a cone component: each component's forms are found once,
+    # and its equations rendered once. Records of one span share their
+    # v_theta object, rendered once too. The analysis keeps every object
+    # alive, so no id is reused meanwhile.
+    forms, equations = [], {}
+    for component in cone.components:
+        forms.append(component_forms(component))
+        equations[id(component)] = [form_text(form, names) for form in forms[-1]]
+    v_texts = {}
+    records = []
+    for rec in analysis.records(representatives):
+        v = v_texts.get(id(rec.v_theta))
+        if v is None:
+            v = v_texts[id(rec.v_theta)] = _row_texts(rec.v_theta.vec)
+        records.append(_record_json(rec, v, equations[id(rec.plane)]))
     invariants = analysis.profile
     chams = {b.label: sorted(cham) for b, cham in zip(c.branches, invariants.chams)}
     coams = {
@@ -170,12 +165,13 @@ def _analyze_report(c: Curve, representatives: bool) -> dict:
     }
     components = []
     for component, descriptors in zip(cone.components, cone.provenance):
-        entry = component_json(component, names, equations(component))
+        entry = component_json(component, names, equations[id(component)])
         entry["provenance"] = [_descriptor_json(d) for d in descriptors]
         components.append(entry)
     product = None
     if cone.dimension == 2 and c.n == 3:
-        product = polynomial_text(product_equation(cone), names)
+        # product_equation(cone), from the forms found above
+        product = polynomial_text(form_product(f[0] for f in forms), names)
     return {
         "command": "analyze",
         "n": c.n,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import InvalidDocument
-from .geometry import Curve, _validated, curve
+from .geometry import Branch, Curve, curve
 from .scalar import CycloScalar, _check_conductor, _monomial
 from .series import CoordinateSeries, Parametrization
 
@@ -134,7 +134,7 @@ def from_document(doc) -> Curve:
     raw_branches = doc["branches"]
     if not isinstance(raw_branches, list) or not raw_branches:
         raise InvalidDocument("branches must be a non-empty list")
-    validated = []
+    branches = []
     labels = set()
     for pos, raw in enumerate(raw_branches):
         _require_keys(raw, _BRANCH_KEYS, f"branches[{pos}]")
@@ -158,10 +158,10 @@ def from_document(doc) -> Curve:
             _parse_series(c, f"branches[{pos}].coords[{ci}]")
             for ci, c in enumerate(coords)
         ]
-        validated.append(_validated(Parametrization(series), label))
-    # every branch is checked before the curve's conductor is known; each
-    # is then built once, at that conductor
-    return curve(validated)
+        branches.append(Branch(Parametrization(series), label))
+    # every branch is checked, in document order, before curve() embeds
+    # them at their common conductor
+    return curve(branches)
 
 
 def _scalar_summands(a: CycloScalar):
@@ -336,9 +336,5 @@ def curve_from_exponents(spec, label_prefix: str = "b") -> Curve:
                     for e, c in coord
                 )
             )
-        branches.append(
-            Parametrization(series)
-        )
-    return curve(
-        _validated(p, f"{label_prefix}{i + 1}") for i, p in enumerate(branches)
-    )
+        branches.append(Branch(Parametrization(series), f"{label_prefix}{len(branches) + 1}"))
+    return curve(branches)

@@ -234,81 +234,55 @@ def component_rows(component) -> tuple:
 
 class Branch:
     """A validated irreducible germ: primitive Puiseux-form parametrization
-    with its multiplicity, special coordinate set and tangent direction."""
+    with its multiplicity, special coordinate set and tangent direction,
+    every coefficient at one conductor. Built at the least conductor that
+    holds its coefficients and the m-th roots of unity; curve() embeds it
+    at the curve's."""
 
     __slots__ = ("param", "m", "special_coords", "label", "conductor", "tangent")
 
     def __init__(self, param: Parametrization, label: str = "b"):
-        form = _validated(param, label)
-        self._fill(form, form.conductor)
+        """Check that param is a primitive Puiseux-form parametrization whose
+        conductor stays within the cap, raising the engine error otherwise."""
+        g = exponent_gcd(param)
+        if g != 1:
+            raise NonPrimitiveParametrization(
+                f"branch {label}: all exponents share the factor {g}",
+                label=label,
+                gcd=g,
+            )
+        m, special = puiseux_form_check(param)
+        conductor = common_conductor(
+            m, *(c.conductor for series in param.coords for _, c in series.terms)
+        )
+        self._fill(param, label, m, special, conductor)
 
-    def _fill(self, form: "_Validated", conductor: int) -> None:
-        """Take the fields of a validated parametrization, its coefficients
-        embedded at conductor, a multiple of form.conductor."""
-        param = form.param
+    def _fill(self, param, label, m, special, conductor) -> None:
+        """Take the fields of a checked parametrization, its coefficients
+        embedded at conductor, and its tangent read off them."""
         if any(c.conductor != conductor for series in param.coords for _, c in series.terms):
             param = Parametrization(series.embedded(conductor) for series in param.coords)
-        self.param = param
-        self.m = form.m
-        self.special_coords = form.special
-        self.label = form.label
-        self.conductor = conductor
+        self.param, self.m, self.special_coords = param, m, special
+        self.label, self.conductor = label, conductor
         # the coefficients of u^m; nonzero, since a special coordinate is u^m
-        self.tangent = Direction(series.coefficient(form.m) for series in param.coords)
+        self.tangent = Direction(series.coefficient(m) for series in param.coords)
 
     @property
     def n(self) -> int:
         return self.param.n
 
     def embedded(self, conductor: int) -> "Branch":
+        """The branch with every coefficient at the lcm of its conductor and
+        the given one."""
+        conductor = common_conductor(self.conductor, conductor)
         if conductor == self.conductor:
             return self
-        form = _Validated(self.param, self.label, self.m, self.special_coords, self.conductor)
-        return form.embedded(common_conductor(self.conductor, conductor))
+        b = object.__new__(Branch)
+        b._fill(self.param, self.label, self.m, self.special_coords, conductor)
+        return b
 
     def __repr__(self):
         return f"<branch {self.label}: {self.param.text()}>"
-
-
-class _Validated:
-    """A parametrization that passed the checks of Branch: its multiplicity
-    m, its special coordinates, and the least conductor holding both its
-    coefficients and the m-th roots of unity. Not yet a branch: curve()
-    takes these too, and builds each branch once, at the curve's conductor."""
-
-    __slots__ = ("param", "label", "m", "special", "conductor")
-
-    def __init__(self, param: Parametrization, label: str, m: int, special: frozenset,
-                 conductor: int):
-        self.param, self.label, self.m = param, label, m
-        self.special, self.conductor = special, conductor
-
-    @property
-    def n(self) -> int:
-        return self.param.n
-
-    def embedded(self, conductor: int) -> Branch:
-        """The branch, with every coefficient at conductor."""
-        b = object.__new__(Branch)
-        b._fill(self, conductor)
-        return b
-
-
-def _validated(param: Parametrization, label: str) -> _Validated:
-    """Check that param is a primitive Puiseux-form parametrization whose
-    conductor stays within the cap, raising the engine error otherwise."""
-    g = exponent_gcd(param)
-    if g != 1:
-        raise NonPrimitiveParametrization(
-            f"branch {label}: all exponents share the factor {g}",
-            label=label,
-            gcd=g,
-        )
-    m, special = puiseux_form_check(param)
-    needed = common_conductor(
-        m, *(c.conductor for series in param.coords for _, c in series.terms)
-    )
-    return _Validated(param, label, m, special, needed)
 
 
 class Curve(NamedTuple):
@@ -322,8 +296,7 @@ class Curve(NamedTuple):
 
 def curve(branches: Iterable[Branch]) -> Curve:
     """The curve of the given branches, each embedded at their common
-    conductor. Parametrizations validated by _validated may stand in for
-    branches: each is then built once, at that conductor."""
+    conductor."""
     branches = tuple(branches)
     if not branches:
         raise ValueError("a curve needs at least one branch")

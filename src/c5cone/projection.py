@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .c5 import Analysis, c5_cone
 from .errors import DependentVectors, DimensionMismatch, EngineError, NoCommonSpecialCoordinate
-from .geometry import Curve, Plane, _validated, cached, curve, matrix_rank, null_space
+from .geometry import Branch, Curve, Plane, cached, curve, matrix_rank, null_space
 from .invariants import InvariantProfile, profile
 from .scalar import CycloScalar, common_conductor
 from .series import CoordinateSeries, Parametrization
@@ -136,9 +136,7 @@ def apply_projection(c: Curve, proj: LinearProjection) -> Curve:
     primitive Puiseux-form parametrization raises its validation error
     (NotPuiseuxForm, NonPrimitiveParametrization, ...)."""
     _check_dimension(c, proj)
-    return curve(
-        _validated(_project_param(b.param, proj.matrix), b.label) for b in c.branches
-    )
+    return curve(Branch(_project_param(b.param, proj.matrix), b.label) for b in c.branches)
 
 
 def _transverse(a, b, s: int) -> tuple:

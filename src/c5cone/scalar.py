@@ -229,7 +229,8 @@ def common_conductor(*orders: int) -> int:
 
 
 class CycloScalar:
-    """An exact element of Q(zeta_N), held as its nonzero terms.
+    """An exact element of Q(zeta_N), held as its nonzero terms. Built by
+    from_poly, rational, zeta or root_of_unity; the class takes no arguments.
 
     Unhashable by design: equality spans conductors (operands are embedded
     into a common field first) and no cheap hash can respect that. Code that
@@ -237,11 +238,6 @@ class CycloScalar:
     """
 
     __slots__ = ("conductor", "_terms")
-
-    def __init__(self, conductor: int, coeffs):
-        """The scalar sum(coeffs[k] * zeta^k) with reduced, dense coeffs."""
-        self.conductor = conductor
-        self._terms = tuple([(k, Fraction(c)) for k, c in enumerate(coeffs) if c])
 
     @property
     def coeffs(self) -> tuple:

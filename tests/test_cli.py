@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import c5cone.c5
 import c5cone.cli
 import c5cone.projection
 from c5cone.cli import main
@@ -36,6 +37,7 @@ def fixture(fixtures_dir, name):
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SMALL = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "prime_multiplicity")
+SPACE = sorted(p.stem for p in FIXTURES.glob("*.json") if json.loads(p.read_text())["n"] == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,23 @@ def test_analyze_smooth_curve(capsys, fixtures_dir):
         {"k": -1, "kind": "tangent", "labels": ["b1"]}
     ]
     assert data["cone"]["product_equation"] is None
+
+
+@pytest.mark.parametrize("name", SPACE)
+def test_analyze_finds_each_components_forms_once(capsys, fixtures_dir, monkeypatch, name):
+    # the component equations, the records' plane equations and the product
+    # equation all read one null space per cone component
+    calls = []
+    null_space = c5cone.c5.null_space
+
+    def counting(rows):
+        calls.append(rows)
+        return null_space(rows)
+
+    monkeypatch.setattr(c5cone.c5, "null_space", counting)
+    code, data, _ = run_json(capsys, "analyze", fixture(fixtures_dir, name), "--json")
+    assert code == 0
+    assert len(calls) == data["cone"]["count"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ from c5cone import (
     rref,
     zeta,
 )
+from c5cone.errors import EngineError
+from c5cone.scalar import common_conductor
+from c5cone.series import CoordinateSeries, Parametrization
 from fractions import Fraction
 
 from random_curves import random_curve_with_cone
@@ -252,6 +255,67 @@ def test_curve_rejects_mixed_dimensions():
     b2 = curve_from_exponents([[2, [(3, 1)], [(5, 1)]]]).branches[0]
     with pytest.raises(DimensionMismatch):
         curve([b1, Branch(b2.param, label="c")])
+
+
+def _mixed_coefficient(rng):
+    """A sum of one to three rational multiples of roots of unity of mixed
+    orders, at the lcm of those orders."""
+    total = CycloScalar.rational(0)
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice((1, 2, 3, 4, 5, 6, 8, 12))
+        total = total + rng.choice((1, -1, 2, Fraction(1, 3))) * zeta(d, rng.randrange(d))
+    return total
+
+
+def _mixed_param(rng, n):
+    """A Puiseux-form parametrization in C^n: one coordinate exactly u^m,
+    the others sums of terms of order >= m with mixed coefficients, the
+    first coordinate always with a u^m term."""
+    m = rng.randint(1, 4)
+    special = rng.randrange(n)
+    coords = []
+    for i in range(n):
+        if i == special:
+            coords.append(CoordinateSeries([(m, CycloScalar.rational(1))]))
+            continue
+        exps = set(rng.sample(range(m, m + 7), rng.randint(0, 3)))
+        if i == 0:
+            exps.add(m)
+        coords.append(CoordinateSeries((e, _mixed_coefficient(rng)) for e in sorted(exps)))
+    return Parametrization(coords)
+
+
+def test_an_embedded_branch_is_the_branch_of_the_embedded_parametrization():
+    # embedded() re-fills a checked branch at a larger conductor: each field
+    # must be what the checks give on the parametrization embedded there
+    rng = random.Random(25)
+    curves = irrational_leads = below = 0
+    while curves < 200:
+        n = rng.randint(2, 4)
+        params = [_mixed_param(rng, n) for _ in range(rng.randint(2, 3))]
+        try:
+            branches = [Branch(p, f"b{i + 1}") for i, p in enumerate(params)]
+        except EngineError:
+            continue
+        curves += 1
+        least = common_conductor(*(b.conductor for b in branches))
+        joined = curve(branches)
+        for M, built in ((least, joined.branches), (least * rng.choice((2, 3, 5)), None)):
+            for i, (p, b) in enumerate(zip(params, branches)):
+                got = built[i] if built else b.embedded(M)
+                want = Branch(Parametrization(s.embedded(M) for s in p.coords), b.label)
+                assert got.param.text() == want.param.text()
+                assert (got.label, got.m, got.special_coords) == (want.label, want.m,
+                                                                  want.special_coords)
+                assert got.conductor == want.conductor == M
+                assert got.tangent.key() == want.tangent.key()
+        irrational_leads += sum(
+            not p.coords[0].coefficient(b.m).is_rational() for p, b in zip(params, branches)
+        )
+        below += sum(b.conductor < least for b in branches)
+    # branches that curve() re-fills, and tangents whose first entry needs
+    # an inverse, are both common
+    assert below > 100 and irrational_leads > 100
 
 
 # ---------------------------------------------------------------------------

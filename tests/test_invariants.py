@@ -3,6 +3,8 @@
 import math
 import random
 import time
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -321,3 +323,110 @@ def test_equivalence_of_the_tangent_family_is_fast(r):
         verdict = bilipschitz_equivalent(a, b)
         assert time.perf_counter() - start < 0.1
         assert verdict == (False, None)
+
+
+# ---------------------------------------------------------------------------
+# compare against the classical invariants of plane germs
+
+
+def _gcd_chain(m, exponents) -> tuple:
+    """Characteristic exponents of (u^m, sum c_e u^e): m, then each
+    exponent that the gcd of those before does not divide."""
+    chain, g = [m], m
+    for e in sorted(exponents):
+        if e % g:
+            chain.append(e)
+            g = math.gcd(g, e)
+    return tuple(chain)
+
+
+_REDRAWN = (1, -1, 2, Fraction(1, 2))
+
+
+def _plane_curve(germ):
+    return curve_from_exponents([[m, list(tail)] for m, tail in germ])
+
+
+def _plane_germs(rng, count):
+    """count seeded plane germs of 2 or 3 branches, each branch (m, tail)
+    with rational tail coefficients, drawn by random_plane_branch_curve;
+    germs with two equal branches are drawn again."""
+    germs = []
+    while len(germs) < count:
+        germ = []
+        for _ in range(rng.randint(2, 3)):
+            b = random_plane_branch_curve(rng, max_m=6, max_exp=20).branches[0]
+            germ.append((b.m, tuple((e, c.rational_value()) for e, c in b.param.coords[1].terms)))
+        try:
+            profile(_plane_curve(germ))
+        except EngineError:
+            continue
+        germs.append(tuple(germ))
+    return germs
+
+
+def test_compare_matches_the_classical_invariants_of_plane_germs():
+    """Two plane germs are bi-Lipschitz equivalent iff some branch
+    bijection keeps each branch's characteristic exponents and each pair's
+    intersection multiplicity (Pham-Teissier; Fernandes 2003;
+    Neumann-Pichon 2014). Both are derived here without the engine: the
+    exponents by the gcd chain, and I(a, b) as the order in t of b's
+    implicit equation, a sympy resultant, along a's parametrization."""
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+    equations, meets = {}, {}
+
+    def parametrization(branch):
+        m, tail = branch
+        return sympy.Poly(t**m, t), sympy.Poly(sum(c * t**e for e, c in tail), t)
+
+    def intersection(a, b) -> int:
+        if (a, b) not in meets:
+            if b not in equations:
+                X, Y = parametrization(b)
+                implicit = sympy.resultant(x - X.as_expr(), y - Y.as_expr(), t)
+                equations[b] = sympy.Poly(implicit, x, y)
+            X, Y = parametrization(a)
+            along = sympy.Poly(0, t)
+            for (i, j), c in equations[b].terms():
+                along += c * X**i * Y**j
+            meets[(a, b)] = meets[(b, a)] = min(k for (k,) in along.monoms())
+        return meets[(a, b)]
+
+    def classically_equivalent(g, h) -> bool:
+        if len(g) != len(h):
+            return False
+        exponents = [_gcd_chain(m, [e for e, _ in tail]) for m, tail in g + h]
+        return any(
+            all(exponents[i] == exponents[len(g) + perm[i]] for i in range(len(g)))
+            and all(
+                intersection(g[i], g[j]) == intersection(h[perm[i]], h[perm[j]])
+                for i, j in combinations(range(len(g)), 2)
+            )
+            for perm in permutations(range(len(h)))
+        )
+
+    # each germ is paired with a relabelled copy, a copy whose non-special
+    # coordinate is scaled by one rational, an independent germ, and a copy
+    # whose tail coefficients are redrawn on the same supports
+    rng = random.Random(6)
+    germs = _plane_germs(rng, 100)
+    verdicts = {"relabelled": [], "scaled": [], "independent": [], "redrawn": []}
+    for k, germ in enumerate(germs):
+        q = rng.choice((2, -1, Fraction(1, 2), 3, Fraction(-2, 3)))
+        pairs = {
+            "relabelled": tuple(rng.sample(germ, len(germ))),
+            "scaled": tuple((m, tuple((e, q * c) for e, c in tail)) for m, tail in germ),
+            "independent": germs[(k + 1) % len(germs)],
+            "redrawn": tuple(
+                (m, tuple((e, rng.choice(_REDRAWN)) for e, _ in tail)) for m, tail in germ
+            ),
+        }
+        for kind, other in pairs.items():
+            verdict = bilipschitz_equivalent(_plane_curve(germ), _plane_curve(other)).equivalent
+            assert verdict == classically_equivalent(germ, other), (kind, germ, other)
+            verdicts[kind].append(verdict)
+    assert all(verdicts["relabelled"]) and all(verdicts["scaled"])
+    # a redrawn copy keeps every characteristic exponent, so where its
+    # verdict is "not equivalent" an intersection multiplicity decided it
+    assert 0 < verdicts["redrawn"].count(False) < len(germs)

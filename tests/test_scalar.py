@@ -338,13 +338,14 @@ def _canonical_zeros(a):
 
 def _sparse_canonical(a):
     """The stored terms have strictly increasing exponents in [0, phi(N))
-    and no zero coefficient, and the dense view builds the same scalar."""
+    and no zero coefficient, and from_poly of the dense view is the same
+    scalar."""
     ks = [k for k, _ in a.terms()]
     return (
         all(c for _, c in a.terms())
         and all(0 <= k < euler_phi(a.conductor) for k in ks)
         and all(i < j for i, j in zip(ks, ks[1:]))
-        and CycloScalar(a.conductor, a.coeffs) == a
+        and CycloScalar.from_poly(a.conductor, a.coeffs) == a
     )
 
 
@@ -413,22 +414,28 @@ def test_cyclotomic_polynomial_matches_the_fraction_reference(N):
 
 
 def test_zeros_that_are_not_shared_still_count_as_zero():
-    fresh = CycloScalar(12, [Fraction(0), Fraction(0), Fraction(3, 2), Fraction(0)])
+    fresh = CycloScalar.from_poly(12, [Fraction(0), Fraction(0), Fraction(3, 2), Fraction(0)])
     shared = CycloScalar.rational(Fraction(3, 2), 12) * zeta(12, 2)
     assert fresh == shared
     assert fresh.text() == shared.text() == "3/2*z(12,2)"
     assert not fresh.is_rational()
-    assert CycloScalar(12, [Fraction(0)] * 4).is_zero()
-    assert not CycloScalar(12, [Fraction(0)] * 4)
-    assert CycloScalar(12, [Fraction(5)] + [Fraction(0)] * 3).is_rational()
+    assert CycloScalar.from_poly(12, [Fraction(0)] * 4).is_zero()
+    assert not CycloScalar.from_poly(12, [Fraction(0)] * 4)
+    assert CycloScalar.from_poly(12, [Fraction(5)] + [Fraction(0)] * 3).is_rational()
     assert (fresh * fresh.inverse()).rational_value() == 1
 
 
 def test_dense_int_coefficients_are_taken_as_fractions():
-    a = CycloScalar(12, [2, 0, 3, 0])
+    a = CycloScalar.from_poly(12, [2, 0, 3, 0])
     assert a == 2 + 3 * zeta(12, 2)
     assert a * a.inverse() == 1
-    assert CycloScalar(12, [2, 0, 0, 0]).inverse().text() == "1/2"
+    assert CycloScalar.from_poly(12, [2, 0, 0, 0]).inverse().text() == "1/2"
+
+
+def test_the_class_takes_no_dense_coefficients():
+    # from_poly is the one dense entry point
+    with pytest.raises(TypeError):
+        CycloScalar(12, [1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("N", [1, 4, 12, 60, 105, 420])

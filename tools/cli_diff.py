@@ -35,6 +35,11 @@ spans merge: tangent pairs at m = 60 and 120 whose contact classes form
 pencils (off_pivot_independent at m = 60 only), and curves whose
 non-tangent pairs share two tangent classes.
 
+The runs of the generated curves then cover CONDUCTORS: multi-branch curves whose branches sit at
+different conductors below the curve's, each with an irrational first
+tangent entry, so a branch embedded at the curve's conductor rebuilds a
+tangent whose normalisation needs an inverse.
+
 A set for the conversion to doubles runs analyze --json, verify and
 verify --samples 57 on one- and two-branch C^3 curves whose coefficients
 are sums of several powers of zeta_N at N = 2017 and 2520, one of them
@@ -103,13 +108,38 @@ CANCELLING = (
 )
 
 
+# multi-branch curves whose branches sit at different conductors, each
+# first tangent entry irrational: curve() re-fills a branch at the curve's
+# conductor, and its tangent's normalisation takes an inverse there
+_1 = [(1, 1, 1, 0)]
+CONDUCTORS = {
+    # tangents (z3, 1, 0) at conductor 6 and (1 + z5, 1, 0) at 60
+    "conductors_non_tangent": [
+        [[(2, [(1, 1, 3, 1)]), (3, _1)], [(2, _1)], [(5, _1)]],
+        [[(3, [(1, 1, 1, 0), (1, 1, 5, 1)]), (4, _1)], [(3, _1)], [(5, [(1, 1, 4, 1)])]],
+    ],
+    # a tangent pair at conductors 6 and 24, and a line at 5: N = 120
+    "conductors_tangent_pair": [
+        [[(2, [(1, 1, 3, 1)]), (5, _1)], [(2, _1)], [(3, _1)]],
+        [[(2, [(1, 1, 3, 1)]), (5, [(1, 1, 8, 1)])], [(2, _1)], [(3, [(2, 1, 1, 0)])]],
+        [[(1, [(1, 1, 5, 1)])], [(1, _1)], []],
+    ],
+    # plane branches at conductors 14, 9 and 12: N = 252
+    "conductors_plane": [
+        [[(2, [(1, 1, 7, 1)]), (3, _1)], [(2, _1)]],
+        [[(1, [(1, 1, 9, 1)])], [(1, _1)]],
+        [[(3, [(1, 1, 4, 1)]), (4, _1)], [(3, _1)]],
+    ],
+}
+
+
 def _curve(branches) -> dict:
-    """A C^3 document; each branch is three lists of (exp, summands), each
+    """A C^n document; each branch is n lists of (exp, summands), each
     summand (num, den, zeta_order, zeta_pow)."""
     def coeff(summands):
         return [dict(zip(("num", "den", "zeta_order", "zeta_pow"), s)) for s in summands]
 
-    return {"version": 1, "n": 3, "branches": [
+    return {"version": 1, "n": len(branches[0]), "branches": [
         {"label": f"b{index + 1}", "coords": [
             [{"exp": e, "coeff": coeff(summands)} for e, summands in coord]
             for coord in coords
@@ -155,6 +185,15 @@ def conversion_documents(directory: pathlib.Path) -> list:
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(path)
     return paths
+
+
+def conductor_documents(directory: pathlib.Path) -> list:
+    """Write CONDUCTORS and a branch-reversed copy of each into directory;
+    return (path, copy) pairs."""
+    return [
+        _write_with_reversed_copy(_curve(branches), directory, name)
+        for name, branches in CONDUCTORS.items()
+    ]
 
 
 def conversion_invocations(paths: list) -> list:
@@ -401,6 +440,10 @@ def main(argv) -> int:
         differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
         paths = merging_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "merging spans")
+        paths = conductor_documents(pathlib.Path(tmp))
+        differences += _diff(
+            old, new, generated_invocations(paths), "branches at different conductors"
+        )
         calls = conversion_invocations(conversion_documents(pathlib.Path(tmp)))
         differences += _diff(old, new, calls, "conversion to doubles")
         calls = last_invocations(new, pathlib.Path(tmp))
