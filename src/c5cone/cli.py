@@ -301,7 +301,7 @@ def _parse_matrix(text: str, what: str):
     normalized = text.replace("(", "[").replace(")", "]")
     try:
         raw = json.loads(normalized)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a long int, deep nesting
         raise InvalidDocument(f"{what} is not a valid matrix: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise InvalidDocument(f"{what} must be a non-empty list")

@@ -294,7 +294,7 @@ class _Writer:
 def loads_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a long int, deep nesting
         raise InvalidDocument(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidDocument("document root must be a JSON object")
@@ -308,6 +308,8 @@ def read_curve(path) -> Curve:
             text = handle.read()
     except OSError as exc:
         raise InvalidDocument(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidDocument(f"{path} is not valid UTF-8: {exc.reason}") from None
     return from_document(loads_document(text))
 
 

@@ -16,7 +16,7 @@ from .errors import (
     IncompatibleSystem,
     NonPrimitiveParametrization,
 )
-from .scalar import CycloScalar, common_conductor
+from .scalar import CycloScalar, common_conductor, divided
 from .series import (
     Parametrization,
     exponent_gcd,
@@ -67,10 +67,7 @@ def rref(rows):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][col]
-        if not (lead.is_rational() and lead.rational_value() == 1):
-            inv = lead.inverse()
-            work[r] = [x * inv for x in work[r]]
+        work[r] = divided(work[r], work[r][col])
         for i in range(len(work)):
             if i != r:
                 work[i] = _eliminated(work[i], work[r], work[i][col])
@@ -125,10 +122,7 @@ class Direction:
         lead = next((e for e in entries if not e.is_zero()), None)
         if lead is None:
             raise ValueError("the zero vector has no direction")
-        if not (lead.is_rational() and lead.rational_value() == 1):
-            inv = lead.inverse()
-            entries = tuple(e * inv for e in entries)
-        self.vec = entries
+        self.vec = tuple(divided(entries, lead))
 
     @property
     def n(self) -> int:
@@ -206,10 +200,7 @@ def plane_from_vectors(w: Direction, v: Direction) -> Plane:
     q = next((i for i, e in enumerate(v) if e), None)
     if q is None:
         raise DependentVectors("expected a rank-2 span, got rank 1", rank=1)
-    lead = v[q]
-    if not (lead.is_rational() and lead.rational_value() == 1):
-        inv = lead.inverse()
-        v = [x * inv for x in v]
+    v = divided(v, v[q])
     plane = object.__new__(Plane)  # the rows below are its RREF: no rref
     plane.basis = (tuple(v), w) if q < p else (tuple(_eliminated(w, v, w[q])), tuple(v))
     return plane

@@ -11,17 +11,19 @@ so equality at a fixed conductor is tuple equality, zero is the empty
 tuple and a rational is at most the k = 0 term; across conductors both
 operands are first embedded into the lcm conductor.
 
-Rationals are fractions.Fraction throughout: always reduced, denominators
-positive, arbitrary precision.
+A stored coefficient is an int when it is integral (a bool too) and a
+reduced fractions.Fraction with denominator > 1 otherwise (_rat).
 
 Reduction modulo the monic, integer Phi_N runs in Python ints: the
 polynomial is scaled by the lcm D of its denominators, Phi_N's nonzero
 terms are subtracted with no division, and a Fraction(v, D) is built only
-for each nonzero remainder. Products and inverses (extended Euclid by
-pseudo-division) run in ints too, and a product skips the work a rational
-operand never needed. A monomial c*zeta_N^k (a power of zeta, a document
-summand, the inverse or a power of a one-term scalar) is c times the
-reduced terms of zeta_N^(k mod N), which a per-process table builds once.
+for each nonzero remainder v that D does not divide. Products and inverses
+(extended Euclid by pseudo-division) run in ints too, and a product skips
+the work a rational operand never needed. A monomial c*zeta_N^k (a power
+of zeta, a document summand, the inverse or a power of a one-term scalar)
+is c times the reduced terms of zeta_N^(k mod N), which a per-process
+table builds once. A vector is divided by its lead by divided(), which
+takes no inverse where the quotient is rational.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .errors import ConductorLimitExceeded, DivisionByZero, FloatingPointOverflo
 # Largest conductor the engine will build a field for. phi(10080) = 2304, so
 # the dense int polynomials of products and reductions stay small.
 CONDUCTOR_LIMIT = 10080
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -114,9 +112,16 @@ def _fold(N: int):
     return phi, tuple((i - phi, -c) for i, c in enumerate(cyc[:-1]) if c)
 
 
+def _rat(v):
+    """The int or Fraction v as stored: an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _int_terms(terms):
     """([(k, v), ...], den): each term (k, c) as c = v / den, den the lcm."""
     den = math.lcm(*[c.denominator for _, c in terms])
+    if den == 1:
+        return terms, 1
     return [(k, c.numerator * (den // c.denominator)) for k, c in terms], den
 
 
@@ -142,9 +147,9 @@ def _reduced(N: int, ints: list, den: int) -> "CycloScalar":
             for off, c in terms:
                 ints[k + off] += v * c
     del ints[phi:]
-    if den == 1:
-        return _make(N, tuple([(k, Fraction(v)) for k, v in enumerate(ints) if v]))
-    return _make(N, tuple([(k, Fraction(v, den)) for k, v in enumerate(ints) if v]))
+    return _make(N, tuple([
+        (k, Fraction(v, den) if v % den else v // den) for k, v in enumerate(ints) if v
+    ]))
 
 
 def _summed(a: tuple, b: tuple, sign: int) -> tuple:
@@ -158,7 +163,7 @@ def _summed(a: tuple, b: tuple, sign: int) -> tuple:
             v = a[i][1] + c if sign == 1 else a[i][1] - c
             i += 1
             if v:
-                out.append((k, v))
+                out.append((k, _rat(v)))
         else:
             out.append((k, c) if sign == 1 else (k, -c))
     out += a[i:]
@@ -241,9 +246,9 @@ class CycloScalar:
 
     @property
     def coeffs(self) -> tuple:
-        """The dense coefficient tuple of length phi(N), each zero the shared
-        Fraction(0); a view built on every read."""
-        dense = [_F0] * euler_phi(self.conductor)
+        """The dense coefficient tuple of length phi(N), each zero the int 0;
+        a view built on every read."""
+        dense = [0] * euler_phi(self.conductor)
         for k, c in self._terms:
             dense[k] = c
         return tuple(dense)
@@ -260,7 +265,7 @@ class CycloScalar:
 
     @classmethod
     def rational(cls, q, conductor: int = 1) -> "CycloScalar":
-        q = q if type(q) is Fraction else Fraction(q)
+        q = _rat(q if isinstance(q, (int, Fraction)) else Fraction(q))
         return _make(conductor, ((0, q),) if q else ())
 
     # -- embedding -----------------------------------------------------------
@@ -279,9 +284,15 @@ class CycloScalar:
         return _reduced(M, _spread(pairs, M // N), den)
 
     def _common(self, other: "CycloScalar"):
-        if self.conductor == other.conductor:
+        N, M = self.conductor, other.conductor
+        if N == M:
             return self, other
-        M = common_conductor(self.conductor, other.conductor)
+        # a rational meets the other operand in its field: no lcm, no embed
+        if M % N == 0 and M <= CONDUCTOR_LIMIT and self.is_rational():
+            return _make(M, self._terms), other
+        if N % M == 0 and N <= CONDUCTOR_LIMIT and other.is_rational():
+            return self, _make(N, other._terms)
+        M = common_conductor(N, M)
         return self.embed(M), other.embed(M)
 
     @staticmethod
@@ -303,10 +314,10 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not self._terms or self._terms[-1][0] == 0
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> int | Fraction:
         if not self.is_rational():
             raise ValueError(f"{self.text()} is not rational")
-        return self._terms[0][1] if self._terms else _F0
+        return self._terms[0][1] if self._terms else 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -349,7 +360,7 @@ class CycloScalar:
             q = a._terms[0][1]
             if q == 1:
                 return b
-            return _make(b.conductor, tuple([(k, c * q) for k, c in b._terms]))
+            return _make(b.conductor, tuple([(k, _rat(c * q)) for k, c in b._terms]))
         ia, da = _int_terms(a._terms)
         ib, db = _int_terms(b._terms)
         prod = [0] * (ia[-1][0] + ib[-1][0] + 1)
@@ -363,11 +374,9 @@ class CycloScalar:
     def inverse(self) -> "CycloScalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero in a cyclotomic field")
-        if self.is_rational():
-            return _make(self.conductor, ((0, 1 / self._terms[0][1]),))
-        if len(self._terms) == 1:  # c*zeta^j with 0 < j
+        if len(self._terms) == 1:  # c*zeta^j, j = 0 for a rational
             ((j, c),) = self._terms
-            return _monomial(self.conductor, -j, 1 / c)
+            return _monomial(self.conductor, -j, Fraction(c.denominator, c.numerator))
         # self = ints / den and ints * s = c, so 1/self = den * s / c
         pairs, den = _int_terms(self._terms)
         s, c = _inverse_mod(_spread(pairs), list(_cyclotomic(self.conductor)))
@@ -393,7 +402,7 @@ class CycloScalar:
         if len(self._terms) == 1:
             # (c*zeta^j)^k = c^k * zeta^(j*k) for every k: one table lookup
             ((j, c),) = self._terms
-            return _monomial(self.conductor, j * k, c**k)
+            return _monomial(self.conductor, j * k, Fraction(c) ** k)
         if k < 0:
             return self.inverse() ** (-k)
         result = CycloScalar.rational(1, self.conductor)
@@ -406,6 +415,8 @@ class CycloScalar:
         return result
 
     def __eq__(self, other):
+        if type(other) is CycloScalar and other.conductor == self.conductor:
+            return self._terms == other._terms
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -443,14 +454,14 @@ def _zeta_terms(N: int, k: int) -> tuple:
     at most N entries per conductor, like _fold. For k < phi(N), zeta^k is
     a basis vector of the power basis; above, it is reduced by Phi_N."""
     if k < euler_phi(N):
-        return ((k, _F1),)
+        return ((k, 1),)
     return _reduced(N, [0] * k + [1], 1)._terms
 
 
 def _monomial(N: int, k: int, c) -> CycloScalar:
     """c * zeta_N^k for any int k and an int or Fraction c, from the
-    table; zero is the empty tuple at conductor N. The caller has checked N
-    against the cap."""
+    table, each coefficient stored by _rat; zero is the empty tuple at
+    conductor N. The caller has checked N against the cap."""
     if not c:
         return _make(N, ())
     terms = _zeta_terms(N, k % N)
@@ -458,7 +469,32 @@ def _monomial(N: int, k: int, c) -> CycloScalar:
         return _make(N, terms)
     if c == -1:
         return _make(N, tuple([(i, -v) for i, v in terms]))
-    return _make(N, tuple([(i, v * c) for i, v in terms]))
+    return _make(N, tuple([(i, _rat(v * c)) for i, v in terms]))
+
+
+def divided(entries, lead: CycloScalar) -> list:
+    """[e * lead.inverse() for e in entries], or the entries when lead is 1.
+    An entry that is 0 or r * lead at lead's conductor for a rational r (the
+    same powers, one common ratio) gives r off the terms, and the inverse is
+    taken only for the other entries, once: quotients are unique."""
+    t, N = lead._terms, lead.conductor
+    if t == ((0, 1),):
+        return list(entries)
+    inv, out = None, []
+    for e in entries:
+        s = e._terms
+        if not s and N % e.conductor == 0:
+            out.append(_make(N, ()))
+            continue
+        if e.conductor == N and len(s) == len(t) and s[0][0] == t[0][0]:
+            r = _rat(Fraction(s[0][1]) / t[0][1])
+            if all(j == k and c == r * d for (j, c), (k, d) in zip(s, t)):
+                out.append(_make(N, ((0, r),)))
+                continue
+        if inv is None:
+            inv = lead.inverse()
+        out.append(e * inv)
+    return out
 
 
 def zeta(N: int, k: int = 1) -> CycloScalar:

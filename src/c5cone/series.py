@@ -11,7 +11,6 @@ truncated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import NotPuiseuxForm
@@ -20,7 +19,7 @@ from .scalar import CycloScalar
 # Order of the zero series.
 INFINITE = math.inf
 # The terms of the scalar 1, the same at every conductor.
-_ONE_TERMS = ((0, Fraction(1)),)
+_ONE_TERMS = ((0, 1),)
 
 
 class CoordinateSeries:

@@ -641,6 +641,33 @@ def test_pencil_pairs_at_the_caps_pay_per_plane(monkeypatch, capsys, tmp_path, n
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_rational_quotient_at_conductor_4034_needs_no_inverse(capsys, tmp_path):
+    # (u^2, c1*u^3, c2*u^4 + c3*u^5), c1, c2 and c3 sums of 5, 4 and 3
+    # powers of zeta_2017: the v_theta (0, 2*c1, 0) divides by its lead
+    # with no inverse of 2*c1, which by extended Euclid ran past 20 s
+    def coeff(summands):
+        return [{"num": a, "den": 1, "zeta_order": 2017, "zeta_pow": k} for a, k in summands]
+
+    one = [{"num": 1, "den": 1, "zeta_order": 1, "zeta_pow": 0}]
+    c1 = coeff([(2, 88), (1, 1864), (1, 1356), (1, 1176), (2, 1327)])
+    c2 = coeff([(1, 454), (-1, 1938), (1, 436), (1, 1142)])
+    c3 = coeff([(-1, 227), (-3, 758), (1, 429)])
+    doc = {"version": 1, "n": 3, "branches": [{"label": "b1", "coords": [
+        [{"exp": 2, "coeff": one}],
+        [{"exp": 3, "coeff": c1}],
+        [{"exp": 4, "coeff": c2}, {"exp": 5, "coeff": c3}],
+    ]}]}
+    path = tmp_path / "conductor_4034.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for argv in (["analyze", "--json", str(path)], ["verify", str(path)]):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 5.0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["v_theta"] for r in reports[0]["aux_records"]] == [["0", "1", "0"]]
+
+
 def test_analysis_agrees_with_the_standalone_functions():
     # the characteristic records, every k and the representative ks, against
     # the expanded difference series of tests/reference_aux.py

@@ -675,6 +675,38 @@ def test_integer_past_the_digit_limit_exits_two(capsys, fixtures_dir, tmp_path):
         assert json.loads(err)["error"] == "InvalidDocument"
 
 
+def test_document_that_is_not_utf8_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff\xfe{"version": 1}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidDocument"
+    assert "not valid UTF-8" in payload["detail"]
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("where", ["document", "--kernel", "--override-planes"])
+def test_deeply_nested_json_exits_two(capsys, fixtures_dir, tmp_path, where):
+    # 5,000 levels exceed the decoder's recursion limit: a JSON diagnostic,
+    # not a RecursionError traceback
+    space_cusp = fixture(fixtures_dir, "space_cusp")
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "n": ' + DEEP + "}")
+    argv = {
+        "document": ["analyze", str(path)],
+        "--kernel": ["project", space_cusp, "--kernel", DEEP],
+        "--override-planes": ["verify", space_cusp, "--override-planes", DEEP],
+    }[where]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidDocument"
+    assert "recursion" in payload["detail"]
+
+
 def test_bad_kernel_matrix_exits_two(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

@@ -28,8 +28,9 @@ from c5cone import (
     rref,
     zeta,
 )
+from c5cone import scalar
 from c5cone.errors import EngineError
-from c5cone.scalar import common_conductor
+from c5cone.scalar import common_conductor, divided
 from c5cone.series import CoordinateSeries, Parametrization
 from fractions import Fraction
 
@@ -183,6 +184,60 @@ def test_closed_form_planes_reject_parallel_vectors():
         with pytest.raises(DependentVectors):
             plane_from_vectors(w, v)
         _assert_closed_form_is_rref(w, v)
+
+
+def test_a_rational_ratio_vector_is_divided_with_no_inverse(monkeypatch):
+    # every entry 0 or a rational multiple of a three-term lead at N = 2017:
+    # Direction, rref and plane_from_vectors read each quotient off the
+    # terms, where an inverse by extended Euclid takes seconds
+    calls, inverse_mod = [], scalar._inverse_mod
+    monkeypatch.setattr(
+        scalar, "_inverse_mod", lambda a, m: (calls.append(None), inverse_mod(a, m))[1]
+    )
+    lead = zeta(2017, 5) + 2 * zeta(2017, 90) - zeta(2017, 1000)
+    d = Direction(vec(0, 3 * lead, Fraction(-1, 2) * lead, 0))
+    reduced, pivots = rref([vec(0, 2 * lead, lead), vec(lead, 0, Fraction(2, 3) * lead)])
+    p = plane_from_vectors(Direction(vec(1, 0, 0)), Direction(vec(1, lead, 4 * lead)))
+    assert calls == []
+    assert d.key() == ("0", "1", "-1/6", "0")
+    assert pivots == [0, 1]
+    assert [[e.text() for e in row] for row in reduced] == [["1", "0", "2/3"], ["0", "1", "1/2"]]
+    assert p.key() == (("1", "0", "0"), ("0", "1", "4"))
+    # any other entry takes the lead's inverse (here that of 1 + zeta_60^7),
+    # once per vector
+    Direction(vec(1 + zeta(60, 7), zeta(60, 3), 2 * zeta(60, 11)))
+    assert len(calls) == 1
+
+
+def test_divided_gives_the_terms_and_conductors_of_the_inverse_route():
+    # quotients read off the terms equal e * lead.inverse(), conductor and
+    # stored coefficient types included, also beside entries of other
+    # conductors and entries that take the inverse
+    rng = random.Random(14)
+    for _ in range(300):
+        N = rng.choice((3, 4, 12, 60))
+        lead = sum(
+            (rng.choice((1, -2, Fraction(1, 3))) * zeta(N, rng.randrange(N)) for _ in range(3)),
+            CycloScalar.rational(0),
+        )
+        if not lead:
+            continue
+        entries = [
+            rng.choice((
+                lambda: rng.choice((0, 1, -3, Fraction(5, 2))) * lead,
+                lambda: CycloScalar.rational(rng.choice((0, 2))),
+                lambda: zeta(rng.choice((2, 5, N)), rng.randrange(5)),
+            ))()
+            for _ in range(4)
+        ]
+        got = divided(entries, lead)
+        if lead == 1:
+            assert got == entries and all(a is b for a, b in zip(got, entries))
+            continue
+        inv = lead.inverse()
+        for a, b in zip(got, (e * inv for e in entries)):
+            assert (a.conductor, a.terms()) == (b.conductor, b.terms())
+            assert [type(c) for _, c in a.terms()] == [type(c) for _, c in b.terms()]
 
 
 def test_component_forms_vanish_on_basis():

@@ -29,7 +29,7 @@ from c5cone import (
     zeta,
 )
 from c5cone.geometry import component_rows
-from c5cone.scalar import _F0, _cyclotomic, _rounded, _zeta_terms, euler_phi
+from c5cone.scalar import _cyclotomic, _rounded, _zeta_terms, euler_phi
 from random_curves import random_curve
 from reference_complex import to_complex as reference_to_complex
 
@@ -277,8 +277,9 @@ def _ref_divmod(a, b):
     for shift in range(len(a) - len(b), -1, -1):
         f = a[shift + len(b) - 1] / b[-1]
         q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
+        if f:
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
     return q, a[: len(b) - 1]
 
 
@@ -333,7 +334,11 @@ def field_elements(draw, N=None):
 
 
 def _canonical_zeros(a):
-    return all(c is _F0 for c in a.coeffs if not c)
+    """Every dense coefficient, zeros included, is stored as an int when it
+    is integral and as a Fraction with a denominator above 1 otherwise."""
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction for c in a.coeffs
+    )
 
 
 def _sparse_canonical(a):
@@ -425,9 +430,10 @@ def test_zeros_that_are_not_shared_still_count_as_zero():
     assert (fresh * fresh.inverse()).rational_value() == 1
 
 
-def test_dense_int_coefficients_are_taken_as_fractions():
+def test_dense_int_coefficients_are_stored_as_ints():
     a = CycloScalar.from_poly(12, [2, 0, 3, 0])
     assert a == 2 + 3 * zeta(12, 2)
+    assert [type(c) for _, c in a.terms()] == [int, int]
     assert a * a.inverse() == 1
     assert CycloScalar.from_poly(12, [2, 0, 0, 0]).inverse().text() == "1/2"
 
@@ -436,6 +442,105 @@ def test_the_class_takes_no_dense_coefficients():
     # from_poly is the one dense entry point
     with pytest.raises(TypeError):
         CycloScalar(12, [1, 0, 0, 0])
+
+
+# divisors of 420: the lcm of any two is again one of them
+_STORE_ORDERS = (1, 3, 4, 5, 12, 15, 20, 60, 105, 420)
+
+
+def _ref_text(N, dense):
+    parts = [str(c) if k == 0 else f"{c}*z({N},{k})" for k, c in enumerate(dense) if c]
+    return " + ".join(parts) if parts else "0"
+
+
+def _ref_scale_into(dense, N, M):
+    """The dense reference of an element of Q(zeta_N) embedded at M."""
+    step = M // N
+    poly = [Fraction(0)] * (step * (len(dense) - 1) + 1)
+    poly[::step] = dense
+    return _ref_reduce(M, poly)
+
+
+@lru_cache(maxsize=None)
+def _ref_powers(N):
+    """x^k modulo Phi_N for 0 <= k < N, each from the one before: shift up
+    and subtract the top coefficient times the monic Phi_N."""
+    phi = _ref_phi(N)
+    powers = [tuple(Fraction(int(i == 0)) for i in range(len(phi) - 1))]
+    for _ in range(1, N):
+        prev = powers[-1]
+        top = prev[-1]
+        powers.append(tuple(
+            (prev[i - 1] if i else Fraction(0)) - top * phi[i] for i in range(len(prev))
+        ))
+    return powers
+
+
+def test_coefficients_are_ints_when_integral_against_a_fraction_reference():
+    # 600 seeded scalars at N <= 420 built by sums, products, inverses,
+    # powers, embeddings and rational scaling from sparse leaves whose
+    # coefficients are mostly integral: every stored coefficient is an int
+    # when integral, a Fraction with denominator > 1 otherwise, and the
+    # value and text() are those of a Fraction-only dense reference
+    rng = random.Random(26)
+
+    def operand():
+        if pool and rng.random() < 0.6:
+            return rng.choice(pool)
+        if rng.random() < 0.1:
+            q = rng.choice((True, False, 4, Fraction(6, 3), Fraction(-1, 2)))
+            return CycloScalar.rational(q), (Fraction(q),)
+        N = rng.choice(_STORE_ORDERS)
+        poly = {rng.randrange(2 * N): Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3)))
+                for _ in range(rng.randrange(1, 4))}
+        ref = [Fraction(0)] * euler_phi(N)
+        for k, c in poly.items():
+            ref = [x + c * y for x, y in zip(ref, _ref_powers(N)[k % N])]
+        dense = [poly.get(k, 0) for k in range(max(poly) + 1)]
+        return CycloScalar.from_poly(N, dense), tuple(ref)
+
+    pool, built, kinds, types = [], 0, set(), set()
+    while built < 600:
+        (a, ra), (b, rb) = operand(), operand()
+        N = a.conductor
+        kind = rng.choice(("sum", "product", "inverse", "power", "embed", "scale"))
+        if kind in ("sum", "product"):
+            if b.conductor != N:
+                M = math.lcm(N, b.conductor)
+                ra, rb, N = _ref_scale_into(ra, N, M), _ref_scale_into(rb, b.conductor, M), M
+            if kind == "sum":
+                got, ref = a + b, tuple(x + y for x, y in zip(ra, rb))
+            else:
+                got, ref = a * b, _ref_reduce(N, _ref_mul(ra, rb))
+        elif kind in ("inverse", "power"):
+            k = -1 if kind == "inverse" else rng.choice((-2, 0, 2, 3))
+            if not a or (k < 0 and len(a.terms()) > 4) or (k > 0 and len(a.terms()) > 6):
+                continue
+            got = a.inverse() if kind == "inverse" else a ** k
+            base = ra
+            if k < 0:  # 1/a is the one x with x * a = 1
+                base = tuple(Fraction(c) for c in a.inverse().coeffs)
+                assert _ref_reduce(N, _ref_mul(base, ra)) == (1,) + (0,) * (len(ra) - 1)
+            ref = (Fraction(1),) + (Fraction(0),) * (len(ra) - 1)
+            for _ in range(abs(k)):
+                ref = _ref_reduce(N, _ref_mul(ref, base))
+        elif kind == "embed":
+            M = rng.choice([M for M in _STORE_ORDERS if M % N == 0])
+            got, ref, N = a.embed(M), _ref_scale_into(ra, N, M), M
+        else:
+            q = rng.choice((2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(3, 3), True))
+            got, ref = a * q if rng.random() < 0.5 else q * a, tuple(c * q for c in ra)
+        assert got.conductor == N
+        stored = {type(c) for _, c in got.terms()}
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in got.terms())
+        assert got.coeffs == ref
+        assert got.text() == _ref_text(N, ref)
+        built += 1
+        kinds.add(kind)
+        types |= stored
+        if max((abs(c.numerator) for _, c in got.terms()), default=0) < 10**6:
+            pool.append((got, ref))
+    assert len(kinds) == 6 and types == {int, Fraction}
 
 
 @pytest.mark.parametrize("N", [1, 4, 12, 60, 105, 420])

@@ -40,6 +40,12 @@ different conductors below the curve's, each with an irrational first
 tangent entry, so a branch embedded at the curve's conductor rebuilds a
 tangent whose normalisation needs an inverse.
 
+A set of rational quotients runs the same as the generated curves on
+one- and two-branch C^3 curves at N = 2017 and 2520 where every v_theta
+is a rational multiple of one coefficient c, a sum of two or three
+powers of zeta_N, so normalising it needs no inverse; c is short enough
+that its Euclid inverse takes well under a second.
+
 A set for the conversion to doubles runs analyze --json, verify and
 verify --samples 57 on one- and two-branch C^3 curves whose coefficients
 are sums of several powers of zeta_N at N = 2017 and 2520, one of them
@@ -194,6 +200,44 @@ def conductor_documents(directory: pathlib.Path) -> list:
         _write_with_reversed_copy(_curve(branches), directory, name)
         for name, branches in CONDUCTORS.items()
     ]
+
+
+def quotient_documents(directory: pathlib.Path) -> list:
+    """Write curves at N = 2017 and 2520 whose every normalised vector is a
+    rational multiple of a lead of several terms, c (2 powers of zeta_2017,
+    3 of zeta_2520, so that a Euclid inverse of c stays well under a
+    second), and a branch-reversed copy of each, into directory; return
+    (path, copy) pairs. Each coordinate's lowest non-special term is a
+    rational multiple of c, so every v_theta is; higher terms are sums of
+    several powers."""
+    rng = random.Random(SEED)
+
+    def scaled(c, num, den=1):
+        return [(num * a, den * b, N, k) for a, b, N, k in c]
+
+    def many(N, count):
+        return [(rng.choice((1, -1, 2)), 1, N, rng.randrange(N)) for _ in range(count)]
+
+    one, paths = [(1, 1, 1, 0)], []
+    for N, terms in ((2017, 2), (2520, 3)):
+        c = [(rng.choice((1, -1, 2)), 1, N, rng.randrange(1, N)) for _ in range(terms)]
+        curves = {
+            "one": [
+                [[(2, one)], [(3, c), (4, many(N, 4))], [(3, scaled(c, -1, 2)), (5, many(N, 3))]],
+            ],
+            "cube": [
+                [[(3, one)], [(4, scaled(c, 3)), (5, many(N, 3))], [(4, c), (7, many(N, 2))]],
+            ],
+            "pair": [
+                [[(2, one)], [(3, c), (4, many(N, 3))], [(3, scaled(c, 3))]],
+                [[(2, one)], [(3, scaled(c, -1))], [(3, scaled(c, 2)), (5, many(N, 4))]],
+            ],
+        }
+        paths += [
+            _write_with_reversed_copy(_curve(branches), directory, f"quotient_{name}_{N}")
+            for name, branches in curves.items()
+        ]
+    return paths
 
 
 def conversion_invocations(paths: list) -> list:
@@ -444,6 +488,8 @@ def main(argv) -> int:
         differences += _diff(
             old, new, generated_invocations(paths), "branches at different conductors"
         )
+        paths = quotient_documents(pathlib.Path(tmp))
+        differences += _diff(old, new, generated_invocations(paths), "rational quotients")
         calls = conversion_invocations(conversion_documents(pathlib.Path(tmp)))
         differences += _diff(old, new, calls, "conversion to doubles")
         calls = last_invocations(new, pathlib.Path(tmp))
