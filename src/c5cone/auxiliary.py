@@ -30,11 +30,12 @@ c5.Analysis makes one span per predicted plane.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional
 
 from .errors import DuplicateBranch, NonPrimitiveParametrization
 from .geometry import Branch, cached, check_tangent_pair
-from .scalar import CycloScalar, common_conductor, root_of_unity
+from .scalar import CycloScalar, _factors, common_conductor, root_of_unity
 
 _ZERO = CycloScalar.rational(0)
 
@@ -153,9 +154,13 @@ def _duplicate(bi: Branch, bj: Branch) -> DuplicateBranch:
     )
 
 
-def representative_ks(m: int) -> list:
+@lru_cache(maxsize=None)
+def representative_ks(m: int) -> tuple:
     """One k per subgroup order d > 1, d ascending: zeta_m^(m/d) has order d."""
-    return [m // d for d in range(2, m + 1) if m % d == 0]
+    divisors = [1]
+    for p, e in _factors(m):
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return tuple(m // d for d in sorted(divisors)[1:])
 
 
 def cham(b: Branch) -> frozenset:

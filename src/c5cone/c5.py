@@ -31,7 +31,7 @@ from .geometry import (
     null_space,
     plane_from_vectors,
 )
-from .scalar import CycloScalar, root_of_unity
+from .scalar import CycloScalar, _factors, root_of_unity
 
 
 _KINDS = ("characteristic", "contact", "non-tangent")  # in collection order
@@ -296,16 +296,7 @@ def sigma(n: int) -> int:
     of prime factors counted with multiplicity."""
     if n < 1:
         raise ValueError(f"sigma needs n >= 1, got {n}")
-    count = 1
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            count += 1
-            n //= p
-        p += 1
-    if n > 1:
-        count += 1
-    return count
+    return 1 + sum(e for _, e in _factors(n))
 
 
 def _bound(c: Curve, cls: TangencyClassification, chain) -> int:

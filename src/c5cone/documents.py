@@ -319,7 +319,7 @@ def write_curve(path, c: Curve) -> None:
         handle.write(dumps_document(to_document(c)))
 
 
-def curve_from_exponents(spec, label_prefix: str = "b") -> Curve:
+def curve_from_exponents(spec) -> Curve:
     """Convenience constructor for tests and fixture generation.
 
     spec is a list of branches; each branch is a list of coordinates; each
@@ -338,5 +338,5 @@ def curve_from_exponents(spec, label_prefix: str = "b") -> Curve:
                     for e, c in coord
                 )
             )
-        branches.append(Branch(Parametrization(series), f"{label_prefix}{len(branches) + 1}"))
+        branches.append(Branch(Parametrization(series), f"b{len(branches) + 1}"))
     return curve(branches)

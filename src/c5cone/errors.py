@@ -37,9 +37,9 @@ class NotPuiseuxForm(EngineError):
 class IncompatibleSystem(EngineError):
     """A tangent branch pair shares no special coordinate index."""
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         super().__init__(
-            message or f"tangent branches {i} and {j} share no special coordinate",
+            f"tangent branches {i} and {j} share no special coordinate",
             pair=[i, j],
         )
         self.pair = (i, j)

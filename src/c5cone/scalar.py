@@ -40,22 +40,29 @@ from .errors import ConductorLimitExceeded, DivisionByZero, FloatingPointOverflo
 CONDUCTOR_LIMIT = 10080
 
 @lru_cache(maxsize=None)
+def _factors(n: int) -> tuple:
+    """n's prime factorization ((p, e), ...), p ascending, by trial division:
+    phi(N), Phi_N, sigma(m) and the root orders of m all read it."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, the product of p^(e-1) * (p - 1) over n's factorization."""
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -64,42 +71,30 @@ def euler_phi(n: int) -> int:
 # sum(ints[k] * x^k) / den.
 
 
-def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(N: int) -> tuple:
-    """Phi_N as an int tuple: the product over d | N of (x^d - 1)^mu(N/d),
-    multiplying every factor in before dividing any out, so each division
-    by x^d - 1 is exact."""
-    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    """Phi_N as an int tuple: the product over the squarefree e | N of
+    (x^(N/e) - 1)^mu(e), mu(e) = (-1)^(number of primes of e), multiplying
+    every factor in before dividing any out, so each division by x^d - 1
+    is exact."""
+    signed = [(1, 1)]
+    for p, _ in _factors(N):
+        signed += [(e * p, -mu) for e, mu in signed]
     poly = [1]
-    for d in divisors:
-        if _mobius(N // d) == 1:
-            # times x^d - 1
-            out = [-c for c in poly] + [0] * d
-            for k, c in enumerate(poly):
-                out[k + d] += c
-            poly = out
-    for d in divisors:
-        if _mobius(N // d) == -1:
-            # poly = q * (x^d - 1), so q[k - d] = poly[k] + q[k] from the top
-            q = [0] * len(poly)
-            for k in range(len(poly) - 1, d - 1, -1):
-                q[k - d] = poly[k] + q[k]
-            if any(c + q[k] for k, c in enumerate(poly[:d])):
-                raise AssertionError(f"cyclotomic division left a remainder for N={N}")
-            poly = q[: len(poly) - d]
+    for d in (N // e for e, mu in signed if mu == 1):
+        # times x^d - 1
+        out = [-c for c in poly] + [0] * d
+        for k, c in enumerate(poly):
+            out[k + d] += c
+        poly = out
+    for d in (N // e for e, mu in signed if mu == -1):
+        # poly = q * (x^d - 1), so q[k - d] = poly[k] + q[k] from the top
+        q = [0] * len(poly)
+        for k in range(len(poly) - 1, d - 1, -1):
+            q[k - d] = poly[k] + q[k]
+        if any(c + q[k] for k, c in enumerate(poly[:d])):
+            raise AssertionError(f"cyclotomic division left a remainder for N={N}")
+        poly = q[: len(poly) - d]
     return tuple(poly)
 
 
@@ -226,9 +221,7 @@ def _check_conductor(N: int):
 
 def common_conductor(*orders: int) -> int:
     """lcm of the given orders, checked against the conductor cap."""
-    N = 1
-    for n in orders:
-        N = N * n // math.gcd(N, n)
+    N = math.lcm(*orders)
     _check_conductor(N)
     return N
 

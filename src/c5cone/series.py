@@ -69,13 +69,13 @@ class CoordinateSeries:
 
     __hash__ = None
 
-    def text(self, var: str = "u") -> str:
+    def text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for e, c in self.terms:
             coeff = c.text()
-            mono = var if e == 1 else f"{var}^{e}"
+            mono = "u" if e == 1 else f"u^{e}"
             parts.append(mono if coeff == "1" else f"({coeff})*{mono}")
         return " + ".join(parts)
 
@@ -109,8 +109,8 @@ class Parametrization:
 
     __hash__ = None
 
-    def text(self, var: str = "u") -> str:
-        return "(" + ", ".join(c.text(var) for c in self.coords) + ")"
+    def text(self) -> str:
+        return "(" + ", ".join(c.text() for c in self.coords) + ")"
 
     def __repr__(self):
         return f"<parametrization {self.text()}>"

@@ -55,7 +55,7 @@ def test_second_routes_to_a_fact_are_gone():
         "cyclotomic_polynomial", "characteristic_aux", "contact_aux",
         "characteristic_records", "contact_records", "ProjectionSearchExhausted",
         "_SEARCH_CAP", "integer_normalized_form", "substitute_power", "tangent_direction",
-        "plane_equations", "_witness_json", "_Validated", "_validated",
+        "plane_equations", "_witness_json", "_Validated", "_validated", "_mobius",
     ):
         assert not any(hasattr(module, name) for module in [c5cone, *modules]), name
     # Analysis.records is the one record builder
@@ -73,3 +73,16 @@ def test_consumers_take_no_cone():
     for consumer in (c5cone.is_c5_generic, c5cone.find_generic_projection,
                      c5cone.cone_witness_results):
         assert "cone" not in inspect.signature(consumer).parameters, consumer.__name__
+
+
+def test_parameters_no_caller_sets_are_gone():
+    # the error message, the series variable and the label prefix are
+    # constants; no caller ever passed another
+    for function, name in (
+        (c5cone.IncompatibleSystem, "message"),
+        (c5cone.series.CoordinateSeries.text, "var"),
+        (c5cone.Parametrization.text, "var"),
+        (c5cone.curve_from_exponents, "label_prefix"),
+    ):
+        assert name not in inspect.signature(function).parameters, function.__qualname__
+    assert c5cone.IncompatibleSystem("a", "b").pair == ("a", "b")

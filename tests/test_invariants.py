@@ -10,7 +10,9 @@ import pytest
 
 from c5cone import (
     Analysis,
+    DuplicateBranch,
     EngineError,
+    NoCommonSpecialCoordinate,
     NonIntegralResult,
     NotPlaneCurve,
     StructureMismatch,
@@ -25,7 +27,13 @@ from c5cone import (
     profile,
 )
 from c5cone.geometry import Direction
-from random_curves import random_curve, random_plane_branch_curve
+from c5cone.projection import apply_projection, find_generic_projection
+from random_curves import (
+    random_curve,
+    random_curve_with_cone,
+    random_plane_branch_curve,
+    random_space_branch_curve,
+)
 from reference_equivalence import brute_force_equivalent, shared_cham_spec, tangent_family
 
 
@@ -365,14 +373,14 @@ def _plane_germs(rng, count):
     return germs
 
 
-def test_compare_matches_the_classical_invariants_of_plane_germs():
-    """Two plane germs are bi-Lipschitz equivalent iff some branch
-    bijection keeps each branch's characteristic exponents and each pair's
-    intersection multiplicity (Pham-Teissier; Fernandes 2003;
-    Neumann-Pichon 2014). Both are derived here without the engine: the
+def _classical_equivalence(sympy):
+    """The classical verdict on two plane germs, each a tuple of branches
+    (m, tail), a branch standing for (t^m, sum c t^e over its tail): true
+    iff some branch bijection keeps each branch's characteristic exponents
+    and each pair's intersection multiplicity (Pham-Teissier; Fernandes
+    2003; Neumann-Pichon 2014). Both are derived without the engine: the
     exponents by the gcd chain, and I(a, b) as the order in t of b's
     implicit equation, a sympy resultant, along a's parametrization."""
-    sympy = pytest.importorskip("sympy")
     t, x, y = sympy.symbols("t x y")
     equations, meets = {}, {}
 
@@ -406,6 +414,13 @@ def test_compare_matches_the_classical_invariants_of_plane_germs():
             for perm in permutations(range(len(h)))
         )
 
+    return classically_equivalent
+
+
+def test_compare_matches_the_classical_invariants_of_plane_germs():
+    """compare on plane germs agrees with the classical verdict of
+    _classical_equivalence."""
+    classically_equivalent = _classical_equivalence(pytest.importorskip("sympy"))
     # each germ is paired with a relabelled copy, a copy whose non-special
     # coordinate is scaled by one rational, an independent germ, and a copy
     # whose tail coefficients are redrawn on the same supports
@@ -430,3 +445,139 @@ def test_compare_matches_the_classical_invariants_of_plane_germs():
     # a redrawn copy keeps every characteristic exponent, so where its
     # verdict is "not equivalent" an intersection multiplicity decided it
     assert 0 < verdicts["redrawn"].count(False) < len(germs)
+
+
+# ---------------------------------------------------------------------------
+# compare on space germs against the classical invariants of their images
+
+
+def _rational_spec(rng, c):
+    """c as a curve_from_exponents spec of tuples, each irrational
+    coefficient replaced by a rational drawn from _REDRAWN."""
+    return tuple(
+        tuple(
+            tuple((e, v.rational_value() if v.is_rational() else rng.choice(_REDRAWN))
+                  for e, v in s.terms)
+            for s in b.param.coords
+        )
+        for b in c.branches
+    )
+
+
+def _space_germs(rng, count):
+    """count seeded germs in C^3 and C^4 of 1 to 3 branches, by turns joined
+    from random_space_branch_curve branches (all tangent, special in
+    coordinate 0, a branch in another dimension than the first drawn
+    again) and drawn by random_curve_with_cone, their coefficients made
+    rational by _rational_spec; a plane germ, or one whose branches share
+    no special coordinate, is drawn again."""
+    germs = []
+    while len(germs) < count:
+        if len(germs) % 2:
+            c, _ = random_curve_with_cone(rng, max_r=3, max_m=4, max_exp=12)
+            spec = _rational_spec(rng, c)
+        else:
+            spec, r = (), rng.randint(1, 3)
+            while len(spec) < r:
+                [b] = _rational_spec(rng, random_space_branch_curve(rng, max_m=4, max_exp=12))
+                spec += (b,) if not spec or len(b) == len(spec[0]) else ()
+        if len(spec[0]) < 3:
+            continue
+        try:
+            find_generic_projection(curve_from_exponents(spec))
+        except NoCommonSpecialCoordinate:
+            continue
+        germs.append(spec)
+    return germs
+
+
+def _redrawn(rng, spec):
+    """spec with every coefficient of a coordinate that is not exactly u^m
+    redrawn on the same support; drawn again while two branches coincide."""
+    ms = [min(e for s in b for e, _ in s) for b in spec]
+    while True:
+        other = tuple(
+            tuple(
+                s if s == ((m, 1),) else tuple((e, rng.choice(_REDRAWN)) for e, _ in s)
+                for s in b
+            )
+            for m, b in zip(ms, spec)
+        )
+        try:
+            curve_from_exponents(other)
+        except DuplicateBranch:
+            continue
+        return other
+
+
+def _contact_pairs(rng, count):
+    """count pairs of two-branch germs (b, b') and (b, b'') in C^3 or C^4
+    with the same exponents everywhere: b' and b'' are b with every
+    coefficient from a tail exponent on changed, from two different tail
+    exponents, so the germs differ at most in the one intersection
+    multiplicity of their pair."""
+    pairs = []
+    while len(pairs) < count:
+        [b] = _rational_spec(rng, random_space_branch_curve(rng, max_m=4, max_exp=12))
+        tail = sorted({e for s in b[1:] for e, _ in s})
+        if len(tail) < 2:
+            continue
+
+        def changed(start):
+            return (b[0],) + tuple(
+                tuple((e, c if e < start else rng.choice([q for q in _REDRAWN if q != c]))
+                      for e, c in s)
+                for s in b[1:]
+            )
+
+        first, second = rng.sample(tail, 2)
+        pairs.append(((b, changed(first)), (b, changed(second))))
+    return pairs
+
+
+def test_compare_matches_the_classical_invariants_of_generic_plane_images():
+    """Two space germs are bi-Lipschitz equivalent iff their images under
+    C5-generic plane projections are (Teissier 1982; Fernandes 2003), and
+    plane germs are decided by _classical_equivalence. compare on the space
+    germs must agree with that verdict on the images of
+    find_generic_projection, every time."""
+    classically_equivalent = _classical_equivalence(pytest.importorskip("sympy"))
+    images = {}
+
+    def image(spec):
+        if spec not in images:
+            c = curve_from_exponents(spec)
+            plane = apply_projection(c, find_generic_projection(c))
+            assert all(0 in b.special_coords for b in plane.branches)
+            images[spec] = tuple(
+                (b.m, tuple((e, v.rational_value()) for e, v in b.param.coords[1].terms))
+                for b in plane.branches
+            )
+        return images[spec]
+
+    # each germ is paired with a relabelled copy, a copy whose coefficients
+    # are redrawn on the same supports and an independent germ; the contact
+    # pairs share every exponent
+    rng = random.Random(10)
+    germs = _space_germs(rng, 100)
+    assert {len(g[0]) for g in germs} == {3, 4} and {len(g) for g in germs} == {1, 2, 3}
+    verdicts = {"relabelled": [], "redrawn": [], "independent": [], "contact": []}
+    pairs = [
+        (kind, germ, other)
+        for k, germ in enumerate(germs)
+        for kind, other in (
+            ("relabelled", tuple(rng.sample(germ, len(germ)))),
+            ("redrawn", _redrawn(rng, germ)),
+            ("independent", germs[(k + 1) % len(germs)]),
+        )
+    ] + [("contact", g, h) for g, h in _contact_pairs(rng, 30)]
+    for kind, germ, other in pairs:
+        verdict = bilipschitz_equivalent(
+            curve_from_exponents(germ), curve_from_exponents(other)
+        ).equivalent
+        assert verdict == classically_equivalent(image(germ), image(other)), (kind, germ, other)
+        verdicts[kind].append(verdict)
+    assert all(verdicts["relabelled"])
+    # the contact pairs share every exponent, so where their verdict is
+    # "not equivalent" their one intersection multiplicity decided it
+    assert False in verdicts["contact"] and not all(verdicts["independent"])

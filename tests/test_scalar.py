@@ -29,7 +29,9 @@ from c5cone import (
     zeta,
 )
 from c5cone.geometry import component_rows
-from c5cone.scalar import _cyclotomic, _rounded, _zeta_terms, euler_phi
+from c5cone.auxiliary import representative_ks
+from c5cone.c5 import sigma
+from c5cone.scalar import _cyclotomic, _factors, _rounded, _zeta_terms, euler_phi
 from random_curves import random_curve
 from reference_complex import to_complex as reference_to_complex
 
@@ -98,6 +100,29 @@ def test_cyclotomic_polynomial_matches_sympy(N):
     x = sympy.symbols("x")
     want = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
     assert _cyclotomic(N) == tuple(int(c) for c in want)
+
+
+def test_integer_facts_read_off_one_factorization_match_sympy():
+    # phi, Phi_N, sigma and the factorization itself against sympy for every
+    # n <= 300 and for conductors with many primes, a prime power and the
+    # primes 2017 and 10079; sympy builds Phi_p of a prime p by a long
+    # division that takes seconds at p = 10079, so for those two the check
+    # is sympy's product (x - 1) * Phi_p = x^p - 1, which fixes Phi_p too
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in [*range(1, 301), 1024, 2017, 2310, 2520, 9240, 10079, 10080]:
+        factors, want = _factors(n), sympy.factorint(n)
+        assert dict(factors) == want and [p for p, _ in factors] == sorted(want), n
+        assert math.prod(p**e for p, e in factors) == n
+        assert euler_phi(n) == sympy.totient(n), n
+        assert sigma(n) == 1 + sum(want.values()), n
+        got = sympy.Poly(_cyclotomic(n)[::-1], x)
+        if n > 300 and sympy.isprime(n):
+            assert got * sympy.Poly(x - 1, x) == sympy.Poly(x**n - 1, x), n
+        else:
+            assert got == sympy.cyclotomic_poly(n, x, polys=True), n
+    for m in range(1, 601):
+        assert representative_ks(m) == tuple(m // d for d in range(2, m + 1) if m % d == 0), m
 
 
 # ---------------------------------------------------------------------------

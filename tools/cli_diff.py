@@ -55,6 +55,12 @@ coefficients have an exactly zero or cancelling part (-3*zeta_4,
 1/9 + 2/9*zeta_3, zeta_8 + zeta_8^3, 2*zeta_60^5 - zeta_60^15), which
 to_complex sums through mpmath. Both of its routes are then diffed.
 
+A set of many primes runs analyze, with and without --json, verify and
+project --auto on one- and two-branch C^3 curves at N = 2310, 9240 and
+10080 (32, 32 and 16 squarefree divisors, each a factor of Phi_N's
+product formula) and on their branch-reversed copies. Every coefficient
+is zeta_N^k with k < phi(N) and k prime to N.
+
 A last set runs analyze, with and without --json and --reps, of
 SPELLING, a curve whose one plane has a coefficient whose text holds
 '+ -' (the product equation must spell it as the plane equation does),
@@ -79,6 +85,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 import random
 import statistics
@@ -238,6 +245,46 @@ def quotient_documents(directory: pathlib.Path) -> list:
             for name, branches in curves.items()
         ]
     return paths
+
+
+def prime_documents(directory: pathlib.Path) -> list:
+    """Write one- and two-branch C^3 curves at N = 2310, 9240 and 10080,
+    conductors with many primes, and a branch-reversed copy of each into
+    directory; return (path, copy) pairs. Every coefficient is zeta_N^k
+    with k < phi(N), so no power of zeta folds, and k prime to N, so the
+    curve's conductor is N."""
+    rng = random.Random(SEED)
+    paths = []
+    for N, phi in ((2310, 480), (9240, 1920), (10080, 2304)):  # (N, phi(N))
+        def z():
+            k = rng.randrange(1, phi)
+            while math.gcd(k, N) != 1:
+                k = rng.randrange(1, phi)
+            return [(1, 1, N, k)]
+
+        def branch(m):
+            return [
+                [(m, [(1, 1, 1, 0)])],
+                [(m + 1, z()), (m + 2, z())],
+                [(m + 1, z()), (m + 3, z())],
+            ]
+
+        paths.append(_write_with_reversed_copy(_curve([branch(2)]), directory, f"primes_one_{N}"))
+        paths.append(
+            _write_with_reversed_copy(_curve([branch(2), branch(3)]), directory, f"primes_two_{N}")
+        )
+    return paths
+
+
+def prime_invocations(paths: list) -> list:
+    return [
+        call for pair in paths for path in map(str, pair) for call in (
+            ["analyze", path],
+            ["analyze", path, "--json"],
+            ["verify", path],
+            ["project", path, "--auto"],
+        )
+    ]
 
 
 def conversion_invocations(paths: list) -> list:
@@ -492,6 +539,8 @@ def main(argv) -> int:
         differences += _diff(old, new, generated_invocations(paths), "rational quotients")
         calls = conversion_invocations(conversion_documents(pathlib.Path(tmp)))
         differences += _diff(old, new, calls, "conversion to doubles")
+        calls = prime_invocations(prime_documents(pathlib.Path(tmp)))
+        differences += _diff(old, new, calls, "many primes")
         calls = last_invocations(new, pathlib.Path(tmp))
         differences += _diff(old, new, calls, "coefficient spelling and the tangent family")
     return 1 if differences else 0
