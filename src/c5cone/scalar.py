@@ -505,27 +505,52 @@ def root_of_unity(conductor: int, order: int, k: int) -> CycloScalar:
     return zeta(conductor, (conductor // order) * (k % order))
 
 
+def _atan_inv(x: int) -> int:
+    """arctan(1/x) * 2**400, truncated, by its alternating series: each of
+    its terms is floored twice, so it is off by under 2.2 per term."""
+    t = (1 << 400) // x
+    total, k = t, 1
+    while t:
+        t //= x * x
+        total += (-1) ** k * (t // (2 * k + 1))
+        k += 1
+    return total
+
+
+# pi * 2**400 by Machin's formula, pi/4 = 4*arctan(1/5) - arctan(1/239):
+# 86 and 25 series terms, so it lies within 2**12 of pi * 2**400.
+_PI = 16 * _atan_inv(5) - 4 * _atan_inv(239)
+
+
 @lru_cache(maxsize=None)
-def _unit(N: int, j: int):
-    """zeta_N^j = exp(2*pi*i*j/N) at 200 bits, computed once per (N, j), with
-    its real and imaginary parts as exact ints over 2**320 (_scaled). Callers
-    pass reduced exponents j < phi(N), so the table holds at most phi(N)
-    entries per conductor, like _fold."""
-    import mpmath
+def _unit(N: int, j: int) -> tuple:
+    """The real and imaginary parts of zeta_N^j = exp(2*pi*i*j/N) as ints
+    over 2**320, each within 1 of the exact part times 2**320, computed once
+    per (N, j). Callers pass reduced exponents j < phi(N), so the table
+    holds at most phi(N) entries per conductor, like _fold.
 
-    with mpmath.workprec(200):
-        u = mpmath.expjpi(mpmath.mpf(2 * j) / N)
-    return u, _scaled(u.real), _scaled(u.imag)
-
-
-def _scaled(x):
-    """The mpf x times 2**320 as an exact int, or None when it is not one.
-    Every nonzero part of a root of unity at N <= CONDUCTOR_LIMIT is above
-    2**-14, so its 200 bits stay above 2**-320 and the scaling is exact."""
-    sign, man, exp, _ = x._mpf_  # x = (-1)**sign * man * 2**exp
-    if exp < -320:
-        return None
-    return -man << exp + 320 if sign else man << exp + 320
+    With 4j = q*N + r, |r| <= N/2, the angle is q quarter turns plus
+    x = pi*r/(2N), |x| <= pi/4. cos x and sin x are Taylor sums of the
+    terms x^k/k! in ints over 2**400, each term floored twice. The error
+    of x (under 2**10 + 1, from _PI's), of the at most 77 terms (under 5
+    each) and of the tail leave both within 2**11 of the exact values
+    times 2**400; rounded to 2**320 they are within 1/2 + 2**-69. A
+    quarter turn (r = 0) has x = 0, so its parts are exactly 0 and +-1."""
+    q, r = divmod(4 * j, N)
+    if 2 * r > N:
+        q, r = q + 1, r - N
+    x = _PI * abs(r) // (2 * N)
+    terms, t = [], 1 << 400
+    while t:
+        terms.append(t)
+        t = (t * x >> 400) // len(terms)
+    c = sum(terms[::4]) - sum(terms[2::4]) + (1 << 79) >> 80
+    s = sum(terms[1::4]) - sum(terms[3::4]) + (1 << 79) >> 80
+    if r < 0:
+        s = -s
+    for _ in range(q % 4):  # times i
+        c, s = -s, c
+    return c, s
 
 
 def _rounded(x) -> float:
@@ -546,34 +571,42 @@ def _fixed_point(a: CycloScalar):
     None when this route cannot prove it equal to the mpmath route's.
 
     With a = sum(n_j * zeta^j) / d, each part S = sum(n_j * C_j) over the
-    parts C_j of the roots times 2**320 is exact, and the value is
-    X = S / (d << 320). The mpmath route rounds each coefficient twice
-    (mpf of its numerator, then the division), each product once and each
-    of the L - 1 additions once, all to 200 bits
-    (roundoff 2**-200), so its sum lies within (L + 3) * 2**-199 * T of X,
-    T = sum(|n_j * C_j|) / (d << 320). Int true division rounds correctly,
-    subnormals included, and rounding is monotone: when (S - B) / scale and
-    (S + B) / scale, B = ceil((L + 4) * T * 2**-199) in units of 1 / scale,
-    are the same double bit for bit (a zero's sign counts), the mpmath sum
-    rounds to it too. When T = 0 every product is an exact zero, S = B = 0,
-    and both routes give +0.0."""
+    parts C_j of _unit's roots is exact; scale = d << 320. The mpmath route
+    takes its root as expjpi(mpf(2j) / N) at 200 bits. The rounded argument
+    moves a part by at most pi * 2**-200, and the one assumption made of
+    mpmath is that its expjpi adds at most 1 ulp (2**-200 below 1) and is
+    exact at a quarter turn (4j = 0 mod N), as _unit is. So off quarter
+    turns its parts times 2**320 are within (pi + 1) * 2**120 + 1 of C_j,
+    and E = sum(|n_j|) * (2**124 + 1) over those j bounds both the distance
+    from S to its exact sum of products S' and that from T = sum(|n_j*C_j|)
+    to its T'. It rounds each coefficient twice (mpf of its numerator,
+    then the division), each product once and each of the L - 1 additions
+    once, all to 200 bits (roundoff 2**-200), so its sum lies within
+    (L + 3) * 2**-199 * T' / scale of S' / scale. Int true division rounds
+    correctly, subnormals included, and rounding is monotone: when
+    (S - B) / scale and (S + B) / scale, B = ceil((L + 4) * (T + E) *
+    2**-199) + E, are the same double bit for bit (a zero's sign counts),
+    the mpmath sum rounds to it too. When T = 0 every term is a quarter
+    turn whose part is exactly 0 on both routes, E = S = B = 0, and both
+    give +0.0."""
     pairs, den = _int_terms(a.terms())
     scale = den << 320
     slack = len(pairs) + 4
     N = a.conductor
-    s_re = s_im = t_re = t_im = 0
+    s_re = s_im = t_re = t_im = e = 0
     for j, n in pairs:
-        _, c_re, c_im = _unit(N, j)
-        if c_re is None or c_im is None:
-            return None
+        c_re, c_im = _unit(N, j)
         p_re, p_im = n * c_re, n * c_im
         s_re += p_re
         s_im += p_im
         t_re += abs(p_re)
         t_im += abs(p_im)
+        if 4 * j % N:
+            e += abs(n)
+    e *= (1 << 124) + 1
     parts = []
     for s, t in ((s_re, t_re), (s_im, t_im)):
-        b = -(-slack * t >> 199)
+        b = -(-slack * (t + e) >> 199) + e
         try:
             lo, hi = (s - b) / scale, (s + b) / scale
         except OverflowError:
@@ -592,10 +625,11 @@ def to_complex(a: CycloScalar) -> complex:
     rounded once (_rounded), so the only error is the unavoidable
     double-precision representation of the exact value, subnormals
     included. A small rational is one int division; every other value goes
-    through _fixed_point, which proves its double equals the 200-bit one,
-    and the mpmath sum runs only where it cannot (an exactly cancelling
-    part, or a double out of range). mpmath is imported on the first value
-    that is not a small rational.
+    through _fixed_point, which sums it over integer roots of unity and
+    proves its double equals the 200-bit one to within the bound stated
+    there. The mpmath sum runs only where it cannot (a part that cancels
+    exactly, such as that of 1 + 2*zeta_3, or a double out of range), and
+    mpmath is imported only then.
     """
     if a.is_rational():
         q = a.rational_value()
@@ -622,7 +656,7 @@ def to_complex(a: CycloScalar) -> complex:
         N = a.conductor
         for j, c in a.terms():
             q = mpmath.mpf(c.numerator) / c.denominator
-            total += q * _unit(N, j)[0]
+            total += q * mpmath.expjpi(mpmath.mpf(2 * j) / N)
         z = complex(_rounded(total.real), _rounded(total.imag))
     if not cmath.isfinite(z):
         raise FloatingPointOverflow(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -722,6 +723,60 @@ def test_to_complex_matches_the_reference_bit_for_bit():
         assert _bits(to_complex(a)) == _bits(want), a
 
 
+def _mpmath_root(N: int, j: int) -> tuple:
+    """The parts of the mpmath route's root, expjpi(mpf(2j) / N) at 200
+    bits, times 2**320: exact ints, as every nonzero part is above 2**-14."""
+    with mpmath.workprec(200):
+        u = mpmath.expjpi(mpmath.mpf(2 * j) / N)
+    out = []
+    for x in (u.real, u.imag):
+        sign, man, exp, _ = x._mpf_
+        assert not man or exp >= -320
+        out.append((-man if sign else man) << exp + 320 if man else 0)
+    return tuple(out)
+
+
+_QUARTER_TURNS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def test_integer_roots_are_within_the_slack_of_the_mpmath_roots():
+    # _fixed_point's slack allows 2**124 + 1 units of 2**-320 per part
+    bound = 2**124 + 1
+    cases = [(N, j) for N in range(1, 301) for j in range(euler_phi(N))]
+    rng = random.Random(28)
+    for N in (2017, 2520, 9240, 10079, 10080):
+        cases += [(N, j) for j in rng.sample(range(N), 60)]
+    for N, j in cases:
+        if 4 * j % N:
+            ours, theirs = scalar._unit.__wrapped__(N, j), _mpmath_root(N, j)
+            assert all(abs(c - m) <= bound for c, m in zip(ours, theirs)), (N, j)
+    for N in range(1, 301):
+        for j in range(0, N, N // math.gcd(N, 4)):  # every quarter turn
+            exact = tuple(v << 320 for v in _QUARTER_TURNS[4 * j // N])
+            assert scalar._unit.__wrapped__(N, j) == _mpmath_root(N, j) == exact, (N, j)
+
+
+def test_mpmath_roots_meet_the_one_assumption_made_of_them():
+    # _fixed_point assumes that the 200-bit argument mpf(2j) / N is within
+    # 2**-200 of 2j/N and that expjpi at 200 bits lands within 1 ulp of
+    # each part of exp(i*pi*x) at that argument x
+    rng = random.Random(2800)
+    for _ in range(300):
+        N = rng.randint(1, CONDUCTOR_LIMIT)
+        j = rng.randrange(N)
+        with mpmath.workprec(200):
+            x = mpmath.mpf(2 * j) / N
+            u = mpmath.expjpi(x)
+        man, exp = x.man_exp
+        assert abs(Fraction(man) * Fraction(2) ** exp - Fraction(2 * j, N)) <= Fraction(1, 2**200)
+        with mpmath.workprec(600):
+            exact = mpmath.expjpi(x)
+            for got, want in ((u.real, exact.real), (u.imag, exact.imag)):
+                _, man, exp, bits = got._mpf_
+                ulp = mpmath.ldexp(1, exp + bits - 200) if man else 0
+                assert abs(got - want) <= ulp + mpmath.ldexp(1, -500), (N, j)
+
+
 def test_a_cancelling_part_takes_the_mpmath_route(mpmath_sums):
     a = Fraction(1, 9) + Fraction(2, 9) * zeta(3)
     _assert_as_reference(a)
@@ -766,7 +821,7 @@ def test_values_beyond_double_range_raise_overflow():
     assert to_complex(CycloScalar.rational(Fraction(1, 10**400))) == 0
 
 
-def test_mpmath_is_loaded_only_for_irrational_values():
+def test_mpmath_is_loaded_only_for_the_fallback_sum():
     src = Path(__file__).resolve().parent.parent / "src"
     fixture = src.parent / "fixtures" / "space_cusp.json"
     script = (
@@ -776,7 +831,11 @@ def test_mpmath_is_loaded_only_for_irrational_values():
         f"assert c5cone.cli.main(['analyze', {str(fixture)!r}, '--json']) == 0\n"
         "assert 'mpmath' not in sys.modules, 'analyze'\n"
         "c5cone.to_complex(c5cone.zeta(3))\n"
-        "assert 'mpmath' in sys.modules, 'irrational'\n"
+        "assert 'mpmath' not in sys.modules, 'irrational'\n"
+        # its real part cancels exactly, so only the mpmath sum decides it
+        "z = c5cone.to_complex(1 + 2 * c5cone.zeta(3))\n"
+        "assert 'mpmath' in sys.modules, 'fallback'\n"
+        "assert repr(z) == '(-1.2446030555722283e-60+1.7320508075688772j)', z\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
