@@ -30,7 +30,7 @@ import random
 import sys
 from collections import Counter
 from itertools import compress, repeat, starmap
-from operator import add, attrgetter, lt, mul, neg, not_, sub, truediv
+from operator import add, attrgetter, gt, lt, mul, neg, not_, sub, truediv
 from typing import NamedTuple, Optional
 
 from .auxiliary import characteristic_order
@@ -118,11 +118,17 @@ def _orthonormalize(rows):
     return basis
 
 
+def _distance(total: float) -> float:
+    """A unit vector's distance to a component on whose orthonormal rows its
+    squared projections sum to total; it does not increase with total."""
+    return math.sqrt(max(0.0, 1.0 - total))
+
+
 def _residual(unit_vec, basis) -> float:
     total = 0.0
     for b in basis:
         total += abs(sum(bz.conjugate() * vz for bz, vz in zip(b, unit_vec))) ** 2
-    return math.sqrt(max(0.0, 1.0 - total))
+    return _distance(total)
 
 
 def component_basis(component):
@@ -503,10 +509,13 @@ def _sample_batch(terms, batch, radius, count):
     order: the same error, with the same payload, as sampling one source
     after the other.
 
-    Here and in _distances, each float operation of the plain per-sample
-    sampler (tests/reference_sampler.py) runs over a whole column, on the
-    same operands and in the same order, so the report is the same bit for
-    bit. Some steps are left out, each exactly neutral:
+    Here and in _totals, each float operation of the plain per-sample
+    sampler (tests/reference_sampler.py) up to a total of squares runs over
+    a whole column, on the same operands and in the same order. Only the
+    extreme totals reach _distance, once per reported figure: 1 - t, max
+    and sqrt each round monotonically, so the least distance over some
+    totals is that of the largest, bit for bit. Some steps are left out,
+    each exactly neutral:
 
     * sum()'s leading int 0 in front of each series and each inner product:
       0 + z differs from z only where z holds a -0.0, and a zero's sign
@@ -524,8 +533,7 @@ def _sample_batch(terms, batch, radius, count):
     * a second |<row, d>|**2 over the same directions, for a row that
       several components share: the same operations on the same operands;
     * the 0.0 + in front of each total of squares |<row, d>|**2, which
-      is non-negative;
-    * max(0.0, x) over a column whose every x is positive: it returns x.
+      is non-negative.
     """
     deltas, scales = _secants(terms, batch, radius, count)
     if all(map(math.isfinite, scales)) and not any(map(lt, scales, repeat(1e-280))):
@@ -578,12 +586,12 @@ def _squares(row, directions):
     return map(pow, map(abs, _combination(zip(row, directions))), repeat(2))
 
 
-def _distances(basis, directions, shared=None):
-    """Per direction, its distance sqrt(max(0, 1 - sum |<row, d>|^2)) to
-    the component whose orthonormal rows, conjugated, are basis. shared,
-    when given, maps each row that other components hold too to its
-    squares over these directions, or to None until they are first
-    needed."""
+def _totals(basis, directions, shared=None):
+    """Per direction d, its total sum |<row, d>|**2 over the orthonormal
+    rows, conjugated, of a component: d's distance to the component is
+    _distance(total). shared, when given, maps each row that other
+    components hold too to its squares over these directions, or to None
+    until they are first needed."""
     total = None
     for row in basis:
         if shared is not None and row in shared:
@@ -592,42 +600,40 @@ def _distances(basis, directions, shared=None):
                 squares = shared[row] = list(_squares(row, directions))
         else:
             squares = _squares(row, directions)
-        total = squares if total is None else list(map(add, total, squares))
-    rest = list(map(sub, repeat(1.0), total))
-    if not all(map(lt, repeat(0.0), rest)):
-        rest = map(max, repeat(0.0), rest)
-    return list(map(math.sqrt, rest))
+        total = squares if total is None else map(add, total, squares)
+    return list(total)
 
 
 def _pruned_max(bases, directions, floor, shared):
-    """max(floor, the largest distance from a direction to its nearest
-    component), scanning the components column by column. shared lists
-    the rows that several components hold (see _distances).
+    """min(floor, the least over the directions of a direction's largest
+    total): the total of the largest distance to a nearest component.
+    shared lists the rows that several components hold (see _totals).
 
     Before each component after the first, the direction farthest from the
-    components scanned so far gets its full minimum, which may raise floor.
-    A direction whose best distance so far is within floor can no longer
-    raise the maximum and is dropped; the farthest one goes too, its full
-    minimum now being part of floor."""
+    components scanned so far (least total) gets its full maximum, which
+    may lower floor. A direction whose best total so far has reached floor
+    can no longer raise the largest distance and is dropped; the farthest
+    one goes too, its full maximum now being part of floor."""
+    if not bases:  # no component: every distance is inf
+        return -math.inf
     squares = dict.fromkeys(shared)
-    best = [math.inf] * len(directions[0])
-    for idx, basis in enumerate(bases):
-        if idx:
-            far = best.index(max(best))
-            single = [[column[far]] for column in directions]
-            best[far] = min(best[far], *(_distances(b, single)[0] for b in bases[idx:]))
-            floor = max(floor, best[far])
-            keep = list(map(lt, repeat(floor), best))
-            best = list(compress(best, keep))
-            if not best:
-                return floor
-            directions = [list(compress(column, keep)) for column in directions]
-            squares = {
-                row: None if column is None else list(compress(column, keep))
-                for row, column in squares.items()
-            }
-        best = list(map(min, best, _distances(basis, directions, squares)))
-    return max(floor, max(best))
+    best = _totals(bases[0], directions, squares)
+    for idx in range(1, len(bases)):
+        far = best.index(min(best))
+        single = [[column[far]] for column in directions]
+        best[far] = max(best[far], *(_totals(b, single)[0] for b in bases[idx:]))
+        floor = min(floor, best[far])
+        keep = list(map(gt, repeat(floor), best))
+        best = list(compress(best, keep))
+        if not best:
+            return floor
+        directions = [list(compress(column, keep)) for column in directions]
+        squares = {
+            row: None if column is None else list(compress(column, keep))
+            for row, column in squares.items()
+        }
+        best = list(map(max, best, _totals(bases[idx], directions, squares)))
+    return min(floor, min(best))
 
 
 def check_sampling_parameters(radii, k: int, branches: int = 1) -> tuple:
@@ -677,13 +683,14 @@ def check_leading_terms(c: Curve, radius: float) -> None:
 
 
 def _measured(rows, directions, shared):
-    """The least distance of the directions to each component, and the
-    largest distance of a direction to its nearest component."""
+    """Per component, the largest total of the directions; and the least
+    over the directions of a direction's largest total (_pruned_max)."""
+    if not rows:  # no component: every distance is inf
+        return [], -math.inf
     squares = dict.fromkeys(shared)
-    columns = [_distances(basis, directions, squares) for basis in rows]
-    # each sample's minimum starts from inf, which an empty cone keeps
-    nearest = map(min, zip(repeat(math.inf, len(directions[0])), *columns))
-    return list(map(min, columns)), max(nearest)
+    columns = [_totals(basis, directions, squares) for basis in rows]
+    nearest = columns[0] if len(columns) == 1 else map(max, *columns)
+    return list(map(max, columns)), min(nearest)
 
 
 def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAMPLES,
@@ -699,7 +706,9 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     direction against every component, for the per-component minima;
     every other radius only needs its maximum, and _pruned_max drops the
     directions that can no longer raise it, carrying that floor across the
-    batches.
+    batches. Both compare totals of squares (_totals), never distances:
+    1 - total and sqrt run once per reported figure, a radius's maximum
+    or a component's minimum, not once per column (see _sample_batch).
     view, when given, is the float view of c over cone (or over the
     default cone), shared with the witness families. A component of
     another dimension than c's raises DimensionMismatch before any
@@ -730,9 +739,10 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     per_radius = []
     degenerate_total = 0
     smallest = len(radii) - 1
-    component_min = [math.inf] * len(rows)
+    # totals at their extremes; _distance turns each into a reported figure
+    component_max = [-math.inf] * len(rows)
     for radius_index, radius in enumerate(radii):
-        largest = 0.0  # over the batches of this radius so far
+        least = 1.0  # at distance 0.0; over the batches of this radius so far
         for first in range(0, len(sources), per_batch):
             batch = [
                 (i, j, _derived_rng(seed, source_index, radius_index))
@@ -743,20 +753,20 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
             directions, degenerate = _sample_batch(terms, batch, radius, k)
             degenerate_total += degenerate
             if radius_index < smallest:
-                largest = _pruned_max(rows, directions, largest, shared)
+                least = _pruned_max(rows, directions, least, shared)
             else:
-                minima, farthest = _measured(rows, directions, shared)
-                component_min = list(map(min, component_min, minima))
-                largest = max(largest, farthest)
+                maxima, farthest = _measured(rows, directions, shared)
+                component_max = list(map(max, component_max, maxima))
+                least = min(least, farthest)
             del directions  # freed before the next batch is drawn
-        per_radius.append((radius, largest))
+        per_radius.append((radius, _distance(least)))
     return SampleReport(
         seed=seed,
         prng=PRNG_NAME,
         radii=radii,
         samples_per_radius=k,
         per_radius_max=tuple(per_radius),
-        component_min=tuple(component_min),
+        component_min=tuple(map(_distance, component_max)),
         degenerate_count=degenerate_total,
         max_plane_distance=per_radius[-1][1],
     )

@@ -345,3 +345,44 @@ def test_a_radius_samples_without_the_last_radius_directions(load, monkeypatch):
     assert live[1] <= 1.1 * live[0], live
     monkeypatch.undo()
     assert report == reference_sampler.sample_secant_directions(c, k=200, cone=cone)
+
+
+# two tangent branches (u^60, u^61, u^61) and (u^60, 2u^61, 3u^61): 62 cone
+# components
+MANY_COMPONENTS = [[60, [(61, 1)], [(61, 1)]], [60, [(61, 2)], [(61, 3)]]]
+
+
+def test_many_components_match_the_reference():
+    # some component's largest total reaches 1, where 1 - total rounds to
+    # <= 0 and its least distance clamps to 0.0; several components tie at
+    # their least distance; and the two pruned radii carry a floor across
+    # 62 components
+    c = curve_from_exponents(MANY_COMPONENTS)
+    cone = c5_cone(c)
+    assert len(cone.components) == 62
+    for flags in ({"k": 17}, {"k": 17, "seed": 3}):
+        mine, ref = both(c, cone=cone, radii=(0.2, 0.05, 0.004), **flags)
+        assert isinstance(mine, SampleReport) and mine == ref, flags
+        assert 0.0 in mine.component_min
+        held = Counter(d for d in mine.component_min if d)
+        assert max(held.values()) > 1
+
+
+def test_a_square_root_per_reported_figure(load, monkeypatch):
+    # distances are compared as totals of squares; sqrt runs on the
+    # reported figures only, not on each (direction, component) pair
+    c = load("four_branches")
+    cone = c5_cone(c)
+    calls = []
+    sqrt = math.sqrt
+
+    def counted(x):
+        calls.append(x)
+        return sqrt(x)
+
+    monkeypatch.setattr(math, "sqrt", counted)
+    report = sample_secant_directions(c, cone=cone)
+    monkeypatch.undo()
+    assert len(cone.components) == 7
+    assert len(calls) <= 2 * (len(cone.components) + len(DEFAULT_RADII)), len(calls)
+    assert report == reference_sampler.sample_secant_directions(c, cone=cone)

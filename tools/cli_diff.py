@@ -61,6 +61,11 @@ project --auto on one- and two-branch C^3 curves at N = 2310, 9240 and
 product formula) and on their branch-reversed copies. Every coefficient
 is zeta_N^k with k < phi(N) and k prime to N.
 
+A set of many components runs verify, with default flags and with
+--seed 3 --radii 0.1 0.01 0.001 --samples 57, on MANY_COMPONENTS: mutually
+tangent branches at m = 60 whose cones have 62 components (two branches)
+and 182 (three), so the sampler compares each direction with many.
+
 A last set runs analyze, with and without --json and --reps, of
 SPELLING, a curve whose one plane has a coefficient whose text holds
 '+ -' (the product equation must spell it as the plane equation does),
@@ -119,6 +124,12 @@ CANCELLING = (
     [(1, 1, 8, 1), (1, 1, 8, 3)],
     [(2, 1, 60, 5), (-1, 1, 60, 15)],
 )
+
+
+# mutually tangent branches (u^60, a*u^61, b*u^61): 62 cone components
+# for the first two, 182 for all three
+_TANGENT = [[60, [(61, a)], [(61, b)]] for a, b in ((1, 1), (2, 3), (3, 2))]
+MANY_COMPONENTS = {"tangent_two": _TANGENT[:2], "tangent_three": _TANGENT}
 
 
 # multi-branch curves whose branches sit at different conductors, each
@@ -432,6 +443,19 @@ def _load_test_module(tree: pathlib.Path, name: str):
     return module
 
 
+def many_component_invocations(tree: pathlib.Path, directory: pathlib.Path) -> list:
+    """verify, with default flags and with a seed, three radii and 57
+    samples, of MANY_COMPONENTS written into directory."""
+    P = _load_test_module(tree, "pencil_curves")
+    out = []
+    for name, spec in MANY_COMPONENTS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(P.document(spec)), encoding="utf-8")
+        out += [["verify", str(path)], ["verify", str(path), "--seed", "3", "--radii",
+                                        "0.1", "0.01", "0.001", "--samples", "57"]]
+    return out
+
+
 def last_invocations(tree: pathlib.Path, directory: pathlib.Path) -> list:
     """analyze of SPELLING, and compare of the tangent family pair at r = 8
     both ways round, written into directory."""
@@ -541,6 +565,8 @@ def main(argv) -> int:
         differences += _diff(old, new, calls, "conversion to doubles")
         calls = prime_invocations(prime_documents(pathlib.Path(tmp)))
         differences += _diff(old, new, calls, "many primes")
+        calls = many_component_invocations(new, pathlib.Path(tmp))
+        differences += _diff(old, new, calls, "many components")
         calls = last_invocations(new, pathlib.Path(tmp))
         differences += _diff(old, new, calls, "coefficient spelling and the tangent family")
     return 1 if differences else 0
