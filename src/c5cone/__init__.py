@@ -62,7 +62,6 @@ from .geometry import (
     curve,
     matrix_rank,
     null_space,
-    plane_from_vectors,
     rref,
 )
 from .invariants import (

@@ -29,7 +29,6 @@ from .geometry import (
     classify,
     component_rows,
     null_space,
-    plane_from_vectors,
 )
 from .scalar import CycloScalar, _factors, root_of_unity
 
@@ -186,7 +185,7 @@ class Analysis:
         entry = self._planes.get(id(span))
         if entry is None:
             v_theta = Direction(span.vector)
-            plane = plane_from_vectors(span.tangent, v_theta)
+            plane = Plane((span.tangent.vec, v_theta.vec))
             key = plane.key()
             plane = self._interned.setdefault(key, plane)
             entry = self._planes[id(span)] = (span, v_theta, plane, key)

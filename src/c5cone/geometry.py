@@ -60,6 +60,9 @@ def rref(rows):
     if not work:
         return [], []
     ncols = len(work[0])
+    if any(len(row) != ncols for row in work):
+        widths = sorted({len(row) for row in work})
+        raise DimensionMismatch(f"ragged matrix rows of widths {widths}", dims=widths)
     pivots = []
     r = 0
     for col in range(ncols):
@@ -145,19 +148,40 @@ class Direction:
         return f"<direction {self.text()}>"
 
 
+def spanning_rref(rows) -> tuple:
+    """The RREF of two rows of one width that span a plane, in closed form,
+    equal to rref(rows) entry by entry: normalise the first nonzero row w at
+    its pivot p, eliminate the other row v at p, normalise v at its pivot
+    q, back-substitute into w at q, and put the row with the smaller pivot
+    first. When q < p, w is 0 at q and keeps its entries."""
+    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+        widths = [len(row) for row in rows]
+        raise DimensionMismatch(
+            f"expected two rows of one width, got widths {widths}", dims=widths
+        )
+    w, v = rows
+    if not any(w):
+        w, v = v, w
+    p = next((i for i, e in enumerate(w) if e), None)
+    if p is None:
+        raise DependentVectors("expected a rank-2 span, got rank 0", rank=0)
+    w = divided(w, w[p])
+    v = _eliminated(v, w, v[p])
+    q = next((i for i, e in enumerate(v) if e), None)
+    if q is None:
+        raise DependentVectors("expected a rank-2 span, got rank 1", rank=1)
+    v = tuple(divided(v, v[q]))
+    return (v, tuple(w)) if q < p else (tuple(_eliminated(w, v, w[q])), v)
+
+
 class Plane:
     """Two-dimensional linear subspace of C^n as a canonical 2 x n RREF basis."""
 
     __slots__ = ("basis",)
 
-    def __init__(self, basis_rows):
-        rows = [list(r) for r in basis_rows]
-        reduced, pivots = rref(rows)
-        if len(pivots) != 2:
-            raise DependentVectors(
-                f"expected a rank-2 span, got rank {len(pivots)}", rank=len(pivots)
-            )
-        self.basis = tuple(tuple(row) for row in reduced)
+    def __init__(self, rows):
+        """The plane spanned by two rows of one width."""
+        self.basis = spanning_rref(rows)
 
     @property
     def n(self) -> int:
@@ -181,29 +205,6 @@ class Plane:
     def __repr__(self):
         rows = "; ".join("(" + ", ".join(e.text() for e in row) + ")" for row in self.basis)
         return f"<plane span{{{rows}}}>"
-
-
-def plane_from_vectors(w: Direction, v: Direction) -> Plane:
-    """Canonical plane spanned by two independent directions.
-
-    The RREF in closed form, equal to Plane([w.vec, v.vec]) entry by entry.
-    w leads with 1 at p, so: eliminate v at p, normalise it at its pivot q,
-    back-substitute into w at q, and put the row with the smaller pivot
-    first. When q < p, w is 0 at q and keeps its entries."""
-    if w.n != v.n:
-        raise DimensionMismatch(
-            f"vectors live in dimensions {w.n} and {v.n}", dims=[w.n, v.n]
-        )
-    w, v = w.vec, v.vec
-    p = next(i for i, e in enumerate(w) if e)
-    v = _eliminated(v, w, v[p])
-    q = next((i for i, e in enumerate(v) if e), None)
-    if q is None:
-        raise DependentVectors("expected a rank-2 span, got rank 1", rank=1)
-    v = divided(v, v[q])
-    plane = object.__new__(Plane)  # the rows below are its RREF: no rref
-    plane.basis = (tuple(v), w) if q < p else (tuple(_eliminated(w, v, w[q])), tuple(v))
-    return plane
 
 
 def _eliminated(row, pivot_row, f):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .c5 import Analysis, c5_cone
 from .errors import DependentVectors, DimensionMismatch, EngineError, NoCommonSpecialCoordinate
-from .geometry import Branch, Curve, Plane, cached, curve, matrix_rank, null_space
+from .geometry import Branch, Curve, Plane, cached, curve, null_space, spanning_rref
 from .invariants import InvariantProfile, profile
 from .scalar import CycloScalar, common_conductor
 from .series import CoordinateSeries, Parametrization
@@ -24,14 +24,10 @@ _ZERO = CycloScalar.rational(0)
 
 
 def _coerce_rows(rows):
-    out = [
+    return [
         tuple(e if isinstance(e, CycloScalar) else CycloScalar.rational(e) for e in row)
         for row in rows
     ]
-    widths = {len(r) for r in out}
-    if len(widths) != 1:
-        raise DimensionMismatch(f"ragged matrix rows of widths {sorted(widths)}")
-    return out
 
 
 class LinearProjection:
@@ -42,8 +38,7 @@ class LinearProjection:
         rows = _coerce_rows(rows)
         if len(rows) != 2:
             raise DimensionMismatch(f"projection matrix needs 2 rows, got {len(rows)}")
-        if matrix_rank([list(r) for r in rows]) != 2:
-            raise DependentVectors("projection matrix has rank < 2")
+        spanning_rref(rows)  # rows of one width that span a plane
         self.matrix = tuple(rows)
 
     @cached
@@ -58,6 +53,8 @@ class LinearProjection:
     def from_kernel(cls, rows) -> "LinearProjection":
         """Projection whose kernel is the span of the given (n-2) rows."""
         rows = _coerce_rows(rows)
+        if not rows:
+            raise DimensionMismatch("a kernel basis needs at least one row")
         n = len(rows[0])
         matrix = null_space(rows)
         rank = n - len(matrix)
@@ -65,9 +62,7 @@ class LinearProjection:
             raise DependentVectors(
                 f"kernel basis must have rank {n - 2}, got {rank}", rank=rank
             )
-        proj = cls.__new__(cls)  # RREF rows are independent: no rank test
-        proj.matrix = tuple(tuple(r) for r in matrix)
-        return proj
+        return cls(matrix)
 
     @classmethod
     def identity(cls) -> "LinearProjection":

@@ -87,8 +87,8 @@ class Parametrization:
     """An n-tuple of coordinate series; a finite map germ (C,0) -> (C^n,0).
 
     This is a plain container: the Puiseux-form and primitivity contracts are
-    enforced where branches are built, and subtraction is allowed to produce
-    an identically zero result for the callers that must detect it.
+    enforced where branches are built; a parametrization whose every
+    coordinate is zero fails them there.
     """
 
     __slots__ = ("n", "coords")

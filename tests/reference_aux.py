@@ -29,9 +29,9 @@ from c5cone import (
     DuplicateBranch,
     IncompatibleSystem,
     NonPrimitiveParametrization,
+    Plane,
     common_conductor,
     order,
-    plane_from_vectors,
     root_of_unity,
 )
 from c5cone.auxiliary import _duplicate
@@ -105,7 +105,7 @@ def characteristic_reference(b, k) -> Reference:
             f"branch {b.label} is invariant under u -> theta*u", label=b.label
         )
     m_theta, lowest, v_theta = _lowest(diff)
-    plane = plane_from_vectors(b.tangent, v_theta)
+    plane = Plane((b.tangent.vec, v_theta.vec))
     return Reference(m_theta, lowest, v_theta, plane, theta)
 
 
@@ -124,7 +124,7 @@ def contact_reference(bi, bj, k) -> Reference:
             labels=[bi.label, bj.label],
         )
     m_theta, lowest, v_theta = _lowest(diff)
-    plane = plane_from_vectors(ti, v_theta if ti == tj else tj)
+    plane = Plane((ti.vec, (v_theta if ti == tj else tj).vec))
     return Reference(m_theta, lowest, v_theta, plane, theta)
 
 

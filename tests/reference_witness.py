@@ -18,7 +18,7 @@ from typing import Optional
 
 from c5cone.c5 import C5Cone, c5_cone
 from c5cone.errors import FloatingPointUnderflow
-from c5cone.geometry import Branch, Curve, plane_from_vectors
+from c5cone.geometry import Branch, Curve, Plane
 from c5cone.oracle import (
     WitnessResult,
     _complex_terms,
@@ -109,7 +109,7 @@ def diagonal_witness_family(bi: Branch, bj: Branch, u_values=None) -> WitnessRes
     conductor = common_conductor(bi.conductor, bj.conductor)
     one = root_of_unity(conductor, 1, 0)
     m_theta, target = contact_leading(bi, bj, 0)
-    plane = plane_from_vectors(bi.tangent, bj.tangent)
+    plane = Plane((bi.tangent.vec, bj.tangent.vec))
     psi1 = substitute_power(bi.param, lcm // bi.m)
     psi2 = substitute_power(bj.param, lcm // bj.m)
     return _run_family(

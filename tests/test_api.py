@@ -56,7 +56,7 @@ def test_second_routes_to_a_fact_are_gone():
         "characteristic_records", "contact_records", "ProjectionSearchExhausted",
         "_SEARCH_CAP", "integer_normalized_form", "substitute_power", "tangent_direction",
         "plane_equations", "_witness_json", "_Validated", "_validated", "_mobius",
-        "_distances",
+        "_distances", "plane_from_vectors",
     ):
         assert not any(hasattr(module, name) for module in [c5cone, *modules]), name
     # Analysis.records is the one record builder

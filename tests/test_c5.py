@@ -27,7 +27,6 @@ from c5cone import (
     polynomial_text,
     product_equation,
     oracle,
-    plane_from_vectors,
     profile,
     read_curve,
     sigma,
@@ -283,6 +282,16 @@ def count_engine_calls(monkeypatch, names, home=auxiliary):
 
 
 @pytest.fixture
+def plane_builds(monkeypatch):
+    """The rows of every Plane built."""
+    built, init = [], Plane.__init__
+    monkeypatch.setattr(
+        Plane, "__init__", lambda self, rows: (built.append(rows), init(self, rows))[1]
+    )
+    return built
+
+
+@pytest.fixture
 def record_builds(monkeypatch):
     """Count the auxiliary records built, by kind."""
     counts = {"characteristic": 0, "contact": 0}
@@ -364,19 +373,13 @@ def test_verify_reads_each_fact_once(monkeypatch, capsys, fixtures_dir, load):
 
 
 def test_project_auto_classifies_the_source_once(
-    monkeypatch, record_builds, capsys, fixtures_dir, load, fixture_names
+    monkeypatch, record_builds, plane_builds, capsys, fixtures_dir, load, fixture_names
 ):
     # one Analysis gives the search its spans and the invariance check its
     # source profile, on every fixture in 3-space or more: classify runs
     # once on the source and once on the image, each tangent pair of the
     # source is built once, and no canonical plane and no record is built
-    builds = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
     counts = count_engine_calls(monkeypatch, ("classify",), geometry)
-    planes = []
-    monkeypatch.setattr(
-        Plane, "__init__",
-        lambda self, *args, _init=Plane.__init__: (planes.append(args), _init(self, *args))[1],
-    )
     pairs = count_pairs(monkeypatch)
     searched = set()
     for name in fixture_names:
@@ -387,9 +390,8 @@ def test_project_auto_classifies_the_source_once(
         counts["classify"] = 0
         code = main(["project", str(fixtures_dir / f"{name}.json"), "--auto", "--json"])
         out = capsys.readouterr().out
-        assert builds == {"plane_from_vectors": 0}, name
         assert record_builds == {"characteristic": 0, "contact": 0}, name
-        assert planes == [], name
+        assert plane_builds == [], name
         if code == 2:  # no coordinate special for every branch: no analysis
             assert counts == {"classify": 0}, name
             continue
@@ -408,7 +410,7 @@ def test_project_auto_classifies_the_source_once(
     pytest.param("single_entry", 4, 8, id="single_entry"),
     pytest.param("classes_abab", 7, 8, id="classes_abab"),
 ])
-def test_contact_records_build_one_plane_per_class(monkeypatch, load, name, planes, classes):
+def test_contact_records_build_one_plane_per_class(plane_builds, load, name, planes, classes):
     # one plane per characteristic order m_theta, per contact pencil (the
     # classes (m_theta, twist) of one exponent whose L and R are parallel,
     # which share one v_theta) and per class of any other exponent; the
@@ -417,23 +419,21 @@ def test_contact_records_build_one_plane_per_class(monkeypatch, load, name, plan
     # pair (b2, b4); the fixtures merge none
     c = load(name) if name in ("contact_structure_pair", "four_branches") else (
         curve_from_exponents({**pencil_pairs(6), **TWO_TANGENT_CLASSES}[name]))
-    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
     records = Analysis(c).records()
     by_class, by_pencil = {}, {}
     for rec in records:
         twist = rec.k * rec.m_theta % rec.group_order if rec.kind == "contact" else None
         by_class.setdefault((rec.labels, rec.m_theta, twist), []).append(rec)
         by_pencil.setdefault((rec.labels, rec.m_theta, rec.v_theta.key()), []).append(rec)
-    assert counts == {"plane_from_vectors": planes} and len(by_pencil) == planes
+    assert len(plane_builds) == planes and len(by_pencil) == planes
     assert len(by_class) == classes
     for first, *rest in by_pencil.values():
         assert all(r.v_theta is first.v_theta and r.plane is first.plane for r in rest)
 
 
-def test_profile_builds_no_record_and_no_plane(monkeypatch, record_builds, load):
-    counts = count_engine_calls(monkeypatch, ("plane_from_vectors",), geometry)
+def test_profile_builds_no_record_and_no_plane(record_builds, plane_builds, load):
     profile(load("four_branches"))
-    assert counts == {"plane_from_vectors": 0}
+    assert plane_builds == []
     assert record_builds == {"characteristic": 0, "contact": 0}
 
 
@@ -477,8 +477,7 @@ def _reference_outcome(c):
     if errors:
         return _error(min(errors, key=lambda exc: not isinstance(exc, IncompatibleSystem)))
     for i, j in sorted(cls.NT):
-        tangents = (c.branches[i].tangent, c.branches[j].tangent)
-        keys.add(plane_from_vectors(*tangents).key())
+        keys.add(Plane((c.branches[i].tangent.vec, c.branches[j].tangent.vec)).key())
     return 2, sorted(keys)
 
 

@@ -616,6 +616,28 @@ def test_verify_rejects_override_planes_of_another_width(capsys, fixtures_dir):
     }
 
 
+@pytest.mark.parametrize("matrix, widths", [
+    ("[[1,0,0],[0,1]]", [3, 2]),
+    ("[[0,1],[1,0,0]]", [2, 3]),
+    ("[[1,0,0],[0,1,0,5]]", [3, 4]),
+])
+def test_verify_rejects_ragged_override_planes(capsys, fixtures_dir, matrix, widths):
+    # a short row must not be read as zero-padded, nor a long row's tail
+    # dropped: the plane is refused before any sampling
+    code, out, err = run(
+        capsys,
+        "verify",
+        fixture(fixtures_dir, "space_cusp"),
+        "--override-planes", matrix,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "DimensionMismatch",
+        "detail": f"expected two rows of one width, got widths {widths}",
+        "dims": widths,
+    }
+
+
 def test_verify_override_needs_row_pairs(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

@@ -16,6 +16,7 @@ from c5cone import (
     Direction,
     DuplicateBranch,
     IncompatibleSystem,
+    LinearProjection,
     Plane,
     c5_cone,
     classify,
@@ -24,7 +25,6 @@ from c5cone import (
     curve_from_exponents,
     matrix_rank,
     null_space,
-    plane_from_vectors,
     rref,
     zeta,
 )
@@ -115,15 +115,15 @@ def test_direction_rejects_zero_vector():
 
 
 def test_plane_basis_is_canonical():
-    p1 = plane_from_vectors(Direction(vec(1, 0, 1)), Direction(vec(0, 1, 1)))
-    p2 = plane_from_vectors(Direction(vec(1, 1, 2)), Direction(vec(1, -1, 0)))
+    p1 = Plane((vec(1, 0, 1), vec(0, 1, 1)))
+    p2 = Plane((vec(1, 1, 2), vec(1, -1, 0)))
     assert p1 == p2
     assert p1.key() == p2.key()
 
 
 def test_plane_contains_spanning_combinations():
     w, v = Direction(vec(1, 0, 2)), Direction(vec(0, 1, -1))
-    p = plane_from_vectors(w, v)
+    p = Plane((w.vec, v.vec))
     for a, b in ((1, 0), (0, 1), (2, 3), (-1, Fraction(1, 2))):
         combo = [
             CycloScalar.rational(a) * x + CycloScalar.rational(b) * y
@@ -135,7 +135,7 @@ def test_plane_contains_spanning_combinations():
 
 def test_plane_rejects_dependent_spans():
     with pytest.raises(DependentVectors):
-        plane_from_vectors(Direction(vec(1, 2, 0)), Direction(vec(2, 4, 0)))
+        Plane((vec(1, 2, 0), vec(2, 4, 0)))
 
 
 def _entries(plane):
@@ -143,15 +143,22 @@ def _entries(plane):
 
 
 def _assert_closed_form_is_rref(w, v):
-    """plane_from_vectors equals the rref route entry by entry, conductor
-    and terms included, or both raise DependentVectors."""
-    try:
-        expected = _entries(Plane([list(w.vec), list(v.vec)]))
-    except DependentVectors:
-        with pytest.raises(DependentVectors):
-            plane_from_vectors(w, v)
-        return
-    assert _entries(plane_from_vectors(w, v)) == expected
+    """Plane((w, v)) equals rref([w, v]) entry by entry, conductor and
+    terms included; below rank 2 it raises DependentVectors with the rank
+    rref finds. Returns that rank."""
+    reduced, pivots = rref([w, v])
+    rank = len(pivots)
+    if rank < 2:
+        with pytest.raises(DependentVectors) as raised:
+            Plane((w, v))
+        assert raised.value.to_json() == {
+            "error": "DependentVectors",
+            "detail": f"expected a rank-2 span, got rank {rank}",
+            "rank": rank,
+        }
+        return rank
+    assert _entries(Plane((w, v))) == [[(e.conductor, e.terms()) for e in row] for row in reduced]
+    return rank
 
 
 def test_closed_form_planes_equal_the_rref_route_on_every_span(load, fixture_names):
@@ -161,7 +168,7 @@ def test_closed_form_planes_equal_the_rref_route_on_every_span(load, fixture_nam
     spans = 0
     for c in curves:
         for span in Analysis(c).spans:
-            _assert_closed_form_is_rref(span.tangent, Direction(span.vector))
+            _assert_closed_form_is_rref(span.tangent.vec, Direction(span.vector).vec)
             spans += 1
     assert spans > 500
 
@@ -170,9 +177,9 @@ def test_closed_form_planes_where_the_vector_leads_first():
     z = zeta(3)
     w = Direction(vec(0, 1, 2, z))
     for v in (vec(3, 1, 0, 1), vec(z, 5, 1, 0), vec(0, 0, z, 1), vec(1, 0, 0, 0)):
-        _assert_closed_form_is_rref(w, Direction(v))
+        _assert_closed_form_is_rref(w.vec, Direction(v).vec)
     # the vector leads before the tangent: its row comes first
-    p = plane_from_vectors(w, Direction(vec(z, 5, 1, 0)))
+    p = Plane((w.vec, Direction(vec(z, 5, 1, 0)).vec))
     assert [row.index(next(e for e in row if e)) for row in p.basis] == [0, 1]
 
 
@@ -182,14 +189,37 @@ def test_closed_form_planes_reject_parallel_vectors():
     for scale in (1, -3, z, z * z + 1):
         v = Direction([scale * e for e in w.vec])
         with pytest.raises(DependentVectors):
-            plane_from_vectors(w, v)
-        _assert_closed_form_is_rref(w, v)
+            Plane((w.vec, v.vec))
+        _assert_closed_form_is_rref(w.vec, v.vec)
+
+
+def test_closed_form_planes_equal_rref_on_rational_row_pairs():
+    # seeded rational pairs of every shape: free, a zero row first, the
+    # second row a multiple of the first (zero included), and the second
+    # row leading before the first
+    rng = random.Random(30)
+    entries = (0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2))
+    ranks = {0: 0, 1: 0, 2: 0}
+    swapped = 0
+    for i in range(1600):
+        n = rng.randint(1, 5)
+        w, v = ([rng.choice(entries) for _ in range(n)] for _ in range(2))
+        shape = i % 4
+        if shape == 1:
+            w = [0] * n
+        elif shape == 2:
+            v = [rng.choice(entries) * e for e in w]
+        elif shape == 3 and n > 1:
+            w[0], v[0] = 0, rng.choice(entries[3:])
+            swapped += any(w)
+        ranks[_assert_closed_form_is_rref(vec(*w), vec(*v))] += 1
+    assert min(ranks.values()) >= 50 and swapped >= 250, (ranks, swapped)
 
 
 def test_a_rational_ratio_vector_is_divided_with_no_inverse(monkeypatch):
     # every entry 0 or a rational multiple of a three-term lead at N = 2017:
-    # Direction, rref and plane_from_vectors read each quotient off the
-    # terms, where an inverse by extended Euclid takes seconds
+    # Direction, rref and Plane read each quotient off the terms, where an
+    # inverse by extended Euclid takes seconds
     calls, inverse_mod = [], scalar._inverse_mod
     monkeypatch.setattr(
         scalar, "_inverse_mod", lambda a, m: (calls.append(None), inverse_mod(a, m))[1]
@@ -197,7 +227,7 @@ def test_a_rational_ratio_vector_is_divided_with_no_inverse(monkeypatch):
     lead = zeta(2017, 5) + 2 * zeta(2017, 90) - zeta(2017, 1000)
     d = Direction(vec(0, 3 * lead, Fraction(-1, 2) * lead, 0))
     reduced, pivots = rref([vec(0, 2 * lead, lead), vec(lead, 0, Fraction(2, 3) * lead)])
-    p = plane_from_vectors(Direction(vec(1, 0, 0)), Direction(vec(1, lead, 4 * lead)))
+    p = Plane((vec(1, 0, 0), vec(1, lead, 4 * lead)))
     assert calls == []
     assert d.key() == ("0", "1", "-1/6", "0")
     assert pivots == [0, 1]
@@ -241,8 +271,8 @@ def test_divided_gives_the_terms_and_conductors_of_the_inverse_route():
 
 
 def test_component_forms_vanish_on_basis():
-    plane = plane_from_vectors(Direction(vec(1, 0, 1, 0)), Direction(vec(0, 1, 0, 1)))
-    skew = plane_from_vectors(Direction(vec(1, 0, 2)), Direction(vec(zeta(3), 1, 1)))
+    plane = Plane((vec(1, 0, 1, 0), vec(0, 1, 0, 1)))
+    skew = Plane((vec(1, 0, 2), vec(zeta(3), 1, 1)))
     line = Direction(vec(2, 1, Fraction(1, 3)))
     for component, n, rows in ((plane, 4, plane.basis), (skew, 3, skew.basis),
                                (line, 3, (line.vec,))):
@@ -265,6 +295,23 @@ def test_component_forms_vanish_on_basis():
 def test_plane_needs_rank_two():
     with pytest.raises(DependentVectors):
         Plane([vec(1, 1), vec(1, 1)])
+
+
+@pytest.mark.parametrize("rows", [((1, 0, 0), (0, 1)), ((0, 1), (1, 0, 0))])
+def test_ragged_rows_raise_dimension_mismatch(rows):
+    # no reduction reads past a short row or drops a long row's tail
+    rows = [vec(*row) for row in rows]
+    for build in (rref, null_space, matrix_rank, Plane, LinearProjection,
+                  LinearProjection.from_kernel):
+        with pytest.raises(DimensionMismatch) as raised:
+            build(rows)
+        assert sorted(raised.value.payload["dims"]) == [2, 3], build
+
+
+def test_a_plane_takes_two_rows():
+    for rows in ([vec(1, 0)], [vec(1, 0), vec(0, 1), vec(1, 1)]):
+        with pytest.raises(DimensionMismatch):
+            Plane(rows)
 
 
 # ---------------------------------------------------------------------------

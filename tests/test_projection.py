@@ -64,6 +64,9 @@ def test_projection_rejects_rank_deficient_matrix():
 def test_projection_rejects_wrong_row_count():
     with pytest.raises(DimensionMismatch):
         LinearProjection([[1, 0, 0]])
+    # no row tells the kernel's ambient dimension
+    with pytest.raises(DimensionMismatch):
+        LinearProjection.from_kernel([])
 
 
 def test_from_kernel_round_trip():

@@ -17,7 +17,8 @@ fixtures of the new tree, so both sides see the same files:
 * compare over every ordered pair of fixtures;
 * verify --override-planes with each fixture's own cone planes, as the
   new tree's analyze --json prints them, where every basis entry is
-  rational (the flag takes no other) and the cone is not a line.
+  rational (the flag takes no other) and the cone is not a line; and on
+  space_cusp with the RAGGED matrices, whose rows differ in width.
 
 The same analyze, project and verify invocations then run on generated
 curves, each also compared with itself and, as the benchmark's compare
@@ -130,6 +131,10 @@ CANCELLING = (
 # for the first two, 182 for all three
 _TANGENT = [[60, [(61, a)], [(61, b)]] for a, b in ((1, 1), (2, 3), (3, 2))]
 MANY_COMPONENTS = {"tangent_two": _TANGENT[:2], "tangent_three": _TANGENT}
+
+
+# --override-planes matrices whose two rows differ in width
+RAGGED = ("[[1,0,0],[0,1]]", "[[0,1],[1,0,0]]", "[[1,0,0],[0,1,0,5]]")
 
 
 # multi-branch curves whose branches sit at different conductors, each
@@ -354,7 +359,8 @@ def _rational(text: str) -> bool:
 def override_invocations(tree: pathlib.Path) -> list:
     """verify --override-planes of each of the tree's fixtures with its own
     cone planes, read off the tree's analyze --json; none for a fixture
-    whose cone is a line or has a basis entry outside Q."""
+    whose cone is a line or has a basis entry outside Q. Then the RAGGED
+    matrices on space_cusp."""
     paths = sorted((tree / "fixtures").glob("*.json"))
     results, _, _ = _run(tree, [["analyze", str(path), "--json"] for path in paths])
     out = []
@@ -365,7 +371,8 @@ def override_invocations(tree: pathlib.Path) -> list:
         rows = [row for component in cone["components"] for row in component["basis"]]
         if all(_rational(e) for row in rows for e in row):
             out.append(["verify", str(path), "--override-planes", json.dumps(rows)])
-    return out
+    space_cusp = str(tree / "fixtures" / "space_cusp.json")
+    return out + [["verify", space_cusp, "--override-planes", m] for m in RAGGED]
 
 
 def generated_documents(tree: pathlib.Path, directory: pathlib.Path) -> list:
