@@ -100,7 +100,6 @@ from .scalar import (
 from .series import (
     CoordinateSeries,
     Parametrization,
-    is_primitive,
     order,
     puiseux_form_check,
 )

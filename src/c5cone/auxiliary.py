@@ -33,7 +33,7 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from .errors import DuplicateBranch, NonPrimitiveParametrization
+from .errors import DimensionMismatch, DuplicateBranch, NonPrimitiveParametrization
 from .geometry import Branch, cached, check_tangent_pair
 from .scalar import CycloScalar, _factors, common_conductor, root_of_unity
 
@@ -176,7 +176,13 @@ def coam(bi: Branch, bj: Branch) -> tuple:
     """Contact auxiliary multiplicities of a pair: the sorted sequence of
     m_theta over the full root group, one entry per theta (_Pair.coam). A
     non-tangent pair needs no walk: its rescaled branches start at order
-    lcm and their leading vectors, the two tangents, are not proportional."""
+    lcm and their leading vectors, the two tangents, are not proportional.
+    Branches of two ambient dimensions raise DimensionMismatch."""
+    if bi.n != bj.n:
+        raise DimensionMismatch(
+            f"branch {bj.label} has ambient dimension {bj.n}, expected {bi.n}",
+            dims=[bi.n, bj.n],
+        )
     if bi.tangent != bj.tangent:
         lcm = math.lcm(bi.m, bj.m)
         return (lcm,) * lcm

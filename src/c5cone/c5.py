@@ -90,9 +90,8 @@ class Analysis:
     def __init__(self, c: Curve):
         self.curve = c
         self._pairs = {}  # (i, j) -> _Pair
-        self._by_source = {}  # branch index i or tangent pair (i, j) -> its spans
-        # id(span) -> (span, v_theta, plane, key): holding the span keeps
-        # its id; spans whose planes have one key share the first such plane
+        # id(span) -> (v_theta, plane, key) of a span the cached tables keep
+        # alive, so its id stays its own; spans with one key share one plane
         self._planes = {}
         self._interned = {}  # key -> plane
 
@@ -100,17 +99,18 @@ class Analysis:
     def classification(self) -> TangencyClassification:
         return classify(self.curve)
 
-    def _characteristic_spans(self, i: int) -> dict:
-        """m_theta -> span of branch i's characteristic plane: its tangent
-        and its coefficient vector at m_theta, with the representative ks
+    @cached
+    def characteristic(self) -> dict:
+        """Singular branch i, ascending -> {m_theta: span}: i's tangent and
+        its coefficient vector at m_theta, with the representative ks
         (representative_ks order) of that m_theta."""
-        spans = self._by_source.get(i)
-        if spans is None:
+        table = {}
+        for i in sorted(self.classification.S):
             b = self.curve.branches[i]
             ks = {}
             for k in representative_ks(b.m):
                 ks.setdefault(characteristic_order(b, k), []).append(k)
-            spans = self._by_source[i] = {
+            table[i] = {
                 m_theta: Span(
                     b.tangent,
                     tuple(series.coefficient(m_theta) for series in b.param.coords),
@@ -118,20 +118,21 @@ class Analysis:
                 )
                 for m_theta, group in ks.items()
             }
-        return spans
+        return table
 
-    def _contact_spans(self, i: int, j: int) -> dict:
-        """class (m_theta, twist) -> span of the tangent pair (i, j)'s
-        contact plane: bi's tangent t and a vector parallel to the class's,
-        with the span's ks, ascending; DuplicateBranch where one vanishes.
+    @cached
+    def contact(self) -> dict:
+        """Tangent pair (i, j), sorted -> {class (m_theta, twist): span}:
+        bi's tangent t and a vector parallel to the class's, with the span's
+        ks, ascending; DuplicateBranch where a class vanishes.
         The classes of one E form a pencil, L - R*zeta_lcm^j, with one span
         where L and R are parallel or one is 0 (_Pair.pencil), else one per
         class, whose planes all differ: E > lcm, so L and R are 0 at the
         pair's shared special coordinate s, where t is 1, and a plane holding
         t, L and R would meet x_s = 0 in one line holding both. So no vector
         is parallel to t."""
-        spans = self._by_source.get((i, j))
-        if spans is None:
+        table = {}
+        for i, j in self.tangent_pairs:
             pair = self.pair(i, j)
             if None in pair.classes:
                 raise _duplicate(*pair.branches)
@@ -140,7 +141,7 @@ class Analysis:
             ks = {}  # a pencil's exponent, or a class of no pencil -> its ks
             for k, (E, twist) in enumerate(pair.classes):
                 ks.setdefault(E if pencils[E] else (E, twist), []).append(k)
-            spans = self._by_source[(i, j)] = {}
+            spans = table[(i, j)] = {}
             for group in ks.values():
                 found = pair.classes[group[0]]
                 span = Span(
@@ -149,23 +150,21 @@ class Analysis:
                     tuple(("contact", (bi.label, bj.label), k) for k in group),
                 )
                 spans.update((pair.classes[k], span) for k in group)
-        return spans
+        return table
 
     @cached
     def spans(self) -> tuple:
         """Every span of the cone, one per plane the closed form predicts:
         per characteristic order of each singular branch, per pencil or
-        class of each tangent pair (_contact_spans), and the two tangents of
-        the non-tangent pairs per pair of tangent classes, with its pairs'
+        class of each tangent pair (contact), and the two tangents of the
+        non-tangent pairs per pair of tangent classes, with its pairs'
         descriptors in sorted-pair order. Errors come as the records would
         raise them: characteristic orders first, then every tangent pair's
         check, then each pair's duplicate test."""
         c, cls = self.curve, self.classification
-        spans = []
-        for i in sorted(cls.S):
-            spans += self._characteristic_spans(i).values()
-        for i, j in self.tangent_pairs:
-            spans += {id(span): span for span in self._contact_spans(i, j).values()}.values()
+        spans = [span for by_order in self.characteristic.values() for span in by_order.values()]
+        for by_class in self.contact.values():
+            spans += {id(span): span for span in by_class.values()}.values()
         least = {j: i for i, j in sorted(cls.T, reverse=True)}  # the least tangent branch
         planes = {}  # pair of tangent classes -> (tangent, vector, descriptors)
         for i, j in sorted(cls.NT):
@@ -188,8 +187,8 @@ class Analysis:
             plane = Plane((span.tangent.vec, v_theta.vec))
             key = plane.key()
             plane = self._interned.setdefault(key, plane)
-            entry = self._planes[id(span)] = (span, v_theta, plane, key)
-        return entry[1:]
+            entry = self._planes[id(span)] = (v_theta, plane, key)
+        return entry
 
     def records(self, representatives: bool = False) -> list:
         """Every auxiliary record, read off its span: for each singular
@@ -205,16 +204,16 @@ class Analysis:
             theta = root_of_unity(conductor, group_order, k)
             records.append(AuxRecord(kind, labels, group_order, k, theta, m_theta, v_theta, plane))
 
-        for i in sorted(self.classification.S):
+        for i, spans in self.characteristic.items():
             b = branches[i]
             by_order = {}  # root order d -> (m_theta, span)
-            for m_theta, span in self._characteristic_spans(i).items():
+            for m_theta, span in spans.items():
                 by_order.update((b.m // k, (m_theta, span)) for _, _, k in span.descriptors)
             for k in representative_ks(b.m) if representatives else range(1, b.m):
                 m_theta, span = by_order[b.m // math.gcd(b.m, k)]
                 record(span, b.conductor, b.m, k, m_theta)
-        for i, j in self.tangent_pairs:
-            pair, spans = self.pair(i, j), self._contact_spans(i, j)
+        for (i, j), spans in self.contact.items():
+            pair = self.pair(i, j)
             for k, found in enumerate(pair.classes):
                 record(spans[found], pair.conductor, pair.lcm, k, found[0])
         return records
@@ -288,6 +287,13 @@ class Analysis:
 def c5_cone(c: Curve) -> C5Cone:
     """The cone of bi-secant limits of a curve; see Analysis.cone."""
     return Analysis(c).cone
+
+
+def _analysis_of(c: Curve, analysis: Optional[Analysis]) -> Analysis:
+    """analysis, which must be c's, or a new Analysis of c when it is None."""
+    if analysis is not None and analysis.curve is not c:
+        raise ValueError("the analysis is of another curve")
+    return Analysis(c) if analysis is None else analysis
 
 
 def sigma(n: int) -> int:

@@ -235,7 +235,9 @@ class Branch:
 
     def __init__(self, param: Parametrization, label: str = "b"):
         """Check that param is a primitive Puiseux-form parametrization whose
-        conductor stays within the cap, raising the engine error otherwise."""
+        conductor stays within the cap, raising the engine error otherwise,
+        then take its coefficients at that conductor and read the tangent
+        off them."""
         g = exponent_gcd(param)
         if g != 1:
             raise NonPrimitiveParametrization(
@@ -247,11 +249,6 @@ class Branch:
         conductor = common_conductor(
             m, *(c.conductor for series in param.coords for _, c in series.terms)
         )
-        self._fill(param, label, m, special, conductor)
-
-    def _fill(self, param, label, m, special, conductor) -> None:
-        """Take the fields of a checked parametrization, its coefficients
-        embedded at conductor, and its tangent read off them."""
         if any(c.conductor != conductor for series in param.coords for _, c in series.terms):
             param = Parametrization(series.embedded(conductor) for series in param.coords)
         self.param, self.m, self.special_coords = param, m, special
@@ -265,13 +262,13 @@ class Branch:
 
     def embedded(self, conductor: int) -> "Branch":
         """The branch with every coefficient at the lcm of its conductor and
-        the given one."""
+        the given one, built again through the constructor."""
         conductor = common_conductor(self.conductor, conductor)
         if conductor == self.conductor:
             return self
-        b = object.__new__(Branch)
-        b._fill(self.param, self.label, self.m, self.special_coords, conductor)
-        return b
+        return Branch(
+            Parametrization(s.embedded(conductor) for s in self.param.coords), self.label
+        )
 
     def __repr__(self):
         return f"<branch {self.label}: {self.param.text()}>"

@@ -34,7 +34,7 @@ from operator import add, attrgetter, gt, lt, mul, neg, not_, sub, truediv
 from typing import NamedTuple, Optional
 
 from .auxiliary import characteristic_order
-from .c5 import Analysis, C5Cone, c5_cone
+from .c5 import Analysis, C5Cone, _analysis_of, c5_cone
 from .errors import (
     DegenerateSecant,
     DimensionMismatch,
@@ -307,14 +307,16 @@ def cone_witness_results(c: Curve, analysis: Optional[Analysis] = None,
     analysis is c's (default: a new one). Each family reads m_theta from
     characteristic_order, or from the pair's class, and the exact leading
     vector from the pair (Analysis.pair) at that class. view (default: a
-    new one over c and its cone) supplies the doubles."""
-    if analysis is None:
-        analysis = Analysis(c)
+    new one over c and its cone) supplies the doubles. An analysis or a
+    view of another curve or cone raises ValueError."""
+    analysis = _analysis_of(c, analysis)
     cone = analysis.cone
-    if cone.dimension != 2:
-        return []
     if view is None:
         view = FloatView(c.branches, cone.components)
+    elif view.branches != c.branches or view.components != cone.components:
+        raise ValueError("the float view is not of this curve and its cone")
+    if cone.dimension != 2:
+        return []
     index = {b.label: i for i, b in enumerate(c.branches)}
     results = []
     for idx, descriptors in enumerate(cone.provenance):
@@ -710,14 +712,16 @@ def sample_secant_directions(c: Curve, radii=DEFAULT_RADII, k: int = DEFAULT_SAM
     1 - total and sqrt run once per reported figure, a radius's maximum
     or a component's minimum, not once per column (see _sample_batch).
     view, when given, is the float view of c over cone (or over the
-    default cone), shared with the witness families. A component of
-    another dimension than c's raises DimensionMismatch before any
-    sampling. The report equals that of tests/reference_sampler.py bit
-    for bit."""
+    default cone), shared with the witness families; a view of another
+    curve's branches raises ValueError, and a component of another
+    dimension than c's DimensionMismatch, before any sampling. The report
+    equals that of tests/reference_sampler.py bit for bit."""
     radii = check_sampling_parameters(radii, k, len(c.branches))
     check_leading_terms(c, radii[-1])
     if view is None:
         view = FloatView(c.branches, (c5_cone(c) if cone is None else cone).components)
+    elif view.branches != c.branches:
+        raise ValueError("the float view is of another curve's branches")
     for component in view.components:
         if component.n != c.n:
             raise DimensionMismatch(

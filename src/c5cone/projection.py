@@ -13,7 +13,7 @@ import math
 from itertools import chain, count, product
 from typing import NamedTuple, Optional
 
-from .c5 import Analysis, c5_cone
+from .c5 import Analysis, _analysis_of, c5_cone
 from .errors import DependentVectors, DimensionMismatch, EngineError, NoCommonSpecialCoordinate
 from .geometry import Branch, Curve, Plane, cached, curve, null_space, spanning_rref
 from .invariants import InvariantProfile, profile
@@ -189,7 +189,8 @@ def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> Li
     lambda first, then integer tuples by increasing max-norm. lambda is
     generic iff lambda*w != 0 for the vector w of every span of c's cone
     (see _transverse), read off analysis.spans (default: those of a new
-    Analysis of c). A plane curve gets the identity.
+    Analysis of c; an analysis of another curve raises ValueError). A
+    plane curve gets the identity.
 
     The search ends. Every span holds a branch tangent a, with a[s] != 0,
     and a vector b independent of it, so w = a[s]*b - b[s]*a is 0 at s and
@@ -199,10 +200,11 @@ def find_generic_projection(c: Curve, analysis: Optional[Analysis] = None) -> Li
     P distinct w and 2K+1 > P, some such tuple is rejected by none: the
     search returns by max-norm ceil(P/2). A smooth irreducible germ has no
     span and keeps all-ones."""
+    analysis = _analysis_of(c, analysis)
     s, n = _search_axis(c), c.n
     if s is None:
         return LinearProjection.identity()
-    spans = (Analysis(c) if analysis is None else analysis).spans
+    spans = analysis.spans
     transverse = list(dict.fromkeys(_transverse(t.vec, v, s) for t, v, _ in spans))
     all_ones = (1,) * (n - 1)
     shells = (

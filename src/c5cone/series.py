@@ -45,12 +45,8 @@ class CoordinateSeries:
         return self.terms[0][0] if self.terms else INFINITE
 
     def embedded(self, conductor: int) -> "CoordinateSeries":
-        """The same series with every coefficient in Q(zeta_conductor).
-        Embedding keeps each coefficient nonzero, so the terms need no
-        second check."""
-        out = object.__new__(CoordinateSeries)
-        out.terms = tuple([(e, c.embed(conductor)) for e, c in self.terms])
-        return out
+        """The same series with every coefficient in Q(zeta_conductor)."""
+        return CoordinateSeries((e, c.embed(conductor)) for e, c in self.terms)
 
     def coefficient(self, exponent: int) -> CycloScalar:
         for e, c in self.terms:
@@ -132,11 +128,6 @@ def exponent_gcd(p: Parametrization) -> int:
             if g == 1:
                 return g
     return g
-
-
-def is_primitive(p: Parametrization) -> bool:
-    """True iff the gcd of all exponents carrying a nonzero coefficient is 1."""
-    return exponent_gcd(p) == 1
 
 
 def puiseux_form_check(p: Parametrization):

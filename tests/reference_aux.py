@@ -160,9 +160,10 @@ class PerClassAnalysis(Analysis):
     and one per non-tangent pair, and whose cone ranks each descriptor's
     (kind, labels) by the first span that holds it."""
 
-    def _contact_spans(self, i: int, j: int) -> dict:
-        spans = self._by_source.get((i, j))
-        if spans is None:
+    @cached
+    def contact(self) -> dict:
+        table = {}
+        for i, j in self.tangent_pairs:
             pair = self.pair(i, j)
             if None in pair.classes:
                 raise _duplicate(*pair.branches)
@@ -170,7 +171,7 @@ class PerClassAnalysis(Analysis):
             for k, found in enumerate(pair.classes):
                 ks.setdefault(found, []).append(k)
             bi, bj = pair.branches
-            spans = self._by_source[(i, j)] = {
+            table[(i, j)] = {
                 found: Span(
                     bi.tangent,
                     tuple(pair.vector(*found)),
@@ -178,16 +179,16 @@ class PerClassAnalysis(Analysis):
                 )
                 for found, group in ks.items()
             }
-        return spans
+        return table
 
     @cached
     def spans(self) -> tuple:
         c, cls = self.curve, self.classification
         spans = []
-        for i in sorted(cls.S):
-            spans += self._characteristic_spans(i).values()
-        for i, j in self.tangent_pairs:
-            spans += self._contact_spans(i, j).values()
+        for by_order in self.characteristic.values():
+            spans += by_order.values()
+        for by_class in self.contact.values():
+            spans += by_class.values()
         for i, j in sorted(cls.NT):
             bi, bj = c.branches[i], c.branches[j]
             spans.append(Span(

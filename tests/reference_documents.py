@@ -10,7 +10,6 @@ every invalid one (except for a label holding a comma, which the engine
 rejects and this reader accepts).
 """
 
-import math
 from fractions import Fraction
 
 from c5cone.errors import DimensionMismatch, InvalidDocument, NonPrimitiveParametrization
@@ -19,7 +18,7 @@ from c5cone.scalar import CycloScalar, _make, _zeta_terms, common_conductor
 from c5cone.series import (
     CoordinateSeries,
     Parametrization,
-    is_primitive,
+    exponent_gcd,
     puiseux_form_check,
 )
 
@@ -97,11 +96,8 @@ def _parse_series(terms, what: str) -> CoordinateSeries:
 def _branch(param: Parametrization, label: str, conductor=None) -> Branch:
     """Branch(param, label, conductor) as it was built: validate, then
     re-embed every coefficient once any one differs from the target."""
-    if not is_primitive(param):
-        g = 0
-        for series in param.coords:
-            for e, _ in series.terms:
-                g = math.gcd(g, e)
+    g = exponent_gcd(param)
+    if g != 1:
         raise NonPrimitiveParametrization(
             f"branch {label}: all exponents share the factor {g}", label=label, gcd=g
         )

@@ -56,16 +56,36 @@ def test_second_routes_to_a_fact_are_gone():
         "characteristic_records", "contact_records", "ProjectionSearchExhausted",
         "_SEARCH_CAP", "integer_normalized_form", "substitute_power", "tangent_direction",
         "plane_equations", "_witness_json", "_Validated", "_validated", "_mobius",
-        "_distances", "plane_from_vectors",
+        "_distances", "plane_from_vectors", "is_primitive",
     ):
         assert not any(hasattr(module, name) for module in [c5cone, *modules]), name
-    # Analysis.records is the one record builder
+    # Analysis.records is the one record builder, and the span tables are
+    # two cached properties
+    c = c5cone.curve_from_exponents([[[(2, 1)], [(2, 1), (3, 1)]]])
+    analysis = c5cone.Analysis(c)
+    analysis.records()
     for name in (
         "characteristic_record", "characteristic_records", "representative_records", "contacts",
+        "_by_source", "_characteristic_spans", "_contact_spans",
     ):
-        assert not hasattr(c5cone.Analysis, name), name
-    b = c5cone.curve_from_exponents([[[(2, 1)], [(2, 1), (3, 1)]]]).branches[0]
+        assert not hasattr(analysis, name), name
+    b = c.branches[0]
+    assert not hasattr(b, "_fill")
     assert not hasattr(c5cone.auxiliary._Pair(b, b), "leading")
+
+
+def test_only_the_scalar_maker_skips_a_constructor():
+    # a branch or a series exists only through its constructor's checks;
+    # CycloScalar takes no arguments, so scalar._make builds it field by field
+    package = pathlib.Path(c5cone.__file__).parent
+    found = [
+        (path.name, line.strip())
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "object.__new__" in line
+    ]
+    assert found == [("scalar.py", "a = object.__new__(CycloScalar)")]
+    assert "object.__new__" in inspect.getsource(c5cone.scalar._make)
 
 
 def test_consumers_take_no_cone():

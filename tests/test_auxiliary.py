@@ -11,6 +11,7 @@ from c5cone import (
     AuxRecord,
     Branch,
     CycloScalar,
+    DimensionMismatch,
     Direction,
     DuplicateBranch,
     EngineError,
@@ -226,6 +227,17 @@ def test_tangent_pair_without_common_special_coordinate_is_rejected():
         with pytest.raises(IncompatibleSystem) as exc:
             call()
         assert exc.value.pair == ("b1", "b2")
+
+
+def test_coam_rejects_branches_of_two_dimensions():
+    # the cusp in C^2 and in C^3 have tangents of two widths, which would
+    # pass for a non-tangent pair with coam (2, 2)
+    plane = curve_from_exponents([[[(2, 1)], [(3, 1)]]]).branches[0]
+    space = curve_from_exponents([[[(2, 1)], [(3, 1)], [(5, 1)]]]).branches[0]
+    with pytest.raises(DimensionMismatch) as exc:
+        coam(plane, space)
+    assert str(exc.value) == "branch b1 has ambient dimension 3, expected 2"
+    assert exc.value.payload == {"dims": [2, 3]}
 
 
 def test_coam_is_symmetric(load):

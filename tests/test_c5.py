@@ -547,7 +547,7 @@ def _span_counts(analysis, planes=False):
 
     nontangent = [span for span in analysis.spans if span.descriptors[0][0] == "non-tangent"]
     pairs = analysis.tangent_pairs
-    return [count(analysis._contact_spans(i, j).values()) for i, j in pairs] + [count(nontangent)]
+    return [count(analysis.contact[(i, j)].values()) for i, j in pairs] + [count(nontangent)]
 
 
 def test_spans_by_plane_agree_with_the_per_class_route(load, fixture_names):
@@ -608,7 +608,7 @@ def test_contact_spans_are_never_tangent_and_pencils_have_one_plane():
                 assert geometry.matrix_rank([t, L, R]) == (2 if shared else 3)
                 merged += shared is not None
                 independent += shared is None
-            for span in analysis._contact_spans(i, j).values():
+            for span in analysis.contact[(i, j)].values():
                 assert geometry.matrix_rank([t, list(span.vector)]) == 2
     assert merged >= 50 and independent >= 5
 

@@ -227,7 +227,7 @@ def test_span_search_equals_the_canonical_cone_search(load, fixture_names):
             else:
                 assert got == texts(reference_search(each).matrix)
                 # the basis rows of the canonical planes are spans too
-                bases = SimpleNamespace(spans=[
+                bases = SimpleNamespace(curve=each, spans=[
                     Span(Direction(p.basis[0]), p.basis[1], ())
                     for p in c5_cone(each).components if isinstance(p, Plane)
                 ])

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from c5cone import (
+    Analysis,
     C5Cone,
     CycloScalar,
     DegenerateSecant,
@@ -21,6 +22,7 @@ from c5cone import (
 from c5cone import oracle
 from c5cone.oracle import (
     DEFAULT_RADII,
+    FloatView,
     DEFAULT_SAMPLES,
     DEFAULT_TOLERANCE,
     PRNG_NAME,
@@ -215,6 +217,31 @@ def test_sampling_rejects_components_of_another_dimension(load, monkeypatch):
     with pytest.raises(DimensionMismatch) as exc:
         sample_secant_directions(c, k=10, cone=cone)
     assert exc.value.payload == {"dims": [2, 3]}
+
+
+def test_witnesses_refuse_an_analysis_or_view_of_another_curve(load):
+    # m16_four_planes' families measured on space_cusp's doubles, or
+    # against another cone's planes, would report distance inf
+    a, b = load("m16_four_planes"), load("space_cusp")
+    analysis = Analysis(a)
+    other = FloatView(b.branches, c5_cone(b).components)
+    with pytest.raises(ValueError, match="another curve"):
+        cone_witness_results(a, Analysis(b))
+    with pytest.raises(ValueError, match="float view"):
+        cone_witness_results(a, analysis, other)
+    with pytest.raises(ValueError, match="float view"):
+        cone_witness_results(a, analysis, FloatView(a.branches, other.components))
+    own = FloatView(a.branches, analysis.cone.components)
+    assert cone_witness_results(a, analysis, own) == cone_witness_results(a)
+
+
+def test_sampling_refuses_a_view_of_another_curve(load, monkeypatch):
+    # a view over space_cusp would sample its branches and report its two
+    # component minima for m16_four_planes
+    a, b = load("m16_four_planes"), load("space_cusp")
+    monkeypatch.setattr(oracle, "_sample_batch", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="another curve's branches"):
+        sample_secant_directions(a, k=10, view=FloatView(b.branches, c5_cone(b).components))
 
 
 def test_high_multiplicity_sampling_raises_underflow():

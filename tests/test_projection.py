@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from c5cone import (
+    Analysis,
     CycloScalar,
     DependentVectors,
     DimensionMismatch,
@@ -188,6 +189,18 @@ def test_find_generic_projection_skips_non_generic_candidates(load):
     assert verify_projection_invariance(c, p)
 
 
+def test_find_generic_projection_refuses_an_analysis_of_another_curve(load):
+    # the spans of space_cusp pass (1,0,0);(0,1,1), whose kernel lies in a
+    # plane of m16_four_planes' cone
+    a, b = load("m16_four_planes"), load("space_cusp")
+    with pytest.raises(ValueError, match="another curve"):
+        find_generic_projection(a, Analysis(b))
+    assert not is_c5_generic(a, LinearProjection([[1, 0, 0], [0, 1, 1]])).generic
+    p = find_generic_projection(a, Analysis(a))
+    assert p.matrix == LinearProjection([[1, 0, 0], [0, -2, -1]]).matrix
+    assert is_c5_generic(a, p).generic
+
+
 def test_find_generic_projection_needs_universal_special_coordinate(load):
     with pytest.raises(NoCommonSpecialCoordinate):
         find_generic_projection(load("four_branches"))
@@ -236,5 +249,5 @@ def test_search_ends_within_its_bound(K):
         if all(p * lam[1] != q * lam[0] for p, q in rejected)
     )
     assert max(map(abs, first)) == K + 1 <= bound
-    found = find_generic_projection(c, SimpleNamespace(spans=spans))
+    found = find_generic_projection(c, SimpleNamespace(curve=c, spans=spans))
     assert texts(found.matrix) == [["1", "0", "0"], ["0", *map(str, first)]]
