@@ -12,6 +12,7 @@ from .c5 import (
     Analysis,
     AuxRecord,
     C5Cone,
+    InvariantProfile,
     bound1,
     bound2,
     c5_cone,
@@ -48,6 +49,7 @@ from .errors import (
     NonPrimitiveParametrization,
     NotPlaneCurve,
     NotPuiseuxForm,
+    OutputClosed,
     StructureMismatch,
     TooManyBranches,
     UnsupportedDimension,
@@ -63,31 +65,6 @@ from .geometry import (
     matrix_rank,
     null_space,
     rref,
-)
-from .invariants import (
-    ContactStructure,
-    EquivalenceVerdict,
-    InvariantProfile,
-    bilipschitz_equivalent,
-    characteristic_exponents,
-    contact_structure,
-    intersection_multiplicity,
-    profile,
-)
-from .oracle import (
-    SampleReport,
-    WitnessResult,
-    cone_witness_results,
-    default_u_values,
-    sample_secant_directions,
-)
-from .projection import (
-    GenericityVerdict,
-    LinearProjection,
-    apply_projection,
-    find_generic_projection,
-    is_c5_generic,
-    verify_projection_invariance,
 )
 from .scalar import (
     CONDUCTOR_LIMIT,
@@ -106,8 +83,60 @@ from .series import (
 
 __version__ = "0.1.0"
 
-# The API of README "Python API". Every other name imported above is still
-# importable from the package root by name.
+# compare, project and verify read the analysis through three more modules,
+# which run on first use, so that importing the package compiles only what
+# analyze runs. Each is in sys.modules and bound here from the start, as a
+# lazy module (importlib.util.LazyLoader) whose code runs when one of its
+# attributes is first read, so that a walk over sys.modules, such as the
+# tracer's in perfbench/layertrace.py, still finds it. __getattr__ (PEP 562)
+# serves the names below and caches each here; dir() lists them all.
+_ON_USE = {
+    "invariants": (
+        "ContactStructure", "EquivalenceVerdict", "bilipschitz_equivalent",
+        "characteristic_exponents", "contact_structure", "intersection_multiplicity",
+        "profile",
+    ),
+    "oracle": (
+        "SampleReport", "WitnessResult", "cone_witness_results", "default_u_values",
+        "sample_secant_directions",
+    ),
+    "projection": (
+        "GenericityVerdict", "LinearProjection", "apply_projection",
+        "find_generic_projection", "is_c5_generic", "verify_projection_invariance",
+    ),
+}
+_OWNER = {name: module for module, names in _ON_USE.items() for name in names}
+
+
+def _defer_on_use_modules():
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    for module in _ON_USE:
+        spec = find_spec(f"{__name__}.{module}")
+        spec.loader = LazyLoader(spec.loader)
+        lazy = globals()[module] = sys.modules[spec.name] = module_from_spec(spec)
+        spec.loader.exec_module(lazy)
+
+
+_defer_on_use_modules()
+
+
+def __getattr__(name):
+    """A name of a module in _ON_USE, which runs that module's code the
+    first time one of its names is read."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_OWNER[name]], name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())
+
+
+# The API of README "Python API". Every other name imported above or served
+# on use is still importable from the package root by name.
 __all__ = [
     # curves and documents
     "read_curve",

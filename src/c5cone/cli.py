@@ -11,8 +11,12 @@ Four commands over curve documents:
   sampling plus explicit witness families).
 
 Exit codes: 0 success or affirmative verdict, 1 negative verdict, 2 input
-or validation error (the structured diagnostic goes to standard error as
-JSON).
+or validation error, or a standard output closed before the report was
+written (the structured diagnostic goes to standard error as JSON).
+
+The float oracle, the projection search and the equivalence search only
+read the analysis: verify, project and compare import their module when
+they run, so analyze never compiles them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,26 +46,9 @@ from .errors import (
     InvalidArgument,
     InvalidDocument,
     InvalidSamplingParameter,
+    OutputClosed,
 )
 from .geometry import Curve, Plane, component_rows
-from .invariants import bilipschitz_equivalent
-from .oracle import (
-    DEFAULT_RADII,
-    DEFAULT_SAMPLES,
-    DEFAULT_TOLERANCE,
-    FloatView,
-    check_leading_terms,
-    check_sampling_parameters,
-    cone_witness_results,
-    sample_secant_directions,
-)
-from .projection import (
-    LinearProjection,
-    apply_projection,
-    find_generic_projection,
-    image_keeps_profile,
-    is_c5_generic,
-)
 from .scalar import CycloScalar
 
 
@@ -255,6 +243,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .invariants import bilipschitz_equivalent
+
     x = read_curve(args.file_a)
     y = read_curve(args.file_b)
     verdict = bilipschitz_equivalent(x, y)
@@ -310,7 +300,7 @@ def _parse_matrix(text: str, what: str):
     return [[_parse_rational_entry(e) for e in row] for row in raw]
 
 
-def _projection_json(proj: LinearProjection) -> dict:
+def _projection_json(proj) -> dict:
     return {
         "matrix": [_row_texts(r) for r in proj.matrix],
         "kernel": [_row_texts(r) for r in proj.kernel_basis],
@@ -318,6 +308,14 @@ def _projection_json(proj: LinearProjection) -> dict:
 
 
 def cmd_project(args) -> int:
+    from .projection import (
+        LinearProjection,
+        apply_projection,
+        find_generic_projection,
+        image_keeps_profile,
+        is_c5_generic,
+    )
+
     c = read_curve(args.file)
     names = variable_names(c.n)
     if args.kernel is not None:
@@ -385,11 +383,24 @@ def cmd_project(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import (
+        DEFAULT_RADII,
+        DEFAULT_SAMPLES,
+        DEFAULT_TOLERANCE,
+        FloatView,
+        check_leading_terms,
+        check_sampling_parameters,
+        cone_witness_results,
+        sample_secant_directions,
+    )
+
+    asked = DEFAULT_RADII if args.radii is None else args.radii
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    tol = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     c = read_curve(args.file)
     # bad flags, and leading terms that underflow doubles at the smallest
     # radius, exit before any cone or sampling work
-    radii = check_sampling_parameters(args.radii, args.samples, len(c.branches))
-    tol = args.tolerance
+    radii = check_sampling_parameters(asked, samples, len(c.branches))
     if not 0 < tol < 1:  # a plane distance never exceeds 1; NaN fails too
         raise InvalidSamplingParameter(f"tolerance must lie in (0, 1), got {tol}")
     check_leading_terms(c, radii[-1])
@@ -417,7 +428,7 @@ def cmd_verify(args) -> int:
     view = FloatView(c.branches, cone.components)
     witnesses = [] if override else cone_witness_results(c, analysis, view)
     report = sample_secant_directions(
-        c, radii=tuple(args.radii), k=args.samples, seed=args.seed, view=view
+        c, radii=tuple(asked), k=samples, seed=args.seed, view=view
     )
     witness_ok = [
         (not w.skipped) and w.monotone and w.final_plane_distance <= tol
@@ -502,11 +513,11 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="numeric cross-check of the cone")
     p_verify.add_argument("file")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--radii", type=float, nargs="+", default=DEFAULT_RADII
-    )
-    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    # an absent flag is None, and cmd_verify reads the oracle's default, so
+    # that building the parser loads no oracle
+    p_verify.add_argument("--radii", type=float, nargs="+")
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--tolerance", type=float)
     p_verify.add_argument("--override-planes", help=argparse.SUPPRESS)
 
     return parser
@@ -516,10 +527,21 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         # looked up per call, so a handler replaced on the module still runs
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # a closed stdout fails here, whether or not stdout is buffered
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered for stdout, flushed
+        # at exit, goes to the null device instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        error = OutputClosed("standard output was closed before the report was written")
     except EngineError as exc:
-        print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
-        return 2
+        error = exc
+    print(json.dumps(error.to_json(), sort_keys=True), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -105,3 +105,8 @@ class FloatingPointUnderflow(EngineError):
 
 class FloatingPointOverflow(EngineError):
     """An exact value exceeds IEEE double range, so its double is infinite."""
+
+
+class OutputClosed(EngineError):
+    """Standard output was closed before the report was written, as when
+    the reader of a pipe exits early."""

@@ -2,13 +2,17 @@
 
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 import c5cone.c5
 import c5cone.cli
+import c5cone.oracle
 import c5cone.projection
 from c5cone.cli import main
 from pencil_curves import document, pencil_pairs
@@ -258,7 +262,6 @@ def test_project_auto_projects_the_curve_once(capsys, fixtures_dir, monkeypatch)
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(c5cone.cli, "apply_projection", counting)
     monkeypatch.setattr(c5cone.projection, "apply_projection", counting)
     code, data, _ = run_json(
         capsys, "project", fixture(fixtures_dir, "space_cusp"), "--auto", "--json"
@@ -355,7 +358,7 @@ def test_verify_rejects_tolerance_outside_the_unit_interval(
         raise AssertionError("verify started cone or sampling work")
 
     monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
-    monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
+    monkeypatch.setattr(c5cone.oracle, "sample_secant_directions", no_work)
     code, out, err = run(
         capsys,
         "verify",
@@ -376,8 +379,8 @@ def test_verify_rejects_too_many_samples_before_any_work(
         raise AssertionError("verify started cone or sampling work")
 
     monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
-    monkeypatch.setattr(c5cone.cli, "cone_witness_results", no_work)
-    monkeypatch.setattr(c5cone.cli, "sample_secant_directions", no_work)
+    monkeypatch.setattr(c5cone.oracle, "cone_witness_results", no_work)
+    monkeypatch.setattr(c5cone.oracle, "sample_secant_directions", no_work)
     code, out, err = run(
         capsys,
         "verify",
@@ -395,8 +398,9 @@ def _no_verify_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("verify started cone or sampling work")
 
-    for name in ("Analysis", "cone_witness_results", "sample_secant_directions"):
-        monkeypatch.setattr(c5cone.cli, name, no_work)
+    monkeypatch.setattr(c5cone.cli, "Analysis", no_work)
+    for name in ("cone_witness_results", "sample_secant_directions"):
+        monkeypatch.setattr(c5cone.oracle, name, no_work)
 
 
 def _radii(count):
@@ -798,3 +802,111 @@ def test_parser_is_built_once_and_handlers_looked_up_per_call(
     again, data, _ = run_json(capsys, "compare", space_cusp, space_cusp, "--json")
     assert c5cone.cli._parser() is parser
     assert (first, again, data["equivalent"]) == (0, 0, True)
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports the engine from this checkout."""
+    env = dict(os.environ)
+    src = str(FIXTURES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["verify"]])
+def test_a_closed_stdout_ends_in_a_diagnostic(argv, buffered):
+    # the reader of stdout is gone before the report is written: exit 2
+    # with a JSON diagnostic, not a traceback and exit 1, which would read
+    # as a negative verdict; a buffered stdout fails only when flushed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python(
+            "-m", "c5cone.cli", argv[0], str(FIXTURES / "space_cusp.json"), *argv[1:],
+            stdout=write, stderr=subprocess.PIPE,
+            env={"PYTHONUNBUFFERED": "" if buffered else "1"},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    diagnostic = json.loads(proc.stderr)
+    assert diagnostic["error"] == "OutputClosed"
+
+
+# the modules that only read an analysis, and the names each gives the package
+ON_USE = {
+    "invariants": {
+        "ContactStructure", "EquivalenceVerdict", "bilipschitz_equivalent",
+        "characteristic_exponents", "contact_structure", "intersection_multiplicity",
+        "profile",
+    },
+    "oracle": {
+        "SampleReport", "WitnessResult", "cone_witness_results", "default_u_values",
+        "sample_secant_directions",
+    },
+    "projection": {
+        "GenericityVerdict", "LinearProjection", "apply_projection",
+        "find_generic_projection", "is_c5_generic", "verify_projection_invariance",
+    },
+}
+
+
+# The head of a script for a fresh interpreter: ran() lists the modules of
+# ON_USE whose code has run. Each is in sys.modules from the package's
+# import on, as a lazy module whose class becomes ModuleType as it runs.
+RAN = (
+    "import sys, types\n"
+    "import c5cone\n"
+    "def ran():\n"
+    f"    return [m for m in {sorted(ON_USE)!r}\n"
+    "            if type(sys.modules[f'c5cone.{m}']) is types.ModuleType]\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["analyze", "--json"], []),
+    (["compare"], ["invariants"]),
+    (["project", "--auto"], ["invariants", "projection"]),
+    (["verify"], ["oracle"]),
+])
+def test_each_command_runs_only_the_modules_it_needs(argv, loaded):
+    space_cusp = str(FIXTURES / "space_cusp.json")
+    files = [space_cusp, space_cusp] if argv[0] == "compare" else [space_cusp]
+    script = RAN + (
+        "import c5cone.cli\n"
+        "assert ran() == [], ('import', ran())\n"
+        f"assert c5cone.cli.main({[argv[0], *files, *argv[1:]]!r}) == 0\n"
+        f"assert ran() == {loaded!r}, ran()\n"
+    )
+    proc = _python("-c", script, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_serves_the_deferred_names_on_first_access():
+    script = RAN + (
+        "import json\n"
+        "before = dir(c5cone)\n"
+        "assert ran() == [], ran()\n"
+        "f = c5cone.sample_secant_directions\n"
+        "assert ran() == ['oracle'], ran()\n"
+        "assert f is sys.modules['c5cone.oracle'].sample_secant_directions\n"
+        "assert c5cone.oracle is sys.modules['c5cone.oracle']\n"
+        "assert vars(c5cone)['sample_secant_directions'] is f\n"
+        "owners = {name: getattr(c5cone, name).__module__ for name in before\n"
+        "          if callable(getattr(c5cone, name))}\n"
+        "assert ran() == ['invariants', 'oracle', 'projection'], ran()\n"
+        "assert dir(c5cone) == before\n"
+        "print(json.dumps([before, owners]))\n"
+    )
+    proc = _python("-c", script, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    listed, owners = json.loads(proc.stdout)
+    for module, names in ON_USE.items():
+        assert module in listed
+        for name in names:
+            assert name in listed, name
+            assert owners[name] == f"c5cone.{module}", name
+    # defined in c5, so it is served eagerly
+    assert owners["InvariantProfile"] == "c5cone.c5"

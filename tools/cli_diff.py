@@ -20,6 +20,13 @@ fixtures of the new tree, so both sides see the same files:
   rational (the flag takes no other) and the cone is not a line; and on
   space_cusp with the RAGGED matrices, whose rows differ in width.
 
+A set of command lines compares the parser's own output: --help of the
+program and of each command, --version, and the command lines it
+rejects: no command, an unknown command, an unknown flag, a missing
+positional, a value of the wrong type (--samples abc, --seed 1.5,
+--tolerance x), --radii with no value, and project with neither or both
+of --kernel and --auto.
+
 The same analyze, project and verify invocations then run on generated
 curves, each also compared with itself and, as the benchmark's compare
 ops do, with a copy whose branches are in reverse order; project --auto,
@@ -79,10 +86,11 @@ c5cone.cli.main with stdout and stderr captured. Each set of invocations
 runs ROUNDS times per tree, the trees interleaved and the one that goes
 first alternating, and the outputs of the first round are diffed. After
 each set the script prints each tree's median wall-clock seconds over the
-rounds, in all and per command (analyze, compare, project, verify): one
-run per tree swings by about 20 % on a shared machine. Beside the totals
-it prints each tree's line count of src/c5cone/*.py. The exit status is
-1 when any invocation differs, else 0. No engine code imports this file.
+rounds, in all and per command (analyze, compare, project, verify, and
+parser for a command line that names none of them): one run per tree
+swings by about 20 % on a shared machine. Beside the totals it prints
+each tree's line count of src/c5cone/*.py. The exit status is 1 when any
+invocation differs, else 0. No engine code imports this file.
 """
 
 from __future__ import annotations
@@ -103,6 +111,7 @@ from fractions import Fraction
 
 
 SEED = 101
+COMMANDS = ("analyze", "compare", "project", "verify")
 ROUNDS = 3
 LABELS = ("\u00df", "\u65e5\u672c", 'q"t', "b\\s", "[x]", "{y}", "\u00e9\t\u03b2")
 # (u^2, u^3, (-1 - zeta_3)*u^3)
@@ -348,6 +357,29 @@ def invocations(fixtures: pathlib.Path) -> list:
     return out
 
 
+def command_line_invocations(fixtures: pathlib.Path) -> list:
+    """--help, --version and rejected command lines, on space_cusp."""
+    f = str(fixtures / "space_cusp.json")
+    return [
+        ["--help"],
+        *([command, "--help"] for command in COMMANDS),
+        ["--version"],
+        [],
+        ["frobnicate", f],
+        ["analyze", f, "--frobnicate"],
+        ["analyze"],
+        ["compare", f],
+        ["verify"],
+        ["verify", f, "--samples", "abc"],
+        ["verify", f, "--seed", "1.5"],
+        ["verify", f, "--tolerance", "x"],
+        ["verify", f, "--radii"],
+        ["verify", f, "--radii", "--samples", "3"],
+        ["project", f],
+        ["project", f, "--kernel", "[[0,0,1]]", "--auto"],
+    ]
+
+
 def _rational(text: str) -> bool:
     try:
         Fraction(text)
@@ -526,7 +558,9 @@ def _run(tree: pathlib.Path, calls: list) -> tuple:
     results, seconds = json.loads(proc.stdout)
     per_command = {}
     for argv, s in zip(calls, seconds):
-        per_command[argv[0]] = per_command.get(argv[0], 0.0) + s
+        # a command line with no command counts as the parser's
+        command = argv[0] if argv and argv[0] in COMMANDS else "parser"
+        per_command[command] = per_command.get(command, 0.0) + s
     return results, per_command, time.perf_counter() - start
 
 
@@ -555,6 +589,7 @@ def main(argv) -> int:
     old, new = (pathlib.Path(p).resolve() for p in argv)
     calls = invocations(new / "fixtures") + override_invocations(new)
     differences = _diff(old, new, calls, "fixtures")
+    differences += _diff(old, new, command_line_invocations(new / "fixtures"), "command lines")
     with tempfile.TemporaryDirectory() as tmp:
         paths = generated_documents(new, pathlib.Path(tmp))
         differences += _diff(old, new, generated_invocations(paths), "generated curves")
