@@ -473,7 +473,7 @@ def cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Rejects a command line with InvalidArgument, so it ends like every
     other input error: exit 2 and a JSON diagnostic. Subcommand parsers
-    are built from this class too."""
+    are built from this class too, and kept by name in parser.commands."""
 
     def error(self, message):
         raise InvalidArgument(message)
@@ -520,12 +520,24 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float)
     p_verify.add_argument("--override-planes", help=argparse.SUPPRESS)
 
+    parser.commands = dict(analyze=p_analyze, compare=p_compare, project=p_project, verify=p_verify)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed command line. One that starts with a command goes straight
+    to that command's parser, with what the program's parser would hand it:
+    everything after the name. Any other goes through the program's parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         # looked up per call, so a handler replaced on the module still runs
         code = globals()[f"cmd_{args.command}"](args)
         # a closed stdout fails here, whether or not stdout is buffered

@@ -40,6 +40,15 @@ _SUMMAND_KEYS = frozenset(("num", "den", "zeta_order", "zeta_pow"))
 _TERM_KEYS = frozenset(("exp", "coeff"))
 _BRANCH_KEYS = frozenset(("label", "coords"))
 _TOP_KEYS = frozenset(("version", "n", "branches"))
+_NAME_PARTS = ("branches[{}]", ".coords[{}]", "[{}].coeff")
+
+
+def _name(what) -> str:
+    """The name of a part in an error: what, or the part at the positions
+    (branch[, coordinate[, term's coefficient]]), built only on failure."""
+    if isinstance(what, str):
+        return what
+    return "".join(part.format(i) for part, i in zip(_NAME_PARTS, what))
 
 
 def _require_int(value, what: str) -> int:
@@ -48,9 +57,10 @@ def _require_int(value, what: str) -> int:
     return value
 
 
-def _require_keys(obj, keys: frozenset, what: str) -> None:
+def _require_keys(obj, keys: frozenset, what) -> None:
     if type(obj) is dict and obj.keys() == keys:
         return
+    what = _name(what)
     if not isinstance(obj, dict):
         raise InvalidDocument(f"{what} must be an object, got {type(obj).__name__}")
     missing = keys - obj.keys()
@@ -61,7 +71,7 @@ def _require_keys(obj, keys: frozenset, what: str) -> None:
         raise InvalidDocument(f"{what} has unknown keys {sorted(extra)}")
 
 
-def _summand_fields(summand, what: str, pos: int) -> tuple:
+def _summand_fields(summand, what, pos: int) -> tuple:
     """(num, den, zeta_order, zeta_pow) of summand pos, each checked to be
     an int. The names for the errors are built only when a check fails."""
     if type(summand) is dict and summand.keys() == _SUMMAND_KEYS:
@@ -69,7 +79,7 @@ def _summand_fields(summand, what: str, pos: int) -> tuple:
         num, den, order, power = fields
         if type(num) is type(den) is type(order) is type(power) is int:
             return fields
-    where = f"{what}[{pos}]"
+    where = f"{_name(what)}[{pos}]"
     _require_keys(summand, _SUMMAND_KEYS, where)
     return tuple(
         _require_int(summand[key], f"{where}.{key}")
@@ -77,18 +87,16 @@ def _summand_fields(summand, what: str, pos: int) -> tuple:
     )
 
 
-def _parse_scalar(summands, what: str) -> CycloScalar:
+def _parse_scalar(summands, what) -> CycloScalar:
     if not isinstance(summands, list) or not summands:
-        raise InvalidDocument(f"{what} must be a non-empty list of summands")
+        raise InvalidDocument(f"{_name(what)} must be a non-empty list of summands")
     total = None
     for pos, summand in enumerate(summands):
         num, den, order, power = _summand_fields(summand, what, pos)
         if den < 1:
-            raise InvalidDocument(f"{what}[{pos}].den must be positive, got {den}")
+            raise InvalidDocument(f"{_name(what)}[{pos}].den must be positive, got {den}")
         if order < 1:
-            raise InvalidDocument(
-                f"{what}[{pos}].zeta_order must be positive, got {order}"
-            )
+            raise InvalidDocument(f"{_name(what)}[{pos}].zeta_order must be positive, got {order}")
         # The cap check comes before zeta_order^power enters the table.
         _check_conductor(order)
         term = _monomial(order, power, num if den == 1 else Fraction(num, den))
@@ -96,23 +104,24 @@ def _parse_scalar(summands, what: str) -> CycloScalar:
     return total
 
 
-def _parse_series(terms, what: str) -> CoordinateSeries:
+def _parse_series(terms, what: tuple) -> CoordinateSeries:
+    """The series at the positions what = (branch, coordinate)."""
     if not isinstance(terms, list):
-        raise InvalidDocument(f"{what} must be a list of terms")
+        raise InvalidDocument(f"{_name(what)} must be a list of terms")
     parsed = []
     for pos, term in enumerate(terms):
         if type(term) is dict and term.keys() == _TERM_KEYS and type(term["exp"]) is int:
             exp = term["exp"]
         else:  # name the first check that fails
-            _require_keys(term, _TERM_KEYS, f"{what}[{pos}]")
-            exp = _require_int(term["exp"], f"{what}[{pos}].exp")
+            _require_keys(term, _TERM_KEYS, f"{_name(what)}[{pos}]")
+            exp = _require_int(term["exp"], f"{_name(what)}[{pos}].exp")
         if exp < 1:
-            raise InvalidDocument(f"{what}[{pos}].exp must be >= 1, got {exp}")
-        parsed.append((exp, _parse_scalar(term["coeff"], f"{what}[{pos}].coeff")))
+            raise InvalidDocument(f"{_name(what)}[{pos}].exp must be >= 1, got {exp}")
+        parsed.append((exp, _parse_scalar(term["coeff"], (*what, pos))))
     try:
         return CoordinateSeries(parsed)
     except ValueError as exc:
-        raise InvalidDocument(f"{what}: {exc}") from None
+        raise InvalidDocument(f"{_name(what)}: {exc}") from None
 
 
 def from_document(doc) -> Curve:
@@ -137,7 +146,7 @@ def from_document(doc) -> Curve:
     branches = []
     labels = set()
     for pos, raw in enumerate(raw_branches):
-        _require_keys(raw, _BRANCH_KEYS, f"branches[{pos}]")
+        _require_keys(raw, _BRANCH_KEYS, (pos,))
         label = raw["label"]
         if not isinstance(label, str) or not label:
             raise InvalidDocument(
@@ -154,10 +163,7 @@ def from_document(doc) -> Curve:
             raise InvalidDocument(
                 f"branches[{pos}].coords must list exactly {n} coordinates"
             )
-        series = [
-            _parse_series(c, f"branches[{pos}].coords[{ci}]")
-            for ci, c in enumerate(coords)
-        ]
+        series = [_parse_series(c, (pos, ci)) for ci, c in enumerate(coords)]
         branches.append(Branch(Parametrization(series), label))
     # every branch is checked, in document order, before curve() embeds
     # them at their common conductor
@@ -194,9 +200,13 @@ def dumps_document(doc) -> str:
     return _canonical_json(doc, allow_nan=False) + "\n"
 
 
-# Line breaks with the indent of depths 0-15; deeper ones are built on use.
-# Kept small: every fresh import of the engine pays for it again.
+# Line breaks with the indent of depths 0-15, and the item separators
+# before them; deeper ones are built on use. Kept small: every fresh import
+# of the engine pays for it again.
 _BREAKS = tuple("\n" + "  " * depth for depth in range(16))
+_SEPARATORS = tuple("," + inner for inner in _BREAKS)
+# The JSON types the writer takes by exact type, and subclasses of them.
+_TYPES = (str, int, float, dict, list, tuple)
 
 
 def _float_text(x: float, allow_nan: bool) -> str:
@@ -238,40 +248,45 @@ class _Writer:
         self.keys = {}
 
     def value(self, o, depth: int) -> str:
-        if isinstance(o, str):
+        t = type(o)
+        if t not in _TYPES:  # None, a bool, or a subclass: printed as its base type
+            if o is None or o is True or o is False:
+                return "null" if o is None else "true" if o else "false"
+            t = next((base for base in _TYPES if isinstance(o, base)), None)
+            if t is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if t is str:
             return _encode_str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
+        if t is int:
             return int.__repr__(o)
-        if isinstance(o, float):
+        if t is float:
             return _float_text(o, self.allow_nan)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return self.array(o, depth + 1)
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            return self.mapping(o, depth + 1)
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return "{}" if t is dict else "[]"
+        return self.mapping(o, depth + 1) if t is dict else self.array(o, depth + 1)
 
     def array(self, items, depth: int) -> str:
-        inner = _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
-        if isinstance(items[0], str):
+        inner = _BREAKS[depth] if depth < 16 else "\n" + "  " * depth
+        sep = _SEPARATORS[depth] if depth < 16 else "," + inner
+        if type(items[0]) is str:
             try:
-                return f"[{inner}{(',' + inner).join(map(_encode_str, items))}{inner[:-2]}]"
+                return f"[{inner}{sep.join(map(_encode_str, items))}{inner[:-2]}]"
             except TypeError:  # a later item is no string
                 pass
-        value = self.value
-        return f"[{inner}{(',' + inner).join([value(x, depth) for x in items])}{inner[:-2]}]"
+        parts = []
+        for x in items:  # the common leaves by exact type, as in mapping
+            t = type(x)
+            if t is float:
+                parts.append(_float_text(x, self.allow_nan))
+            elif t is int:
+                parts.append(int.__repr__(x))
+            else:
+                parts.append(self.value(x, depth))
+        return f"[{inner}{sep.join(parts)}{inner[:-2]}]"
 
     def mapping(self, d, depth: int) -> str:
-        inner = _BREAKS[depth] if depth < len(_BREAKS) else "\n" + "  " * depth
+        inner = _BREAKS[depth] if depth < 16 else "\n" + "  " * depth
+        sep = _SEPARATORS[depth] if depth < 16 else "," + inner
         keys = self.keys
         parts = []
         for k in sorted(d):
@@ -281,14 +296,21 @@ class _Writer:
                     raise TypeError(f"keys must be str, not {k.__class__.__name__}")
                 text = keys[k] = _encode_str(k) + ": "
             v = d[k]
-            # the common leaves without a call; bool is no int here
-            if type(v) is str:
+            # the common values by exact type, without a call to value
+            t = type(v)
+            if t is str:
                 parts.append(text + _encode_str(v))
-            elif type(v) is int:
+            elif t is int:
                 parts.append(text + int.__repr__(v))
+            elif t is float:
+                parts.append(text + _float_text(v, self.allow_nan))
+            elif t is list and v:
+                parts.append(text + self.array(v, depth + 1))
+            elif t is dict and v:
+                parts.append(text + self.mapping(v, depth + 1))
             else:
                 parts.append(text + self.value(v, depth))
-        return f"{{{inner}{(',' + inner).join(parts)}{inner[:-2]}}}"
+        return f"{{{inner}{sep.join(parts)}{inner[:-2]}}}"
 
 
 def loads_document(text: str) -> dict:

@@ -249,8 +249,11 @@ class Branch:
         conductor = common_conductor(
             m, *(c.conductor for series in param.coords for _, c in series.terms)
         )
-        if any(c.conductor != conductor for series in param.coords for _, c in series.terms):
-            param = Parametrization(series.embedded(conductor) for series in param.coords)
+        # only the series with a coefficient at another conductor are built again
+        param = Parametrization(
+            s.embedded(conductor) if any(c.conductor != conductor for _, c in s.terms) else s
+            for s in param.coords
+        )
         self.param, self.m, self.special_coords = param, m, special
         self.label, self.conductor = label, conductor
         # the coefficients of u^m; nonzero, since a special coordinate is u^m

@@ -20,6 +20,8 @@ from .scalar import CycloScalar
 INFINITE = math.inf
 # The terms of the scalar 1, the same at every conductor.
 _ONE_TERMS = ((0, 1),)
+# The coefficient of every exponent a series has no term at.
+_ZERO = CycloScalar.rational(0)
 
 
 class CoordinateSeries:
@@ -54,7 +56,7 @@ class CoordinateSeries:
                 return c
             if e > exponent:
                 break
-        return CycloScalar.rational(0)
+        return _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, CoordinateSeries):

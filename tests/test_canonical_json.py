@@ -7,9 +7,11 @@ and on seeded random curves, whose documents also spell each rational
 coefficient at zeta order 1, so the documents themselves hold mixed orders.
 Edge objects cover what reports do not: empty containers at every depth,
 shared lists, tuples, bools beside ints, signed zero, subnormals, non-finite
-floats and strings that need escaping.
+floats, strings that need escaping, and subclasses of str, int and float
+(bool, an IntEnum) in every place, floats below depth 15 among them.
 """
 
+import enum
 import json
 import random
 from pathlib import Path
@@ -139,8 +141,43 @@ EDGE_OBJECTS = [
 ]
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+# subclasses of str, int and float, which the writer does not take by
+# exact type: each prints as json prints it (bool as true and false, the
+# others as the value of their base type)
+SUBCLASSED = [True, False, Level.LOW, Level.HIGH, Text("t\u00e9"), Text(""), Real(0.5), Real(-0.0)]
+SUBCLASS_OBJECTS = [
+    *SUBCLASSED,
+    *[{"a": x, "b": [x]} for x in SUBCLASSED],
+    *[[x, "s", 1, 2.5] for x in SUBCLASSED],
+    *[["s", x] for x in SUBCLASSED],
+    *[[1, x, 0.25, x] for x in SUBCLASSED],
+    {Text("key"): Level.LOW, "other": [Real(1e300), Text("v")]},
+    *[_nested([Real(2.5), 1.0, -0.0, Real(1e-300)], d) for d in (15, 16, 17, 20)],
+    *[_nested([0.5, Real(3.0)], d) for d in (14, 18)],
+]
+
+
 @pytest.mark.parametrize("obj", EDGE_OBJECTS)
 def test_edge_objects_equal_json_dumps(obj):
+    assert _canonical_json(obj) == _reference(obj)
+    assert _canonical_json(obj, allow_nan=False) == _reference(obj, allow_nan=False)
+
+
+@pytest.mark.parametrize("obj", SUBCLASS_OBJECTS)
+def test_subclasses_of_json_types_equal_json_dumps(obj):
     assert _canonical_json(obj) == _reference(obj)
     assert _canonical_json(obj, allow_nan=False) == _reference(obj, allow_nan=False)
 

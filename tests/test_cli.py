@@ -1,6 +1,8 @@
 """Command line behavior: output shapes, exit codes, error contract."""
 
+import argparse
 import copy
+import importlib.util
 import json
 import os
 import pathlib
@@ -15,6 +17,7 @@ import c5cone.cli
 import c5cone.oracle
 import c5cone.projection
 from c5cone.cli import main
+from c5cone.errors import InvalidArgument
 from pencil_curves import document, pencil_pairs
 from c5cone.oracle import (
     MAX_RADII,
@@ -802,6 +805,55 @@ def test_parser_is_built_once_and_handlers_looked_up_per_call(
     again, data, _ = run_json(capsys, "compare", space_cusp, space_cusp, "--json")
     assert c5cone.cli._parser() is parser
     assert (first, again, data["equivalent"]) == (0, 0, True)
+    # each command's parser is built once too, and the dispatch hands the
+    # command line to that parser, not to the program's
+    commands = dict(parser.commands)
+    assert c5cone.cli._parser().commands == commands
+    assert sorted(commands) == ["analyze", "compare", "project", "verify"]
+    handed = []
+
+    def parse_args(self, args=None, namespace=None):
+        handed.append((self, args))
+        return argparse.ArgumentParser.parse_args(self, args, namespace)
+
+    monkeypatch.setattr(c5cone.cli._Parser, "parse_args", parse_args)
+    for command in commands:
+        handed.clear()
+        main([command, space_cusp, "--frobnicate"])
+        assert handed == [(commands[command], [space_cusp, "--frobnicate"])]
+    capsys.readouterr()
+
+
+def _cli_diff_command_lines():
+    """The command lines of tools/cli_diff.py, on this checkout's fixtures."""
+    path = FIXTURES.parent / "tools" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("cli_diff_command_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.command_line_invocations(FIXTURES)
+
+
+def _parsed(parse, argv, capsys):
+    """The Namespace parse makes of argv; the detail of the InvalidArgument
+    it raises; or the exit code and output of --help or --version."""
+    try:
+        return parse(argv)
+    except InvalidArgument as exc:
+        return "rejected", str(exc)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, captured.out, captured.err
+
+
+def _shown(argv) -> str:
+    return " ".join(pathlib.Path(a).name if a.endswith(".json") else a for a in argv) or "-"
+
+
+@pytest.mark.parametrize("argv", _cli_diff_command_lines(), ids=_shown)
+def test_the_dispatch_parses_as_the_full_parser(argv, capsys):
+    direct = _parsed(c5cone.cli._parse, argv, capsys)
+    full = _parsed(c5cone.cli._parser().parse_args, argv, capsys)
+    assert direct == full
 
 
 def _python(*args, **kwargs):

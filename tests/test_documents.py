@@ -171,6 +171,44 @@ def test_summands_are_validated():
         from_document(doc)
 
 
+def _faults():
+    """(path, value) faults, each at the second branch, its third
+    coordinate, that coordinate's second term or that term's second
+    summand; value None deletes the key."""
+    branch, coord, term = ("branches", 1), ("branches", 1, "coords", 2), ("branches", 1, "coords", 2, 1)
+    summand = (*term, "coeff", 1)
+    return [
+        (branch, []), ((*branch, "extra"), 1), ((*branch, "coords"), {}),
+        (coord, {}), (term, "x"), ((*term, "exp"), "1"), ((*term, "exp"), 0), ((*term, "exp"), 3),
+        ((*term, "coeff"), []), ((*term, "coeff"), "x"), (summand, 7), ((*summand, "num"), "1"),
+        ((*summand, "zeta_pow"), None), ((*summand, "den"), 0), ((*summand, "den"), True),
+        ((*summand, "zeta_order"), -1), ((*summand, "extra"), 0),
+    ]
+
+
+@pytest.mark.parametrize("path, value", _faults())
+def test_an_error_names_the_part_as_the_reference_reader(path, value):
+    # positions past the first, so each index of the name is checked; the
+    # engine builds a name only when a check fails
+    doc = to_document(curve_from_exponents([
+        [2, [(3, 1)], [(5, 1)]], [2, [(5, 1)], [(3, 1), (7, zeta(5) + 2)]]
+    ]))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(InvalidDocument) as ours:
+        from_document(copy.deepcopy(doc))
+    with pytest.raises(InvalidDocument) as theirs:
+        reference_documents.from_document(doc)
+    assert str(ours.value) == str(theirs.value)
+    assert "branches[1]" in str(ours.value)
+
+
 def test_huge_root_order_is_refused_before_allocating():
     doc = cusp_document()
     summand = doc["branches"][0]["coords"][1][0]["coeff"][0]

@@ -330,6 +330,19 @@ def test_branch_conductor_covers_coefficients():
     assert b.conductor % 12 == 0
 
 
+def test_branch_builds_again_only_the_series_at_another_conductor():
+    # x = u^4 holds a rational, at conductor 1, so it is embedded at the
+    # branch's 12; y is at 12 already and the zero series holds nothing
+    x = CoordinateSeries([(4, CycloScalar.rational(1))])
+    y = CoordinateSeries([(5, zeta(12)), (7, zeta(12, 5))])
+    zero = CoordinateSeries()
+    b = Branch(Parametrization([x, y, zero]))
+    assert b.conductor == 12
+    assert b.param.coords[1] is y and b.param.coords[2] is zero
+    assert b.param.coords[0] == x and b.param.coords[0].terms[0][1].conductor == 12
+    assert all(s is t for s, t in zip(Branch(b.param).param.coords, b.param.coords))
+
+
 def test_branch_rejects_shared_exponent_factor():
     from c5cone import NonPrimitiveParametrization
 

@@ -64,6 +64,8 @@ def test_series_orders_terms_and_drops_zeros():
     assert s.order() == 4
     assert s.coefficient(4).rational_value() == 2
     assert s.coefficient(7).is_zero()
+    # a missing exponent reads one shared zero
+    assert s.coefficient(7) is s.coefficient(100) is CoordinateSeries().coefficient(1)
 
 
 def test_series_rejects_duplicate_exponents():

@@ -24,8 +24,12 @@ A set of command lines compares the parser's own output: --help of the
 program and of each command, --version, and the command lines it
 rejects: no command, an unknown command, an unknown flag, a missing
 positional, a value of the wrong type (--samples abc, --seed 1.5,
---tolerance x), --radii with no value, and project with neither or both
-of --kernel and --auto.
+--tolerance x), --radii with no value, project with neither or both of
+--kernel and --auto, and --kernel with no value after --auto. It also
+holds command lines a command's parser reads as the program's parser
+would hand them to it: a positional after --, a prefix of --json, the
+program's --version after a command, a flag before the positionals and a
+flag given twice.
 
 The same analyze, project and verify invocations then run on generated
 curves, each also compared with itself and, as the benchmark's compare
@@ -358,7 +362,8 @@ def invocations(fixtures: pathlib.Path) -> list:
 
 
 def command_line_invocations(fixtures: pathlib.Path) -> list:
-    """--help, --version and rejected command lines, on space_cusp."""
+    """--help, --version, rejected command lines and the edges of a
+    command's own parsing, on space_cusp."""
     f = str(fixtures / "space_cusp.json")
     return [
         ["--help"],
@@ -377,6 +382,12 @@ def command_line_invocations(fixtures: pathlib.Path) -> list:
         ["verify", f, "--radii", "--samples", "3"],
         ["project", f],
         ["project", f, "--kernel", "[[0,0,1]]", "--auto"],
+        ["analyze", "--", f],
+        ["analyze", f, "--js"],
+        ["analyze", f, "--version"],
+        ["compare", "--json", f, f],
+        ["verify", f, "--seed", "1", "--seed", "2"],
+        ["project", f, "--auto", "--kernel"],
     ]
 
 
