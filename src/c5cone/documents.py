@@ -26,21 +26,24 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .errors import InvalidDocument
+from .errors import InvalidDocument, NotPuiseuxForm
 from .geometry import Branch, Curve, curve
-from .scalar import CycloScalar, _check_conductor, _monomial
-from .series import CoordinateSeries, Parametrization
+from .scalar import CONDUCTOR_LIMIT, CycloScalar, _check_conductor, _monomial
+from .series import CoordinateSeries, Parametrization, _ascending
 
 DOCUMENT_VERSION = 1
 _INF = math.inf
 
-_SUMMAND_KEYS = frozenset(("num", "den", "zeta_order", "zeta_pow"))
+_SUMMAND = ("num", "den", "zeta_order", "zeta_pow")
+_SUMMAND_KEYS = frozenset(_SUMMAND)
 _TERM_KEYS = frozenset(("exp", "coeff"))
 _BRANCH_KEYS = frozenset(("label", "coords"))
 _TOP_KEYS = frozenset(("version", "n", "branches"))
 _NAME_PARTS = ("branches[{}]", ".coords[{}]", "[{}].coeff")
+_fields = itemgetter(*_SUMMAND)
 
 
 def _name(what) -> str:
@@ -71,41 +74,42 @@ def _require_keys(obj, keys: frozenset, what) -> None:
         raise InvalidDocument(f"{what} has unknown keys {sorted(extra)}")
 
 
-def _summand_fields(summand, what, pos: int) -> tuple:
-    """(num, den, zeta_order, zeta_pow) of summand pos, each checked to be
-    an int. The names for the errors are built only when a check fails."""
-    if type(summand) is dict and summand.keys() == _SUMMAND_KEYS:
-        fields = summand["num"], summand["den"], summand["zeta_order"], summand["zeta_pow"]
-        num, den, order, power = fields
-        if type(num) is type(den) is type(order) is type(power) is int:
-            return fields
-    where = f"{_name(what)}[{pos}]"
-    _require_keys(summand, _SUMMAND_KEYS, where)
-    return tuple(
-        _require_int(summand[key], f"{where}.{key}")
-        for key in ("num", "den", "zeta_order", "zeta_pow")
-    )
-
-
 def _parse_scalar(summands, what) -> CycloScalar:
+    """The sum of the summands at the lcm of their zeta orders, each summand
+    checked in document order, and the cap at each order and each running
+    lcm, as adding the summands one by one checks it."""
     if not isinstance(summands, list) or not summands:
         raise InvalidDocument(f"{_name(what)} must be a non-empty list of summands")
-    total = None
+    N, parsed = 1, []
     for pos, summand in enumerate(summands):
-        num, den, order, power = _summand_fields(summand, what, pos)
+        valid = type(summand) is dict and summand.keys() == _SUMMAND_KEYS
+        if valid:
+            num, den, order, power = _fields(summand)
+            valid = type(num) is type(den) is type(order) is type(power) is int
+        if not valid:  # name the first check that fails
+            where = f"{_name(what)}[{pos}]"
+            _require_keys(summand, _SUMMAND_KEYS, where)
+            num, den, order, power = [_require_int(summand[k], f"{where}.{k}") for k in _SUMMAND]
         if den < 1:
             raise InvalidDocument(f"{_name(what)}[{pos}].den must be positive, got {den}")
         if order < 1:
             raise InvalidDocument(f"{_name(what)}[{pos}].zeta_order must be positive, got {order}")
-        # The cap check comes before zeta_order^power enters the table.
-        _check_conductor(order)
-        term = _monomial(order, power, num if den == 1 else Fraction(num, den))
+        if N % order:
+            N = math.lcm(N, order)
+            if N > CONDUCTOR_LIMIT:  # the order is named before the lcm
+                _check_conductor(order)
+                _check_conductor(N)
+        parsed.append((num if den == 1 else Fraction(num, den), order, power))
+    total = None
+    for q, order, power in parsed:
+        term = _monomial(N, power * (N // order), q)
         total = term if total is None else total + term
     return total
 
 
-def _parse_series(terms, what: tuple) -> CoordinateSeries:
-    """The series at the positions what = (branch, coordinate)."""
+def _parse_terms(terms, what: tuple) -> list:
+    """The nonzero (exponent, coefficient) terms of the coordinate at the
+    positions what = (branch, coordinate), exponents ascending."""
     if not isinstance(terms, list):
         raise InvalidDocument(f"{_name(what)} must be a list of terms")
     parsed = []
@@ -117,11 +121,28 @@ def _parse_series(terms, what: tuple) -> CoordinateSeries:
             exp = _require_int(term["exp"], f"{_name(what)}[{pos}].exp")
         if exp < 1:
             raise InvalidDocument(f"{_name(what)}[{pos}].exp must be >= 1, got {exp}")
-        parsed.append((exp, _parse_scalar(term["coeff"], (*what, pos))))
+        coeff = _parse_scalar(term["coeff"], (*what, pos))
+        if coeff:
+            parsed.append((exp, coeff))
     try:
-        return CoordinateSeries(parsed)
+        return _ascending(parsed)
     except ValueError as exc:
         raise InvalidDocument(f"{_name(what)}: {exc}") from None
+
+
+def _branch(coords: list, label: str) -> Branch:
+    """The branch of the parsed coordinates, each series built once at the
+    branch's conductor, the lcm of m and its coefficients' conductors."""
+    heads = [terms[0][0] for terms in coords if terms]
+    N = math.lcm(min(heads), *{c.conductor for terms in coords for _, c in terms}) if heads else 0
+    if 0 < N <= CONDUCTOR_LIMIT:  # past the cap, Branch raises below
+        try:
+            return Branch(Parametrization([
+                CoordinateSeries([(e, c.embed(N)) for e, c in terms]) for terms in coords
+            ]), label)
+        except NotPuiseuxForm:
+            pass  # raised below, its message spelling each coefficient as it was read
+    return Branch(Parametrization(map(CoordinateSeries, coords)), label)
 
 
 def from_document(doc) -> Curve:
@@ -163,8 +184,7 @@ def from_document(doc) -> Curve:
             raise InvalidDocument(
                 f"branches[{pos}].coords must list exactly {n} coordinates"
             )
-        series = [_parse_series(c, (pos, ci)) for ci, c in enumerate(coords)]
-        branches.append(Branch(Parametrization(series), label))
+        branches.append(_branch([_parse_terms(c, (pos, ci)) for ci, c in enumerate(coords)], label))
     # every branch is checked, in document order, before curve() embeds
     # them at their common conductor
     return curve(branches)
@@ -326,12 +346,14 @@ def loads_document(text: str) -> dict:
 def read_curve(path) -> Curve:
     """Parse the curve document stored at path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = str(handle.read(), "utf-8")
     except OSError as exc:
         raise InvalidDocument(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InvalidDocument(f"{path} is not valid UTF-8: {exc.reason}") from None
+    if "\r" in text:  # the newlines text mode reads, so JSON error positions stay
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return from_document(loads_document(text))
 
 

@@ -122,7 +122,7 @@ class Direction:
 
     def __init__(self, entries: Iterable[CycloScalar]):
         entries = tuple(entries)
-        lead = next((e for e in entries if not e.is_zero()), None)
+        lead = next(filter(None, entries), None)
         if lead is None:
             raise ValueError("the zero vector has no direction")
         self.vec = tuple(divided(entries, lead))
@@ -246,18 +246,17 @@ class Branch:
                 gcd=g,
             )
         m, special = puiseux_form_check(param)
-        conductor = common_conductor(
-            m, *(c.conductor for series in param.coords for _, c in series.terms)
-        )
-        # only the series with a coefficient at another conductor are built again
-        param = Parametrization(
-            s.embedded(conductor) if any(c.conductor != conductor for _, c in s.terms) else s
-            for s in param.coords
-        )
+        conductors = {c.conductor for series in param.coords for _, c in series.terms}
+        conductor = common_conductor(m, *conductors)
+        if conductors != {conductor}:  # build again only the series at another conductor
+            param = Parametrization(
+                s.embedded(conductor) if any(c.conductor != conductor for _, c in s.terms) else s
+                for s in param.coords
+            )
         self.param, self.m, self.special_coords = param, m, special
         self.label, self.conductor = label, conductor
         # the coefficients of u^m; nonzero, since a special coordinate is u^m
-        self.tangent = Direction(series.coefficient(m) for series in param.coords)
+        self.tangent = Direction([series.coefficient(m) for series in param.coords])
 
     @property
     def n(self) -> int:

@@ -120,9 +120,7 @@ def _project_param(p: Parametrization, matrix) -> Parametrization:
                 prev = merged.get(e)
                 value = entry * coeff if prev is None else prev + entry * coeff
                 merged[e] = value
-        coords.append(CoordinateSeries(
-            (e, v) for e, v in sorted(merged.items()) if not v.is_zero()
-        ))
+        coords.append(CoordinateSeries(merged.items()))
     return Parametrization(coords)
 
 

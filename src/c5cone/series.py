@@ -30,15 +30,7 @@ class CoordinateSeries:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Tuple[int, CycloScalar]] = ()):
-        cleaned = [(e, c) for e, c in terms if not c.is_zero()]
-        cleaned.sort(key=lambda t: t[0])
-        for (e1, _), (e2, _) in zip(cleaned, cleaned[1:]):
-            if e1 == e2:
-                raise ValueError(f"duplicate exponent {e1} in coordinate series")
-        for e, _ in cleaned:
-            if e < 1:
-                raise ValueError(f"exponents must be >= 1, got {e}")
-        self.terms = tuple(cleaned)
+        self.terms = tuple(_ascending([(e, c) for e, c in terms if c]))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,6 +71,25 @@ class CoordinateSeries:
 
     def __repr__(self):
         return f"<series {self.text()}>"
+
+
+def _ascending(terms: list) -> list:
+    """The terms sorted by exponent, or ValueError for a repeated exponent or
+    one below 1; exponents that ascend from 1 up pass in one scan, unsorted."""
+    last = 0
+    for e, _ in terms:
+        if e <= last:
+            break
+        last = e
+    else:
+        return terms
+    terms = sorted(terms, key=lambda t: t[0])
+    for (e1, _), (e2, _) in zip(terms, terms[1:]):
+        if e1 == e2:
+            raise ValueError(f"duplicate exponent {e1} in coordinate series")
+    if terms[0][0] < 1:
+        raise ValueError(f"exponents must be >= 1, got {terms[0][0]}")
+    return terms
 
 
 class Parametrization:
@@ -138,16 +149,16 @@ def puiseux_form_check(p: Parametrization):
     m is the order of p and a special coordinate is one whose series is the
     single bare term u^m. Non-special coordinates may still have order m.
     """
-    if p.is_zero():
+    m = min([series.terms[0][0] for series in p.coords if series.terms], default=0)
+    if not m:
         raise NotPuiseuxForm("the zero parametrization has no multiplicity")
-    m = order(p)
-    special = frozenset(
+    special = frozenset([
         j
         for j, series in enumerate(p.coords)
         if len(series.terms) == 1
         and series.terms[0][0] == m
         and series.terms[0][1].terms() == _ONE_TERMS
-    )
+    ])
     if not special:
         worst = min(
             (j for j in range(p.n) if not p.coords[j].is_zero()),

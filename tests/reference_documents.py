@@ -7,14 +7,17 @@ differs, and the curve then rebuilds, validating again, every branch whose
 conductor differs from the curve's. The engine's from_document must give the
 same Curve on every valid document, and the same error class and message on
 every invalid one (except for a label holding a comma, which the engine
-rejects and this reader accepts).
+rejects and this reader accepts). read_curve reads the file in text mode,
+whose universal newlines turn "\r\n" and "\r" into "\n" before JSON
+decoding sees the text.
 """
 
+import json
 from fractions import Fraction
 
 from c5cone.errors import DimensionMismatch, InvalidDocument, NonPrimitiveParametrization
 from c5cone.geometry import Branch, Curve, Direction
-from c5cone.scalar import CycloScalar, _make, _zeta_terms, common_conductor
+from c5cone.scalar import CycloScalar, _make, _rat, _zeta_terms, common_conductor
 from c5cone.series import (
     CoordinateSeries,
     Parametrization,
@@ -53,7 +56,7 @@ def _monomial(N: int, k: int, c: Fraction) -> CycloScalar:
     terms = _zeta_terms(N, k % N)
     if c == 1:
         return _make(N, terms)
-    return _make(N, tuple([(i, v * c) for i, v in terms]))
+    return _make(N, tuple([(i, _rat(v * c)) for i, v in terms]))
 
 
 def _parse_scalar(summands, what: str) -> CycloScalar:
@@ -176,6 +179,23 @@ def from_document(doc) -> Curve:
         ]
         branches.append(_branch(Parametrization(series), label))
     return _curve(branches)
+
+
+def read_curve(path) -> Curve:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InvalidDocument(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidDocument(f"{path} is not valid UTF-8: {exc.reason}") from None
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidDocument(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidDocument("document root must be a JSON object")
+    return from_document(doc)
 
 
 def fingerprint(c: Curve):

@@ -1,18 +1,26 @@
 """The JSON wire format: canonical serialization and strict validation."""
 
 import copy
+import importlib.util
 import json
+import math
+import pathlib
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import edge_documents
 import reference_documents
 from c5cone import (
     CONDUCTOR_LIMIT,
+    Branch,
     ConductorLimitExceeded,
+    CoordinateSeries,
     CycloScalar,
+    EngineError,
     InvalidDocument,
     NotPuiseuxForm,
     curve_from_exponents,
@@ -356,3 +364,107 @@ def test_documents_read_as_the_reference_reader(fixtures_dir, fixture_names):
         assert reference_documents.fingerprint(from_document(doc)) == (
             reference_documents.fingerprint(reference_documents.from_document(doc))
         )
+
+
+def _outcome(read, source):
+    """What a reader gives: the Curve's fingerprint, or the error's class
+    and its JSON diagnostic (message and payload)."""
+    try:
+        return reference_documents.fingerprint(read(source))
+    except EngineError as exc:
+        return type(exc), exc.to_json()
+
+
+def test_edge_documents_read_as_the_reference_reader():
+    docs = edge_documents.edge_documents(Random(34), 320)
+    classes = Counter()
+    for doc in docs:
+        ours = _outcome(from_document, copy.deepcopy(doc))
+        assert ours == _outcome(reference_documents.from_document, doc)
+        classes[ours[0].__name__ if isinstance(ours[0], type) else "valid"] += 1
+    # each edge is drawn: valid curves, and each way to fail
+    assert classes["valid"] >= 150
+    for name in ("InvalidDocument", "ConductorLimitExceeded", "NotPuiseuxForm",
+                 "NonPrimitiveParametrization"):
+        assert classes[name] >= 5, classes
+
+
+def test_an_irrational_spoilt_special_coordinate_is_spelled_as_read():
+    # 1 + zeta_5 at conductor 10 in a branch at conductor 60: the message
+    # spells it at 10, as it was read, not at 60
+    doc = cusp_document()
+    doc["branches"][0]["coords"][0][0]["coeff"].append(_summand(1, 1, 5, 1))
+    doc["branches"][0]["coords"][1][0]["coeff"] = [_summand(1, 1, 12, 1)]
+    with pytest.raises(NotPuiseuxForm, match=r"terms \(1 \+ 1\*z\(10,2\)\)\*u\^2$"):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("name", [
+    "crlf.json", "crlf_error.json", "cr.json", "cr_error.json", "mixed_error.json",
+    "bom.json", "bad_start_byte.json", "bad_continuation.json", "truncated.json",
+    "empty.json", "folder.json", "missing.json",
+])
+def test_a_file_reads_as_in_text_mode(name, tmp_path):
+    # the byte read turns "\r\n" and "\r" into "\n" as text mode does, so a
+    # JSON error names the same position; decoding and file errors match
+    paths = {path.name: path for path in edge_documents.write_file_faults(tmp_path)}
+    ours = _outcome(read_curve, paths[name])
+    assert ours == _outcome(reference_documents.read_curve, paths[name])
+    if name.endswith("_error.json"):
+        assert "line 4 column" in ours[1]["detail"]
+
+
+def _build_counts(monkeypatch) -> list:
+    """Wrap the series and branch constructors and the series embedding;
+    return the list they append (name, label or None) to on each call."""
+    calls = []
+    for cls, name in ((CoordinateSeries, "__init__"), (CoordinateSeries, "embedded"),
+                      (Branch, "__init__")):
+        def wrapper(self, *args, _inner=getattr(cls, name), _name=f"{cls.__name__}.{name}",
+                    **kwargs):
+            label = args[1] if _name == "Branch.__init__" else None
+            calls.append((_name, label))
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def _cyclo_documents() -> list:
+    """The cyclo-highN documents the benchmark draws at seed 1."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    W = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(W)
+    rng = Random(1)
+    return [W.cyclo_curve(rng, W.cyclo_skeleton(*shape)) for shape in W.CYCLO_SHAPES]
+
+
+def _rebuilt_branches(monkeypatch, doc) -> list:
+    """Read doc, check that each series is built once at its branch's
+    conductor and each branch once, but for the branches curve() embeds at
+    the curve's conductor, and return the labels of those."""
+    own = {raw["label"]: from_document(dict(doc, branches=[raw])).conductor
+           for raw in doc["branches"]}
+    below = [label for label, N in own.items() if N != math.lcm(*own.values())]
+    with monkeypatch.context() as patch:
+        calls = _build_counts(patch)
+        from_document(doc)
+    n, r = doc["n"], len(own)
+    assert [label for name, label in calls if name == "Branch.__init__"] == [*own, *below]
+    assert calls.count(("CoordinateSeries.embedded", None)) == n * len(below)
+    assert calls.count(("CoordinateSeries.__init__", None)) == n * (r + len(below))
+    return below
+
+
+def test_reading_builds_each_series_and_branch_once(monkeypatch, fixtures_dir, fixture_names):
+    # no branch of a cyclo-highN document or a fixture sits below its
+    # curve's conductor, so each is built once; some valid edge documents
+    # hold one, which curve() builds again
+    plain = _cyclo_documents()
+    plain += [loads_document((fixtures_dir / f"{name}.json").read_text()) for name in fixture_names]
+    edges = [doc for doc in edge_documents.edge_documents(Random(34), 60)
+             if not isinstance(_outcome(from_document, doc)[0], type)]
+    rebuilt = [_rebuilt_branches(monkeypatch, doc) for doc in plain + edges]
+    assert not any(rebuilt[:len(plain)])
+    assert sum(map(bool, rebuilt[len(plain):])) >= 5

@@ -85,6 +85,13 @@ and compare, both ways round, of the pair of the new tree's
 tests/reference_equivalence.py tangent_family at r = 8, where a search
 pruned by ChAM and placed CoAMs alone visits about r! bijections.
 
+A reader set runs analyze --json, compare of a document with itself,
+project --auto --json and verify on READER_DOCUMENTS documents of the new
+tree's tests/edge_documents.py, whose coefficients spell their values at
+mixed zeta orders and a third of which are faulty, and on its file
+faults: CRLF and lone CR line endings with and without a JSON error, a
+UTF-8 BOM, invalid UTF-8, an empty file, a directory and a missing path.
+
 Each tree runs all invocations in one process of its own, through
 c5cone.cli.main with stdout and stderr captured. Each set of invocations
 runs ROUNDS times per tree, the trees interleaved and the one that goes
@@ -94,7 +101,8 @@ rounds, in all and per command (analyze, compare, project, verify, and
 parser for a command line that names none of them): one run per tree
 swings by about 20 % on a shared machine. Beside the totals it prints
 each tree's line count of src/c5cone/*.py. The exit status is 1 when any
-invocation differs, else 0. No engine code imports this file.
+invocation differs, else 0. A last line gives the invocations and the
+differences over every set. No engine code imports this file.
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ from fractions import Fraction
 SEED = 101
 COMMANDS = ("analyze", "compare", "project", "verify")
 ROUNDS = 3
+READER_DOCUMENTS = 200
 LABELS = ("\u00df", "\u65e5\u672c", 'q"t', "b\\s", "[x]", "{y}", "\u00e9\t\u03b2")
 # (u^2, u^3, (-1 - zeta_3)*u^3)
 SPELLING = {
@@ -522,6 +531,25 @@ def last_invocations(tree: pathlib.Path, directory: pathlib.Path) -> list:
     ]
 
 
+def reader_invocations(tree: pathlib.Path, directory: pathlib.Path) -> list:
+    """Every command on the edge documents of SEED and on the file faults
+    of the tree's tests/edge_documents.py, written into directory."""
+    E = _load_test_module(tree, "edge_documents")
+    folder = directory / "reader"
+    folder.mkdir()
+    paths = []
+    for index, doc in enumerate(E.edge_documents(random.Random(SEED), READER_DOCUMENTS)):
+        paths.append(folder / f"edge{index:03d}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    paths += E.write_file_faults(folder)
+    return [call for path in map(str, paths) for call in (
+        ["analyze", path, "--json"],
+        ["compare", path, path, "--json"],
+        ["project", path, "--auto", "--json"],
+        ["verify", path],
+    )]
+
+
 def generated_invocations(paths: list) -> list:
     out = []
     for path, copy in paths:
@@ -598,30 +626,28 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old, new = (pathlib.Path(p).resolve() for p in argv)
-    calls = invocations(new / "fixtures") + override_invocations(new)
-    differences = _diff(old, new, calls, "fixtures")
-    differences += _diff(old, new, command_line_invocations(new / "fixtures"), "command lines")
+    sets = [
+        (invocations(new / "fixtures") + override_invocations(new), "fixtures"),
+        (command_line_invocations(new / "fixtures"), "command lines"),
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = generated_documents(new, pathlib.Path(tmp))
-        differences += _diff(old, new, generated_invocations(paths), "generated curves")
-        paths = relabelled_documents(new / "fixtures", pathlib.Path(tmp))
-        differences += _diff(old, new, generated_invocations(paths), "relabelled fixtures")
-        paths = merging_documents(new, pathlib.Path(tmp))
-        differences += _diff(old, new, generated_invocations(paths), "merging spans")
-        paths = conductor_documents(pathlib.Path(tmp))
-        differences += _diff(
-            old, new, generated_invocations(paths), "branches at different conductors"
-        )
-        paths = quotient_documents(pathlib.Path(tmp))
-        differences += _diff(old, new, generated_invocations(paths), "rational quotients")
-        calls = conversion_invocations(conversion_documents(pathlib.Path(tmp)))
-        differences += _diff(old, new, calls, "conversion to doubles")
-        calls = prime_invocations(prime_documents(pathlib.Path(tmp)))
-        differences += _diff(old, new, calls, "many primes")
-        calls = many_component_invocations(new, pathlib.Path(tmp))
-        differences += _diff(old, new, calls, "many components")
-        calls = last_invocations(new, pathlib.Path(tmp))
-        differences += _diff(old, new, calls, "coefficient spelling and the tangent family")
+        tmp = pathlib.Path(tmp)
+        sets += [
+            (generated_invocations(generated_documents(new, tmp)), "generated curves"),
+            (generated_invocations(relabelled_documents(new / "fixtures", tmp)),
+             "relabelled fixtures"),
+            (generated_invocations(merging_documents(new, tmp)), "merging spans"),
+            (generated_invocations(conductor_documents(tmp)), "branches at different conductors"),
+            (generated_invocations(quotient_documents(tmp)), "rational quotients"),
+            (conversion_invocations(conversion_documents(tmp)), "conversion to doubles"),
+            (prime_invocations(prime_documents(tmp)), "many primes"),
+            (many_component_invocations(new, tmp), "many components"),
+            (last_invocations(new, tmp), "coefficient spelling and the tangent family"),
+            (reader_invocations(new, tmp), "reader"),
+        ]
+        counts = [(len(calls), _diff(old, new, calls, what)) for calls, what in sets]
+    total, differences = map(sum, zip(*counts))
+    print(f"all sets: {total} invocations, {differences} differ")
     return 1 if differences else 0
 
 
